@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolationError, KOutOfRangeError, MissingParamError
-from .graphs import Graph, adjacency_matrix
+from .graphs import Graph, adjacency_matrix, complement_matrix
 from .linalg import (
     SYMMETRY_TOL,
     DenseMatrix,
+    _asymmetry,
     as_matrix,
     ky_fan_norm,
     operator_norm,
@@ -170,7 +171,7 @@ def _require_zero_diagonal(a: np.ndarray) -> None:
 
 
 def _require_symmetric(a: np.ndarray) -> None:
-    asym = float(np.abs(a - a.T).max())
+    asym = _asymmetry(a)
     if asym > SYMMETRY_TOL:
         raise DomainViolationError(
             f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}"
@@ -207,13 +208,11 @@ def check_bound(
         _require_square(a)
         _require_symmetric(a)
         _require_zero_diagonal(a)
-        n = cols
-        comp = np.ones((n, n)) - np.eye(n) - a
         if kind == "koolen_moulton":
             lhs = trace_norm(a)
         else:
-            lhs = trace_norm(a) + trace_norm(comp)
-        rhs = bound_value(kind, n)
+            lhs = trace_norm(a) + trace_norm(complement_matrix(a))
+        rhs = bound_value(kind, cols)
     elif kind == "shifted":
         _require_square(a)
         _require_zero_diagonal(a)
@@ -281,7 +280,7 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
     flat_tail_ok = all(abs(s - target) <= tol for s in shift_sigma[1:])
 
     conference_spectrum_ok = False
-    if n % 4 == 1 and n >= 5 and float(np.abs(a - a.T).max()) <= SYMMETRY_TOL:
+    if n % 4 == 1 and n >= 5 and _asymmetry(a) <= SYMMETRY_TOL:
         eig = sym_eigen(a).values
         expected = conference_eigenvalues(n)
         conference_spectrum_ok = all(
@@ -315,7 +314,7 @@ def weyl_complement_check(obj, tol: float = HOLD_TOL) -> WeylReport:
     _require_zero_diagonal(a)
     n = mat.rows
     mu = sym_eigen(a).values
-    mubar = sym_eigen(np.ones((n, n)) - np.eye(n) - a).values
+    mubar = sym_eigen(complement_matrix(a)).values
     # mu is 0-based descending: mu_k is mu[k-1], mu_{n-k+2} is mubar[n-k+1]
     margins = tuple(mu[kk - 1] + mubar[n - kk + 1] + 1.0 for kk in range(2, n + 1))
     ok = all(mg <= tol for mg in margins)

@@ -36,11 +36,12 @@ from .errors import NormsumError
 from .graphs import (
     Graph,
     adjacency_matrix,
+    complement,
     graph6_decode,
     graph6_encode,
     paley_graph,
 )
-from .linalg import SYMMETRY_TOL, DenseMatrix, ky_fan_norm, svd, sym_eigen
+from .linalg import SYMMETRY_TOL, DenseMatrix, _asymmetry, _ky_fan, svd, sym_eigen, trace_norm
 from .search import SearchConfig, exhaustive_max, local_search_max, property_sweep
 
 
@@ -133,6 +134,8 @@ def _threads(args) -> int:
     if args.threads is None:
         return 1
     if args.threads == "auto":
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     t = int(args.threads)
     if t < 1:
@@ -143,10 +146,6 @@ def _threads(args) -> int:
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (results dict, failed verdict flag,
 # optional raw text for the graph6/text/csv formats)
-
-
-def _matrix_json(mat: DenseMatrix) -> dict:
-    return mat.to_json()
 
 
 def _csv_matrix(mat: DenseMatrix) -> str:
@@ -170,7 +169,7 @@ def cmd_construct(args):
         return results, False, {"graph6": results["graph6"], "csv": None}
     if kind == "hadamard":
         h = hadamard(args.order)
-        results = {"kind": "hadamard", "order": h.order, "matrix": _matrix_json(h.entries)}
+        results = {"kind": "hadamard", "order": h.order, "matrix": h.entries.to_json()}
         return results, False, {"csv": _csv_matrix(h.entries)}
     if kind == "kyfan-extremal":
         mat = kyfan_extremal_matrix(args.order, args.p, args.q)
@@ -181,7 +180,7 @@ def cmd_construct(args):
             "q": args.q,
             "rows": mat.rows,
             "cols": mat.cols,
-            "matrix": _matrix_json(mat),
+            "matrix": mat.to_json(),
         }
         return results, False, {"csv": _csv_matrix(mat)}
     mat = opnorm_extremal_matrix(args.rows, args.cols, args.orientation)
@@ -190,21 +189,16 @@ def cmd_construct(args):
         "rows": mat.rows,
         "cols": mat.cols,
         "orientation": args.orientation,
-        "matrix": _matrix_json(mat),
+        "matrix": mat.to_json(),
     }
     return results, False, {"csv": _csv_matrix(mat)}
 
 
 def cmd_spectrum(args):
     obj = _resolve_input(args)
-    if isinstance(obj, Graph):
-        mat = adjacency_matrix(obj)
-    else:
-        mat = obj
+    mat = adjacency_matrix(obj) if isinstance(obj, Graph) else obj
     results: dict = {"rows": mat.rows, "cols": mat.cols}
-    symmetric = (
-        mat.rows == mat.cols and float(np.abs(mat.array - mat.array.T).max()) <= SYMMETRY_TOL
-    )
+    symmetric = mat.rows == mat.cols and _asymmetry(mat.array) <= SYMMETRY_TOL
     if symmetric:
         eig = sym_eigen(mat)
         results["eigenvalues"] = list(eig.values)
@@ -212,12 +206,10 @@ def cmd_spectrum(args):
     sing = svd(mat)
     results["singular_values"] = list(sing.values)
     results["svd_residual"] = sing.residual
-    rows = []
-    for i, s in enumerate(sing.values):
-        e = results.get("eigenvalues", [None] * len(sing.values))[i]
-        rows.append((i + 1, e, s))
+    eigs = results.get("eigenvalues", [None] * len(sing.values))
     csv = "index,eigenvalue,singular_value\n" + "\n".join(
-        f"{i},{'' if e is None else format_float(e)},{format_float(s)}" for i, e, s in rows
+        f"{i},{'' if e is None else format_float(e)},{format_float(s)}"
+        for i, (e, s) in enumerate(zip(eigs, sing.values), 1)
     )
     return results, False, {"csv": csv}
 
@@ -225,22 +217,19 @@ def cmd_spectrum(args):
 def cmd_norms(args):
     obj = _resolve_input(args)
     mat = adjacency_matrix(obj) if isinstance(obj, Graph) else obj
-    sing = svd(mat)
+    sigma = svd(mat).values
     results: dict = {
         "rows": mat.rows,
         "cols": mat.cols,
-        "trace_norm": float(sum(sing.values)),
-        "operator_norm": float(sing.values[0]),
+        "trace_norm": float(sum(sigma)),
+        "operator_norm": sigma[0],
     }
     if args.k is not None:
         results["ky_fan_k"] = args.k
-        results["ky_fan_norm"] = ky_fan_norm(mat, args.k)
+        results["ky_fan_norm"] = _ky_fan(sigma, args.k, mat.rows, mat.cols)
     if isinstance(obj, Graph):
-        n = obj.n
-        comp = np.ones((n, n)) - np.eye(n) - mat.array
-        comp_trace = float(sum(svd(comp).values))
-        results["complement_trace_norm"] = comp_trace
-        results["trace_sum"] = results["trace_norm"] + comp_trace
+        results["complement_trace_norm"] = trace_norm(adjacency_matrix(complement(obj)))
+        results["trace_sum"] = results["trace_norm"] + results["complement_trace_norm"]
     return results, False, {}
 
 

@@ -16,7 +16,7 @@ from .errors import (
     SizeOverflowError,
     UnsupportedOrderError,
 )
-from .graphs import _field_square_codes, _find_irreducible, _prime_power_split
+from .graphs import _prime_power_split, quadratic_character
 from .linalg import DIMENSION_CAP, DenseMatrix, kronecker
 
 
@@ -48,32 +48,12 @@ def _sylvester(order: int) -> np.ndarray:
     return h
 
 
-def _character_table(q: int) -> np.ndarray:
-    """chi[code(u - v)] for all ordered pairs of GF(q): +1 on nonzero squares,
-    -1 on nonsquares, 0 on the diagonal. Entry (u, v) is chi(u - v)."""
-    p, e = _prime_power_split(q)
-    chi = np.full(q, -1, dtype=np.int64)
-    chi[0] = 0
-    if e == 1:
-        chi[[(x * x) % q for x in range(1, q)]] = 1
-        verts = np.arange(q, dtype=np.int64)
-        codes = (verts[:, None] - verts[None, :]) % q
-        return chi[codes]
-    f = _find_irreducible(p, e)
-    chi[sorted(_field_square_codes(p, e, f))] = 1
-    weights = np.array([p ** (e - 1 - t) for t in range(e)], dtype=np.int64)
-    verts = np.arange(q, dtype=np.int64)
-    digits = (verts[:, None] // weights[None, :]) % p
-    diff = (digits[:, None, :] - digits[None, :, :]) % p
-    return chi[diff @ weights]
-
-
 def _paley_hadamard(order: int) -> np.ndarray:
     """Order q+1 for a prime power q = 3 (mod 4): all-ones border around the
     quadratic-character table minus the identity."""
     q = order - 1
     h = np.ones((order, order), dtype=np.int64)
-    h[1:, 1:] = _character_table(q) - np.eye(q, dtype=np.int64)
+    h[1:, 1:] = quadratic_character(q) - np.eye(q, dtype=np.int64)
     return h
 
 

@@ -75,10 +75,17 @@ class Graph:
     def edge_flags(self) -> np.ndarray:
         """Boolean array over the pair bits, index k = pair k."""
         m = self.pair_count
-        if m == 0:
-            return np.zeros(0, dtype=bool)
         raw = np.frombuffer(self.bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
         return np.unpackbits(raw, bitorder="little")[:m].astype(bool)
+
+    @classmethod
+    def from_flags(cls, n: int, flags) -> "Graph":
+        """Inverse of :meth:`edge_flags`: pair k is an edge iff flags[k]."""
+        flags, m = np.asarray(flags, dtype=bool), n * (n - 1) // 2
+        if flags.shape != (m,):
+            raise ValueError(f"need {m} pair flags for order {n}, got shape {flags.shape}")
+        packed = np.packbits(flags, bitorder="little")
+        return cls(n=n, bits=int.from_bytes(packed.tobytes(), "little"))
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as (i, j) with i < j, in bit order."""
@@ -112,7 +119,7 @@ class Graph:
 
 def graph_from_edges(n: int, edges) -> Graph:
     """Build a graph from 0-based vertex pairs; order within a pair is ignored."""
-    bits = 0
+    flags = np.zeros(n * (n - 1) // 2, dtype=bool)
     for i, j in edges:
         if i == j:
             raise ValueError(f"self-loop ({i}, {j}) not allowed")
@@ -120,8 +127,8 @@ def graph_from_edges(n: int, edges) -> Graph:
             i, j = j, i
         if not 0 <= i < j < n:
             raise ValueError(f"edge ({i}, {j}) out of range for order {n}")
-        bits |= 1 << pair_index(i, j)
-    return Graph(n=n, bits=bits)
+        flags[pair_index(i, j)] = True
+    return Graph.from_flags(n, flags)
 
 
 def empty_graph(n: int) -> Graph:
@@ -158,6 +165,12 @@ def adjacency_matrix(g: Graph) -> DenseMatrix:
     return DenseMatrix(a)
 
 
+def complement_matrix(a: np.ndarray) -> np.ndarray:
+    """J - I - A for an n x n array A, or for each matrix of an (B, n, n) stack."""
+    n = a.shape[-1]
+    return np.ones((n, n)) - np.eye(n) - a
+
+
 # ---------------------------------------------------------------------------
 # graph6 serialization
 
@@ -173,23 +186,20 @@ def graph6_encode(g: Graph) -> str:
     else:
         raise ValueError(f"order {n} too large for graph6")
     flags = g.edge_flags()
-    body = []
-    for start in range(0, len(flags), 6):
-        chunk = flags[start : start + 6]
-        val = 0
-        for t, bit in enumerate(chunk):
-            if bit:
-                val |= 1 << (5 - t)
-        body.append(val + 63)
-    return "".join(chr(c) for c in prefix + body)
+    groups = np.zeros((len(flags) + 5) // 6 * 6, dtype=np.int64)
+    groups[: len(flags)] = flags
+    # each character packs six pair flags, the first most significant
+    body = groups.reshape(-1, 6) @ (1 << np.arange(5, -1, -1)) + 63
+    return "".join(chr(c) for c in prefix) + body.astype(np.uint8).tobytes().decode("ascii")
 
 
 def graph6_decode(s: str) -> Graph:
-    data = [ord(c) - 63 for c in s.strip()]
-    if any(v < 0 or v > 63 for v in data):
+    codes = np.frombuffer(s.strip().encode("utf-32-le"), dtype="<u4").astype(np.int64) - 63
+    if ((codes < 0) | (codes > 63)).any():
         raise ValueError("graph6 string contains characters outside the 63..126 range")
-    if not data:
+    if not codes.size:
         raise ValueError("empty graph6 string")
+    data = [int(v) for v in codes[:8]]
     if data[0] != 63:
         n, pos = data[0], 1
     elif len(data) >= 2 and data[1] != 63:
@@ -207,20 +217,13 @@ def graph6_decode(s: str) -> Graph:
         raise ValueError(f"graph6 order {n} must be positive")
     m = n * (n - 1) // 2
     need = (m + 5) // 6
-    if len(data) - pos != need:
-        raise ValueError(f"graph6 body has {len(data) - pos} groups, expected {need}")
-    bits = 0
-    k = 0
-    for v in data[pos:]:
-        for t in range(6):
-            if k >= m:
-                if (v >> (5 - t)) & 1:
-                    raise ValueError("nonzero padding bits in graph6 body")
-                continue
-            if (v >> (5 - t)) & 1:
-                bits |= 1 << k
-            k += 1
-    return Graph(n=n, bits=bits)
+    body = codes[pos:]
+    if body.size != need:
+        raise ValueError(f"graph6 body has {body.size} groups, expected {need}")
+    flags = ((body[:, None] >> np.arange(5, -1, -1)) & 1).astype(bool).ravel()
+    if flags[m:].any():
+        raise ValueError("nonzero padding bits in graph6 body")
+    return Graph.from_flags(n, flags[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +387,11 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     # x^(p^e) must equal x mod f
     if _poly_trim(list(xq)) != [0, 1]:
         return False
-    d = e
-    primes = set()
-    t = 2
-    while t * t <= d:
-        if d % t == 0:
-            primes.add(t)
-            while d % t == 0:
-                d //= t
-        t += 1
-    if d > 1:
-        primes.add(d)
+    d, primes = e, set()
+    while d > 1:
+        r = _min_prime_factor(d)
+        primes.add(r)
+        d //= r
     for r in primes:
         xr = _poly_powmod_x(p ** (e // r), f, p)
         diff = list(xr) + [0] * max(0, 2 - len(xr))
@@ -427,6 +424,33 @@ def _field_square_codes(p: int, e: int, f: list[int]) -> set[int]:
     return squares
 
 
+@lru_cache(maxsize=None)
+def _character_by_code(q: int) -> np.ndarray:
+    """Quadratic character of GF(q) indexed by element code: +1 on nonzero
+    squares, -1 on nonsquares, 0 at zero. q must be an odd prime power."""
+    p, e = _prime_power_split(q)
+    chi = np.full(q, -1, dtype=np.int8)
+    chi[0] = 0
+    if e == 1:
+        chi[[(x * x) % q for x in range(1, q)]] = 1
+    else:
+        chi[sorted(_field_square_codes(p, e, _find_irreducible(p, e)))] = 1
+    chi.setflags(write=False)
+    return chi
+
+
+def quadratic_character(q: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows lo..hi-1 of the GF(q) character table: entry (u - lo, v) is
+    chi(u - v) for field elements u in [lo, hi) and v in [0, q), in the
+    vertex order of :func:`paley_graph`. q must be an odd prime power."""
+    p, e = _prime_power_split(q)
+    hi = q if hi is None else hi
+    weights = np.array([p ** (e - 1 - t) for t in range(e)], dtype=np.int64)
+    digits = (np.arange(q, dtype=np.int64)[:, None] // weights[None, :]) % p  # (q, e)
+    diff = (digits[lo:hi, None, :] - digits[None, :, :]) % p  # (hi - lo, q, e)
+    return _character_by_code(q)[diff @ weights]
+
+
 def paley_graph(q: int) -> Graph:
     """Paley graph on the q elements of GF(q): u ~ v iff u - v is a nonzero square.
 
@@ -441,32 +465,14 @@ def paley_graph(q: int) -> Graph:
         raise NotPrimePowerError(f"q = {q} is not a prime power")
     if q % 4 != 1:
         raise NotOneModFourError(f"q = {q} is not 1 (mod 4)")
-    p, e = split
-    if e == 1:
-        sq_flags = np.zeros(q, dtype=bool)
-        sq_flags[[(x * x) % q for x in range(1, q)]] = True
-    else:
-        f = _find_irreducible(p, e)
-        codes = _field_square_codes(p, e, f)
-        sq_flags = np.zeros(q, dtype=bool)
-        sq_flags[sorted(codes)] = True
-
-    weights = np.array([p ** (e - 1 - t) for t in range(e)], dtype=np.int64)
-    verts = np.arange(q, dtype=np.int64)
-    digits = (verts[:, None] // weights[None, :]) % p  # (q, e)
-
-    m = q * (q - 1) // 2
-    flags = np.zeros(m, dtype=bool)
+    e = split[1]
+    flags = np.zeros(q * (q - 1) // 2, dtype=bool)
     # pair bits for column j occupy the contiguous slice [j(j-1)/2, j(j+1)/2)
-    block = max(1, (1 << 22) // max(q * e, 1))
+    block = max(1, (1 << 22) // (q * e))
     for j0 in range(1, q, block):
         j1 = min(q, j0 + block)
-        diff = (digits[j0:j1, None, :] - digits[None, :, :]) % p  # (B, q, e)
-        codes = diff @ weights  # (B, q)
-        adj = sq_flags[codes]
+        adj = quadratic_character(q, j0, j1) == 1
         for j in range(j0, j1):
             start = j * (j - 1) // 2
             flags[start : start + j] = adj[j - j0, :j]
-    packed = np.packbits(flags, bitorder="little")
-    bits = int.from_bytes(packed.tobytes(), "little")
-    return Graph(n=q, bits=bits)
+    return Graph.from_flags(q, flags)

@@ -5,6 +5,12 @@ on the four operations here: symmetric eigendecomposition, SVD, Ky Fan
 norms, and Kronecker products. Matrices are dense float64 and small by
 design (dimension cap 4096), so LAPACK via numpy is used throughout and
 every factorization is certified by an explicit residual.
+
+Exactly symmetric input (A == A^T) is factored by ``eigh`` and its singular
+values are the eigenvalue magnitudes; any other input goes through the
+LAPACK SVD. The residual is ||AQ - QΛ||_F for ``eigh`` and
+||A - U diag(s) V^T||_F for the SVD; above CERT_FACTOR * (1 + ||A||_F) it
+raises NoConvergenceError.
 """
 
 from __future__ import annotations
@@ -151,8 +157,13 @@ class EigenSpectrum:
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Singular values, descending, with the reconstruction residual
-    frobenius(A - U diag(values) V^T)."""
+    """Singular values, descending, with the residual of their factorization.
+
+    For exactly symmetric A the values are |eigenvalues| from ``eigh`` and
+    residual is ||AQ - QΛ||_F, which for orthogonal Q equals the
+    reconstruction residual ||A - QΛQ^T||_F. Otherwise residual is the SVD
+    reconstruction residual frobenius(A - U diag(values) V^T).
+    """
 
     values: tuple[float, ...]
     residual: float
@@ -160,6 +171,29 @@ class SingularSpectrum:
 
 def _frobenius(arr: np.ndarray) -> float:
     return float(np.sqrt((arr * arr).sum()))
+
+
+def _asymmetry(a: np.ndarray) -> float:
+    """Largest entrywise |a - a^T| of a square array; 0.0 iff a == a^T."""
+    return float(np.abs(a - a.T).max())
+
+
+def _certify(residual: float, a: np.ndarray, what: str) -> float:
+    threshold = CERT_FACTOR * (1.0 + _frobenius(a))
+    if residual > threshold:
+        raise NoConvergenceError(
+            f"{what} residual {residual:.3e} above certificate threshold {threshold:.3e}"
+        )
+    return residual
+
+
+def _certified_eigh(sym: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues of a symmetric array and their certified residual."""
+    try:
+        w, q = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"symmetric eigendecomposition failed: {exc}") from exc
+    return w, _certify(_frobenius(sym @ q - q * w), sym, "eigen")
 
 
 def sym_eigen(m) -> EigenSpectrum:
@@ -173,22 +207,12 @@ def sym_eigen(m) -> EigenSpectrum:
     if mat.rows != mat.cols:
         raise NonSquareError(f"sym_eigen needs a square matrix, got {mat.rows}x{mat.cols}")
     a = mat.array
-    asym = float(np.abs(a - a.T).max())
+    asym = _asymmetry(a)
     if asym > SYMMETRY_TOL:
         raise NonSymmetricError(
             f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}"
         )
-    sym = (a + a.T) / 2.0
-    try:
-        w, q = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"symmetric eigendecomposition failed: {exc}") from exc
-    residual = _frobenius(sym @ q - q * w)
-    threshold = CERT_FACTOR * (1.0 + _frobenius(sym))
-    if residual > threshold:
-        raise NoConvergenceError(
-            f"eigen residual {residual:.3e} above certificate threshold {threshold:.3e}"
-        )
+    w, residual = _certified_eigh((a + a.T) / 2.0)
     # LAPACK returns ascending; flip for descending.
     return EigenSpectrum(values=tuple(float(x) for x in w[::-1]), offdiag_residual=residual)
 
@@ -197,17 +221,27 @@ def svd(m) -> SingularSpectrum:
     """Singular values of any finite real matrix, sorted descending."""
     mat = as_matrix(m)
     a = mat.array
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"SVD failed: {exc}") from exc
-    residual = _frobenius(a - (u * s) @ vt)
-    threshold = CERT_FACTOR * (1.0 + _frobenius(a))
-    if residual > threshold:
-        raise NoConvergenceError(
-            f"SVD residual {residual:.3e} above certificate threshold {threshold:.3e}"
-        )
+    if mat.rows == mat.cols and _asymmetry(a) == 0.0:
+        w, residual = _certified_eigh(a)
+        s = np.sort(np.abs(w))[::-1]
+    else:
+        try:
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"SVD failed: {exc}") from exc
+        residual = _certify(_frobenius(a - (u * s) @ vt), a, "SVD")
     return SingularSpectrum(values=tuple(float(x) for x in s), residual=residual)
+
+
+def _ky_fan(values: Sequence[float], k: int, rows: int, cols: int) -> float:
+    """Sum of the k largest of the descending singular values of a rows x cols
+    matrix, after checking 1 <= k <= min(rows, cols)."""
+    kmax = min(rows, cols)
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise KOutOfRangeError(f"k must be an integer, got {k!r}")
+    if k < 1 or k > kmax:
+        raise KOutOfRangeError(f"k={k} outside [1, {kmax}] for a {rows}x{cols} matrix")
+    return float(sum(values[:k]))
 
 
 def ky_fan_norm(m, k: int) -> float:
@@ -216,12 +250,7 @@ def ky_fan_norm(m, k: int) -> float:
     k = 1 is the operator norm, k = min(rows, cols) the trace norm.
     """
     mat = as_matrix(m)
-    kmax = min(mat.rows, mat.cols)
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise KOutOfRangeError(f"k must be an integer, got {k!r}")
-    if k < 1 or k > kmax:
-        raise KOutOfRangeError(f"k={k} outside [1, {kmax}] for a {mat.rows}x{mat.cols} matrix")
-    return float(sum(svd(mat).values[:k]))
+    return _ky_fan(svd(mat).values, k, mat.rows, mat.cols)
 
 
 def trace_norm(m) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import HOLD_TOL, check_bound, weyl_complement_check
 from .errors import BadConfigError, KOutOfRangeError, OrderTooLargeError
-from .graphs import Graph, graph6_encode, pair_table
+from .graphs import Graph, complement_matrix, graph6_encode, pair_table
 from .linalg import DenseMatrix
 from .rng import MASK64, SplitMix64, derive_seed
 
@@ -120,8 +120,7 @@ def _pair_objective(a: np.ndarray, objective: str, k: int | None) -> np.ndarray:
     """Objective values for a (B, n, n) adjacency stack: norm of each graph
     plus norm of its complement."""
     batch, n = a.shape[0], a.shape[1]
-    comp = np.ones((n, n)) - np.eye(n) - a
-    w = np.linalg.eigvalsh(np.concatenate([a, comp]))
+    w = np.linalg.eigvalsh(np.concatenate([a, complement_matrix(a)]))
     aw = np.abs(w)
     if objective == "trace_sum":
         vals = aw.sum(axis=1)
@@ -154,10 +153,10 @@ def exhaustive_max(
 ) -> SearchResult:
     """Exact maximum of the objective over all 2^(n(n-1)/2) labeled graphs.
 
-    Hard-capped at n = 8 (2^28 graphs, several minutes); n = 8 warns about
-    the runtime up front. Blocks of 2^16 graphs are evaluated with batched
-    eigenvalue calls and merged in index order, so the result does not
-    depend on the thread count.
+    Hard-capped at n = 8 (2^28 graphs in 4096 blocks, about an hour per
+    thread); n = 8 warns about the runtime up front. Blocks of 2^16 graphs
+    are evaluated with batched eigenvalue calls and merged in index order,
+    so the result does not depend on the thread count.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -167,7 +166,8 @@ def exhaustive_max(
         )
     if n == EXHAUSTIVE_MAX_N:
         warnings.warn(
-            "exhaustive_max(8) enumerates 2^28 graphs; expect minutes of runtime",
+            "exhaustive_max(8) enumerates 2^28 graphs in 4096 blocks of 2^16; "
+            "expect about an hour per thread",
             stacklevel=2,
         )
     k = _check_objective(n, objective, k)
@@ -217,11 +217,7 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     exp(delta / T). Returns (best_value, best_bits, evaluations)."""
     m = n * (n - 1) // 2
     rng = SplitMix64((cfg.seed + restart) & MASK64)
-    flags = np.zeros(m, dtype=np.int64)
-    if m:
-        start_bits = rng.next_bits(m)
-        for t in range(m):
-            flags[t] = (start_bits >> t) & 1
+    flags = Graph(n=n, bits=rng.next_bits(m)).edge_flags().astype(np.int64)
     cur_val = float(_pair_objective(_adjacency_stack(flags[None, :], n), objective, k)[0])
     evaluations = 1
     best_val, best_flags = cur_val, flags.copy()
@@ -254,11 +250,7 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
             break  # frozen at a strict local maximum; nothing can change
         temp *= cfg.cooling
 
-    bits = 0
-    for t in range(m):
-        if best_flags[t]:
-            bits |= 1 << t
-    return best_val, bits, evaluations
+    return best_val, Graph.from_flags(n, best_flags).bits, evaluations
 
 
 def local_search_max(

@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 import re
 
 import pytest
 
-from normsum import BoundVerdict
+from normsum import BoundVerdict, adjacency_matrix, cli, ky_fan_norm, linalg, paley_graph
 from normsum.cli import format_float, main, render_json
 
 
@@ -313,3 +314,27 @@ def test_render_json_shapes():
     assert json.loads(text) == {"a": 1, "b": [1.5, None, True], "c": {"d": "x"}, "e": []}
     with pytest.raises(TypeError):
         render_json({"bad": object()})
+
+
+def test_threads_auto_respects_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._threads(argparse.Namespace(threads="auto")) == 3
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert cli._threads(argparse.Namespace(threads="auto")) == 64
+
+
+def test_norms_factors_each_matrix_once(capsys, monkeypatch):
+    factored = []
+    real = linalg._certified_eigh
+
+    def counting(a):
+        factored.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_certified_eigh", counting)
+    code, rep = run_json(capsys, ["norms", "--paley", "13", "--k", "3"])
+    assert code == 0
+    assert factored == [(13, 13), (13, 13)]  # the graph and its complement
+    r = rep["results"]
+    assert r["ky_fan_norm"] == ky_fan_norm(adjacency_matrix(paley_graph(13)), 3)

@@ -22,7 +22,7 @@ from normsum import (
     srg_params,
     sym_eigen,
 )
-from normsum.graphs import pair_index, pair_table
+from normsum.graphs import pair_index, pair_table, quadratic_character
 
 
 def petersen():
@@ -180,3 +180,42 @@ def test_conference_spectrum_matches_closed_form():
         r = (q - 1) // 2
         expected = [(q - 1) / 2] + [(s - 1) / 2] * r + [-(s + 1) / 2] * r
         assert max(abs(a - b) for a, b in zip(vals, expected)) <= 1e-8
+
+
+def test_from_flags_inverts_edge_flags():
+    rng = SplitMix64(8)
+    for n in (1, 2, 3, 9, 33):
+        g = Graph(n=n, bits=rng.next_bits(n * (n - 1) // 2))
+        assert Graph.from_flags(n, g.edge_flags()) == g
+    with pytest.raises(ValueError):
+        Graph.from_flags(4, np.zeros(5, dtype=bool))
+
+
+def test_graph6_encode_matches_networkx():
+    networkx = pytest.importorskip("networkx")
+    rng = SplitMix64(12)
+    graphs = [paley_graph(401)] + [
+        Graph(n=n, bits=rng.next_bits(n * (n - 1) // 2)) for n in (63, 64, 258)
+    ]
+    for g in graphs:
+        nxg = networkx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(g.edges())
+        ref = networkx.to_graph6_bytes(nxg, nodes=range(g.n), header=False)
+        assert graph6_encode(g) == ref.decode("ascii").rstrip("\n")
+        assert graph6_decode(ref.decode("ascii")) == g
+
+
+def test_quadratic_character_matches_paley_adjacency():
+    for q in (9, 25, 49, 81):
+        chi = quadratic_character(q)
+        g = paley_graph(q)
+        assert np.array_equal(np.diag(chi), np.zeros(q))
+        assert np.array_equal(chi, chi.T)  # -1 is a square when q = 1 (mod 4)
+        assert (np.abs(chi).sum(axis=1) == q - 1).all()
+        for u in range(q):
+            for v in range(q):
+                if u != v:
+                    assert (chi[u, v] == 1) == g.has_edge(u, v)
+        # the row block of a few elements agrees with the full table
+        assert np.array_equal(quadratic_character(q, 3, 7), chi[3:7])

@@ -7,17 +7,22 @@ from normsum import (
     DIMENSION_CAP,
     DenseMatrix,
     KOutOfRangeError,
+    NoConvergenceError,
     NonSquareError,
     NonSymmetricError,
     SizeOverflowError,
     SplitMix64,
+    adjacency_matrix,
+    cycle_graph,
     ky_fan_norm,
     kronecker,
     operator_norm,
+    paley_graph,
     svd,
     sym_eigen,
     trace_norm,
 )
+from normsum.linalg import SYMMETRY_TOL
 
 
 def random_symmetric(rng, n):
@@ -182,3 +187,59 @@ def test_residual_certificates_reported():
     a = random_symmetric(SplitMix64(3), 20)
     assert 0 <= sym_eigen(a).offdiag_residual <= 1e-12 * (1 + np.linalg.norm(a))
     assert 0 <= svd(a).residual <= 1e-12 * (1 + np.linalg.norm(a))
+
+
+def _symmetric_inputs():
+    """Exactly symmetric inputs: graph adjacency matrices, A + I/2 for them,
+    and random indefinite matrices."""
+    rng = SplitMix64(41)
+    graphs = [adjacency_matrix(g).array for g in (cycle_graph(7), paley_graph(13), paley_graph(25))]
+    shifted = [a + np.eye(a.shape[0]) / 2.0 for a in graphs]
+    indefinite = [random_symmetric(rng, n) for n in (1, 2, 5, 16, 33)]
+    return graphs + shifted + indefinite
+
+
+def test_svd_of_exactly_symmetric_input_skips_lapack_svd(monkeypatch):
+    inputs = _symmetric_inputs()
+    expected = [np.linalg.svd(a, compute_uv=False) for a in inputs]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd reached on exactly symmetric input")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for a, ref in zip(inputs, expected):
+        spec = svd(a)
+        assert np.max(np.abs(np.array(spec.values) - ref)) <= 1e-12 * (1 + np.linalg.norm(a))
+        assert 0 <= spec.residual <= 1e-12 * (1 + np.linalg.norm(a))
+
+
+def test_svd_of_nearly_symmetric_input_uses_lapack_svd(monkeypatch):
+    a = random_symmetric(SplitMix64(43), 6)
+    a[0, 1] += SYMMETRY_TOL / 2  # symmetric within tolerance, but not exactly
+    calls = []
+    real_svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    sym_eigen(a)  # the tolerance still admits it as symmetric
+    spec = svd(a)
+    assert calls == [(6, 6)]
+    assert np.allclose(spec.values, real_svd(a, compute_uv=False), rtol=0, atol=1e-12)
+
+
+def test_forged_eigh_result_fails_the_svd_certificate(monkeypatch):
+    a = random_symmetric(SplitMix64(47), 8)
+    real_eigh = np.linalg.eigh
+
+    def forged(arr):
+        w, q = real_eigh(arr)
+        return w + 1e-6, q
+
+    monkeypatch.setattr(np.linalg, "eigh", forged)
+    with pytest.raises(NoConvergenceError):
+        svd(a)
+    with pytest.raises(NoConvergenceError):
+        sym_eigen(a)
