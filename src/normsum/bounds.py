@@ -23,6 +23,7 @@ from .linalg import (
     SYMMETRY_TOL,
     DenseMatrix,
     _asymmetry,
+    _singular_from_eigen,
     as_matrix,
     ky_fan_norm,
     operator_norm,
@@ -275,16 +276,22 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
         row_sums_ok = bool((a.sum(axis=1) == half).all())
         col_sums_ok = bool((a.sum(axis=0) == half).all())
 
-    shift_sigma = svd(a + np.eye(n) / 2.0).values
+    # an exactly symmetric A is factored once: A + I/2 shares its eigenbasis
+    asym = _asymmetry(a)
+    conference_shaped = n % 4 == 1 and n >= 5 and asym <= SYMMETRY_TOL
+    eig = sym_eigen(a) if asym == 0.0 or conference_shaped else None
+    if asym == 0.0:
+        shift_sigma = _singular_from_eigen(eig, 0.5).values
+    else:
+        shift_sigma = svd(a + np.eye(n) / 2.0).values
     target = math.sqrt(n) / 2.0
     flat_tail_ok = all(abs(s - target) <= tol for s in shift_sigma[1:])
 
     conference_spectrum_ok = False
-    if n % 4 == 1 and n >= 5 and _asymmetry(a) <= SYMMETRY_TOL:
-        eig = sym_eigen(a).values
+    if conference_shaped:
         expected = conference_eigenvalues(n)
         conference_spectrum_ok = all(
-            abs(e - x) <= tol for e, x in zip(eig, expected)
+            abs(e - x) <= tol for e, x in zip(eig.values, expected)
         )
 
     overall = (

@@ -15,6 +15,7 @@ significant digits so doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,7 +42,16 @@ from .graphs import (
     graph6_encode,
     paley_graph,
 )
-from .linalg import SYMMETRY_TOL, DenseMatrix, _asymmetry, _ky_fan, svd, sym_eigen, trace_norm
+from .linalg import (
+    SYMMETRY_TOL,
+    DenseMatrix,
+    _asymmetry,
+    _ky_fan,
+    _singular_from_eigen,
+    svd,
+    sym_eigen,
+    trace_norm,
+)
 from .search import SearchConfig, exhaustive_max, local_search_max, property_sweep
 
 
@@ -198,12 +208,13 @@ def cmd_spectrum(args):
     obj = _resolve_input(args)
     mat = adjacency_matrix(obj) if isinstance(obj, Graph) else obj
     results: dict = {"rows": mat.rows, "cols": mat.cols}
-    symmetric = mat.rows == mat.cols and _asymmetry(mat.array) <= SYMMETRY_TOL
-    if symmetric:
+    asym = _asymmetry(mat.array) if mat.rows == mat.cols else math.inf
+    if asym <= SYMMETRY_TOL:
         eig = sym_eigen(mat)
         results["eigenvalues"] = list(eig.values)
         results["eigen_residual"] = eig.offdiag_residual
-    sing = svd(mat)
+    # exactly symmetric input needs no second factorization for its singular values
+    sing = _singular_from_eigen(eig) if asym == 0.0 else svd(mat)
     results["singular_values"] = list(sing.values)
     results["svd_residual"] = sing.residual
     eigs = results.get("eigenvalues", [None] * len(sing.values))
@@ -437,10 +448,13 @@ def _text_lines(results: dict, prefix: str = "") -> list[str]:
     return lines
 
 
+# built on first use and reused: parsing leaves the parser unchanged
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

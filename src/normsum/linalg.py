@@ -217,6 +217,18 @@ def sym_eigen(m) -> EigenSpectrum:
     return EigenSpectrum(values=tuple(float(x) for x in w[::-1]), offdiag_residual=residual)
 
 
+def _singular_from_eigen(eig: EigenSpectrum, shift: float = 0.0) -> SingularSpectrum:
+    """Singular values of S + shift*I from eig = sym_eigen(S), for an exactly
+    symmetric S: the magnitudes |lambda + shift|, descending.
+
+    The eigenbasis Q of S also diagonalizes S + shift*I, with the same
+    residual ||SQ - QΛ||_F, so eig's certificate carries over and no second
+    factorization runs.
+    """
+    s = np.sort(np.abs(np.asarray(eig.values) + shift))[::-1]
+    return SingularSpectrum(values=tuple(float(x) for x in s), residual=eig.offdiag_residual)
+
+
 def svd(m) -> SingularSpectrum:
     """Singular values of any finite real matrix, sorted descending."""
     mat = as_matrix(m)

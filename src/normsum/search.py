@@ -31,6 +31,7 @@ WITNESS_TOL = 1e-9
 OBJECTIVES = ("trace_sum", "kyfan_sum")
 
 _BLOCK_BITS = 16  # exhaustive enumeration block size 2^16
+_KEY_CHUNK = 1 << 13  # graphs per batch of closed-walk counts, bounding memory
 
 
 @dataclass(frozen=True)
@@ -116,17 +117,23 @@ def _adjacency_stack(flag_rows: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
+def _spectral_norms(w: np.ndarray, objective: str, k: int | None) -> np.ndarray:
+    """Norm of each row of a (B, n) eigenvalue stack: the trace norm, or the
+    Ky Fan k-norm."""
+    aw = np.abs(w)
+    if objective == "trace_sum":
+        return aw.sum(axis=1)
+    aw.sort(axis=1)
+    return aw[:, aw.shape[1] - k :].sum(axis=1)
+
+
 def _pair_objective(a: np.ndarray, objective: str, k: int | None) -> np.ndarray:
     """Objective values for a (B, n, n) adjacency stack: norm of each graph
     plus norm of its complement."""
-    batch, n = a.shape[0], a.shape[1]
-    w = np.linalg.eigvalsh(np.concatenate([a, complement_matrix(a)]))
-    aw = np.abs(w)
-    if objective == "trace_sum":
-        vals = aw.sum(axis=1)
-    else:
-        aw.sort(axis=1)
-        vals = aw[:, n - k :].sum(axis=1)
+    batch = a.shape[0]
+    vals = _spectral_norms(
+        np.linalg.eigvalsh(np.concatenate([a, complement_matrix(a)])), objective, k
+    )
     return vals[:batch] + vals[batch:]
 
 
@@ -138,14 +145,79 @@ def _graphs_from_indices(indices: np.ndarray, n: int) -> np.ndarray:
     return (indices[:, None] >> shifts[None, :]) & 1
 
 
-def _exhaustive_block(start: int, stop: int, n: int, objective: str, k: int | None):
-    idx = np.arange(start, stop, dtype=np.int64)
-    vals = _pair_objective(_adjacency_stack(_graphs_from_indices(idx, n), n), objective, k)
+def _walk_counts(idx: np.ndarray, n: int) -> np.ndarray:
+    """Closed-walk counts tr(A^k), k = 2..n, one row per graph index.
+
+    With tr A = 0 these fix the characteristic polynomial (Newton's
+    identities), so two graphs share a spectrum exactly when their rows are
+    equal. Every count is an integer at most n (n-1)^n < 2^53 for n <= 8, so
+    the float64 products and sums are exact. n = 1 keeps the column
+    tr A^2 = 0 so that every row has a key.
+    """
+    top = max(n, 2)
+    keys = np.empty((idx.shape[0], top - 1), dtype=np.float64)
+    for s in range(0, idx.shape[0], _KEY_CHUNK):
+        a = _adjacency_stack(_graphs_from_indices(idx[s : s + _KEY_CHUNK], n), n)
+        powers = [a]  # powers[j] = A^(j+1)
+        while len(powers) < (top + 1) // 2:
+            powers.append(powers[-1] @ a)
+        flat = [p.reshape(p.shape[0], -1) for p in powers]
+        for kk in range(2, top + 1):
+            # tr(A^i A^j) = sum of the entrywise product, as A^j is symmetric
+            keys[s : s + _KEY_CHUNK, kk - 2] = np.einsum(
+                "bi,bi->b", flat[kk - kk // 2 - 1], flat[kk // 2 - 1]
+            )
+    return keys
+
+
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact grouping of equal rows: (first, inverse) with first[g] the
+    smallest row index of group g and inverse[i] the group of row i."""
+    order = np.lexsort(keys.T)  # stable, so each group starts at its smallest row
+    ranked = keys[order]
+    starts = np.ones(order.shape[0], dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(order.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
+def _graph_norms(idx: np.ndarray, n: int, objective: str, k: int | None) -> np.ndarray:
+    """Norm of every graph index in idx, with one eigensolve per distinct
+    spectrum: the smallest index of each walk-count class stands in for it."""
+    first, inverse = _group_rows(_walk_counts(idx, n))
+    w = np.linalg.eigvalsh(_adjacency_stack(_graphs_from_indices(idx[first], n), n))
+    return _spectral_norms(w, objective, k)[inverse]
+
+
+def _job_values(job: int, n: int, objective: str, k: int | None):
+    """Objective values of enumeration job `job`: [(indices, values)] for
+    block `job` and its mirror block, or for the single block when there is
+    only one.
+
+    The complement of graph i is graph total - 1 - i (every edge bit
+    flipped), and it lies in the mirror block at the reversed position, so
+    value(i) = f(i) + f(total - 1 - i) pairs the two blocks' norms f.
+    """
+    total = 1 << (n * (n - 1) // 2)
+    block = min(total, 1 << _BLOCK_BITS)
+    mirror = total // block - 1 - job
+    lo = np.arange(job * block, (job + 1) * block, dtype=np.int64)
+    if mirror == job:
+        f = _graph_norms(lo, n, objective, k)
+        return [(lo, f + f[::-1])]
+    hi = np.arange(mirror * block, (mirror + 1) * block, dtype=np.int64)
+    f = _graph_norms(np.concatenate([lo, hi]), n, objective, k)
+    vals = f[:block] + f[block:][::-1]
+    return [(lo, vals), (hi, vals[::-1])]
+
+
+def _block_witnesses(idx: np.ndarray, vals: np.ndarray):
     local_max = float(vals.max())
     sel = np.flatnonzero(vals >= local_max - WITNESS_TOL)
     clipped = sel.size > WITNESS_CAP + 1
     sel = sel[: WITNESS_CAP + 1]
-    return local_max, idx[sel], vals[sel], clipped
+    return int(idx[0]), local_max, idx[sel], vals[sel], clipped
 
 
 def exhaustive_max(
@@ -153,10 +225,13 @@ def exhaustive_max(
 ) -> SearchResult:
     """Exact maximum of the objective over all 2^(n(n-1)/2) labeled graphs.
 
-    Hard-capped at n = 8 (2^28 graphs in 4096 blocks, about an hour per
-    thread); n = 8 warns about the runtime up front. Blocks of 2^16 graphs
-    are evaluated with batched eigenvalue calls and merged in index order,
-    so the result does not depend on the thread count.
+    Hard-capped at n = 8 (2^28 graphs, 2048 jobs, about 13 minutes per thread);
+    n = 8 warns about the runtime up front. The graphs are enumerated in
+    blocks of 2^16 indices. One job scores a block together with its mirror
+    block, which holds the complements, and computes each graph's norm once;
+    graphs with equal closed-walk counts are cospectral and share one batched
+    eigenvalue call. Jobs are fixed and merged in block order, so the result
+    does not depend on the thread count.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -166,30 +241,30 @@ def exhaustive_max(
         )
     if n == EXHAUSTIVE_MAX_N:
         warnings.warn(
-            "exhaustive_max(8) enumerates 2^28 graphs in 4096 blocks of 2^16; "
-            "expect about an hour per thread",
+            "exhaustive_max(8) enumerates 2^28 graphs in 2048 jobs of two 2^16 blocks; "
+            "expect about 13 minutes per thread",
             stacklevel=2,
         )
     k = _check_objective(n, objective, k)
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
     total = 1 << (n * (n - 1) // 2)
-    block = 1 << _BLOCK_BITS
-    starts = range(0, total, block)
+    jobs = range(max(1, (total >> _BLOCK_BITS) // 2))
 
-    def run(s):
-        return _exhaustive_block(s, min(s + block, total), n, objective, k)
+    def run(job):
+        return [_block_witnesses(idx, vals) for idx, vals in _job_values(job, n, objective, k)]
 
-    if threads == 1 or len(starts) == 1:
-        results = [run(s) for s in starts]
+    if threads == 1 or len(jobs) == 1:
+        per_job = [run(j) for j in jobs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, starts))
+            per_job = list(pool.map(run, jobs))
+    results = sorted((r for job in per_job for r in job), key=lambda r: r[0])
 
-    best = max(r[0] for r in results)
+    best = max(r[1] for r in results)
     idx_all: list[int] = []
     clipped_any = False
-    for local_max, idx, vals, clipped in results:
+    for _, local_max, idx, vals, clipped in results:
         if local_max < best - WITNESS_TOL:
             continue
         keep = vals >= best - WITNESS_TOL

@@ -22,6 +22,7 @@ from normsum import (
     paley_graph,
     weyl_complement_check,
 )
+from normsum import linalg
 
 
 def random_unit_symmetric(rng, n):
@@ -176,6 +177,32 @@ def test_equality_analysis_non_zero_one_entries():
     # fractional rows still sum to (n-1)/2 here
     assert r.row_sums_ok and r.col_sums_ok
     assert not r.overall
+
+
+def test_equality_analysis_factors_symmetric_input_once(monkeypatch):
+    factored = []
+    real = linalg._certified_eigh
+
+    def counting(a):
+        factored.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_certified_eigh", counting)
+    assert equality_analysis(adjacency_matrix(paley_graph(13))).overall
+    assert not equality_analysis(adjacency_matrix(cycle_graph(7))).overall
+    assert factored == [(13, 13), (7, 7)]
+
+    # a non-symmetric input keeps the SVD of A + I/2: the cyclic tournament
+    # on 5 vertices, every out-degree and in-degree 2
+    n = 5
+    a = np.array([[1.0 if (j - i) % n in (1, 2) else 0.0 for j in range(n)] for i in range(n)])
+    factored.clear()
+    r = equality_analysis(a)
+    assert factored == []
+    assert r.is_zero_one and r.row_sums_ok and r.col_sums_ok
+    sigma = np.linalg.svd(a + np.eye(n) / 2, compute_uv=False)
+    assert r.flat_tail_ok == bool(np.all(np.abs(sigma[1:] - math.sqrt(n) / 2) <= 1e-6))
+    assert not r.conference_spectrum_ok
 
 
 def test_equality_implies_shifted_equality():

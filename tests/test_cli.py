@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -338,3 +340,57 @@ def test_norms_factors_each_matrix_once(capsys, monkeypatch):
     assert factored == [(13, 13), (13, 13)]  # the graph and its complement
     r = rep["results"]
     assert r["ky_fan_norm"] == ky_fan_norm(adjacency_matrix(paley_graph(13)), 3)
+
+
+def test_spectrum_factors_symmetric_input_once(capsys, monkeypatch):
+    factored = []
+    real = linalg._certified_eigh
+
+    def counting(a):
+        factored.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_certified_eigh", counting)
+    code, rep = run_json(capsys, ["spectrum", "--paley", "13"])
+    assert code == 0
+    assert factored == [(13, 13)]
+    r = rep["results"]
+    a = adjacency_matrix(paley_graph(13))
+    eig, sing = linalg.sym_eigen(a), linalg.svd(a)
+    assert r["eigenvalues"] == list(eig.values)
+    assert r["eigen_residual"] == eig.offdiag_residual
+    assert r["singular_values"] == list(sing.values)
+    assert r["svd_residual"] == sing.residual
+
+
+def test_reused_parser_gives_the_output_of_a_fresh_one(capsys):
+    calls = [
+        ["check", "main", "--paley", "x"],  # parse error: usage on stderr, exit 2
+        ["norms", "--paley", "13", "--k", "2", "--json"],
+        ["construct", "paley", "5", "--format", "graph6"],
+        ["search", "exhaustive", "--n", "3", "--json"],
+    ]
+    strip = lambda s: re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', s)
+
+    def outputs():
+        code, out, err = run(capsys, argv)
+        return code, strip(out), err
+
+    reused = []
+    for argv in calls:
+        reused.append(outputs())
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outputs())
+    assert reused == fresh
+    assert [c[0] for c in reused] == [2, 0, 0, 0]
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "import normsum.cli as c; print(c._parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "0"

@@ -22,7 +22,7 @@ from normsum import (
     sym_eigen,
     trace_norm,
 )
-from normsum.linalg import SYMMETRY_TOL
+from normsum.linalg import SYMMETRY_TOL, _singular_from_eigen
 
 
 def random_symmetric(rng, n):
@@ -243,3 +243,15 @@ def test_forged_eigh_result_fails_the_svd_certificate(monkeypatch):
         svd(a)
     with pytest.raises(NoConvergenceError):
         sym_eigen(a)
+
+
+def test_singular_values_of_a_shift_come_from_one_eigh():
+    for a in _symmetric_inputs():
+        n = a.shape[0]
+        eig = sym_eigen(a)
+        assert _singular_from_eigen(eig) == svd(a)  # bit for bit, residual included
+        for shift in (0.5, -1.25):
+            ref = np.linalg.svd(a + shift * np.eye(n), compute_uv=False)
+            got = _singular_from_eigen(eig, shift)
+            assert np.max(np.abs(np.array(got.values) - ref)) <= 1e-12 * (1 + np.linalg.norm(a))
+            assert got.residual == eig.offdiag_residual

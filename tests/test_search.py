@@ -14,11 +14,14 @@ from normsum import (
     bound_value,
     complement,
     exhaustive_max,
+    graph_from_edges,
     local_search_max,
     property_sweep,
     srg_params,
     trace_norm,
 )
+from normsum import search
+from normsum.search import WITNESS_CAP, WITNESS_TOL
 
 
 def pair_value(g, objective="trace_sum", k=None):
@@ -99,6 +102,95 @@ def test_exhaustive_thread_determinism():
     assert a.best_value == b.best_value
     assert a.witnesses == b.witnesses
     assert a.evaluations == b.evaluations == 1 << 15
+
+
+def oracle_values(n, objective, k):
+    """Objective of every labeled n-vertex graph by plain per-graph eigvalsh
+    of A and of J - I - A, indexed by edge bitset."""
+    total = 1 << (n * (n - 1) // 2)
+    a = np.stack([adjacency_matrix(Graph(n=n, bits=b)).array for b in range(total)])
+
+    def norms(x):
+        s = np.sort(np.abs(np.linalg.eigvalsh(x)), axis=1)
+        return s.sum(axis=1) if objective == "trace_sum" else s[:, n - k :].sum(axis=1)
+
+    return norms(a) + norms(np.ones((n, n)) - np.eye(n) - a)
+
+
+def kernel_values(n, objective, k):
+    """Objective of every graph as the exhaustive jobs compute it."""
+    total = 1 << (n * (n - 1) // 2)
+    vals = np.full(total, np.nan)
+    for job in range(max(1, (total >> search._BLOCK_BITS) // 2)):
+        for idx, v in search._job_values(job, n, objective, k):
+            assert np.isnan(vals[idx]).all()  # every graph is scored exactly once
+            vals[idx] = v
+    return vals
+
+
+def assert_matches_oracle(n, objective, k, threads=1):
+    ref = oracle_values(n, objective, k)
+    vals = kernel_values(n, objective, k)
+    assert np.max(np.abs(vals - ref)) <= 1e-12
+    res = exhaustive_max(n, objective, k=k, threads=threads)
+    sel = np.flatnonzero(ref >= ref.max() - WITNESS_TOL)
+    assert abs(res.best_value - ref.max()) <= 1e-12
+    assert tuple(g.bits for g in res.witnesses) == tuple(int(i) for i in sel[:WITNESS_CAP])
+    assert res.truncated == (sel.size > WITNESS_CAP)
+    assert res.evaluations == ref.size
+    return res
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("objective", ["trace_sum", "kyfan_sum"])
+def test_exhaustive_kernel_matches_per_graph_oracle(n, objective):
+    k = None if objective == "trace_sum" else min(2, n)
+    assert_matches_oracle(n, objective, k)
+
+
+@pytest.mark.parametrize("objective,k", [("trace_sum", None), ("kyfan_sum", 3)])
+def test_exhaustive_mirror_blocks_across_threads(monkeypatch, objective, k):
+    # 32 blocks of 2^10 at n = 6: each job pairs block b with block 31 - b
+    monkeypatch.setattr(search, "_BLOCK_BITS", 10)
+    one = assert_matches_oracle(6, objective, k, threads=1)
+    three = exhaustive_max(6, objective, k=k, threads=3)
+    assert one == three
+
+
+def test_cospectral_pair_shares_a_solve_but_not_its_complements():
+    star = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])  # K_{1,4}
+    c4k1 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C_4 + K_1
+    total = 1 << 10
+    graphs = [star, c4k1, complement(star), complement(c4k1)]
+    assert [g.bits for g in graphs[2:]] == [total - 1 - star.bits, total - 1 - c4k1.bits]
+    idx = np.array([g.bits for g in graphs], dtype=np.int64)
+    keys = search._walk_counts(idx, 5)
+    assert (keys[0] == keys[1]).all() and not (keys[2] == keys[3]).all()
+    first, inverse = search._group_rows(keys)
+    assert len(first) == 3 and inverse[0] == inverse[1]
+    norms = search._graph_norms(idx, 5, "trace_sum", None)
+    ref = [trace_norm(adjacency_matrix(g)) for g in graphs]
+    assert np.max(np.abs(norms - ref)) <= 1e-12
+    assert norms[2] != pytest.approx(norms[3])
+    vals = kernel_values(5, "trace_sum", None)
+    for g in (star, c4k1):
+        assert abs(vals[g.bits] - pair_value(g)) <= 1e-12
+
+
+def test_group_rows_is_exact():
+    # rows that differ in one column by the smallest step, plus exact repeats:
+    # a summary of the row (a hash, a sum) could merge them, exact grouping must not
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 3, size=(500, 4)).astype(np.float64)
+    keys[::7, 2] += 2.0**-40
+    keys[1::11] = keys[0]
+    first, inverse = search._group_rows(keys)
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(map(tuple, keys)):
+        groups.setdefault(row, []).append(i)
+    assert sorted(first.tolist()) == sorted(members[0] for members in groups.values())
+    for i, row in enumerate(map(tuple, keys)):
+        assert first[inverse[i]] == groups[row][0]
 
 
 def test_objective_complement_symmetric():
