@@ -20,14 +20,12 @@ import numpy as np
 from .errors import DomainViolationError, KOutOfRangeError, MissingParamError
 from .graphs import Graph, adjacency_matrix, complement_matrix
 from .linalg import (
-    SYMMETRY_TOL,
     DenseMatrix,
-    _asymmetry,
-    _singular_from_eigen,
     as_matrix,
     ky_fan_norm,
     operator_norm,
-    svd,
+    require_symmetric,
+    spectra,
     sym_eigen,
     trace_norm,
 )
@@ -171,14 +169,6 @@ def _require_zero_diagonal(a: np.ndarray) -> None:
         raise DomainViolationError("matrix must have a zero diagonal")
 
 
-def _require_symmetric(a: np.ndarray) -> None:
-    asym = _asymmetry(a)
-    if asym > SYMMETRY_TOL:
-        raise DomainViolationError(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}"
-        )
-
-
 def _as_input_matrix(obj) -> DenseMatrix:
     if isinstance(obj, Graph):
         return adjacency_matrix(obj)
@@ -207,7 +197,7 @@ def check_bound(
 
     if kind in ("koolen_moulton", "main", "gutman_zhou"):
         _require_square(a)
-        _require_symmetric(a)
+        require_symmetric(a, DomainViolationError)
         _require_zero_diagonal(a)
         if kind == "koolen_moulton":
             lhs = trace_norm(a)
@@ -276,19 +266,12 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
         row_sums_ok = bool((a.sum(axis=1) == half).all())
         col_sums_ok = bool((a.sum(axis=0) == half).all())
 
-    # an exactly symmetric A is factored once: A + I/2 shares its eigenbasis
-    asym = _asymmetry(a)
-    conference_shaped = n % 4 == 1 and n >= 5 and asym <= SYMMETRY_TOL
-    eig = sym_eigen(a) if asym == 0.0 or conference_shaped else None
-    if asym == 0.0:
-        shift_sigma = _singular_from_eigen(eig, 0.5).values
-    else:
-        shift_sigma = svd(a + np.eye(n) / 2.0).values
+    eig, shift_sing = spectra(a, 0.5)
     target = math.sqrt(n) / 2.0
-    flat_tail_ok = all(abs(s - target) <= tol for s in shift_sigma[1:])
+    flat_tail_ok = all(abs(s - target) <= tol for s in shift_sing.values[1:])
 
     conference_spectrum_ok = False
-    if conference_shaped:
+    if eig is not None and n % 4 == 1 and n >= 5:
         expected = conference_eigenvalues(n)
         conference_spectrum_ok = all(
             abs(e - x) <= tol for e, x in zip(eig.values, expected)
@@ -317,7 +300,7 @@ def weyl_complement_check(obj, tol: float = HOLD_TOL) -> WeylReport:
     a = mat.array
     _require_square(a)
     _entries_in_unit_range(a)
-    _require_symmetric(a)
+    require_symmetric(a, DomainViolationError)
     _require_zero_diagonal(a)
     n = mat.rows
     mu = sym_eigen(a).values

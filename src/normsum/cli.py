@@ -42,16 +42,7 @@ from .graphs import (
     graph6_encode,
     paley_graph,
 )
-from .linalg import (
-    SYMMETRY_TOL,
-    DenseMatrix,
-    _asymmetry,
-    _ky_fan,
-    _singular_from_eigen,
-    svd,
-    sym_eigen,
-    trace_norm,
-)
+from .linalg import DenseMatrix, _ky_fan, spectra, svd, trace_norm
 from .search import SearchConfig, exhaustive_max, local_search_max, property_sweep
 
 
@@ -208,13 +199,10 @@ def cmd_spectrum(args):
     obj = _resolve_input(args)
     mat = adjacency_matrix(obj) if isinstance(obj, Graph) else obj
     results: dict = {"rows": mat.rows, "cols": mat.cols}
-    asym = _asymmetry(mat.array) if mat.rows == mat.cols else math.inf
-    if asym <= SYMMETRY_TOL:
-        eig = sym_eigen(mat)
+    eig, sing = spectra(mat)
+    if eig is not None:
         results["eigenvalues"] = list(eig.values)
         results["eigen_residual"] = eig.offdiag_residual
-    # exactly symmetric input needs no second factorization for its singular values
-    sing = _singular_from_eigen(eig) if asym == 0.0 else svd(mat)
     results["singular_values"] = list(sing.values)
     results["svd_residual"] = sing.residual
     eigs = results.get("eigenvalues", [None] * len(sing.values))

@@ -3,13 +3,16 @@ fields and exact strong-regularity tests.
 
 A graph on n vertices stores its edges in a single integer bitset over the
 n(n-1)/2 unordered pairs, pair (i, j) with i < j living at bit j(j-1)/2 + i.
-That index order is column-major on the upper triangle, which is also the bit
-order of the graph6 format, so serialization is a straight repack.
+That is entry (j, i) of the strict lower triangle read in row-major order
+(:func:`pair_mask`), the one layout every graph <-> matrix conversion uses.
+It is also the bit order of the graph6 format, so serialization is a straight
+repack.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,17 +31,11 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-@lru_cache(maxsize=None)
-def pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (I, J) with (I[k], J[k]) the endpoints of the pair at bit k."""
-    if n < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    js = np.repeat(np.arange(1, n, dtype=np.int64), np.arange(1, n, dtype=np.int64))
-    is_ = np.concatenate([np.arange(j, dtype=np.int64) for j in range(1, n)])
-    is_.setflags(write=False)
-    js.setflags(write=False)
-    return is_, js
+def pair_mask(n: int) -> np.ndarray:
+    """Boolean n x n strict lower triangle. Its True cells in row-major order
+    are the pair bits: cell (j, i), i < j, is bit j(j-1)/2 + i, so
+    ``np.nonzero(pair_mask(n))`` gives (js, is_) in bit order."""
+    return np.tri(n, k=-1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -49,6 +46,13 @@ class Graph:
     bits: int
 
     def __post_init__(self):
+        for name in ("n", "bits"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(
+                    f"graph {name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
         if self.n < 1:
             raise ValueError(f"graph order must be positive, got {self.n}")
         m = self.n * (self.n - 1) // 2
@@ -87,19 +91,20 @@ class Graph:
         packed = np.packbits(flags, bitorder="little")
         return cls(n=n, bits=int.from_bytes(packed.tobytes(), "little"))
 
+    def _lower_triangle(self) -> np.ndarray:
+        """Boolean n x n matrix holding the edges in its strict lower triangle."""
+        low = np.zeros((self.n, self.n), dtype=bool)
+        low[pair_mask(self.n)] = self.edge_flags()
+        return low
+
     def edges(self) -> list[tuple[int, int]]:
         """Edge list as (i, j) with i < j, in bit order."""
-        flags = self.edge_flags()
-        is_, js = pair_table(self.n)
-        return [(int(a), int(b)) for a, b in zip(is_[flags], js[flags])]
+        js, is_ = np.nonzero(self._lower_triangle())
+        return list(zip(is_.tolist(), js.tolist()))
 
     def degrees(self) -> list[int]:
-        flags = self.edge_flags()
-        is_, js = pair_table(self.n)
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, is_[flags], 1)
-        np.add.at(deg, js[flags], 1)
-        return [int(d) for d in deg]
+        low = self._lower_triangle()
+        return (low.sum(axis=0) + low.sum(axis=1)).tolist()
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [[i, j] for i, j in self.edges()]}
@@ -157,12 +162,8 @@ def complement(g: Graph) -> Graph:
 
 def adjacency_matrix(g: Graph) -> DenseMatrix:
     """Symmetric (0,1)-matrix with zero diagonal; entry (i, j) = 1 iff edge."""
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    flags = g.edge_flags()
-    is_, js = pair_table(g.n)
-    a[is_[flags], js[flags]] = 1.0
-    a[js[flags], is_[flags]] = 1.0
-    return DenseMatrix(a)
+    low = g._lower_triangle()
+    return DenseMatrix(low | low.T)
 
 
 def complement_matrix(a: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ raises NoConvergenceError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -178,6 +179,14 @@ def _asymmetry(a: np.ndarray) -> float:
     return float(np.abs(a - a.T).max())
 
 
+def require_symmetric(a: np.ndarray, error: type[Exception]) -> None:
+    """Raise ``error`` when the square array a is not symmetric within
+    SYMMETRY_TOL entrywise."""
+    asym = _asymmetry(a)
+    if asym > SYMMETRY_TOL:
+        raise error(f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}")
+
+
 def _certify(residual: float, a: np.ndarray, what: str) -> float:
     threshold = CERT_FACTOR * (1.0 + _frobenius(a))
     if residual > threshold:
@@ -207,11 +216,7 @@ def sym_eigen(m) -> EigenSpectrum:
     if mat.rows != mat.cols:
         raise NonSquareError(f"sym_eigen needs a square matrix, got {mat.rows}x{mat.cols}")
     a = mat.array
-    asym = _asymmetry(a)
-    if asym > SYMMETRY_TOL:
-        raise NonSymmetricError(
-            f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}"
-        )
+    require_symmetric(a, NonSymmetricError)
     w, residual = _certified_eigh((a + a.T) / 2.0)
     # LAPACK returns ascending; flip for descending.
     return EigenSpectrum(values=tuple(float(x) for x in w[::-1]), offdiag_residual=residual)
@@ -243,6 +248,23 @@ def svd(m) -> SingularSpectrum:
             raise NoConvergenceError(f"SVD failed: {exc}") from exc
         residual = _certify(_frobenius(a - (u * s) @ vt), a, "SVD")
     return SingularSpectrum(values=tuple(float(x) for x in s), residual=residual)
+
+
+def spectra(m, shift: float = 0.0) -> tuple[EigenSpectrum | None, SingularSpectrum]:
+    """Eigenvalues of m when it is square and symmetric within SYMMETRY_TOL
+    (else None), and the singular values of m + shift*I (a nonzero shift
+    needs m square).
+
+    Exactly symmetric input is factored once: the singular values are
+    |lambda + shift| from the same ``eigh``. Any other input takes its
+    singular values from :func:`svd`.
+    """
+    mat = as_matrix(m)
+    asym = _asymmetry(mat.array) if mat.rows == mat.cols else math.inf
+    eig = sym_eigen(mat) if asym <= SYMMETRY_TOL else None
+    if asym == 0.0:
+        return eig, _singular_from_eigen(eig, shift)
+    return eig, svd(mat.array + shift * np.eye(mat.rows) if shift else mat)
 
 
 def _ky_fan(values: Sequence[float], k: int, rows: int, cols: int) -> float:

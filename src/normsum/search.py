@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import HOLD_TOL, check_bound, weyl_complement_check
 from .errors import BadConfigError, KOutOfRangeError, OrderTooLargeError
-from .graphs import Graph, complement_matrix, graph6_encode, pair_table
+from .graphs import Graph, adjacency_matrix, complement_matrix, graph6_encode, pair_mask
 from .linalg import DenseMatrix
 from .rng import MASK64, SplitMix64, derive_seed
 
@@ -105,18 +105,6 @@ def _check_objective(n: int, objective: str, k: int | None) -> int | None:
     return int(k)
 
 
-def _adjacency_stack(flag_rows: np.ndarray, n: int) -> np.ndarray:
-    """(B, m) edge flags -> (B, n, n) symmetric 0/1 float matrices."""
-    batch = flag_rows.shape[0]
-    a = np.zeros((batch, n, n), dtype=np.float64)
-    if n > 1:
-        is_, js = pair_table(n)
-        vals = flag_rows.astype(np.float64)
-        a[:, is_, js] = vals
-        a[:, js, is_] = vals
-    return a
-
-
 def _spectral_norms(w: np.ndarray, objective: str, k: int | None) -> np.ndarray:
     """Norm of each row of a (B, n) eigenvalue stack: the trace norm, or the
     Ky Fan k-norm."""
@@ -130,19 +118,19 @@ def _spectral_norms(w: np.ndarray, objective: str, k: int | None) -> np.ndarray:
 def _pair_objective(a: np.ndarray, objective: str, k: int | None) -> np.ndarray:
     """Objective values for a (B, n, n) adjacency stack: norm of each graph
     plus norm of its complement."""
-    batch = a.shape[0]
-    vals = _spectral_norms(
-        np.linalg.eigvalsh(np.concatenate([a, complement_matrix(a)])), objective, k
+    return _spectral_norms(np.linalg.eigvalsh(a), objective, k) + _spectral_norms(
+        np.linalg.eigvalsh(complement_matrix(a)), objective, k
     )
-    return vals[:batch] + vals[batch:]
 
 
-def _graphs_from_indices(indices: np.ndarray, n: int) -> np.ndarray:
-    m = n * (n - 1) // 2
-    if m == 0:
-        return np.zeros((indices.shape[0], 0), dtype=np.int64)
-    shifts = np.arange(m, dtype=np.int64)
-    return (indices[:, None] >> shifts[None, :]) & 1
+def _adjacency_from_indices(idx: np.ndarray, n: int) -> np.ndarray:
+    """(B, n, n) symmetric 0/1 float adjacency stack of int64 graph indices:
+    pair bit k, cell (j, i) of :func:`pair_mask`, sets entries (j, i) and
+    (i, j). Needs the n(n-1)/2 pair bits to fit in an int64 (n <= 11)."""
+    bit = np.zeros((n, n), dtype=np.int64)
+    bit[pair_mask(n)] = 1 << np.arange(n * (n - 1) // 2, dtype=np.int64)
+    bit += bit.T
+    return ((idx[:, None, None] & bit) != 0).astype(np.float64)
 
 
 def _walk_counts(idx: np.ndarray, n: int) -> np.ndarray:
@@ -157,7 +145,7 @@ def _walk_counts(idx: np.ndarray, n: int) -> np.ndarray:
     top = max(n, 2)
     keys = np.empty((idx.shape[0], top - 1), dtype=np.float64)
     for s in range(0, idx.shape[0], _KEY_CHUNK):
-        a = _adjacency_stack(_graphs_from_indices(idx[s : s + _KEY_CHUNK], n), n)
+        a = _adjacency_from_indices(idx[s : s + _KEY_CHUNK], n)
         powers = [a]  # powers[j] = A^(j+1)
         while len(powers) < (top + 1) // 2:
             powers.append(powers[-1] @ a)
@@ -186,7 +174,7 @@ def _graph_norms(idx: np.ndarray, n: int, objective: str, k: int | None) -> np.n
     """Norm of every graph index in idx, with one eigensolve per distinct
     spectrum: the smallest index of each walk-count class stands in for it."""
     first, inverse = _group_rows(_walk_counts(idx, n))
-    w = np.linalg.eigvalsh(_adjacency_stack(_graphs_from_indices(idx[first], n), n))
+    w = np.linalg.eigvalsh(_adjacency_from_indices(idx[first], n))
     return _spectral_norms(w, objective, k)[inverse]
 
 
@@ -292,18 +280,22 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     exp(delta / T). Returns (best_value, best_bits, evaluations)."""
     m = n * (n - 1) // 2
     rng = SplitMix64((cfg.seed + restart) & MASK64)
-    flags = Graph(n=n, bits=rng.next_bits(m)).edge_flags().astype(np.int64)
-    cur_val = float(_pair_objective(_adjacency_stack(flags[None, :], n), objective, k)[0])
+    a = adjacency_matrix(Graph(n=n, bits=rng.next_bits(m))).array.copy()
+    cur_val = float(_pair_objective(a[None], objective, k)[0])
     evaluations = 1
-    best_val, best_flags = cur_val, flags.copy()
+    best_val, best_a = cur_val, a.copy()
     if m == 0:
         return best_val, 0, evaluations
 
     temp = cfg.temperature_initial
-    eye = np.eye(m, dtype=np.int64)
+    js, is_ = np.nonzero(pair_mask(n))  # flip r toggles pair bit r
+    rows = np.arange(m)
     for _ in range(cfg.max_steps):
-        neighbors = flags[None, :] ^ eye  # all single-edge flips
-        vals = _pair_objective(_adjacency_stack(neighbors, n), objective, k)
+        neighbors = np.repeat(a[None], m, axis=0)  # all single-edge flips
+        flipped = 1.0 - a[is_, js]
+        neighbors[rows, is_, js] = flipped
+        neighbors[rows, js, is_] = flipped
+        vals = _pair_objective(neighbors, objective, k)
         evaluations += m
         flip = int(np.argmax(vals))
         delta = vals[flip] - cur_val
@@ -317,15 +309,15 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
             if not accept:
                 flip = -1
         if flip >= 0:
-            flags[flip] ^= 1
+            a[is_[flip], js[flip]] = a[js[flip], is_[flip]] = flipped[flip]
             cur_val = float(vals[flip])
             if cur_val > best_val:
-                best_val, best_flags = cur_val, flags.copy()
+                best_val, best_a = cur_val, a.copy()
         elif temp < 1e-12 and vals.max() < cur_val - 1e-12:
             break  # frozen at a strict local maximum; nothing can change
         temp *= cfg.cooling
 
-    return best_val, Graph.from_flags(n, best_flags).bits, evaluations
+    return best_val, Graph.from_flags(n, best_a[is_, js]).bits, evaluations
 
 
 def local_search_max(

@@ -22,7 +22,7 @@ from normsum import (
     srg_params,
     sym_eigen,
 )
-from normsum.graphs import pair_index, pair_table, quadratic_character
+from normsum.graphs import pair_index, quadratic_character
 
 
 def petersen():
@@ -38,8 +38,7 @@ def test_pair_indexing_is_column_major():
     assert pair_index(0, 2) == 1
     assert pair_index(1, 2) == 2
     assert pair_index(0, 3) == 3
-    is_, js = pair_table(4)
-    assert list(zip(is_, js)) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    assert complete_graph(4).edges() == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
 def test_graph_construction_and_queries():
@@ -57,6 +56,16 @@ def test_graph_construction_and_queries():
         Graph(n=3, bits=1 << 3)  # only 3 pair bits exist
     with pytest.raises(ValueError):
         Graph(n=0, bits=0)
+
+
+def test_graph_normalizes_integer_fields():
+    g = Graph(n=np.int64(4), bits=np.int64(3))
+    assert type(g.n) is int and type(g.bits) is int
+    assert g.edges() == [(0, 1), (0, 2)]
+    assert graph6_encode(g) == graph6_encode(Graph(n=4, bits=3))
+    for n, bits in ((3, 1.0), (3.0, 1), (3, "1")):
+        with pytest.raises(ValueError):
+            Graph(n=n, bits=bits)
 
 
 def test_graph_json_round_trip():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from normsum import linalg
 from normsum import (
     DIMENSION_CAP,
     DenseMatrix,
@@ -22,7 +23,7 @@ from normsum import (
     sym_eigen,
     trace_norm,
 )
-from normsum.linalg import SYMMETRY_TOL, _singular_from_eigen
+from normsum.linalg import SYMMETRY_TOL, _singular_from_eigen, spectra
 
 
 def random_symmetric(rng, n):
@@ -255,3 +256,30 @@ def test_singular_values_of_a_shift_come_from_one_eigh():
             got = _singular_from_eigen(eig, shift)
             assert np.max(np.abs(np.array(got.values) - ref)) <= 1e-12 * (1 + np.linalg.norm(a))
             assert got.residual == eig.offdiag_residual
+
+
+def test_spectra_eigenvalues_only_for_symmetric_input(monkeypatch):
+    rng = SplitMix64(53)
+    exact = random_symmetric(rng, 5)
+    near = exact.copy()
+    near[0, 1] += SYMMETRY_TOL / 2
+    far = exact.copy()
+    far[0, 1] += 1e-6
+    rect = np.array([[rng.next_double() for _ in range(3)] for _ in range(2)])
+    factored = []
+    real = linalg._certified_eigh
+
+    def counting(a):
+        factored.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_certified_eigh", counting)
+    eig, sing = spectra(exact, 0.5)
+    assert factored == [(5, 5)]
+    assert eig == sym_eigen(exact) and sing == _singular_from_eigen(eig, 0.5)
+    for a, symmetric in ((near, True), (far, False), (rect, False)):
+        eig, sing = spectra(a)
+        assert (eig == sym_eigen(a)) if symmetric else eig is None
+        assert sing == svd(a)
+    eig, sing = spectra(far, -1.25)
+    assert eig is None and sing == svd(far - 1.25 * np.eye(5))

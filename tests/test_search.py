@@ -14,6 +14,7 @@ from normsum import (
     bound_value,
     complement,
     exhaustive_max,
+    graph6_encode,
     graph_from_edges,
     local_search_max,
     property_sweep,
@@ -177,6 +178,18 @@ def test_cospectral_pair_shares_a_solve_but_not_its_complements():
         assert abs(vals[g.bits] - pair_value(g)) <= 1e-12
 
 
+def test_adjacency_from_indices_matches_adjacency_matrix():
+    rng = np.random.default_rng(6)
+    for n in range(1, 9):
+        m = n * (n - 1) // 2
+        if n <= 5:
+            idx = np.arange(1 << m, dtype=np.int64)
+        else:
+            idx = rng.integers(0, 1 << m, size=200, dtype=np.int64)
+        ref = [adjacency_matrix(Graph(n=n, bits=int(i))).array for i in idx]
+        assert np.array_equal(search._adjacency_from_indices(idx, n), np.array(ref))
+
+
 def test_group_rows_is_exact():
     # rows that differ in one column by the smallest step, plus exact repeats:
     # a summary of the row (a hash, a sum) could merge them, exact grouping must not
@@ -249,6 +262,25 @@ def test_local_seed_determinism():
     assert a.best_value == b.best_value == c.best_value
     assert a.witnesses == b.witnesses == c.witnesses
     assert a.evaluations == b.evaluations == c.evaluations
+
+
+# best value, witness and evaluation count of two seeded runs, frozen so that
+# the annealing trajectory stays pinned bit for bit
+@pytest.mark.parametrize(
+    "n,objective,k,cfg,best,witness,evaluations",
+    [
+        (16, "trace_sum", None, SearchConfig(restarts=2, max_steps=60, seed=7),
+         73.24160722477485, "OYezzvotMQaeOfHRbLlTL", 14402),
+        (12, "kyfan_sum", 2,
+         SearchConfig(restarts=2, max_steps=100, temperature_initial=0.5, seed=5),
+         20.524526113297206, "KO@^oL\\}oL_u", 13202),
+    ],
+)
+def test_local_search_frozen_output(n, objective, k, cfg, best, witness, evaluations):
+    res = local_search_max(n, objective, k, cfg)
+    assert res.best_value == best
+    assert [graph6_encode(g) for g in res.witnesses] == [witness]
+    assert res.evaluations == evaluations
 
 
 def test_search_result_json():
