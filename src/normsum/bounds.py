@@ -13,7 +13,7 @@ asymmetry raise DomainViolationError. Nothing is clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,16 +58,7 @@ class BoundVerdict:
     eq_tol: float
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "holds": self.holds,
-            "equality": self.equality,
-            "tol": self.tol,
-            "eq_tol": self.eq_tol,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -89,14 +80,7 @@ class EqualityReport:
     overall: bool
 
     def to_json(self) -> dict:
-        return {
-            "is_zero_one": self.is_zero_one,
-            "row_sums_ok": self.row_sums_ok,
-            "col_sums_ok": self.col_sums_ok,
-            "flat_tail_ok": self.flat_tail_ok,
-            "conference_spectrum_ok": self.conference_spectrum_ok,
-            "overall": self.overall,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .errors import NormsumError
 from .graphs import (
     Graph,
     adjacency_matrix,
-    complement,
+    complement_matrix,
     graph6_decode,
     graph6_encode,
     paley_graph,
@@ -227,7 +227,7 @@ def cmd_norms(args):
         results["ky_fan_k"] = args.k
         results["ky_fan_norm"] = _ky_fan(sigma, args.k, mat.rows, mat.cols)
     if isinstance(obj, Graph):
-        results["complement_trace_norm"] = trace_norm(adjacency_matrix(complement(obj)))
+        results["complement_trace_norm"] = trace_norm(complement_matrix(mat.array))
         results["trace_sum"] = results["trace_norm"] + results["complement_trace_norm"]
     return results, False, {}
 
@@ -302,10 +302,18 @@ def cmd_sweep(args):
 # Parser
 
 
-def _add_common(sub):
-    sub.add_argument("--tol", type=float, default=None, help="verdict tolerance (default 1e-7)")
-    sub.add_argument("--seed", type=int, default=None, help="64-bit seed for randomized runs")
-    sub.add_argument("--threads", default=None, help="worker threads: an integer or 'auto'")
+_RUN_FLAGS = {
+    "tol": dict(type=float, default=None, help="verdict tolerance (default 1e-7)"),
+    "seed": dict(type=int, default=None, help="64-bit seed for randomized runs"),
+    "threads": dict(default=None, help="worker threads: an integer or 'auto'"),
+}
+
+
+def _add_common(sub, *run_flags):
+    """The output flags every subcommand takes, plus the named _RUN_FLAGS
+    that this subcommand reads."""
+    for name in run_flags:
+        sub.add_argument(f"--{name}", **_RUN_FLAGS[name])
     sub.add_argument(
         "--format",
         choices=("json", "csv", "graph6", "text"),
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=None, help="opnorm: build the witness, row count")
     p.add_argument("--cols", type=int, default=None, help="opnorm witness column count")
     p.add_argument("--orientation", choices=("rows", "columns"), default=None)
-    _add_common(p)
+    _add_common(p, "tol")
 
     p = subs.add_parser("search", help="maximize a norm sum over graphs")
     ssub = p.add_subparsers(dest="mode", required=True)
@@ -381,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--n", type=int, required=True)
     se.add_argument("--objective", choices=("trace_sum", "kyfan_sum"), default="trace_sum")
     se.add_argument("--k", type=int, default=None)
-    _add_common(se)
+    _add_common(se, "threads")
     sl = ssub.add_parser("local", help="seeded annealing over edge flips, n <= 64")
     sl.add_argument("--n", type=int, required=True)
     sl.add_argument("--objective", choices=("trace_sum", "kyfan_sum"), default="trace_sum")
@@ -390,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--steps", type=int, default=20000)
     sl.add_argument("--t0", type=float, default=1.0)
     sl.add_argument("--cooling", type=float, default=0.995)
-    _add_common(sl)
+    _add_common(sl, "seed", "threads")
 
     p = subs.add_parser("sweep", help="randomized property sweep over the checkers")
     p.add_argument("--trials", type=int, required=True)
@@ -401,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-min", type=int, default=4, dest="n_min")
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
-    _add_common(p)
+    _add_common(p, "tol", "seed")
 
     return parser
 

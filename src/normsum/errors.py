@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check, shared across the package."""
+
+import operator
 
 
 class NormsumError(Exception):
@@ -63,3 +65,14 @@ class OrderTooLargeError(NormsumError, ValueError):
 
 class BadConfigError(NormsumError, ValueError):
     """Search configuration field outside its allowed range."""
+
+
+def as_int(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """value as a Python int. Integer types with ``__index__`` (numpy's too)
+    pass; bools, floats and strings raise `error`, never a silent cast."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")

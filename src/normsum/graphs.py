@@ -12,13 +12,12 @@ repack.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotOneModFourError, NotPrimePowerError, TooLargeError
+from .errors import NotOneModFourError, NotPrimePowerError, TooLargeError, as_int
 from .linalg import DenseMatrix
 
 PALEY_MAX_Q = 10000
@@ -47,12 +46,7 @@ class Graph:
 
     def __post_init__(self):
         for name in ("n", "bits"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(
-                    f"graph {name} must be an integer, got {getattr(self, name)!r}"
-                ) from None
+            object.__setattr__(self, name, as_int(getattr(self, name), f"graph {name}"))
         if self.n < 1:
             raise ValueError(f"graph order must be positive, got {self.n}")
         m = self.n * (self.n - 1) // 2
@@ -294,12 +288,14 @@ def is_conference(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # Finite fields and Paley graphs
 #
-# GF(p^e) elements are coefficient vectors (c0, ..., c_{e-1}) of polynomials
-# c0 + c1 x + ... modulo a monic irreducible. Vertex v of a Paley graph is the
-# element whose coefficients are the base-p digits of v, constant term most
-# significant: the elements in lexicographic coefficient order, constants
-# first. Differences never touch the modulus (subtraction is digitwise), so
-# adjacency reduces to a table lookup on difference codes.
+# GF(p^e) is F_p[x] modulo a monic irreducible f of degree e. An element is
+# the row (c0, ..., c_{e-1}) of c0 + c1 x + ..., and _gf_mul and _gf_pow work
+# on (N, e) stacks of rows. Vertex v of a Paley graph is the element whose
+# coefficients are the base-p digits of v, constant term most significant:
+# the elements in lexicographic coefficient order, constants first.
+# Differences never touch f (subtraction is digitwise), so adjacency is a
+# lookup of the difference code in one quadratic character table, which
+# Euler's criterion gives for primes and prime powers alike.
 
 
 def _min_prime_factor(q: int) -> int:
@@ -325,117 +321,63 @@ def _prime_power_split(q: int) -> tuple[int, int] | None:
     return (p, e) if q == 1 else None
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _gf_mul(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise product of two (N, e) coefficient stacks modulo the monic f
+    (e + 1 coefficients, low to high) over F_p."""
+    e = a.shape[1]
+    prod = np.zeros((a.shape[0], 2 * e - 1), dtype=np.int64)
+    for t in range(e):
+        prod[:, t : t + e] += a[:, t : t + 1] * b
+    prod %= p
+    # top degree down: c x^i = -c x^(i-e) (f - x^e) modulo f
+    for i in range(2 * e - 2, e - 1, -1):
+        prod[:, i - e : i] = (prod[:, i - e : i] - prod[:, i : i + 1] * f[:e]) % p
+    return prod[:, :e]
 
 
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    """Product of polynomials a, b (low-to-high coeffs) modulo monic f, over F_p."""
-    if not a or not b:
-        return []
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    e = len(f) - 1
-    for i in range(len(res) - 1, e - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for t in range(e):
-                res[i - e + t] = (res[i - e + t] - c * f[t]) % p
-    return _poly_trim(res[:e])
-
-
-def _poly_powmod_x(exp: int, f: list[int], p: int) -> list[int]:
-    """x^exp modulo f over F_p."""
-    result = [1]
-    base = [0, 1]
-    while exp:
-        if exp & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        exp >>= 1
+def _gf_pow(a: np.ndarray, k: int, f: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise a^k of an (N, e) coefficient stack, by square-and-multiply."""
+    result = np.zeros_like(a)
+    result[:, 0] = 1
+    while k:
+        if k & 1:
+            result = _gf_mul(result, a, f, p)
+        k >>= 1
+        if k:
+            a = _gf_mul(a, a, f, p)
     return result
-
-
-def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    r = _poly_trim(list(a))
-    inv = pow(b[-1], p - 2, p)
-    while len(r) >= len(b):
-        c = (r[-1] * inv) % p
-        shift = len(r) - len(b)
-        for t in range(len(b)):
-            r[shift + t] = (r[shift + t] - c * b[t]) % p
-        _poly_trim(r)
-    return r
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test for a monic polynomial f (low-to-high, leading coeff 1)."""
-    e = len(f) - 1
-    xq = _poly_powmod_x(p**e, f, p)
-    # x^(p^e) must equal x mod f
-    if _poly_trim(list(xq)) != [0, 1]:
-        return False
-    d, primes = e, set()
-    while d > 1:
-        r = _min_prime_factor(d)
-        primes.add(r)
-        d //= r
-    for r in primes:
-        xr = _poly_powmod_x(p ** (e // r), f, p)
-        diff = list(xr) + [0] * max(0, 2 - len(xr))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(f, _poly_trim(diff), p)
-        if len(_poly_trim(g)) != 1:
-            return False
-    return True
-
-
-def _find_irreducible(p: int, e: int) -> list[int]:
-    """First monic irreducible of degree e over F_p, coefficients scanned in
-    lexicographic order with the constant term first."""
-    for tail in itertools.product(range(p), repeat=e):
-        f = list(tail) + [1]
-        if _is_irreducible(f, p):
-            return f
-    raise AssertionError(f"no irreducible of degree {e} over F_{p}")
-
-
-def _field_square_codes(p: int, e: int, f: list[int]) -> set[int]:
-    """Codes of the nonzero squares of GF(p^e), code = sum of c_t * p^(e-1-t)."""
-    weights = [p ** (e - 1 - t) for t in range(e)]
-    squares = set()
-    for v in range(1, p**e):
-        coeffs = [(v // weights[t]) % p for t in range(e)]
-        sq = _poly_mulmod(coeffs, coeffs, f, p)
-        sq = sq + [0] * (e - len(sq))
-        squares.add(sum(sq[t] * weights[t] for t in range(e)))
-    return squares
 
 
 @lru_cache(maxsize=None)
 def _character_by_code(q: int) -> np.ndarray:
     """Quadratic character of GF(q) indexed by element code: +1 on nonzero
-    squares, -1 on nonsquares, 0 at zero. q must be an odd prime power."""
+    squares, -1 on nonsquares, 0 at zero. q must be an odd prime power.
+
+    By Euler's criterion chi(a) = a^((q-1)/2). The modulus f is the first
+    monic polynomial of degree e, coefficients in lexicographic order with
+    the constant term first, under which every nonzero element of degree
+    <= e/2 has that power equal to +-1. This holds exactly when f is
+    irreducible: a reducible f has a factor of degree <= e/2, which is a
+    zero divisor, and no power of a zero divisor is a unit. A zero constant
+    term is skipped, as then x divides f (for e = 1, f never enters a
+    product).
+    """
     p, e = _prime_power_split(q)
-    chi = np.full(q, -1, dtype=np.int8)
-    chi[0] = 0
-    if e == 1:
-        chi[[(x * x) % q for x in range(1, q)]] = 1
+    half = (q - 1) // 2
+    weights = p ** np.arange(e - 1, -1, -1, dtype=np.int64)
+    coeffs = (np.arange(1, q, dtype=np.int64)[:, None] // weights) % p  # (q - 1, e)
+    low = coeffs[(coeffs[:, e // 2 + 1 :] == 0).all(axis=1)]  # degree <= e/2
+    for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
+        f = np.array(tail + (1,), dtype=np.int64)
+        power = _gf_pow(low, half, f, p)
+        if (power[:, 1:] == 0).all() and np.isin(power[:, 0], (1, p - 1)).all():
+            break
     else:
-        chi[sorted(_field_square_codes(p, e, _find_irreducible(p, e)))] = 1
+        raise AssertionError(f"no irreducible of degree {e} over F_{p}")
+    if len(low) < q - 1:  # for e <= 2 every element has degree <= e/2
+        power = _gf_pow(coeffs, half, f, p)
+    chi = np.zeros(q, dtype=np.int8)
+    chi[1:] = np.where(power[:, 0] == 1, 1, -1)
     chi.setflags(write=False)
     return chi
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bounds import HOLD_TOL, check_bound, weyl_complement_check
-from .errors import BadConfigError, KOutOfRangeError, OrderTooLargeError
+from .errors import BadConfigError, KOutOfRangeError, OrderTooLargeError, as_int
 from .graphs import Graph, adjacency_matrix, complement_matrix, graph6_encode, pair_mask
 from .linalg import DenseMatrix
 from .rng import MASK64, SplitMix64, derive_seed
@@ -46,9 +46,11 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.restarts, int) or self.restarts < 1:
+        for name in ("restarts", "max_steps", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, BadConfigError))
+        if self.restarts < 1:
             raise BadConfigError(f"restarts must be a positive integer, got {self.restarts!r}")
-        if not isinstance(self.max_steps, int) or self.max_steps < 1:
+        if self.max_steps < 1:
             raise BadConfigError(f"max_steps must be a positive integer, got {self.max_steps!r}")
         if not self.temperature_initial >= 0.0:
             raise BadConfigError(
@@ -56,7 +58,7 @@ class SearchConfig:
             )
         if not 0.0 < self.cooling < 1.0:
             raise BadConfigError(f"cooling must be in (0, 1), got {self.cooling!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= MASK64:
+        if not 0 <= self.seed <= MASK64:
             raise BadConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
@@ -100,9 +102,10 @@ def _check_objective(n: int, objective: str, k: int | None) -> int | None:
         return None
     if k is None:
         raise KOutOfRangeError("objective 'kyfan_sum' needs k")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or not 1 <= k <= n:
+    k = as_int(k, "k", KOutOfRangeError)
+    if not 1 <= k <= n:
         raise KOutOfRangeError(f"k={k!r} outside [1, {n}]")
-    return int(k)
+    return k
 
 
 def _spectral_norms(w: np.ndarray, objective: str, k: int | None) -> np.ndarray:
@@ -221,7 +224,8 @@ def exhaustive_max(
     eigenvalue call. Jobs are fixed and merged in block order, so the result
     does not depend on the thread count.
     """
-    if not isinstance(n, int) or n < 1:
+    n = as_int(n, "n")
+    if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > EXHAUSTIVE_MAX_N:
         raise OrderTooLargeError(
@@ -234,6 +238,7 @@ def exhaustive_max(
             stacklevel=2,
         )
     k = _check_objective(n, objective, k)
+    threads = as_int(threads, "threads")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
     total = 1 << (n * (n - 1) // 2)
@@ -329,13 +334,15 @@ def local_search_max(
 ) -> SearchResult:
     """Seeded annealing over edge flips; a certified lower bound on the
     maximum (best_value always comes from a concrete evaluated graph)."""
-    if not isinstance(n, int) or n < 1:
+    n = as_int(n, "n")
+    if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n > LOCAL_MAX_N:
         raise OrderTooLargeError(f"local search is capped at n = {LOCAL_MAX_N}, got n = {n}")
     k = _check_objective(n, objective, k)
     if cfg is None:
         cfg = SearchConfig()
+    threads = as_int(threads, "threads")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
 
@@ -383,14 +390,7 @@ class KindSweep:
     worst_witness: dict | None
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "trials": self.trials,
-            "passes": self.passes,
-            "violations": self.violations,
-            "worst_slack": self.worst_slack,
-            "worst_witness": self.worst_witness,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -458,11 +458,13 @@ def property_sweep(
     reported with the offending input serialized in full. The kyfan kind
     checks k = 2 and, when the shape allows, k = 3 on every sample.
     """
+    trials = as_int(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if not isinstance(seed, int) or not 0 <= seed <= MASK64:
+    seed = as_int(seed, "seed")
+    if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-    lo, hi = int(n_range[0]), int(n_range[1])
+    lo, hi = (as_int(v, "n_range bound") for v in n_range)
     if not 2 <= lo <= hi:
         raise ValueError(f"n_range must satisfy 2 <= lo <= hi, got ({lo}, {hi})")
     tallies = []

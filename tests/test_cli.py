@@ -195,6 +195,41 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_parsers(sub, path + (name,))
+
+
+def test_each_subcommand_takes_only_the_run_flags_it_reads(capsys):
+    run_flags = {
+        leaf: [f for f in ("--tol", "--seed", "--threads") if f in p._option_string_actions]
+        for leaf, p in _leaf_parsers(cli.build_parser())
+    }
+    assert run_flags == {
+        "construct paley": [],
+        "construct hadamard": [],
+        "construct kyfan-extremal": [],
+        "construct opnorm-extremal": [],
+        "spectrum": [],
+        "norms": [],
+        "check": ["--tol"],
+        "search exhaustive": ["--threads"],
+        "search local": ["--seed", "--threads"],
+        "sweep": ["--tol", "--seed"],
+    }
+    for _, p in _leaf_parsers(cli.build_parser()):
+        for flag in ("--format", "--json", "--csv", "--out"):
+            assert flag in p._option_string_actions
+    code, _, err = run(capsys, ["construct", "paley", "5", "--threads", "2"])
+    assert code == 2 and "--threads" in err
+    _, payload = run_json(capsys, ["check", "main", "--paley", "9", "--tol", "1e-6"])
+    assert payload["inputs"] == {"kind": "main", "paley": 9, "tol": 1e-6}
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, err = run(

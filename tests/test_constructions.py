@@ -31,6 +31,13 @@ def test_hadamard_supported_orders():
         assert np.array_equal(gram, order * np.eye(order, dtype=np.int64))
 
 
+
+@pytest.mark.parametrize("q", [27, 243, 343])
+def test_hadamard_from_prime_power_field(q):
+    # Paley's q + 1 construction with the GF(q) character, q = 3 (mod 4);
+    # the constructor verifies H H^T = (q + 1) I exactly
+    assert hadamard(q + 1).order == q + 1
+
 def test_hadamard_base_cases():
     assert np.array_equal(hadamard(1).entries.array, [[1]])
     assert np.array_equal(hadamard(2).entries.array, [[1, 1], [1, -1]])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from normsum import (
     srg_params,
     sym_eigen,
 )
-from normsum.graphs import pair_index, quadratic_character
+from normsum.graphs import _character_by_code, pair_index, quadratic_character
 
 
 def petersen():
@@ -228,3 +230,40 @@ def test_quadratic_character_matches_paley_adjacency():
                     assert (chi[u, v] == 1) == g.has_edge(u, v)
         # the row block of a few elements agrees with the full table
         assert np.array_equal(quadratic_character(q, 3, 7), chi[3:7])
+
+
+# SHA-256 of _character_by_code(q).tobytes() before the table was vectorized.
+# The table fixes the modulus choice and so the vertex labels of every Paley
+# graph over GF(p^e), e >= 2.
+CHARACTER_DIGESTS = {
+    9: "e482bccec1661fd752212a2b4542f36c2b36804b75b95386c491408349d0008b",
+    25: "2e46f10a76f42838dcb3e9ca14130f7b96c098d4e223420f33ceb459ec4ffcb7",
+    27: "4132782ca200553ad1d0acda1a5f745e9d10cfadc6e7869f0f35c14aef32a9fc",
+    81: "7e3863fe073657752dc29f430c715e21955b1752e4fb7f446fea44046197d76c",
+    243: "89401403a3f702fce62dc122797b41cf0a2cd139ff9a67240f71d2b4e8554e71",
+    625: "d8c9e0856ea134c675094037fe401b0c705c304f7cffa075d68f9bce9e22234f",
+    729: "9be7e125a4e12d173d50a817ed6e373a3e33fb87b7dc0468adc16355c8349821",
+    2187: "5d23983d1e1a96774e079e25031b34035b77392e7a45ca0e38d2af17e0021a11",
+    3125: "2358184b80c65d575e1bb0e52f3bbea6de27bb5dabce5acce2be1ae210f9789a",
+    6561: "6e24eb67d0e8ab0e497bc81b37bbed038518e66ab29b3d66db4be8ff9adb2e27",
+    9409: "09e8e84a0890182562de3c3322bd09732a88d7155b09d04ac660c5f42b604ebd",
+}
+
+
+@pytest.mark.parametrize("q", sorted(CHARACTER_DIGESTS))
+def test_character_table_is_frozen(q):
+    chi = _character_by_code(q)
+    assert hashlib.sha256(chi.tobytes()).hexdigest() == CHARACTER_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q", [9, 25, 49, 81, 121, 125, 169, 289, 361])
+def test_paley_graph_over_prime_power_field_is_conference(q):
+    assert is_conference(paley_graph(q))
+
+
+def test_prime_field_character_is_the_squares():
+    for q in (3, 5, 7, 11, 13, 101, 103, 9973):
+        chi = _character_by_code(q)
+        squares = {x * x % q for x in range(1, q)}
+        assert set(np.flatnonzero(chi == 1).tolist()) == squares
+        assert chi[0] == 0 and (chi[1:] != 0).all()

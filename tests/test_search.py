@@ -226,6 +226,36 @@ def test_search_config_validation():
         SearchConfig(seed=-1)
 
 
+
+def test_entry_points_share_the_graph_integer_check():
+    # numpy integers pass, as they do for Graph and bound_value
+    assert exhaustive_max(np.int64(4)).n == 4
+    assert local_search_max(np.int64(4), cfg=SearchConfig(restarts=1, max_steps=2)).n == 4
+    assert exhaustive_max(4, threads=np.int64(2)).n == 4
+    assert SearchConfig(restarts=np.int64(2), seed=np.uint64(7)).seed == 7
+    assert property_sweep(np.int64(1), 0, (np.int64(3), 4), ["main"]).n_range == (3, 4)
+    # bools, floats and strings never pass as integers, and nothing is truncated
+    for field in ("restarts", "max_steps", "seed"):
+        for bad in (True, 2.0):
+            with pytest.raises(BadConfigError):
+                SearchConfig(**{field: bad})
+    with pytest.raises(ValueError):
+        property_sweep(2, 0, (2.9, 4.9), ["main"])
+    with pytest.raises(ValueError):
+        property_sweep(2.5, 0, (3, 4), ["main"])
+    with pytest.raises(ValueError):
+        property_sweep(2, True, (3, 4), ["main"])
+    for search_fn in (exhaustive_max, local_search_max):
+        for bad in (2.5, "2", True):
+            with pytest.raises(ValueError):
+                search_fn(4, threads=bad)
+        with pytest.raises(ValueError):
+            search_fn(4.0)
+        with pytest.raises(KOutOfRangeError):
+            search_fn(4, "kyfan_sum", k=2.0)
+    with pytest.raises(ValueError):
+        Graph(n=True, bits=0)
+
 def test_local_order_cap():
     with pytest.raises(OrderTooLargeError):
         local_search_max(65)
