@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainViolationError, KOutOfRangeError, MissingParamError
+from .errors import DomainViolationError, KOutOfRangeError, MissingParamError, as_int
 from .graphs import Graph, adjacency_matrix, complement_matrix
 from .linalg import (
     DenseMatrix,
@@ -108,9 +108,9 @@ def bound_value(kind: str, n: int, m: int | None = None, k: int | None = None) -
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    n = as_int(n, "n")
+    if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
     if kind == "koolen_moulton":
         return (1.0 + math.sqrt(n)) * n / 2.0
     if kind == "main":
@@ -122,16 +122,15 @@ def bound_value(kind: str, n: int, m: int | None = None, k: int | None = None) -
     # rectangular kinds need m
     if m is None:
         raise MissingParamError(f"bound kind {kind!r} needs the row count m")
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
+    m = as_int(m, "m")
+    if m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    m = int(m)
     if kind == "opnorm":
         return math.sqrt(2.0 * m * n)
     # kyfan
     if k is None:
         raise MissingParamError("bound kind 'kyfan' needs the norm index k")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise KOutOfRangeError(f"k must be an integer, got {k!r}")
+    k = as_int(k, "k", KOutOfRangeError)
     if k < 2 or k > min(m, n):
         raise KOutOfRangeError(f"k={k} outside [2, {min(m, n)}] for a {m}x{n} matrix")
     return math.sqrt(m * n) * (1.0 + math.sqrt(k - 1))

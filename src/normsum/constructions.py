@@ -15,9 +15,10 @@ from .errors import (
     OddProductError,
     SizeOverflowError,
     UnsupportedOrderError,
+    as_int,
 )
-from .graphs import _prime_power_split, quadratic_character
-from .linalg import DIMENSION_CAP, DenseMatrix, kronecker
+from .graphs import quadratic_character
+from .linalg import DIMENSION_CAP, DenseMatrix, _prime_power_split, kronecker
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,9 @@ def hadamard(order: int) -> HadamardMatrix:
     power q = 3 (mod 4) (character construction). Everything reachable that
     way up to 32 is covered: 1, 2, 4, 8, 12, 16, 20, 24, 28, 32.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool) or order < 1:
+    order = as_int(order, "order", UnsupportedOrderError)
+    if order < 1:
         raise UnsupportedOrderError(f"order must be a positive integer, got {order!r}")
-    order = int(order)
     if order > DIMENSION_CAP:
         raise SizeOverflowError(f"order {order} exceeds the dimension cap {DIMENSION_CAP}")
     if order & (order - 1) == 0:

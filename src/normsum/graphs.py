@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotOneModFourError, NotPrimePowerError, TooLargeError, as_int
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, _prime_power_split
 
 PALEY_MAX_Q = 10000
 
@@ -106,11 +106,12 @@ class Graph:
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
         try:
-            n = int(obj["n"])
+            n = as_int(obj["n"], "graph n")
             edges = obj["edges"]
         except KeyError as exc:
             raise ValueError(f"graph JSON missing field {exc}") from exc
-        return graph_from_edges(n, [(int(e[0]), int(e[1])) for e in edges])
+        ends = [(as_int(i, "edge end"), as_int(j, "edge end")) for i, j in edges]
+        return graph_from_edges(n, ends)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -252,14 +253,17 @@ def srg_params(g: Graph) -> SRGParams | None:
     n = g.n
     if n < 3:
         return None
-    a = adjacency_matrix(g).array.astype(np.int64)
+    af = adjacency_matrix(g).array
+    a = af.astype(np.int64)
     deg = a.sum(axis=1)
     k = int(deg[0])
     if not (deg == k).all():
         return None
     if k == 0 or k == n - 1:
         return None
-    a2 = a @ a
+    # float64 so the product runs through BLAS; it is exact, as every entry
+    # is 0 or 1 and every sum an integer at most n < 2^53
+    a2 = (af @ af).astype(np.int64)
     adj_off = a == 1
     non_off = (a == 0) & ~np.eye(n, dtype=bool)
     lam_vals = a2[adj_off]
@@ -298,29 +302,6 @@ def is_conference(g: Graph) -> bool:
 # Euler's criterion gives for primes and prime powers alike.
 
 
-def _min_prime_factor(q: int) -> int:
-    if q % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return f
-        f += 2
-    return q
-
-
-def _prime_power_split(q: int) -> tuple[int, int] | None:
-    """(p, e) with q = p^e and p prime, or None."""
-    if q < 2:
-        return None
-    p = _min_prime_factor(q)
-    e = 0
-    while q % p == 0:
-        q //= p
-        e += 1
-    return (p, e) if q == 1 else None
-
-
 def _gf_mul(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
     """Row-wise product of two (N, e) coefficient stacks modulo the monic f
     (e + 1 coefficients, low to high) over F_p."""
@@ -355,27 +336,29 @@ def _character_by_code(q: int) -> np.ndarray:
 
     By Euler's criterion chi(a) = a^((q-1)/2). The modulus f is the first
     monic polynomial of degree e, coefficients in lexicographic order with
-    the constant term first, under which every nonzero element of degree
-    <= e/2 has that power equal to +-1. This holds exactly when f is
-    irreducible: a reducible f has a factor of degree <= e/2, which is a
-    zero divisor, and no power of a zero divisor is a unit. A zero constant
-    term is skipped, as then x divides f (for e = 1, f never enters a
-    product).
+    the constant term first, under which every monic element of degree
+    1..e/2 has that power equal to +-1. This holds exactly when f is
+    irreducible: a reducible f has a monic factor of degree 1..e/2, which is
+    a zero divisor, and no power of a zero divisor is a unit. (Constants are
+    units, and every other element of degree <= e/2 is a constant times a
+    monic one.) A zero constant term is skipped, as then x divides f (for
+    e = 1 the test set is empty and f never enters a product).
     """
     p, e = _prime_power_split(q)
     half = (q - 1) // 2
     weights = p ** np.arange(e - 1, -1, -1, dtype=np.int64)
     coeffs = (np.arange(1, q, dtype=np.int64)[:, None] // weights) % p  # (q - 1, e)
-    low = coeffs[(coeffs[:, e // 2 + 1 :] == 0).all(axis=1)]  # degree <= e/2
+    degree = e - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    lead = np.take_along_axis(coeffs, degree[:, None], axis=1)[:, 0]
+    monic = coeffs[(degree >= 1) & (degree <= e // 2) & (lead == 1)]
     for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         f = np.array(tail + (1,), dtype=np.int64)
-        power = _gf_pow(low, half, f, p)
-        if (power[:, 1:] == 0).all() and np.isin(power[:, 0], (1, p - 1)).all():
+        power = _gf_pow(monic, half, f, p)
+        if (power[:, 1:] == 0).all() and ((power[:, 0] == 1) | (power[:, 0] == p - 1)).all():
             break
     else:
         raise AssertionError(f"no irreducible of degree {e} over F_{p}")
-    if len(low) < q - 1:  # for e <= 2 every element has degree <= e/2
-        power = _gf_pow(coeffs, half, f, p)
+    power = _gf_pow(coeffs, half, f, p)
     chi = np.zeros(q, dtype=np.int8)
     chi[1:] = np.where(power[:, 0] == 1, 1, -1)
     chi.setflags(write=False)

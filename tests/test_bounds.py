@@ -59,6 +59,20 @@ def test_bound_value_validation():
         bound_value("kyfan", 5, m=3, k=4)
 
 
+def test_bound_value_integer_check():
+    for bad in (9.0, True, "9"):
+        with pytest.raises(ValueError):
+            bound_value("main", bad)
+        with pytest.raises(ValueError):
+            bound_value("opnorm", 2, m=bad)
+        with pytest.raises(KOutOfRangeError):
+            bound_value("kyfan", 8, m=8, k=bad)
+    assert bound_value("main", np.int64(9)) == 32
+    assert bound_value("kyfan", np.int64(8), m=np.int64(8), k=np.int64(5)) == bound_value(
+        "kyfan", 8, m=8, k=5
+    )
+
+
 def test_check_main_on_conference_graphs():
     v = check_bound("main", paley_graph(9))
     assert v.holds and v.equality

@@ -60,6 +60,13 @@ def test_hadamard_unsupported_orders():
         hadamard(-4)
 
 
+def test_hadamard_integer_check():
+    for bad in (4.0, True, "4"):
+        with pytest.raises(UnsupportedOrderError):
+            hadamard(bad)
+    assert hadamard(np.int64(12)) == hadamard(12)
+
+
 def test_hadamard_type_rejects_fakes():
     with pytest.raises(ValueError):
         HadamardMatrix(order=2, entries=DenseMatrix([[1, 1], [1, 1]]))

@@ -267,3 +267,53 @@ def test_prime_field_character_is_the_squares():
         squares = {x * x % q for x in range(1, q)}
         assert set(np.flatnonzero(chi == 1).tolist()) == squares
         assert chi[0] == 0 and (chi[1:] != 0).all()
+
+
+def test_graph_json_integer_check():
+    for obj in (
+        {"n": 3.7, "edges": [[0, 1.9]]},
+        {"n": 3, "edges": [[0, 1.9]]},
+        {"n": True, "edges": []},
+        {"n": "3", "edges": []},
+    ):
+        with pytest.raises(ValueError):
+            Graph.from_json(obj)
+    g = Graph.from_json({"n": np.int64(3), "edges": [[np.int64(0), 1]]})
+    assert g == graph_from_edges(3, [(0, 1)])
+
+
+def _srg_params_int64(g):
+    """srg_params with the square A^2 taken in int64, which gets no BLAS."""
+    n = g.n
+    a = adjacency_matrix(g).array.astype(np.int64)
+    k = int(a[0].sum())
+    if n < 3 or not (a.sum(axis=1) == k).all() or k in (0, n - 1):
+        return None
+    a2 = a @ a
+    lam = set(a2[a == 1].tolist())
+    mu = set(a2[(a == 0) & ~np.eye(n, dtype=bool)].tolist())
+    if len(lam) != 1 or len(mu) > 1 or not (np.diag(a2) == k).all():
+        return None
+    return SRGParams(n=n, k=k, lam=lam.pop(), mu=mu.pop() if mu else 0)
+
+
+def test_srg_params_float_product_matches_int64():
+    networkx = pytest.importorskip("networkx")
+    atlas = [
+        graph_from_edges(h.number_of_nodes(), h.edges())
+        for h in networkx.graph_atlas_g()
+        if h.number_of_nodes() >= 1
+    ]
+    found = []
+    for g in atlas + [paley_graph(401)]:
+        params = srg_params(g)
+        assert params == _srg_params_int64(g)
+        found.append(params)
+    # C4, 2K2, C5, K3,3, 3K2, K2,2,2, 2K3 and P401
+    assert {p for p in found if p is not None} == {
+        SRGParams(*t)
+        for t in (
+            (4, 2, 0, 2), (4, 1, 0, 0), (5, 2, 0, 1), (6, 3, 0, 3),
+            (6, 1, 0, 0), (6, 4, 2, 4), (6, 2, 1, 0), (401, 200, 99, 100),
+        )
+    }  # fmt: skip

@@ -1,4 +1,4 @@
-"""Static guard: LAPACK factorizations and the symmetric-input decision stay in linalg."""
+"""Static guard: LAPACK factorizations, FFTs and the symmetric-input decision stay in linalg."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ import normsum
 
 SRC = Path(normsum.__file__).parent
 FACTORIZATIONS = {f"{np}.linalg.{fn}" for np in ("np", "numpy") for fn in ("eigh", "svd")}
+FFT = ("np.fft.", "numpy.fft.")
 PRIVATE = {"_asymmetry", "_singular_from_eigen"}
 
 
@@ -21,11 +22,13 @@ def _dotted(node):
 
 
 def violations(path):
-    """(line, what) for each LAPACK factorization or linalg-private symmetry
-    helper that the module references."""
+    """(line, what) for each LAPACK factorization, FFT or linalg-private
+    symmetry helper that the module references."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Attribute) and _dotted(node) in FACTORIZATIONS:
+        if isinstance(node, ast.Attribute) and (
+            _dotted(node) in FACTORIZATIONS or _dotted(node).startswith(FFT)
+        ):
             found.append((node.lineno, _dotted(node)))
         elif isinstance(node, ast.Attribute) and node.attr in PRIVATE:
             found.append((node.lineno, node.attr))
@@ -34,6 +37,10 @@ def violations(path):
             bad = names & PRIVATE
             if node.module == "numpy.linalg":
                 bad |= names & {"eigh", "svd"}
+            elif node.module == "numpy.fft":
+                bad |= names
+            elif node.module == "numpy":
+                bad |= names & {"fft"}
             found += [(node.lineno, name) for name in sorted(bad)]
     return found
 
@@ -44,4 +51,9 @@ def test_factorizations_and_symmetry_helpers_stay_in_linalg():
     offenders = {p.name: v for p in modules if p.name != "linalg.py" and (v := violations(p))}
     assert offenders == {}
     # the scan does see the kernel's own call sites
-    assert {what for _, what in violations(SRC / "linalg.py")} == {"np.linalg.eigh", "np.linalg.svd"}
+    assert {what for _, what in violations(SRC / "linalg.py")} == {
+        "np.linalg.eigh",
+        "np.linalg.svd",
+        "np.fft.fftn",
+        "np.fft.ifftn",
+    }

@@ -1,12 +1,15 @@
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from normsum import linalg
 from normsum import (
     DIMENSION_CAP,
     DenseMatrix,
+    Graph,
     KOutOfRangeError,
     NoConvergenceError,
     NonSquareError,
@@ -14,7 +17,9 @@ from normsum import (
     SizeOverflowError,
     SplitMix64,
     adjacency_matrix,
+    check_bound,
     cycle_graph,
+    equality_analysis,
     ky_fan_norm,
     kronecker,
     operator_norm,
@@ -22,7 +27,9 @@ from normsum import (
     svd,
     sym_eigen,
     trace_norm,
+    weyl_complement_check,
 )
+from normsum.graphs import complement_matrix, quadratic_character
 from normsum.linalg import SYMMETRY_TOL, _singular_from_eigen, spectra
 
 
@@ -283,3 +290,163 @@ def test_spectra_eigenvalues_only_for_symmetric_input(monkeypatch):
         assert sing == svd(a)
     eig, sing = spectra(far, -1.25)
     assert eig is None and sing == svd(far - 1.25 * np.eye(5))
+
+
+def test_dense_matrix_json_integer_check():
+    with pytest.raises(ValueError):
+        DenseMatrix.from_json({"rows": 1.5, "cols": 2, "entries": [1, 2]})
+    for rows, cols in ((1, 2.0), (True, 2), ("1", 2)):
+        with pytest.raises(ValueError):
+            DenseMatrix.from_json({"rows": rows, "cols": cols, "entries": [1, 2]})
+    m = DenseMatrix.from_json({"rows": np.int64(1), "cols": 2, "entries": [1, 2]})
+    assert m.shape == (1, 2)
+
+
+def test_ky_fan_integer_check():
+    a = np.ones((3, 4))
+    for bad in (2.0, True, "2"):
+        with pytest.raises(KOutOfRangeError):
+            ky_fan_norm(a, bad)
+    assert ky_fan_norm(a, np.int64(2)) == ky_fan_norm(a, 2)
+
+
+# ---------------------------------------------------------------------------
+# Structured spectra: translation-invariant input against dense eigh
+
+
+def _cayley_matrix(row, p, e):
+    """The (Z_p)^e-translation-invariant matrix with first row ``row``, vertex
+    v labelled by its base-p digits, most significant first: entry (u, v) is
+    row[v - u]."""
+    n = p**e
+    weights = p ** np.arange(e - 1, -1, -1)
+    digits = (np.arange(n)[:, None] // weights) % p
+    return np.asarray(row)[((digits[None, :, :] - digits[:, None, :]) % p) @ weights]
+
+
+def _assert_structured_matches_dense(a):
+    fast = linalg._structured_eigh(a)
+    assert fast is not None
+    w, residual = fast
+    ref, q = np.linalg.eigh(a)
+    ref_residual = np.linalg.norm(a @ q - q * ref)
+    # each computed spectrum lies within its residual of the exact one; the
+    # last term covers rounding when both residuals come out as 0.0
+    rounding = 4 * np.finfo(float).eps * (1 + np.linalg.norm(a))
+    assert np.abs(w - ref).max() <= residual + ref_residual + rounding
+    assert 0 <= residual <= linalg.CERT_FACTOR * (1 + np.linalg.norm(a))
+
+
+def _paley_type(q):
+    """Adjacency of the Paley graph for q = 1 (mod 4). For q = 3 (mod 4) the
+    squares give the Paley tournament T instead, and T T^T is returned."""
+    t = (quadratic_character(q) == 1).astype(np.float64)
+    return t if q % 4 == 1 else t @ t.T
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 25, 27, 81, 125, 401, 729, 1009])
+def test_structured_spectrum_of_paley_graphs_matches_eigh(q):
+    a = _paley_type(q)
+    _assert_structured_matches_dense(a)
+    _assert_structured_matches_dense(complement_matrix(a))
+
+
+@st.composite
+def invariant_matrices(draw):
+    """Exactly symmetric (Z_p)^e-invariant matrices from a random real row."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(min_value=1, max_value=3))
+    n = p**e
+    row = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    weights = p ** np.arange(e - 1, -1, -1)
+    negated = ((-((np.arange(n)[:, None] // weights) % p)) % p) @ weights
+    return _cayley_matrix((row + row[negated]) / 2, p, e)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(invariant_matrices())
+def test_structured_spectrum_of_random_invariant_rows_matches_eigh(a):
+    assert np.array_equal(a, a.T)
+    _assert_structured_matches_dense(a)
+
+
+def _eigh_spy(monkeypatch):
+    calls = []
+    real = np.linalg.eigh
+
+    def spy(arr):
+        calls.append(arr.shape)
+        return real(arr)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+def _roll_sizes(monkeypatch):
+    sizes = []
+    real = np.roll
+
+    def spy(arr, *args, **kwargs):
+        sizes.append(np.size(arr))
+        return real(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np, "roll", spy)
+    return sizes
+
+
+def test_paley_spectra_skip_eigh(monkeypatch):
+    g = paley_graph(401)
+    calls = _eigh_spy(monkeypatch)
+    verdict = check_bound("main", g)
+    assert calls == [] and verdict.equality
+    assert equality_analysis(g).overall and weyl_complement_check(g).ok
+    assert calls == []
+
+
+def test_forged_fft_result_fails_the_certificate(monkeypatch):
+    a = adjacency_matrix(paley_graph(401)).array
+    real_fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda x: real_fftn(x) + 1e-6)
+    with pytest.raises(NoConvergenceError):
+        linalg._structured_eigh(a)
+    with pytest.raises(NoConvergenceError):
+        sym_eigen(a)
+
+
+def test_flipped_edge_is_rejected_and_factored_densely(monkeypatch):
+    a = adjacency_matrix(paley_graph(401)).array.copy()
+    a[200, 300] = a[300, 200] = 1.0 - a[200, 300]  # rows 0 and 1 untouched
+    rolled = _roll_sizes(monkeypatch)
+    assert linalg._structured_eigh(a) is None
+    assert max(rolled) == 401 * 401  # the probe passed; the full test rejected
+    calls = _eigh_spy(monkeypatch)
+    verdict = check_bound("main", a)
+    assert calls == [(401, 401)] * 2
+    assert verdict.holds and not verdict.equality
+
+
+def test_random_graph_is_rejected_by_the_probe(monkeypatch):
+    g = Graph(n=401, bits=SplitMix64(59).next_bits(401 * 400 // 2))
+    a = adjacency_matrix(g).array
+    rolled = _roll_sizes(monkeypatch)
+    assert linalg._structured_eigh(a) is None
+    assert rolled and max(rolled) == 401  # only rows were rolled
+
+
+def test_orders_below_the_floor_stay_dense(monkeypatch):
+    row = np.zeros(128)
+    row[[1, 2, 5, 33, 64, 100]] = 1.0  # every element of (Z_2)^7 is its own negative
+    small = [adjacency_matrix(paley_graph(q)).array for q in (13, 125)] + [
+        _cayley_matrix(row[:64], 2, 6)
+    ]
+    taken = []
+    real = linalg._structured_eigh
+    monkeypatch.setattr(linalg, "_structured_eigh", lambda a: taken.append(a.shape) or real(a))
+    calls = _eigh_spy(monkeypatch)
+    for a in small:
+        sym_eigen(a)
+        svd(a)
+    assert taken == [] and len(calls) == 2 * len(small)
+    assert linalg.STRUCTURED_MIN_N == 128
+    sym_eigen(_cayley_matrix(row, 2, 7))
+    assert taken == [(128, 128)] and len(calls) == 2 * len(small)
