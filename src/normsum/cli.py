@@ -51,12 +51,26 @@ from .search import SearchConfig, exhaustive_max, local_search_max, property_swe
 
 
 def format_float(x: float) -> str:
-    """Shortest-ish decimal with 17 significant digits; round-trip exact."""
+    """17 significant digits, so doubles round-trip exactly; "null" if not finite.
+
+    %g drops trailing zeros and uses fixed notation below 1e17, so integral
+    values below 1e16 print as integers; adding 0.0 turns -0.0 into 0.
+    """
     if not math.isfinite(x):
         return "null"
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return format(x, ".17g")
+    return "%.17g" % (x + 0.0)
+
+
+def _render_floats(items, pad: str) -> str | None:
+    """The rendered list body if every item is a finite float, else None.
+
+    Formats the whole list in one % operation: the per-call form of
+    format_float. A finite sum rules out infinities and NaN among the items.
+    """
+    if set(map(type, items)) != {float} or not math.isfinite(sum(items)):
+        return None
+    sep = ",\n" + pad + "  "
+    return pad + "  " + sep.join(["%.17g"] * len(items)) % tuple([v + 0.0 for v in items])
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -84,7 +98,9 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
+        inner = _render_floats(obj, pad)
+        if inner is None:
+            inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 

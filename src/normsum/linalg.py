@@ -104,7 +104,7 @@ class DenseMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [float(x) for x in self._data.ravel()],
+            "entries": self.entries,
         }
 
     @property
@@ -127,7 +127,7 @@ class DenseMatrix:
     @property
     def entries(self) -> list[float]:
         """Flat row-major copy of the entries."""
-        return [float(x) for x in self._data.ravel()]
+        return self._data.ravel().tolist()
 
     @property
     def entry_min(self) -> float:

@@ -15,11 +15,19 @@ first output, which the test suite checks. Doubles take the top 53 bits of
 an output; bounded integers use the multiply-shift reduction
 (output * bound) >> 64.
 
+Step k of the stream (k = 1, 2, ...) sees the state seed + k * gamma, so a
+run of draws needs no loop: `next_doubles` and `next_bits` compute the whole
+run as numpy uint64 arrays with the same wrapping arithmetic and mixer, and
+reproduce the scalar stream bit for bit. Array and scalar draws interleave
+freely; either advances the state by gamma per output.
+
 Named substreams are derived by folding an FNV-1a hash of a text tag into
 the seed, so independent sweep kinds never share a stream by accident.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -51,6 +59,21 @@ class SplitMix64:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next64() >> 11) * 2.0**-53
 
+    def _next_words(self, count: int) -> np.ndarray:
+        """The next count outputs of next64 as a uint64 array, in draw order."""
+        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z = steps + np.uint64(self.state)
+        self.state = (self.state + count * _GAMMA) & MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
+
+    def next_doubles(self, count: int) -> np.ndarray:
+        """The next count values of next_double as a float64 array."""
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        return (self._next_words(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by multiply-shift reduction."""
         if bound < 1:
@@ -61,12 +84,8 @@ class SplitMix64:
         """Integer with nbits random bits, filled 64 at a time from bit 0 up."""
         if nbits < 0:
             raise ValueError(f"nbits must be nonnegative, got {nbits}")
-        out = 0
-        filled = 0
-        while filled < nbits:
-            out |= self.next64() << filled
-            filled += 64
-        return out & ((1 << nbits) - 1)
+        words = self._next_words(-(-nbits // 64))
+        return int.from_bytes(words.astype("<u8").tobytes(), "little") & ((1 << nbits) - 1)
 
 
 def fnv1a64(text: str) -> int:

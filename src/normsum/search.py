@@ -431,17 +431,15 @@ def _random_graph(rng: SplitMix64, n: int) -> Graph:
 
 
 def _random_symmetric(rng: SplitMix64, n: int) -> DenseMatrix:
+    """Zero diagonal; the upper triangle is drawn row by row."""
     a = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a[i, j] = a[j, i] = rng.next_double()
-    return DenseMatrix(a)
+    upper = np.triu_indices(n, 1)
+    a[upper] = rng.next_doubles(len(upper[0]))
+    return DenseMatrix(a + a.T)
 
 
 def _random_rect(rng: SplitMix64, m: int, n: int) -> DenseMatrix:
-    return DenseMatrix(
-        np.array([[rng.next_double() for _ in range(n)] for _ in range(m)])
-    )
+    return DenseMatrix(rng.next_doubles(m * n).reshape(m, n))
 
 
 def property_sweep(

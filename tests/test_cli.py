@@ -1,13 +1,24 @@
 import argparse
+import hashlib
 import json
 import math
 import re
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from normsum import BoundVerdict, adjacency_matrix, cli, ky_fan_norm, linalg, paley_graph
+from normsum import (
+    BoundVerdict,
+    SplitMix64,
+    adjacency_matrix,
+    cli,
+    ky_fan_norm,
+    linalg,
+    paley_graph,
+)
 from normsum.cli import format_float, main, render_json
 
 
@@ -343,6 +354,114 @@ def test_format_float_rules():
     val = 1 / 3
     assert format_float(val) == format(val, ".17g")
     assert float(format_float(val)) == val
+
+
+def _two_branch_format_float(x: float) -> str:
+    """The earlier float rule, kept as the oracle of the one-formula form."""
+    if not math.isfinite(x):
+        return "null"
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))
+    return format(x, ".17g")
+
+
+FLOAT_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e16, -1e16, 1e16 - 2, 1e16 + 2, 1e17, 2.0**53,
+               -(2.0**53), 2.0**53 + 2, 9999999999999998.0, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1 / 3, 123456789012345.67, float("nan"), float("inf"),
+               float("-inf")]  # fmt: skip
+
+
+@pytest.mark.parametrize("x", FLOAT_EDGES)
+def test_format_float_matches_the_two_branch_rule_on_edges(x):
+    assert format_float(x) == _two_branch_format_float(x)
+
+
+def test_format_float_matches_the_two_branch_rule_on_bit_patterns():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(hypothesis.strategies.integers(min_value=0, max_value=(1 << 64) - 1))
+    def check(bits):
+        x = struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+        assert format_float(x) == _two_branch_format_float(x)
+
+    check()
+
+
+def test_format_float_matches_the_two_branch_rule_on_seeded_bit_patterns():
+    words = SplitMix64(2024).next_bits(64 * 50000).to_bytes(8 * 50000, "little")
+    for x in np.frombuffer(words, dtype="<f8").tolist():
+        assert format_float(x) == _two_branch_format_float(x)
+
+
+def _generic_list(items, indent: int) -> str:
+    """A list rendered item by item, as render_json does for mixed lists."""
+    pad = "  " * indent
+    inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in items)
+    return "[\n" + inner + "\n" + pad + "]"
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [0.25, -0.0, 3.0, 1e16, 1 / 3],
+        [0.25, 1, 2.0],
+        [0.25, np.float64(0.5), 2.0],
+        [np.float64(0.5), np.float64(-0.0)],
+        [0.25, float("nan"), 2.0],
+        [float("inf"), -0.0],
+        [1e308, 1e308],
+        [0.25, None, -0.0],
+        (0.5, -0.0),
+    ],
+)
+def test_render_json_float_lists_match_the_generic_path(items):
+    for indent in (0, 2):
+        assert render_json(items, indent) == _generic_list(items, indent)
+    assert json.loads(render_json({"a": {"b": items}}))["a"]["b"] == [
+        None if isinstance(v, float) and not math.isfinite(v) else v for v in items
+    ]
+
+
+def test_render_json_float_lists_match_the_generic_path_on_bit_patterns():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    item = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(min_value=-(1 << 60), max_value=1 << 60),
+        st.floats(allow_nan=False).map(np.float64),
+        st.none(),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(st.lists(st.floats(), min_size=1), st.lists(item, min_size=1)))
+    def check(items):
+        assert render_json(items, 1) == _generic_list(items, 1)
+
+    check()
+
+
+def _digest(out: str) -> str:
+    return hashlib.sha256(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "sweep --trials 3 --n-min 2 --n-max 32 --seed 7 --json",
+            "61f0eb2206667a1175a380b9faa97cd5d10d183dc81c6f84d447f327a8f417ad",
+        ),
+        (
+            "construct hadamard 32 --json",
+            "389be649acf5527acce152ae4d37dc4566f42c20aaf7d6f9ee70c04d573261a2",
+        ),
+    ],
+)
+def test_json_output_bytes_are_frozen(capsys, argv, digest):
+    code, out, _ = run(capsys, argv.split())
+    assert code == 0
+    assert _digest(out) == digest
 
 
 def test_render_json_shapes():

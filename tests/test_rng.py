@@ -1,3 +1,6 @@
+import warnings
+
+import numpy as np
 import pytest
 
 from normsum import SplitMix64, derive_seed
@@ -62,6 +65,62 @@ def test_next_bits():
         assert 0 <= v < (1 << width)
     # wide draws should actually use the high bits
     assert any(rng.next_bits(130) >> 100 for _ in range(20))
+
+
+# seeds whose state wraps past 2^64 at the first or second draw; the middle
+# one reaches state 0 exactly, the last one state 2^64 - 1 at the first draw
+WRAP_SEEDS = [(1 << 64) - 1, (1 << 64) - 0x9E3779B97F4A7C15, (1 << 64) - 0x9E3779B97F4A7C15 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, *WRAP_SEEDS])
+def test_next_doubles_reproduce_the_scalar_stream(seed):
+    scalar, array = SplitMix64(seed), SplitMix64(seed)
+    expected = [scalar.next_double() for _ in range(257)]
+    got = array.next_doubles(257)
+    assert got.dtype == np.float64 and got.shape == (257,)
+    assert got.tolist() == expected
+    assert array.state == scalar.state
+
+
+@pytest.mark.parametrize("seed", [0, 1234567, *WRAP_SEEDS])
+@pytest.mark.parametrize("nbits", [1, 63, 64, 65, 128, 130, 2016])
+def test_next_bits_reproduces_the_scalar_stream(seed, nbits):
+    scalar, array = SplitMix64(seed), SplitMix64(seed)
+    words = [scalar.next64() for _ in range(-(-nbits // 64))]
+    expected = sum(w << (64 * i) for i, w in enumerate(words)) & ((1 << nbits) - 1)
+    assert array.next_bits(nbits) == expected
+    assert array.state == scalar.state
+
+
+def test_zero_count_draws_nothing():
+    rng = SplitMix64(42)
+    assert rng.next_doubles(0).shape == (0,)
+    assert rng.next_bits(0) == 0
+    assert rng.state == 42
+    with pytest.raises(ValueError):
+        rng.next_doubles(-1)
+
+
+@pytest.mark.parametrize("seed", [5, *WRAP_SEEDS])
+def test_array_and_scalar_draws_interleave(seed):
+    mixed, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert mixed.next64() == scalar.next64()
+    assert mixed.next_doubles(3).tolist() == [scalar.next_double() for _ in range(3)]
+    assert mixed.state == scalar.state
+    assert mixed.next_double() == scalar.next_double()
+    assert mixed.next_bits(100) == scalar.next64() | (scalar.next64() & ((1 << 36) - 1)) << 64
+    assert mixed.state == scalar.state
+    assert mixed.next_below(1000) == scalar.next_below(1000)
+
+
+def test_array_draws_raise_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, *WRAP_SEEDS):
+            rng = SplitMix64(seed)
+            rng.next_doubles(1)
+            rng.next_doubles(4096)
+            rng.next_bits(64 * 300 + 5)
 
 
 def test_fnv1a64_and_derive_seed():

@@ -18,6 +18,7 @@ from normsum import (
     graph_from_edges,
     local_search_max,
     property_sweep,
+    SplitMix64,
     srg_params,
     trace_norm,
 )
@@ -351,6 +352,25 @@ def test_property_sweep_all_kinds():
     )
     assert rep.total_violations == 0
     assert len(rep.results) == 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 32])
+def test_random_symmetric_draws_the_upper_triangle_row_by_row(n):
+    rng, oracle = SplitMix64(n), SplitMix64(n)
+    expected = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            expected[i, j] = expected[j, i] = oracle.next_double()
+    assert np.array_equal(search._random_symmetric(rng, n).array, expected)
+    assert rng.state == oracle.state
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 5), (7, 3)])
+def test_random_rect_draws_row_by_row(m, n):
+    rng, oracle = SplitMix64(m * n), SplitMix64(m * n)
+    expected = [[oracle.next_double() for _ in range(n)] for _ in range(m)]
+    assert search._random_rect(rng, m, n).array.tolist() == expected
+    assert rng.state == oracle.state
 
 
 def test_property_sweep_validation():
