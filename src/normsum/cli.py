@@ -236,7 +236,7 @@ def cmd_norms(args):
     results: dict = {
         "rows": mat.rows,
         "cols": mat.cols,
-        "trace_norm": float(sum(sigma)),
+        "trace_norm": math.fsum(sigma),
         "operator_norm": sigma[0],
     }
     if args.k is not None:

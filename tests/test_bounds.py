@@ -81,6 +81,14 @@ def test_check_main_on_conference_graphs():
     assert v13.equality and abs(v13.slack) <= 1e-6
 
 
+@pytest.mark.parametrize("q", [1009, 2017])
+def test_check_main_paley_slack_is_within_a_few_ulps_of_the_bound(q):
+    """The 2q singular values are summed exactly rounded; a naive sum left
+    -5.4e-10 at q = 1009 and -4.0e-9 at q = 2017."""
+    v = check_bound("main", paley_graph(q))
+    assert abs(v.slack) <= 8 * np.finfo(float).eps * v.rhs
+
+
 def test_check_main_on_complete_graph():
     v = check_bound("main", complete_graph(9))
     assert abs(v.lhs - 16) <= 1e-9
