@@ -239,15 +239,11 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
     integral = bool(np.abs(a - rounded).max() <= INTEGRALITY_TOL)
     is_zero_one = integral  # entries already confined to [0, 1]
 
-    half = (n - 1) / 2.0
-    if integral:
-        ri = rounded.astype(np.int64)
-        target2 = n - 1  # compare doubled sums to avoid fractions
-        row_sums_ok = bool(n % 2 == 1 and (2 * ri.sum(axis=1) == target2).all())
-        col_sums_ok = bool(n % 2 == 1 and (2 * ri.sum(axis=0) == target2).all())
-    else:
-        row_sums_ok = bool((a.sum(axis=1) == half).all())
-        col_sums_ok = bool((a.sum(axis=0) == half).all())
+    # sums of (n - 1)/2, doubled: doubling is exact, and for even n no
+    # doubled integral sum can equal the odd n - 1
+    r = rounded if integral else a
+    row_sums_ok = bool((2 * r.sum(axis=1) == n - 1).all())
+    col_sums_ok = bool((2 * r.sum(axis=0) == n - 1).all())
 
     eig, shift_sing = spectra(a, 0.5)
     target = math.sqrt(n) / 2.0

@@ -42,7 +42,7 @@ from .graphs import (
     graph6_encode,
     paley_graph,
 )
-from .linalg import DenseMatrix, _ky_fan, spectra, svd, trace_norm
+from .linalg import DIMENSION_CAP, DenseMatrix, _ky_fan, spectra, svd, trace_norm
 from .search import SearchConfig, exhaustive_max, local_search_max, property_sweep
 
 
@@ -61,16 +61,20 @@ def format_float(x: float) -> str:
     return "%.17g" % (x + 0.0)
 
 
+def _format_floats(values, sep: str) -> str:
+    """Finite floats formatted as format_float does, joined by sep, in one %
+    operation."""
+    return sep.join(["%.17g"] * len(values)) % tuple([v + 0.0 for v in values])
+
+
 def _render_floats(items, pad: str) -> str | None:
     """The rendered list body if every item is a finite float, else None.
 
-    Formats the whole list in one % operation: the per-call form of
-    format_float. A finite sum rules out infinities and NaN among the items.
+    A finite sum rules out infinities and NaN among the items.
     """
     if set(map(type, items)) != {float} or not math.isfinite(sum(items)):
         return None
-    sep = ",\n" + pad + "  "
-    return pad + "  " + sep.join(["%.17g"] * len(items)) % tuple([v + 0.0 for v in items])
+    return pad + "  " + _format_floats(items, ",\n" + pad + "  ")
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -166,11 +170,7 @@ def _threads(args) -> int:
 
 
 def _csv_matrix(mat: DenseMatrix) -> str:
-    lines = []
-    arr = mat.array
-    for row in arr:
-        lines.append(",".join(format_float(float(x)) for x in row))
-    return "\n".join(lines)
+    return "\n".join(_format_floats(row, ",") for row in mat.array.tolist())
 
 
 def cmd_construct(args):
@@ -319,7 +319,11 @@ def cmd_sweep(args):
 
 
 _RUN_FLAGS = {
-    "tol": dict(type=float, default=None, help="verdict tolerance (default 1e-7)"),
+    "tol": dict(
+        type=float,
+        default=None,
+        help="verdict tolerance (default 1e-7, or 1e-6 for check equality)",
+    ),
     "seed": dict(type=int, default=None, help="64-bit seed for randomized runs"),
     "threads": dict(default=None, help="worker threads: an integer or 'auto'"),
 }
@@ -343,7 +347,12 @@ def _add_common(sub, *run_flags):
 
 
 def _add_input_flags(sub):
-    sub.add_argument("--paley", type=int, default=None, help="use the Paley graph of this order")
+    sub.add_argument(
+        "--paley",
+        type=int,
+        default=None,
+        help=f"use the Paley graph of this order (at most {DIMENSION_CAP})",
+    )
     sub.add_argument("--graph6", default=None, help="graph given as a graph6 string")
     sub.add_argument("--edges", default=None, help="path to a JSON edge-list file")
     sub.add_argument("--matrix", default=None, help="path to a JSON or CSV matrix file")
@@ -359,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("construct", help="build a named object")
     csub = p.add_subparsers(dest="what", required=True)
-    cp = csub.add_parser("paley", help="Paley graph of prime-power order q = 1 (mod 4)")
+    cp = csub.add_parser(
+        "paley", help=f"Paley graph of prime-power order q = 1 (mod 4), q <= {DIMENSION_CAP}"
+    )
     cp.add_argument("order", type=int)
     _add_common(cp)
     ch = csub.add_parser("hadamard", help="Hadamard matrix of a supported order")

@@ -18,9 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotOneModFourError, NotPrimePowerError, TooLargeError, as_int
-from .linalg import DenseMatrix, _prime_power_split
-
-PALEY_MAX_Q = 10000
+from .linalg import DIMENSION_CAP, DenseMatrix, _prime_power_split
 
 
 def pair_index(i: int, j: int) -> int:
@@ -365,40 +363,35 @@ def _character_by_code(q: int) -> np.ndarray:
     return chi
 
 
-def quadratic_character(q: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Rows lo..hi-1 of the GF(q) character table: entry (u - lo, v) is
-    chi(u - v) for field elements u in [lo, hi) and v in [0, q), in the
-    vertex order of :func:`paley_graph`. q must be an odd prime power."""
+def quadratic_character(q: int) -> np.ndarray:
+    """The GF(q) character table: entry (u, v) is chi(u - v) for field
+    elements u, v in [0, q), in the vertex order of :func:`paley_graph`.
+    q must be an odd prime power at most ``DIMENSION_CAP``."""
+    if q > DIMENSION_CAP:
+        raise TooLargeError(f"q = {q} exceeds the dimension cap {DIMENSION_CAP}")
     p, e = _prime_power_split(q)
-    hi = q if hi is None else hi
-    weights = np.array([p ** (e - 1 - t) for t in range(e)], dtype=np.int64)
-    digits = (np.arange(q, dtype=np.int64)[:, None] // weights[None, :]) % p  # (q, e)
-    diff = (digits[lo:hi, None, :] - digits[None, :, :]) % p  # (hi - lo, q, e)
-    return _character_by_code(q)[diff @ weights]
+    # the code of u - v, digit by digit, constant term first; int16 holds
+    # every code, as q - 1 < 2^15
+    code = np.zeros((q, q), dtype=np.int16)
+    for t in range(e):
+        d = (np.arange(q, dtype=np.int16) // p ** (e - 1 - t)) % p
+        code *= p
+        code += (d[:, None] - d[None, :]) % p
+    return _character_by_code(q)[code]
 
 
 def paley_graph(q: int) -> Graph:
     """Paley graph on the q elements of GF(q): u ~ v iff u - v is a nonzero square.
 
     Needs q = p^e with q = 1 (mod 4) so that -1 is a square and the relation
-    is symmetric. Vertices are field elements in lexicographic coefficient
-    order, constants first.
+    is symmetric, and q at most ``DIMENSION_CAP``. Vertices are field
+    elements in lexicographic coefficient order, constants first.
     """
-    if q > PALEY_MAX_Q:
-        raise TooLargeError(f"q = {q} exceeds the supported maximum {PALEY_MAX_Q}")
-    split = _prime_power_split(q)
-    if split is None:
+    # first, so that a huge q is never factored
+    if q > DIMENSION_CAP:
+        raise TooLargeError(f"q = {q} exceeds the dimension cap {DIMENSION_CAP}")
+    if _prime_power_split(q) is None:
         raise NotPrimePowerError(f"q = {q} is not a prime power")
     if q % 4 != 1:
         raise NotOneModFourError(f"q = {q} is not 1 (mod 4)")
-    e = split[1]
-    flags = np.zeros(q * (q - 1) // 2, dtype=bool)
-    # pair bits for column j occupy the contiguous slice [j(j-1)/2, j(j+1)/2)
-    block = max(1, (1 << 22) // (q * e))
-    for j0 in range(1, q, block):
-        j1 = min(q, j0 + block)
-        adj = quadratic_character(q, j0, j1) == 1
-        for j in range(j0, j1):
-            start = j * (j - 1) // 2
-            flags[start : start + j] = adj[j - j0, :j]
-    return Graph.from_flags(q, flags)
+    return Graph.from_flags(q, (quadratic_character(q) == 1)[pair_mask(q)])

@@ -293,7 +293,7 @@ def sym_eigen(m) -> EigenSpectrum:
     require_symmetric(a, NonSymmetricError)
     w, residual = _certified_eigh((a + a.T) / 2.0)
     # LAPACK returns ascending; flip for descending.
-    return EigenSpectrum(values=tuple(float(x) for x in w[::-1]), offdiag_residual=residual)
+    return EigenSpectrum(values=tuple(w[::-1].tolist()), offdiag_residual=residual)
 
 
 def _singular_from_eigen(eig: EigenSpectrum, shift: float = 0.0) -> SingularSpectrum:
@@ -305,7 +305,7 @@ def _singular_from_eigen(eig: EigenSpectrum, shift: float = 0.0) -> SingularSpec
     factorization runs.
     """
     s = np.sort(np.abs(np.asarray(eig.values) + shift))[::-1]
-    return SingularSpectrum(values=tuple(float(x) for x in s), residual=eig.offdiag_residual)
+    return SingularSpectrum(values=tuple(s.tolist()), residual=eig.offdiag_residual)
 
 
 def svd(m) -> SingularSpectrum:
@@ -321,7 +321,7 @@ def svd(m) -> SingularSpectrum:
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"SVD failed: {exc}") from exc
         residual = _certify(_frobenius(a - (u * s) @ vt), a, "SVD")
-    return SingularSpectrum(values=tuple(float(x) for x in s), residual=residual)
+    return SingularSpectrum(values=tuple(s.tolist()), residual=residual)
 
 
 def spectra(m, shift: float = 0.0) -> tuple[EigenSpectrum | None, SingularSpectrum]:

@@ -89,6 +89,22 @@ def test_check_main_paley_slack_is_within_a_few_ulps_of_the_bound(q):
     assert abs(v.slack) <= 8 * np.finfo(float).eps * v.rhs
 
 
+def test_check_koolen_moulton_and_gutman_zhou_on_paley9():
+    km = check_bound("koolen_moulton", paley_graph(9))
+    gz = check_bound("gutman_zhou", paley_graph(9))
+    assert (km.kind, gz.kind) == ("koolen_moulton", "gutman_zhou")
+    assert km.lhs == pytest.approx(16, abs=1e-12) and km.rhs == 18
+    assert gz.lhs == pytest.approx(32, abs=1e-12)
+    assert gz.rhs == 35.35533905932738 == 9 * math.sqrt(2) + 8 * math.sqrt(8)
+    for v in (km, gz):
+        assert v.holds and not v.equality
+    for kind in ("koolen_moulton", "gutman_zhou"):
+        with pytest.raises(DomainViolationError):
+            check_bound(kind, np.array([[0, 1.0], [0.5, 0]]))  # asymmetric
+        with pytest.raises(DomainViolationError):
+            check_bound(kind, np.array([[0.5, 0], [0, 0]]))  # nonzero diagonal
+
+
 def test_check_main_on_complete_graph():
     v = check_bound("main", complete_graph(9))
     assert abs(v.lhs - 16) <= 1e-9
@@ -199,6 +215,53 @@ def test_equality_analysis_non_zero_one_entries():
     # fractional rows still sum to (n-1)/2 here
     assert r.row_sums_ok and r.col_sums_ok
     assert not r.overall
+
+
+def _two_branch_sum_flags(a):
+    """Row and column sum flags as equality_analysis computed them with one
+    rule for integral inputs (int64 sums, odd n only) and one for the rest."""
+    n = a.shape[0]
+    rounded = np.round(a)
+    if np.abs(a - rounded).max() <= 1e-12:
+        ri = rounded.astype(np.int64)
+        return tuple(
+            bool(n % 2 == 1 and (2 * ri.sum(axis=ax) == n - 1).all()) for ax in (1, 0)
+        )
+    return tuple(bool((a.sum(axis=ax) == (n - 1) / 2.0).all()) for ax in (1, 0))
+
+
+def _sum_flag_cases():
+    tournament5 = [[1.0 if (j - i) % 5 in (1, 2) else 0.0 for j in range(5)] for i in range(5)]
+    cases = [adjacency_matrix(g).array for g in (
+        paley_graph(9), paley_graph(13), cycle_graph(5), cycle_graph(7),
+        cycle_graph(6), complete_graph(4), empty_graph(2),
+        graph_from_edges(6, [(0, 1), (2, 3), (4, 5), (0, 3), (1, 4), (2, 5)]),
+    )] + [np.array(tournament5)]  # fmt: skip
+    # within 1e-13 of 0/1: still integral
+    near = []
+    for a in cases[:4] + cases[-1:]:
+        off = ~np.eye(len(a), dtype=bool)
+        near.append(np.where(off, a - 1e-13 * (2 * a - 1), 0.0))
+    # fractional entries, rows summing to exactly (n - 1)/2, odd and even n
+    fractional = [(np.ones((n, n)) - np.eye(n)) / 2 for n in (4, 5, 6, 9)]
+    quarter = np.zeros((5, 5))
+    for i in range(5):
+        for d, v in ((1, 0.75), (2, 0.25), (3, 0.75), (4, 0.25)):
+            quarter[i, (i + d) % 5] = v
+    fractional += [quarter, quarter.T, np.where(quarter == 0.75, 0.7, quarter)]
+    return cases + near + fractional
+
+
+def test_equality_analysis_sum_flags_match_the_two_branch_rule():
+    flags = []
+    for a in _sum_flag_cases():
+        r = equality_analysis(a)
+        assert (r.row_sums_ok, r.col_sums_ok) == _two_branch_sum_flags(a)
+        flags.append(r.row_sums_ok)
+    # both outcomes occur among the integral, near-integral and fractional cases
+    assert flags[:9] == [True, True, True, False, False, False, False, False, True]
+    assert flags[9:14] == [True, True, True, False, True]
+    assert flags[14:] == [True, True, True, True, True, True, False]
 
 
 def test_equality_analysis_factors_symmetric_input_once(monkeypatch):

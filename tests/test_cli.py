@@ -19,6 +19,7 @@ from normsum import (
     linalg,
     paley_graph,
 )
+from normsum.bounds import EQUALITY_TOL, HOLD_TOL
 from normsum.cli import format_float, main, render_json
 
 
@@ -89,6 +90,18 @@ def test_check_main_conference_equality(capsys):
     assert r["rhs"] == 32
     assert r["holds"] is True and r["equality"] is True
     assert rep["inputs"]["paley"] == 9
+
+
+def test_check_main_paley_past_the_cap_exits_2(capsys):
+    code, out, err = run(capsys, ["check", "main", "--paley", "4129", "--json"])
+    assert code == 2
+    assert out == ""
+    assert "dimension cap 4096" in err
+
+
+def test_tol_help_names_both_defaults():
+    shown = re.findall(r"\d+e-\d+", cli._RUN_FLAGS["tol"]["help"])
+    assert [float(t) for t in shown] == [HOLD_TOL, EQUALITY_TOL]
 
 
 def test_check_outputs_are_reproducible(capsys):
@@ -441,6 +454,24 @@ def test_render_json_float_lists_match_the_generic_path_on_random_lists():
         assert render_json(items, 1) == _generic_list(items, 1)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [f"construct hadamard {n}" for n in (1, 2, 4, 8, 12, 16, 20, 24, 28, 32)]
+    + [
+        "construct kyfan-extremal 5 --p 2 --q 3",
+        "construct opnorm-extremal 4 3 --orientation rows",
+    ],
+)
+def test_construct_csv_matches_the_per_entry_rule(capsys, argv):
+    code, out, _ = run(capsys, argv.split() + ["--csv"])
+    assert code == 0
+    code, rep = run_json(capsys, argv.split())
+    m = rep["results"]["matrix"]
+    rows = np.reshape(m["entries"], (m["rows"], m["cols"]))
+    expected = "\n".join(",".join(format_float(float(x)) for x in row) for row in rows)
+    assert out == expected + "\n"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from normsum import (
+    DIMENSION_CAP,
     Graph,
     NotOneModFourError,
     NotPrimePowerError,
@@ -228,8 +229,35 @@ def test_quadratic_character_matches_paley_adjacency():
             for v in range(q):
                 if u != v:
                     assert (chi[u, v] == 1) == g.has_edge(u, v)
-        # the row block of a few elements agrees with the full table
-        assert np.array_equal(quadratic_character(q, 3, 7), chi[3:7])
+
+
+# SHA-256 of graph6_encode(paley_graph(q)) from the column-blocked build that
+# the one-table build replaced: prime fields, and GF(p^e) for e = 2, 4 and 6.
+PALEY_GRAPH6_DIGESTS = {
+    13: "495adb206ae5b4706f05fdc7e9d9dafc02adefdfc29c66ae08671cc555fbd672",
+    81: "11307a481fe69c6ef9e891175397d7506625c0e1ec7fc41c19a9384ae8453f83",
+    401: "69437672dc0f744668852f479b9b46a88e71d0be49ecad870b0cd9280b94182e",
+    625: "4a1694de06c6705f4d4c611b7e1778b1babe85501107e06efc6f8349ae252917",
+    729: "560c3c1e811d808ddc474b876886f8aff9073c69704080246128a831f62f66c2",
+    1013: "f4839ed66870175fd83d8c975cf9114eb35549c188a395e52e1a82d6361bae81",
+    3721: "75deb5879adf8e3e37017f5c31629ea1f26904dc4121f261dab3e265297f575a",
+    4093: "f64eafa8144adfb237b4587a83e05253bda793a4ef1e9eaa19790d15f6f56a69",
+}
+
+
+@pytest.mark.parametrize("q", sorted(PALEY_GRAPH6_DIGESTS))
+def test_paley_graph_is_frozen(q):
+    text = graph6_encode(paley_graph(q))
+    assert hashlib.sha256(text.encode()).hexdigest() == PALEY_GRAPH6_DIGESTS[q]
+
+
+def test_field_orders_stop_at_the_dimension_cap():
+    assert DIMENSION_CAP == 4096
+    # 4129 = 1 (mod 4) and 4099 = 3 (mod 4) are the first primes past the cap
+    with pytest.raises(TooLargeError, match="dimension cap 4096"):
+        paley_graph(4129)
+    with pytest.raises(TooLargeError, match="dimension cap 4096"):
+        quadratic_character(4099)
 
 
 # SHA-256 of _character_by_code(q).tobytes() before the table was vectorized.
