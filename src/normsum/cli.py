@@ -43,7 +43,14 @@ from .graphs import (
     paley_graph,
 )
 from .linalg import DIMENSION_CAP, DenseMatrix, _ky_fan, spectra, svd, trace_norm
-from .search import SearchConfig, exhaustive_max, local_search_max, property_sweep
+from .search import (
+    OBJECTIVES,
+    SWEEP_KINDS,
+    SearchConfig,
+    exhaustive_max,
+    local_search_max,
+    property_sweep,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -414,25 +421,26 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="mode", required=True)
     se = ssub.add_parser("exhaustive", help="all labeled graphs, n <= 8")
     se.add_argument("--n", type=int, required=True)
-    se.add_argument("--objective", choices=("trace_sum", "kyfan_sum"), default="trace_sum")
+    se.add_argument("--objective", choices=OBJECTIVES, default="trace_sum")
     se.add_argument("--k", type=int, default=None)
     _add_common(se, "threads")
     sl = ssub.add_parser("local", help="seeded annealing over edge flips, n <= 64")
     sl.add_argument("--n", type=int, required=True)
-    sl.add_argument("--objective", choices=("trace_sum", "kyfan_sum"), default="trace_sum")
+    sl.add_argument("--objective", choices=OBJECTIVES, default="trace_sum")
     sl.add_argument("--k", type=int, default=None)
-    sl.add_argument("--restarts", type=int, default=10)
-    sl.add_argument("--steps", type=int, default=20000)
-    sl.add_argument("--t0", type=float, default=1.0)
-    sl.add_argument("--cooling", type=float, default=0.995)
+    cfg = SearchConfig()
+    sl.add_argument("--restarts", type=int, default=cfg.restarts)
+    sl.add_argument("--steps", type=int, default=cfg.max_steps)
+    sl.add_argument("--t0", type=float, default=cfg.temperature_initial)
+    sl.add_argument("--cooling", type=float, default=cfg.cooling)
     _add_common(sl, "seed", "threads")
 
     p = subs.add_parser("sweep", help="randomized property sweep over the checkers")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument(
         "--kinds",
-        default="main,main_matrix,shifted,kyfan,opnorm,weyl",
-        help="comma-separated subset of main,main_matrix,shifted,kyfan,opnorm,weyl",
+        default=",".join(SWEEP_KINDS),
+        help=f"comma-separated subset of {','.join(SWEEP_KINDS)}",
     )
     p.add_argument("--n-min", type=int, default=4, dest="n_min")
     p.add_argument("--n-max", type=int, default=12, dest="n_max")

@@ -36,9 +36,9 @@ class HadamardMatrix:
         h = self.entries.array
         if not np.all(np.abs(h) == 1.0):
             raise ValueError("Hadamard entries must be exactly +-1")
-        hi = h.astype(np.int64)
-        gram = hi @ hi.T
-        if not np.array_equal(gram, self.order * np.eye(self.order, dtype=np.int64)):
+        # float64 so the product runs through BLAS; it is exact, as every entry
+        # is +-1 and every sum an integer of size at most order < 2^53
+        if not np.array_equal(h @ h.T, self.order * np.eye(self.order)):
             raise ValueError(f"H H^T != {self.order} I, construction rejected")
 
 
@@ -62,8 +62,8 @@ def hadamard(order: int) -> HadamardMatrix:
     """A Hadamard matrix of the given order, verified exactly.
 
     Supported orders: 1, 2, any power of 2 (doubling), and q + 1 for a prime
-    power q = 3 (mod 4) (character construction). Everything reachable that
-    way up to 32 is covered: 1, 2, 4, 8, 12, 16, 20, 24, 28, 32.
+    power q = 3 (mod 4) (character construction), up to ``DIMENSION_CAP``.
+    Every multiple of 4 up to 32 is covered; 36 is the first that is not.
     """
     order = as_int(order, "order", UnsupportedOrderError)
     if order < 1:
@@ -92,6 +92,7 @@ def kyfan_extremal_matrix(k: int, p: int, q: int) -> DenseMatrix:
     of order k-1 into [[H, -H], [-H, H]]. Its nonzero singular values are
     sigma_1 = sqrt(mn)/2 and sigma_2 = ... = sigma_k = sqrt(mn)/(2 sqrt(k-1)).
     """
+    k, p, q = as_int(k, "k"), as_int(p, "p"), as_int(q, "q")
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if p < 1 or q < 1:
@@ -115,6 +116,7 @@ def opnorm_extremal_matrix(m: int, n: int, orientation: str) -> DenseMatrix:
     These are the matrices for which the largest singular values of A and of
     its complement J - A sum to sqrt(2mn); that needs mn even.
     """
+    m, n = as_int(m, "m"), as_int(n, "n")
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
     if m > DIMENSION_CAP or n > DIMENSION_CAP:

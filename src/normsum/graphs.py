@@ -291,13 +291,13 @@ def is_conference(g: Graph) -> bool:
 # Finite fields and Paley graphs
 #
 # GF(p^e) is F_p[x] modulo a monic irreducible f of degree e. An element is
-# the row (c0, ..., c_{e-1}) of c0 + c1 x + ..., and _gf_mul and _gf_pow work
-# on (N, e) stacks of rows. Vertex v of a Paley graph is the element whose
+# the row (c0, ..., c_{e-1}) of c0 + c1 x + ..., and _gf_mul works on (N, e)
+# stacks of rows. Vertex v of a Paley graph is the element whose
 # coefficients are the base-p digits of v, constant term most significant:
 # the elements in lexicographic coefficient order, constants first.
 # Differences never touch f (subtraction is digitwise), so adjacency is a
-# lookup of the difference code in one quadratic character table, which
-# Euler's criterion gives for primes and prime powers alike.
+# lookup of the difference code in one quadratic character table: +1 on the
+# codes of the nonzero squares, which one squaring of the field gives.
 
 
 def _gf_mul(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
@@ -314,62 +314,60 @@ def _gf_mul(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
     return prod[:, :e]
 
 
-def _gf_pow(a: np.ndarray, k: int, f: np.ndarray, p: int) -> np.ndarray:
-    """Row-wise a^k of an (N, e) coefficient stack, by square-and-multiply."""
-    result = np.zeros_like(a)
-    result[:, 0] = 1
-    while k:
-        if k & 1:
-            result = _gf_mul(result, a, f, p)
-        k >>= 1
-        if k:
-            a = _gf_mul(a, a, f, p)
-    return result
-
-
 @lru_cache(maxsize=None)
 def _character_by_code(q: int) -> np.ndarray:
     """Quadratic character of GF(q) indexed by element code: +1 on nonzero
     squares, -1 on nonsquares, 0 at zero. q must be an odd prime power.
 
-    By Euler's criterion chi(a) = a^((q-1)/2). The modulus f is the first
-    monic polynomial of degree e, coefficients in lexicographic order with
-    the constant term first, under which every monic element of degree
-    1..e/2 has that power equal to +-1. This holds exactly when f is
-    irreducible: a reducible f has a monic factor of degree 1..e/2, which is
-    a zero divisor, and no power of a zero divisor is a unit. (Constants are
-    units, and every other element of degree <= e/2 is a constant times a
-    monic one.) A zero constant term is skipped, as then x divides f (for
-    e = 1 the test set is empty and f never enters a product).
+    The modulus f is the first monic polynomial of degree e, coefficients in
+    lexicographic order with the constant term first (a zero constant term
+    is skipped, as then x divides f), under which squaring the q - 1 nonzero
+    elements is exactly two-to-one and never gives zero. That holds exactly
+    when f is irreducible. In a field of odd order x -> x^2 maps the units
+    two-to-one onto the (q - 1)/2 nonzero squares. If f has a repeated
+    factor g, then x = f/g is nonzero modulo f and x^2 = 0. If f is
+    squarefree with r >= 2 irreducible factors, F_p[x]/(f) is a product of
+    r fields, and a unit there has 2^r >= 4 square roots. The squares of the
+    accepted f are the +1 codes.
     """
     p, e = _prime_power_split(q)
-    half = (q - 1) // 2
     weights = p ** np.arange(e - 1, -1, -1, dtype=np.int64)
     coeffs = (np.arange(1, q, dtype=np.int64)[:, None] // weights) % p  # (q - 1, e)
-    degree = e - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
-    lead = np.take_along_axis(coeffs, degree[:, None], axis=1)[:, 0]
-    monic = coeffs[(degree >= 1) & (degree <= e // 2) & (lead == 1)]
     for tail in itertools.product(range(1, p), *[range(p)] * (e - 1)):
         f = np.array(tail + (1,), dtype=np.int64)
-        power = _gf_pow(monic, half, f, p)
-        if (power[:, 1:] == 0).all() and ((power[:, 0] == 1) | (power[:, 0] == p - 1)).all():
+        squares = _gf_mul(coeffs, coeffs, f, p) @ weights
+        hits = np.bincount(squares, minlength=q)
+        if hits[0] == 0 and hits.max() == 2:
             break
     else:
         raise AssertionError(f"no irreducible of degree {e} over F_{p}")
-    power = _gf_pow(coeffs, half, f, p)
-    chi = np.zeros(q, dtype=np.int8)
-    chi[1:] = np.where(power[:, 0] == 1, 1, -1)
+    chi = np.full(q, -1, dtype=np.int8)
+    chi[0] = 0
+    chi[squares] = 1
     chi.setflags(write=False)
     return chi
+
+
+def _field_order(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, for an integer q at most ``DIMENSION_CAP``: the
+    input check of :func:`quadratic_character` and :func:`paley_graph`. The
+    cap comes first, so that a huge q is never factored."""
+    q = as_int(q, "q")
+    if q > DIMENSION_CAP:
+        raise TooLargeError(f"q = {q} exceeds the dimension cap {DIMENSION_CAP}")
+    split = _prime_power_split(q)
+    if split is None:
+        raise NotPrimePowerError(f"q = {q} is not a prime power")
+    return split
 
 
 def quadratic_character(q: int) -> np.ndarray:
     """The GF(q) character table: entry (u, v) is chi(u - v) for field
     elements u, v in [0, q), in the vertex order of :func:`paley_graph`.
     q must be an odd prime power at most ``DIMENSION_CAP``."""
-    if q > DIMENSION_CAP:
-        raise TooLargeError(f"q = {q} exceeds the dimension cap {DIMENSION_CAP}")
-    p, e = _prime_power_split(q)
+    p, e = _field_order(q)
+    if q % 2 == 0:
+        raise ValueError(f"q = {q} is even; the quadratic character needs odd q")
     # the code of u - v, digit by digit, constant term first; int16 holds
     # every code, as q - 1 < 2^15
     code = np.zeros((q, q), dtype=np.int16)
@@ -387,11 +385,7 @@ def paley_graph(q: int) -> Graph:
     is symmetric, and q at most ``DIMENSION_CAP``. Vertices are field
     elements in lexicographic coefficient order, constants first.
     """
-    # first, so that a huge q is never factored
-    if q > DIMENSION_CAP:
-        raise TooLargeError(f"q = {q} exceeds the dimension cap {DIMENSION_CAP}")
-    if _prime_power_split(q) is None:
-        raise NotPrimePowerError(f"q = {q} is not a prime power")
+    _field_order(q)
     if q % 4 != 1:
         raise NotOneModFourError(f"q = {q} is not 1 (mod 4)")
     return Graph.from_flags(q, (quadratic_character(q) == 1)[pair_mask(q)])

@@ -578,3 +578,22 @@ def test_importing_the_cli_builds_no_parser():
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "0"
+
+
+def test_parser_reads_the_library_constants():
+    from normsum.search import OBJECTIVES, SWEEP_KINDS, SearchConfig
+
+    parser = cli.build_parser()
+    local = parser.parse_args(["search", "local", "--n", "4"])
+    cfg = SearchConfig()
+    assert (local.restarts, local.steps, local.t0, local.cooling) == (
+        cfg.restarts,
+        cfg.max_steps,
+        cfg.temperature_initial,
+        cfg.cooling,
+    )
+    assert parser.parse_args(["sweep", "--trials", "1"]).kinds == ",".join(SWEEP_KINDS)
+    for mode in ("exhaustive", "local"):
+        for objective in OBJECTIVES:
+            args = parser.parse_args(["search", mode, "--n", "4", "--objective", objective])
+            assert args.objective == objective

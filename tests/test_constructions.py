@@ -74,6 +74,14 @@ def test_hadamard_type_rejects_fakes():
         HadamardMatrix(order=2, entries=DenseMatrix([[0.5, 1], [1, -1]]))
 
 
+def test_hadamard_check_sees_one_flipped_entry():
+    # a flip keeps every row norm, so only the off-diagonal Gram entries fail
+    h = hadamard(64).entries.array.copy()
+    h[17, 40] = -h[17, 40]
+    with pytest.raises(ValueError, match="H H"):
+        HadamardMatrix(order=64, entries=DenseMatrix(h))
+
+
 def test_kyfan_extremal_smallest_case_is_identity():
     a = kyfan_extremal_matrix(2, 1, 1)
     assert np.array_equal(a.array, np.eye(2))
@@ -128,6 +136,14 @@ def test_kyfan_extremal_validation():
         kyfan_extremal_matrix(3, 2000, 1)
 
 
+def test_kyfan_extremal_integer_check():
+    for args in ((3, 1.5, 1), (3.0, 1, 1), (3, True, True), (True, 1, 1), (3, 1, "2")):
+        with pytest.raises(ValueError, match="integer"):
+            kyfan_extremal_matrix(*args)
+    built = kyfan_extremal_matrix(np.int64(5), np.int64(2), np.int64(3))
+    assert built == kyfan_extremal_matrix(5, 2, 3)
+
+
 def test_opnorm_extremal_layouts():
     assert np.array_equal(opnorm_extremal_matrix(2, 2, "columns").array, [[1, 0], [1, 0]])
     assert np.array_equal(
@@ -155,3 +171,11 @@ def test_opnorm_extremal_validation():
         opnorm_extremal_matrix(2, 2, "diagonal")
     with pytest.raises(ValueError):
         opnorm_extremal_matrix(0, 2, "columns")
+
+
+def test_opnorm_extremal_integer_check():
+    for args in ((2.0, 2, "rows"), (2, 4.0, "columns"), (True, 2, "columns"), (2, True, "rows")):
+        with pytest.raises(ValueError, match="integer"):
+            opnorm_extremal_matrix(*args)
+    built = opnorm_extremal_matrix(np.int64(4), np.int64(6), "columns")
+    assert built == opnorm_extremal_matrix(4, 6, "columns")

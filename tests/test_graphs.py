@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from normsum import (
     srg_params,
     sym_eigen,
 )
-from normsum.graphs import _character_by_code, pair_index, quadratic_character
+from normsum.graphs import _character_by_code, _gf_mul, pair_index, quadratic_character
 
 
 def petersen():
@@ -295,6 +296,56 @@ def test_prime_field_character_is_the_squares():
         squares = {x * x % q for x in range(1, q)}
         assert set(np.flatnonzero(chi == 1).tolist()) == squares
         assert chi[0] == 0 and (chi[1:] != 0).all()
+
+
+def test_quadratic_character_shares_the_field_check():
+    for q in (12, 1, 0):
+        with pytest.raises(NotPrimePowerError):
+            quadratic_character(q)
+    for q in (2, 8):
+        with pytest.raises(ValueError, match="odd q"):
+            quadratic_character(q)
+    for q in (9.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            quadratic_character(q)
+    for q in (9.0, "13"):
+        with pytest.raises(ValueError, match="integer"):
+            paley_graph(q)
+    assert np.array_equal(quadratic_character(np.int64(27)), quadratic_character(27))
+    assert paley_graph(np.int64(13)) == paley_graph(13)
+
+
+def _monic_products(p, e):
+    """Every reducible monic polynomial of degree e over F_p, as coefficient
+    tuples low to high."""
+    def monic(d):
+        return [c + (1,) for c in itertools.product(range(p), repeat=d)]
+
+    out = set()
+    for d in range(1, e // 2 + 1):
+        for g in monic(d):
+            for h in monic(e - d):
+                prod = [0] * (e + 1)
+                for i, gi in enumerate(g):
+                    for j, hj in enumerate(h):
+                        prod[i + j] = (prod[i + j] + gi * hj) % p
+                out.add(tuple(prod))
+    return out
+
+
+@pytest.mark.parametrize("p, e", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+def test_squaring_is_two_to_one_exactly_for_irreducible_moduli(p, e):
+    # the acceptance rule of _character_by_code, on every monic f of degree e
+    # against factoring by brute force; (x + c)^2 has a zero square and
+    # (x + a)(x + b), a != b, four square roots of 1
+    q = p**e
+    weights = p ** np.arange(e - 1, -1, -1, dtype=np.int64)
+    coeffs = (np.arange(1, q, dtype=np.int64)[:, None] // weights) % p
+    reducible = _monic_products(p, e)
+    for tail in itertools.product(range(p), repeat=e):
+        f = np.array(tail + (1,), dtype=np.int64)
+        hits = np.bincount(_gf_mul(coeffs, coeffs, f, p) @ weights, minlength=q)
+        assert (hits[0] == 0 and hits.max() == 2) == (tail + (1,) not in reducible)
 
 
 def test_graph_json_integer_check():
