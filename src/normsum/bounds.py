@@ -6,8 +6,9 @@ single-object energy bounds kept for comparison (koolen_moulton,
 gutman_zhou). Each check returns a BoundVerdict with the raw slack so
 callers can distinguish "holds with room" from "sits on the equality edge".
 
-Domain validation is strict: entries out of range, nonzero diagonals, or
-asymmetry raise DomainViolationError. Nothing is clamped.
+Domain validation is strict and runs once per check: entries out of range,
+a non-square shape, asymmetry or a nonzero diagonal, where the check needs
+the condition, raise DomainViolationError. Nothing is clamped.
 """
 
 from __future__ import annotations
@@ -136,26 +137,29 @@ def bound_value(kind: str, n: int, m: int | None = None, k: int | None = None) -
     return math.sqrt(m * n) * (1.0 + math.sqrt(k - 1))
 
 
-def _entries_in_unit_range(a: np.ndarray) -> None:
-    lo, hi = float(a.min()), float(a.max())
+# the checks whose hypotheses include a square zero-diagonal matrix, and
+# among them those that also need it symmetric (the graph kinds)
+_SQUARE_KINDS = ("koolen_moulton", "main", "gutman_zhou", "shifted", "equality", "weyl")
+_SYMMETRIC_KINDS = ("koolen_moulton", "main", "gutman_zhou", "weyl")
+
+
+def _domain(obj, kind: str) -> DenseMatrix:
+    """obj as a DenseMatrix (a Graph by its adjacency matrix), once it meets
+    the hypotheses of check `kind`, tested in this order: entries in [0, 1],
+    square, symmetric, zero diagonal. The first that fails raises
+    DomainViolationError."""
+    mat = adjacency_matrix(obj) if isinstance(obj, Graph) else as_matrix(obj)
+    lo, hi = mat.entry_min, mat.entry_max
     if lo < 0.0 or hi > 1.0:
         raise DomainViolationError(f"entries must lie in [0, 1], found range [{lo}, {hi}]")
-
-
-def _require_square(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise DomainViolationError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-
-
-def _require_zero_diagonal(a: np.ndarray) -> None:
-    if np.any(np.diag(a) != 0.0):
-        raise DomainViolationError("matrix must have a zero diagonal")
-
-
-def _as_input_matrix(obj) -> DenseMatrix:
-    if isinstance(obj, Graph):
-        return adjacency_matrix(obj)
-    return as_matrix(obj)
+    if kind in _SQUARE_KINDS:
+        if mat.rows != mat.cols:
+            raise DomainViolationError(f"matrix must be square, got {mat.rows}x{mat.cols}")
+        if kind in _SYMMETRIC_KINDS:
+            require_symmetric(mat, DomainViolationError)
+        if np.any(np.diag(mat.array) != 0.0):
+            raise DomainViolationError("matrix must have a zero diagonal")
+    return mat
 
 
 def check_bound(
@@ -173,33 +177,27 @@ def check_bound(
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
-    mat = _as_input_matrix(obj)
+    mat = _domain(obj, kind)
     a = mat.array
     rows, cols = mat.shape
-    _entries_in_unit_range(a)
 
     if kind in ("koolen_moulton", "main", "gutman_zhou"):
-        _require_square(a)
-        require_symmetric(a, DomainViolationError)
-        _require_zero_diagonal(a)
         if kind == "koolen_moulton":
-            lhs = trace_norm(a)
+            lhs = trace_norm(mat)
         else:
-            lhs = trace_norm(a) + trace_norm(complement_matrix(a))
+            lhs = trace_norm(mat) + trace_norm(complement_matrix(a))
         rhs = bound_value(kind, cols)
     elif kind == "shifted":
-        _require_square(a)
-        _require_zero_diagonal(a)
         n = cols
         shift = a + np.eye(n) / 2.0
         lhs = trace_norm(shift) + trace_norm(np.ones((n, n)) - shift)
         rhs = bound_value(kind, n)
     elif kind == "opnorm":
-        lhs = operator_norm(a) + operator_norm(np.ones((rows, cols)) - a)
+        lhs = operator_norm(mat) + operator_norm(np.ones((rows, cols)) - a)
         rhs = bound_value(kind, cols, m=rows)
     else:  # kyfan
         rhs = bound_value(kind, cols, m=rows, k=k)
-        lhs = ky_fan_norm(a, k) + ky_fan_norm(np.ones((rows, cols)) - a, k)
+        lhs = ky_fan_norm(mat, k) + ky_fan_norm(np.ones((rows, cols)) - a, k)
 
     slack = rhs - lhs
     holds = slack >= -tol
@@ -228,11 +226,8 @@ def conference_eigenvalues(n: int) -> list[float]:
 def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
     """Test a square nonnegative zero-diagonal matrix against the structural
     equality conditions of the shifted bound, flag by flag."""
-    mat = _as_input_matrix(obj)
+    mat = _domain(obj, "equality")
     a = mat.array
-    _require_square(a)
-    _entries_in_unit_range(a)
-    _require_zero_diagonal(a)
     n = mat.rows
 
     rounded = np.round(a)
@@ -245,7 +240,7 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
     row_sums_ok = bool((2 * r.sum(axis=1) == n - 1).all())
     col_sums_ok = bool((2 * r.sum(axis=0) == n - 1).all())
 
-    eig, shift_sing = spectra(a, 0.5)
+    eig, shift_sing = spectra(mat, 0.5)
     target = math.sqrt(n) / 2.0
     flat_tail_ok = all(abs(s - target) <= tol for s in shift_sing.values[1:])
 
@@ -275,15 +270,10 @@ def weyl_complement_check(obj, tol: float = HOLD_TOL) -> WeylReport:
     Margins are reported as lhs + 1, so a satisfied index is <= 0 and an
     index sitting exactly on the inequality reads 0.
     """
-    mat = _as_input_matrix(obj)
-    a = mat.array
-    _require_square(a)
-    _entries_in_unit_range(a)
-    require_symmetric(a, DomainViolationError)
-    _require_zero_diagonal(a)
+    mat = _domain(obj, "weyl")
     n = mat.rows
-    mu = sym_eigen(a).values
-    mubar = sym_eigen(complement_matrix(a)).values
+    mu = sym_eigen(mat).values
+    mubar = sym_eigen(complement_matrix(mat.array)).values
     # mu is 0-based descending: mu_k is mu[k-1], mu_{n-k+2} is mubar[n-k+1]
     margins = tuple(mu[kk - 1] + mubar[n - kk + 1] + 1.0 for kk in range(2, n + 1))
     ok = all(mg <= tol for mg in margins)

@@ -5,7 +5,7 @@ kyfan-extremal, opnorm-extremal), spectrum, norms, check (main, shifted,
 kyfan, opnorm, weyl, equality), search (exhaustive, local), and sweep.
 
 Exit codes: 0 success with all verdicts holding, 1 when a checked bound is
-violated (a scientific alarm, not a crash), 2 for usage or domain errors.
+violated (a scientific alarm, not a crash), 2 for usage, domain or overflow errors.
 
 JSON output is a single RunReport document; identical invocations are
 byte-identical except for elapsed_ms. Floats are printed with 17
@@ -136,18 +136,31 @@ def _load_matrix_file(path: str) -> DenseMatrix:
     return DenseMatrix(rows)
 
 
+_SOURCES = ("paley", "graph6", "edges", "matrix")
+# the flags of the equality witnesses that check kyfan and opnorm can take as
+# their input instead of a source: the first selects it, the rest shape it
+_WITNESS_FLAGS = {"kyfan": ("order", "p", "q"), "opnorm": ("rows", "cols", "orientation")}
+
+
 def _resolve_input(args) -> Graph | DenseMatrix:
-    """Pick the one graph/matrix source the flags name."""
-    sources = [
-        s
-        for s in ("paley", "graph6", "edges", "matrix")
-        if getattr(args, s, None) is not None
-    ]
-    if len(sources) != 1:
+    """Build the one input the flags name: a source, or the check witness."""
+    witness = _WITNESS_FLAGS.get(getattr(args, "kind", None), ())
+    flags = _SOURCES + sum(_WITNESS_FLAGS.values(), ())
+    given = [f for f in flags if getattr(args, f, None) is not None]
+    if witness and witness[0] in given and set(given) <= set(witness):
+        if args.kind == "kyfan":
+            return kyfan_extremal_matrix(
+                args.order, args.p if args.p is not None else 1, args.q if args.q is not None else 1
+            )
+        if args.cols is None or args.orientation is None:
+            raise ValueError("--rows needs --cols and --orientation")
+        return opnorm_extremal_matrix(args.rows, args.cols, args.orientation)
+    if len(given) != 1 or given[0] not in _SOURCES:
         raise ValueError(
             "exactly one input source required: --paley, --graph6, --edges, or --matrix"
+            + (f", or --{witness[0]} and its witness flags" if witness else "")
         )
-    src = sources[0]
+    src = given[0]
     if src == "paley":
         return paley_graph(args.paley)
     if src == "graph6":
@@ -257,19 +270,9 @@ def cmd_norms(args):
 
 def cmd_check(args):
     kind = args.kind
-    if kind == "kyfan" and args.order is not None:
-        obj: Graph | DenseMatrix = kyfan_extremal_matrix(
-            args.order, args.p if args.p is not None else 1, args.q if args.q is not None else 1
-        )
-        k = args.k if args.k is not None else args.order
-    elif kind == "opnorm" and args.rows is not None:
-        if args.cols is None or args.orientation is None:
-            raise ValueError("--rows needs --cols and --orientation")
-        obj = opnorm_extremal_matrix(args.rows, args.cols, args.orientation)
-        k = args.k
-    else:
-        obj = _resolve_input(args)
-        k = args.k
+    obj = _resolve_input(args)
+    # the kyfan witness is checked at its own index unless --k says otherwise
+    k = args.k if args.k is not None else args.order
 
     if kind == "equality":
         report = equality_analysis(obj, tol=args.tol if args.tol is not None else EQUALITY_TOL)
@@ -501,7 +504,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         results, failed, extras = _HANDLERS[args.command](args)
-    except (NormsumError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (NormsumError, ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = int(round((time.perf_counter() - started) * 1000))

@@ -6,11 +6,12 @@ norms, and Kronecker products. Matrices are dense float64 and small by
 design (dimension cap 4096), so LAPACK via numpy is used throughout and
 every factorization is certified by an explicit residual.
 
-Exactly symmetric input (A == A^T) is factored by ``eigh`` and its singular
-values are the eigenvalue magnitudes; any other input goes through the
-LAPACK SVD. The residual is ||AQ - QΛ||_F for ``eigh`` and
-||A - U diag(s) V^T||_F for the SVD; above CERT_FACTOR * (1 + ||A||_F) it
-raises NoConvergenceError.
+A DenseMatrix measures its asymmetry max |A - A^T| once, on first use, and
+every operation reads that value. Exactly symmetric input (A == A^T) is
+factored by ``eigh`` and its singular values are the eigenvalue magnitudes;
+any other input goes through the LAPACK SVD. The residual is ||AQ - QΛ||_F
+for ``eigh`` and ||A - U diag(s) V^T||_F for the SVD; unless it is at most
+CERT_FACTOR * (1 + ||A||_F) (so a NaN fails), NoConvergenceError is raised.
 
 Structured input skips ``eigh``. A symmetric A of order n = p^e >=
 STRUCTURED_MIN_N that is invariant under the translations of (Z_p)^e, vertex
@@ -62,7 +63,7 @@ class DenseMatrix:
     rejected at construction so no operation needs to re-check.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_asym")
 
     def __init__(self, data) -> None:
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
@@ -78,6 +79,7 @@ class DenseMatrix:
             raise ValueError("matrix entries must be finite")
         arr.setflags(write=False)
         self._data = arr
+        self._asym = None
 
     @classmethod
     def from_flat(cls, rows: int, cols: int, entries: Sequence[float]) -> "DenseMatrix":
@@ -137,6 +139,13 @@ class DenseMatrix:
     def entry_max(self) -> float:
         return float(self._data.max())
 
+    def _asymmetry(self) -> float:
+        """Largest entrywise |A - A^T|: 0.0 iff A == A^T, inf if not square."""
+        if self._asym is None:
+            a = self._data
+            self._asym = float(np.abs(a - a.T).max()) if self.rows == self.cols else math.inf
+        return self._asym
+
     def __array__(self, dtype=None, copy=None):
         if dtype is None:
             return self._data
@@ -191,22 +200,18 @@ def _frobenius(arr: np.ndarray) -> float:
     return float(np.sqrt((arr * arr).sum()))
 
 
-def _asymmetry(a: np.ndarray) -> float:
-    """Largest entrywise |a - a^T| of a square array; 0.0 iff a == a^T."""
-    return float(np.abs(a - a.T).max())
-
-
-def require_symmetric(a: np.ndarray, error: type[Exception]) -> None:
-    """Raise ``error`` when the square array a is not symmetric within
+def require_symmetric(mat: DenseMatrix, error: type[Exception]) -> None:
+    """Raise ``error`` when the square matrix is not symmetric within
     SYMMETRY_TOL entrywise."""
-    asym = _asymmetry(a)
+    asym = mat._asymmetry()
     if asym > SYMMETRY_TOL:
         raise error(f"matrix asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.0e}")
 
 
 def _certify(residual: float, a: np.ndarray, what: str) -> float:
+    """The residual, if at most the certificate threshold; a NaN fails."""
     threshold = CERT_FACTOR * (1.0 + _frobenius(a))
-    if residual > threshold:
+    if not residual <= threshold:
         raise NoConvergenceError(
             f"{what} residual {residual:.3e} above certificate threshold {threshold:.3e}"
         )
@@ -289,9 +294,10 @@ def sym_eigen(m) -> EigenSpectrum:
     mat = as_matrix(m)
     if mat.rows != mat.cols:
         raise NonSquareError(f"sym_eigen needs a square matrix, got {mat.rows}x{mat.cols}")
+    require_symmetric(mat, NonSymmetricError)
     a = mat.array
-    require_symmetric(a, NonSymmetricError)
-    w, residual = _certified_eigh((a + a.T) / 2.0)
+    # a == a.T is factored as it is: a + a.T would give it back, or overflow
+    w, residual = _certified_eigh(a if mat._asymmetry() == 0.0 else (a + a.T) / 2.0)
     # LAPACK returns ascending; flip for descending.
     return EigenSpectrum(values=tuple(w[::-1].tolist()), offdiag_residual=residual)
 
@@ -312,7 +318,7 @@ def svd(m) -> SingularSpectrum:
     """Singular values of any finite real matrix, sorted descending."""
     mat = as_matrix(m)
     a = mat.array
-    if mat.rows == mat.cols and _asymmetry(a) == 0.0:
+    if mat._asymmetry() == 0.0:
         w, residual = _certified_eigh(a)
         s = np.sort(np.abs(w))[::-1]
     else:
@@ -334,7 +340,7 @@ def spectra(m, shift: float = 0.0) -> tuple[EigenSpectrum | None, SingularSpectr
     singular values from :func:`svd`.
     """
     mat = as_matrix(m)
-    asym = _asymmetry(mat.array) if mat.rows == mat.cols else math.inf
+    asym = mat._asymmetry()
     eig = sym_eigen(mat) if asym <= SYMMETRY_TOL else None
     if asym == 0.0:
         return eig, _singular_from_eigen(eig, shift)

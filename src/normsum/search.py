@@ -95,6 +95,28 @@ class SearchResult:
         }
 
 
+def _check_order(n: int, cap: int, what: str) -> int:
+    """n as an int in [1, cap]; `what` names the capped search."""
+    n = as_int(n, "n")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if n > cap:
+        raise OrderTooLargeError(f"{what} is capped at n = {cap}, got n = {n}")
+    return n
+
+
+def _fan_out(run, items, threads: int) -> list:
+    """[run(x) for x in items] on up to `threads` worker threads (a positive
+    integer), in item order whatever the thread count."""
+    threads = as_int(threads, "threads")
+    if threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
+    if threads == 1 or len(items) == 1:
+        return [run(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, items))
+
+
 def _check_objective(n: int, objective: str, k: int | None) -> int | None:
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
@@ -224,13 +246,7 @@ def exhaustive_max(
     eigenvalue call. Jobs are fixed and merged in block order, so the result
     does not depend on the thread count.
     """
-    n = as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > EXHAUSTIVE_MAX_N:
-        raise OrderTooLargeError(
-            f"exhaustive enumeration is capped at n = {EXHAUSTIVE_MAX_N}, got n = {n}"
-        )
+    n = _check_order(n, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
     if n == EXHAUSTIVE_MAX_N:
         warnings.warn(
             "exhaustive_max(8) enumerates 2^28 graphs in 2048 jobs of two 2^16 blocks; "
@@ -238,20 +254,13 @@ def exhaustive_max(
             stacklevel=2,
         )
     k = _check_objective(n, objective, k)
-    threads = as_int(threads, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
     total = 1 << (n * (n - 1) // 2)
     jobs = range(max(1, (total >> _BLOCK_BITS) // 2))
 
     def run(job):
         return [_block_witnesses(idx, vals) for idx, vals in _job_values(job, n, objective, k)]
 
-    if threads == 1 or len(jobs) == 1:
-        per_job = [run(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_job = list(pool.map(run, jobs))
+    per_job = _fan_out(run, jobs, threads)
     results = sorted((r for job in per_job for r in job), key=lambda r: r[0])
 
     best = max(r[1] for r in results)
@@ -334,26 +343,15 @@ def local_search_max(
 ) -> SearchResult:
     """Seeded annealing over edge flips; a certified lower bound on the
     maximum (best_value always comes from a concrete evaluated graph)."""
-    n = as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > LOCAL_MAX_N:
-        raise OrderTooLargeError(f"local search is capped at n = {LOCAL_MAX_N}, got n = {n}")
+    n = _check_order(n, LOCAL_MAX_N, "local search")
     k = _check_objective(n, objective, k)
     if cfg is None:
         cfg = SearchConfig()
-    threads = as_int(threads, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
 
     def run(r):
         return _anneal_once(n, objective, k, cfg, r)
 
-    if threads == 1 or cfg.restarts == 1:
-        outcomes = [run(r) for r in range(cfg.restarts)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, range(cfg.restarts)))
+    outcomes = _fan_out(run, range(cfg.restarts), threads)
 
     best = max(o[0] for o in outcomes)
     bits_set = sorted({o[1] for o in outcomes if o[0] >= best - WITNESS_TOL})
@@ -465,10 +463,11 @@ def property_sweep(
     lo, hi = (as_int(v, "n_range bound") for v in n_range)
     if not 2 <= lo <= hi:
         raise ValueError(f"n_range must satisfy 2 <= lo <= hi, got ({lo}, {hi})")
+    kinds = list(kinds)
+    if not kinds or not set(kinds) <= set(SWEEP_KINDS):
+        raise ValueError(f"sweep kinds must be a nonempty subset of {SWEEP_KINDS}, got {kinds}")
     tallies = []
     for kind in kinds:
-        if kind not in SWEEP_KINDS:
-            raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
         rng = SplitMix64(derive_seed(seed, _KIND_TAGS[kind]))
         passes = violations = 0
         worst_slack = math.inf

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from normsum import (
+    DenseMatrix,
     DomainViolationError,
     KOutOfRangeError,
     MissingParamError,
@@ -22,7 +24,7 @@ from normsum import (
     paley_graph,
     weyl_complement_check,
 )
-from normsum import linalg
+from normsum import cli, linalg
 
 
 def random_unit_symmetric(rng, n):
@@ -129,6 +131,80 @@ def test_check_main_domain_validation():
         check_bound("main", np.array([[0, 1.0], [0.5, 0]]))  # asymmetric
     with pytest.raises(DomainViolationError):
         check_bound("main", np.ones((2, 3)))  # not square
+
+
+# the checks whose hypotheses include each condition besides entries in [0, 1]
+SQUARE_CHECKS = {"koolen_moulton", "main", "gutman_zhou", "shifted", "equality", "weyl"}
+SYMMETRIC_CHECKS = {"koolen_moulton", "main", "gutman_zhou", "weyl"}
+ALL_CHECKS = SQUARE_CHECKS | {"kyfan", "opnorm"}
+
+
+def run_check(name, a):
+    if name == "equality":
+        return equality_analysis(a)
+    if name == "weyl":
+        return weyl_complement_check(a)
+    return check_bound(name, a, k=2 if name == "kyfan" else None)
+
+
+@pytest.mark.parametrize(
+    "a, needed_by, message",
+    [
+        (np.array([[0, 1.5], [1.5, 0]]), ALL_CHECKS, "entries must lie in [0, 1]"),
+        (np.array([[0, -0.5], [-0.5, 0]]), ALL_CHECKS, "entries must lie in [0, 1]"),
+        (np.full((2, 3), 0.5), SQUARE_CHECKS, "matrix must be square"),
+        (np.array([[0, 1.0], [0.5, 0]]), SYMMETRIC_CHECKS, "asymmetry"),
+        (np.array([[0.5, 0.25], [0.25, 0]]), SQUARE_CHECKS, "zero diagonal"),
+    ],
+)
+def test_each_check_raises_exactly_where_its_domain_needs_the_condition(a, needed_by, message):
+    for name in sorted(ALL_CHECKS):
+        if name in needed_by:
+            with pytest.raises(DomainViolationError, match=re.escape(message)):
+                run_check(name, a)
+        else:
+            run_check(name, a)
+
+
+def test_every_check_tests_its_domain_in_one_order():
+    # entries, then square, then symmetric, then zero diagonal
+    for name in sorted(ALL_CHECKS):
+        with pytest.raises(DomainViolationError, match="entries must lie"):
+            run_check(name, np.full((2, 3), 2.0))
+    for name in sorted(SYMMETRIC_CHECKS):
+        with pytest.raises(DomainViolationError, match="asymmetry"):
+            run_check(name, np.array([[0.5, 1.0], [0.0, 0.0]]))
+    for name in ("shifted", "equality"):
+        with pytest.raises(DomainViolationError, match="zero diagonal"):
+            run_check(name, np.array([[0.5, 1.0], [0.0, 0.0]]))
+
+
+def test_each_matrix_is_built_and_has_its_asymmetry_measured_once(monkeypatch, capsys):
+    built, measured = [], []
+    real_init, real_asymmetry = DenseMatrix.__init__, DenseMatrix._asymmetry
+
+    def init(mat, data):
+        built.append(np.shape(data))
+        real_init(mat, data)
+
+    def first_read(mat):
+        if mat._asym is None:
+            measured.append(mat.shape)
+        return real_asymmetry(mat)
+
+    monkeypatch.setattr(DenseMatrix, "__init__", init)
+    monkeypatch.setattr(DenseMatrix, "_asymmetry", first_read)
+    g = paley_graph(13)
+    for run, matrices in (
+        (lambda: check_bound("main", g), 2),  # A, J - I - A
+        (lambda: equality_analysis(g), 1),  # A
+        (lambda: weyl_complement_check(g), 2),  # A, J - I - A
+        (lambda: cli.main(["spectrum", "--paley", "13", "--json"]), 1),  # A
+    ):
+        built.clear()
+        measured.clear()
+        run()
+        assert built == measured == [(13, 13)] * matrices
 
 
 def test_check_shifted_allows_asymmetry():

@@ -206,6 +206,38 @@ def test_domain_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_overflowing_norm_exits_two(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("0,1e308\n1e308,0\n")
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, ["norms", "--matrix", str(path), "--json"])
+    assert code == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kyfan", "--order", "3", "--paley", "5"],
+        ["opnorm", "--rows", "2", "--cols", "2", "--orientation", "rows", "--graph6", "Dhc"],
+        ["main", "--order", "3", "--paley", "5"],
+        ["weyl", "--rows", "2", "--cols", "2", "--orientation", "rows", "--graph6", "Dhc"],
+        ["opnorm", "--order", "3", "--rows", "2", "--cols", "2", "--orientation", "rows"],
+        ["kyfan", "--p", "2", "--paley", "5"],
+        ["kyfan", "--q", "2"],
+        ["opnorm", "--cols", "2", "--paley", "5"],
+        ["opnorm", "--orientation", "rows"],
+    ],
+)
+def test_witness_flags_count_as_an_input_source(capsys, argv):
+    code, out, err = run(capsys, ["check", *argv, "--json"])
+    assert code == 2 and out == "" and "input source" in err
+
+
+def test_sweep_without_kinds_exits_two(capsys):
+    code, out, err = run(capsys, ["sweep", "--trials", "2", "--kinds", ",", "--json"])
+    assert code == 2 and out == "" and "nonempty" in err
+
+
 def test_json_csv_conflict(capsys):
     code, _, err = run(capsys, ["check", "main", "--paley", "9", "--json", "--csv"])
     assert code == 2

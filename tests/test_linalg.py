@@ -253,6 +253,55 @@ def test_forged_eigh_result_fails_the_svd_certificate(monkeypatch):
         sym_eigen(a)
 
 
+def test_dense_matrix_keeps_its_measured_asymmetry():
+    mat = DenseMatrix([[0, 1.0], [0.5, 0]])
+    assert mat._asymmetry() == 0.5
+    mat._asym = -1.0  # a stand-in: a second read must not measure again
+    assert mat._asymmetry() == -1.0
+    assert DenseMatrix([[1.0, 2.0]])._asymmetry() == math.inf
+
+
+def test_nan_residual_fails_the_certificate():
+    # entries near the float64 maximum overflow inside the LAPACK SVD: its
+    # values come back infinite and the reconstruction residual is NaN
+    a = np.array(
+        [
+            [1.7e308, -1.7e308, 0, 1e307, 0],
+            [0, 1.7e308, 1e307, 0, -1.7e308],
+            [1e307, 0, 0, 1.7e308, 0],
+            [0, 0, -1.7e308, 0, 1e307],
+        ]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NoConvergenceError):
+            svd(a)
+    with pytest.raises(NoConvergenceError, match="residual nan"):
+        linalg._certify(math.nan, np.eye(2), "test")
+
+
+def test_sym_eigen_of_entries_near_the_float_maximum():
+    # a + a.T would overflow; an exactly symmetric input is factored as it is
+    with np.errstate(over="ignore"):
+        assert sym_eigen([[0, 1e308], [1e308, 0]]).values == (1e308, -1e308)
+
+
+def test_sym_eigen_symmetrizes_only_inexactly_symmetric_input(monkeypatch):
+    factored = []
+    real = linalg._certified_eigh
+    monkeypatch.setattr(linalg, "_certified_eigh", lambda a: factored.append(a) or real(a))
+    for a in _symmetric_inputs():
+        mat = DenseMatrix(a)
+        eig = sym_eigen(mat)
+        assert factored.pop() is mat.array
+        # bit for bit what the symmetrized copy gives
+        w, residual = real((a + a.T) / 2.0)
+        assert eig == linalg.EigenSpectrum(tuple(w[::-1].tolist()), residual)
+    near = random_symmetric(SplitMix64(61), 6)
+    near[0, 1] += SYMMETRY_TOL / 2
+    sym_eigen(near)
+    assert np.array_equal(factored.pop(), (near + near.T) / 2.0)
+
+
 def test_singular_values_of_a_shift_come_from_one_eigh():
     for a in _symmetric_inputs():
         n = a.shape[0]

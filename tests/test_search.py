@@ -373,6 +373,29 @@ def test_random_rect_draws_row_by_row(m, n):
     assert rng.state == oracle.state
 
 
+def test_property_sweep_checks_every_kind_before_the_first_draw(monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran before the kinds were validated")
+
+    monkeypatch.setattr(search, "check_bound", no_check)
+    for kinds in (["main", "bogus"], []):
+        with pytest.raises(ValueError, match="sweep kinds"):
+            property_sweep(300, 1, (4, 30), kinds)
+
+
+def test_both_searches_share_the_order_and_thread_checks():
+    for search_max, cap, what in (
+        (exhaustive_max, search.EXHAUSTIVE_MAX_N, "exhaustive enumeration"),
+        (local_search_max, search.LOCAL_MAX_N, "local search"),
+    ):
+        with pytest.raises(OrderTooLargeError, match=f"^{what} is capped at n = {cap}, got n = "):
+            search_max(cap + 1)
+        with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
+            search_max(0)
+        with pytest.raises(ValueError, match="^threads must be positive, got 0$"):
+            search_max(3, threads=0)
+
+
 def test_property_sweep_validation():
     with pytest.raises(ValueError):
         property_sweep(5, 0, (3, 6), ["nope"])
