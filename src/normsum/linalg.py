@@ -54,6 +54,10 @@ CERT_FACTOR = 1e-12
 # the input is translation invariant; below it a dense eigh costs under 2 ms.
 STRUCTURED_MIN_N = 128
 
+# Side of the square tiles the asymmetry is measured in: a tile and its
+# mirror take 1 MB.
+_ASYM_TILE = 256
+
 
 class DenseMatrix:
     """Immutable real matrix, row-major float64.
@@ -140,10 +144,24 @@ class DenseMatrix:
         return float(self._data.max())
 
     def _asymmetry(self) -> float:
-        """Largest entrywise |A - A^T|: 0.0 iff A == A^T, inf if not square."""
+        """Largest entrywise |A - A^T|: 0.0 iff A == A^T, inf if not square.
+
+        Tile (I, J), J >= I, holds |a_ij - a_ji| for its cells and for their
+        mirrors, so the upper tiles cover every pair once and the max is the
+        one over the whole array, bit for bit. A tile and its mirror fit in
+        cache, where a transposed view of the whole array strides through it.
+        """
         if self._asym is None:
-            a = self._data
-            self._asym = float(np.abs(a - a.T).max()) if self.rows == self.cols else math.inf
+            a, n, t = self._data, self.rows, _ASYM_TILE
+            self._asym = (
+                max(
+                    float(np.abs(a[i : i + t, j : j + t] - a[j : j + t, i : i + t].T).max())
+                    for i in range(0, n, t)
+                    for j in range(i, n, t)
+                )
+                if n == self.cols
+                else math.inf
+            )
         return self._asym
 
     def __array__(self, dtype=None, copy=None):
@@ -196,8 +214,23 @@ class SingularSpectrum:
     residual: float
 
 
+@np.errstate(over="ignore")
+def _sum_of_squares(arr: np.ndarray) -> float:
+    """Sum of the squared entries; inf, without a warning, when it overflows."""
+    return np.add.reduce(arr * arr, axis=None)
+
+
 def _frobenius(arr: np.ndarray) -> float:
-    return float(np.sqrt((arr * arr).sum()))
+    """||arr||_F. Only when the plain sum of squares overflows (entries above
+    about 1e154) is it taken again on arr / max|entry|; an inf or NaN entry
+    gives inf or NaN."""
+    squares = _sum_of_squares(arr)
+    if math.isfinite(squares):
+        return math.sqrt(squares)
+    top = float(np.abs(arr).max())
+    if not math.isfinite(top):
+        return top
+    return top * math.sqrt(_sum_of_squares(arr / top))
 
 
 def require_symmetric(mat: DenseMatrix, error: type[Exception]) -> None:
@@ -209,9 +242,10 @@ def require_symmetric(mat: DenseMatrix, error: type[Exception]) -> None:
 
 
 def _certify(residual: float, a: np.ndarray, what: str) -> float:
-    """The residual, if at most the certificate threshold; a NaN fails."""
+    """The residual, if at most the certificate threshold; a NaN or infinite
+    residual or threshold fails."""
     threshold = CERT_FACTOR * (1.0 + _frobenius(a))
-    if not residual <= threshold:
+    if not residual <= threshold < math.inf:
         raise NoConvergenceError(
             f"{what} residual {residual:.3e} above certificate threshold {threshold:.3e}"
         )
@@ -277,11 +311,19 @@ def _certified_eigh(sym: np.ndarray) -> tuple[np.ndarray, float]:
     """
     if sym.shape[0] >= STRUCTURED_MIN_N and (fast := _structured_eigh(sym)) is not None:
         return fast
+    w, _, residual = eigh_basis(sym)
+    return w, residual
+
+
+def eigh_basis(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ascending eigenvalues, orthonormal eigenvectors (columns) and certified
+    residual ||AQ - QΛ||_F of a symmetric array, by a dense LAPACK ``eigh``;
+    NoConvergenceError when the certificate fails."""
     try:
         w, q = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigendecomposition failed: {exc}") from exc
-    return w, _certify(_frobenius(sym @ q - q * w), sym, "eigen")
+    return w, q, _certify(_frobenius(sym @ q - q * w), sym, "eigen")
 
 
 def sym_eigen(m) -> EigenSpectrum:

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,18 @@ def test_domain_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run(capsys, ["sweep", "--trials", "2", "--kinds", "bogus"])
     assert code == 2
+
+
+def test_spectrum_near_the_float_maximum_warns_nothing(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("0,1e308\n1e308,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["spectrum", "--matrix", str(path), "--json"])
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["eigenvalues"] == [1e308, -1e308]
+    assert results["singular_values"] == [1e308, 1e308]
 
 
 def test_overflowing_norm_exits_two(capsys, tmp_path):

@@ -279,6 +279,64 @@ def test_nan_residual_fails_the_certificate():
         linalg._certify(math.nan, np.eye(2), "test")
 
 
+def test_frobenius_rescales_only_a_sum_of_squares_that_overflows():
+    rng = np.random.default_rng(3)
+    for a in (rng.standard_normal((7, 5)), np.array([[1e150, -3.0]]), np.zeros((2, 2))):
+        assert linalg._frobenius(a) == float(np.sqrt((a * a).sum()))
+    with np.errstate(over="raise"):  # the overflowing sum is taken without a warning
+        assert linalg._frobenius(np.array([[0, 1e308], [1e308, 0]])) == pytest.approx(
+            math.sqrt(2) * 1e308, rel=1e-15
+        )
+        assert linalg._frobenius(np.array([[1.7e308, 1.7e308]])) == math.inf
+    assert math.isnan(linalg._frobenius(np.array([[math.nan, 1e300]])))
+
+
+def test_certificates_reject_overflowing_factorizations():
+    # 4x5 draws from {±1.7e308, 1e307, 0}: ||A||_F overflows, so the
+    # threshold is infinite and no certificate may pass
+    rng = np.random.default_rng(0)
+    accepted = []
+    for _ in range(50):
+        a = rng.choice([1.7e308, -1.7e308, 1e307, 0.0], size=(4, 5))
+        try:
+            with np.errstate(all="ignore"):
+                accepted.append(svd(a))
+        except NoConvergenceError:
+            pass
+    assert accepted == []
+    with pytest.raises(NoConvergenceError, match="threshold inf"):
+        linalg._certify(0.0, np.array([[1.7e308, 1.7e308]]), "test")
+    with pytest.raises(NoConvergenceError, match="residual inf"):
+        linalg._certify(math.inf, np.eye(2), "test")
+
+
+def _tile_orders():
+    t = linalg._ASYM_TILE
+    return [1, 2, 5, t - 1, t, t + 1, 2 * t + 3]
+
+
+@pytest.mark.parametrize("n", _tile_orders())
+def test_tiled_asymmetry_is_the_max_over_the_whole_array(n):
+    rng = np.random.default_rng(n)
+    sym = rng.standard_normal((n, n))
+    sym = sym + sym.T
+    inputs = [sym]
+    for _ in range(4):  # asymmetric copies, one or a few cells off anywhere
+        a = sym.copy()
+        for _ in range(1 + int(rng.integers(3))):
+            i, j = rng.integers(n, size=2)
+            a[i, j] += rng.standard_normal() * 10.0 ** -int(rng.integers(16))
+        inputs.append(a)
+    last = sym.copy()
+    last[n - 1, 0] += 0.25  # in the last, partial row of tiles
+    inputs.append(last)
+    inputs.append(rng.standard_normal((n, n)))
+    for a in inputs:
+        assert DenseMatrix(a)._asymmetry() == float(np.abs(a - a.T).max())
+    assert DenseMatrix(sym)._asymmetry() == 0.0
+    assert DenseMatrix(np.ones((n, n + 1)))._asymmetry() == math.inf
+
+
 def test_sym_eigen_of_entries_near_the_float_maximum():
     # a + a.T would overflow; an exactly symmetric input is factored as it is
     with np.errstate(over="ignore"):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from normsum import (
     adjacency_matrix,
     bound_value,
     complement,
+    cycle_graph,
     exhaustive_max,
     graph6_encode,
     graph_from_edges,
@@ -22,7 +24,8 @@ from normsum import (
     srg_params,
     trace_norm,
 )
-from normsum import search
+from normsum import cli, paley_graph, search
+from normsum.graphs import pair_mask
 from normsum.search import WITNESS_CAP, WITNESS_TOL
 
 
@@ -312,6 +315,149 @@ def test_local_search_frozen_output(n, objective, k, cfg, best, witness, evaluat
     assert res.best_value == best
     assert [graph6_encode(g) for g in res.witnesses] == [witness]
     assert res.evaluations == evaluations
+
+
+def flip_stack(a):
+    """Every single-edge flip of the adjacency a, in flip (pair bit) order."""
+    js, is_ = np.nonzero(pair_mask(a.shape[0]))
+    stack = np.repeat(a[None], js.size, axis=0)
+    for r, (i, j) in enumerate(zip(is_, js)):
+        stack[r, i, j] = stack[r, j, i] = 1.0 - a[i, j]
+    return stack
+
+
+def random_adjacency(rng, n, p):
+    up = np.triu(rng.random((n, n)) < p, 1)
+    return (up | up.T).astype(np.float64)
+
+
+def screen_against_exact(a):
+    """Check the flip screen of the adjacency a against _pair_objective of
+    every flip: each reliable screened value is within 1e-8, and every flip
+    of maximal exact value is a candidate. Returns the candidates and
+    whether the screen ran."""
+    js, is_ = np.nonzero(pair_mask(a.shape[0]))
+    exact = search._pair_objective(flip_stack(a), "trace_sum", None)
+    cand = search._flip_candidates(a, is_, js)
+    assert np.all(np.diff(cand) > 0)
+    assert set(np.flatnonzero(exact == exact.max())) <= set(cand.tolist())
+    screened = search._screen_flips(a, is_, js)
+    if screened is None:
+        assert np.array_equal(cand, np.arange(js.size))
+        return cand, False
+    delta, unreliable = screened
+    cur = search._pair_objective(a[None], "trace_sum", None)[0]
+    err = np.abs(cur + delta - exact)[~unreliable]
+    assert err.size == 0 or err.max() <= 1e-8
+    return cand, True
+
+
+def test_flip_screen_matches_every_atlas_graph():
+    networkx = pytest.importorskip("networkx")
+    ran = 0
+    for h in networkx.graph_atlas_g():
+        if h.number_of_nodes() >= 2:
+            ran += screen_against_exact(networkx.to_numpy_array(h, nodelist=range(len(h))))[1]
+    assert ran >= 20  # C5 and P4 among them: nonsingular with a nonsingular complement
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 32, 64])
+def test_flip_screen_matches_random_graphs(n):
+    rng = np.random.default_rng(n)
+    ran = [screen_against_exact(random_adjacency(rng, n, p))[1] for p in (0.1, 0.5, 0.9)]
+    assert ran[1]
+
+
+@pytest.mark.parametrize("q", [9, 13, 17])
+def test_every_flip_of_a_paley_graph_is_a_candidate(q):
+    # flips of an edge-transitive, self-complementary graph all tie
+    cand, ran = screen_against_exact(adjacency_matrix(paley_graph(q)).array.copy())
+    assert ran and np.array_equal(cand, np.arange(q * (q - 1) // 2))
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_screen_declines_on_singular_graphs(n):
+    star = np.zeros((n, n))
+    star[0, 1:] = star[1:, 0] = 1.0
+    for a in (np.zeros((n, n)), np.ones((n, n)) - np.eye(n), star):
+        assert not screen_against_exact(a)[1]  # every flip is a candidate
+
+
+@pytest.mark.parametrize("n", [5, 9, 16, 32, 64])
+def test_pair_objective_of_any_substack_is_the_full_stack_bit_for_bit(n):
+    # the annealing step re-scores a few flips and must get the values that
+    # scoring all of them would give
+    rng = np.random.default_rng(100 + n)
+    stack = flip_stack(random_adjacency(rng, n, 0.5))
+    m = stack.shape[0]
+    full = search._pair_objective(stack, "trace_sum", None)
+    subsets = [[r] for r in rng.choice(m, size=min(m, 30), replace=False)]
+    subsets += [np.sort(rng.choice(m, size=min(m, 6), replace=False)) for _ in range(2)]
+    subsets += [np.arange(m)[::-1]]
+    for rows in subsets:
+        assert np.array_equal(search._pair_objective(stack[rows], "trace_sum", None), full[rows])
+
+
+@pytest.mark.parametrize("n", [6, 9, 16, 24])
+def test_screened_annealing_takes_the_steps_of_scoring_every_flip(monkeypatch, n):
+    monkeypatch.setattr(search, "SCREEN_MIN_N", 1)  # screen at every order
+    cfgs = [
+        SearchConfig(restarts=2, max_steps=40, seed=1),
+        SearchConfig(restarts=2, max_steps=40, temperature_initial=0.0, seed=2),
+        SearchConfig(restarts=1, max_steps=60, temperature_initial=0.05, cooling=0.5, seed=3),
+    ]
+    sizes = []
+    screen = search._flip_candidates
+
+    def recorded(a, is_, js):
+        cand = screen(a, is_, js)
+        sizes.append(cand.size)
+        return cand
+
+    monkeypatch.setattr(search, "_flip_candidates", recorded)
+    screened = [local_search_max(n, cfg=cfg) for cfg in cfgs]
+    monkeypatch.setattr(search, "_flip_candidates", lambda a, is_, js: np.arange(is_.size))
+    every = [local_search_max(n, cfg=cfg) for cfg in cfgs]
+    assert screened == every
+    if n >= 16:
+        assert np.median(sizes) <= 2  # the screen ran and re-scored a few flips
+
+
+def test_screened_annealing_breaks_ties_like_scoring_every_flip(monkeypatch):
+    # start every restart from the 10-cycle, where 7 flips tie bit for bit at
+    # the maximum (with numpy 2.4 and OpenBLAS 0.3.31): the step must take
+    # the smallest of them
+    c10 = adjacency_matrix(cycle_graph(10))
+    monkeypatch.setattr(search, "adjacency_matrix", lambda g: c10)
+    flips = flip_stack(c10.array)
+    vals = search._pair_objective(flips, "trace_sum", None)
+    first = np.flatnonzero(vals == vals.max())[0]
+    cfgs = [SearchConfig(restarts=1, max_steps=1), SearchConfig(restarts=2, max_steps=30, seed=1)]
+    screened = [local_search_max(10, cfg=cfg) for cfg in cfgs]
+    # after one step the witness is the flipped graph, so the chosen flip shows
+    assert screened[0].witnesses == (Graph.from_flags(10, flips[first][pair_mask(10)]),)
+    monkeypatch.setattr(search, "_flip_candidates", lambda a, is_, js: np.arange(is_.size))
+    assert screened == [local_search_max(10, cfg=cfg) for cfg in cfgs]
+
+
+def test_annealing_step_rescores_a_few_flips(monkeypatch, capsys):
+    # a deterministic cost guard: scoring every flip would pass 2m = 992
+    # matrices per step at n = 32
+    counted = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        counted.append(1 if a.ndim == 2 else a.shape[0])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    argv = ["search", "local", "--n", "32", "--steps", "20", "--seed", "5", "--json"]
+    assert cli.main(argv) == 0
+    restarts, steps = SearchConfig().restarts, 20
+    assert json.loads(capsys.readouterr().out)["results"]["evaluations"] == restarts * (
+        1 + steps * 496
+    )
+    assert sum(counted) <= restarts * (2 + steps * 2 * 4)
 
 
 def test_search_result_json():
