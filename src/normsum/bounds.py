@@ -162,21 +162,27 @@ def _domain(obj, kind: str) -> DenseMatrix:
     return mat
 
 
-def check_bound(
-    kind: str,
-    obj,
-    k: int | None = None,
-    tol: float = HOLD_TOL,
-    eq_tol: float = EQUALITY_TOL,
-) -> BoundVerdict:
+def check_tol(tol: float) -> float:
+    """tol as a float, once it is finite and nonnegative; a NaN, infinite or
+    negative tolerance would turn every verdict into a false alarm or a
+    blanket pass, so it raises ValueError."""
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
+def check_bound(kind: str, obj, k: int | None = None, tol: float = HOLD_TOL) -> BoundVerdict:
     """Evaluate one bound on a graph or matrix and return the verdict.
 
     Graphs enter through their adjacency matrix. The complement partner
     depends on the kind: J - I - A for the square symmetric kinds, the
     shifted pair for 'shifted', and J - A for the rectangular kinds.
+    Equality means |slack| <= EQUALITY_TOL.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
+    tol = check_tol(tol)
     mat = _domain(obj, kind)
     a = mat.array
     rows, cols = mat.shape
@@ -201,7 +207,7 @@ def check_bound(
 
     slack = rhs - lhs
     holds = slack >= -tol
-    equality = holds and abs(slack) <= eq_tol
+    equality = holds and abs(slack) <= EQUALITY_TOL
     return BoundVerdict(
         kind=kind,
         lhs=float(lhs),
@@ -209,8 +215,8 @@ def check_bound(
         slack=float(slack),
         holds=bool(holds),
         equality=bool(equality),
-        tol=float(tol),
-        eq_tol=float(eq_tol),
+        tol=tol,
+        eq_tol=EQUALITY_TOL,
     )
 
 
@@ -226,6 +232,7 @@ def conference_eigenvalues(n: int) -> list[float]:
 def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
     """Test a square nonnegative zero-diagonal matrix against the structural
     equality conditions of the shifted bound, flag by flag."""
+    tol = check_tol(tol)
     mat = _domain(obj, "equality")
     a = mat.array
     n = mat.rows
@@ -270,6 +277,7 @@ def weyl_complement_check(obj, tol: float = HOLD_TOL) -> WeylReport:
     Margins are reported as lhs + 1, so a satisfied index is <= 0 and an
     index sitting exactly on the inequality reads 0.
     """
+    tol = check_tol(tol)
     mat = _domain(obj, "weyl")
     n = mat.rows
     mu = sym_eigen(mat).values
@@ -277,4 +285,4 @@ def weyl_complement_check(obj, tol: float = HOLD_TOL) -> WeylReport:
     # mu is 0-based descending: mu_k is mu[k-1], mu_{n-k+2} is mubar[n-k+1]
     margins = tuple(mu[kk - 1] + mubar[n - kk + 1] + 1.0 for kk in range(2, n + 1))
     ok = all(mg <= tol for mg in margins)
-    return WeylReport(ok=ok, margins=margins, tol=float(tol))
+    return WeylReport(ok=ok, margins=margins, tol=tol)

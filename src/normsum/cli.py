@@ -526,12 +526,12 @@ def main(argv=None) -> int:
         }
         out = render_json(report)
     elif fmt == "csv":
-        out = extras.get("csv") if isinstance(extras, dict) else None
+        out = extras.get("csv")
         if not out:
             print("error: no CSV form for this subcommand", file=sys.stderr)
             return 2
     elif fmt == "graph6":
-        out = extras.get("graph6") if isinstance(extras, dict) else None
+        out = extras.get("graph6")
         if not out:
             print("error: graph6 output only applies to graph constructions", file=sys.stderr)
             return 2
@@ -539,8 +539,12 @@ def main(argv=None) -> int:
         out = "\n".join(_text_lines(results))
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(out)
     return 1 if failed else 0

@@ -17,7 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotOneModFourError, NotPrimePowerError, TooLargeError, as_int
+from .errors import (
+    NotOneModFourError,
+    NotPrimePowerError,
+    SizeOverflowError,
+    TooLargeError,
+    as_int,
+)
 from .linalg import DIMENSION_CAP, DenseMatrix, _prime_power_split
 
 
@@ -108,6 +114,8 @@ class Graph:
             edges = obj["edges"]
         except KeyError as exc:
             raise ValueError(f"graph JSON missing field {exc}") from exc
+        if n > DIMENSION_CAP:
+            raise SizeOverflowError(f"graph order {n} exceeds the dimension cap {DIMENSION_CAP}")
         ends = [(as_int(i, "edge end"), as_int(j, "edge end")) for i, j in edges]
         return graph_from_edges(n, ends)
 

@@ -4,7 +4,7 @@ Three strategies: exhaustive labeled enumeration for n <= 8, seeded
 edge-flip annealing for n <= 64, and randomized property sweeps that hammer
 the bound checkers with seeded graphs and matrices. Everything is
 deterministic given its inputs, including under thread fan-out: work is
-split into fixed blocks and merged in block order.
+split into fixed jobs, and their witnesses are merged by one sort.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import HOLD_TOL, check_bound, weyl_complement_check
+from .bounds import HOLD_TOL, check_bound, check_tol, weyl_complement_check
 from .errors import (
     BadConfigError,
     KOutOfRangeError,
@@ -224,33 +224,32 @@ def _graph_norms(idx: np.ndarray, n: int, objective: str, k: int | None) -> np.n
 
 
 def _job_values(job: int, n: int, objective: str, k: int | None):
-    """Objective values of enumeration job `job`: [(indices, values)] for
-    block `job` and its mirror block, or for the single block when there is
-    only one.
+    """Objective values of enumeration job `job`: (indices, values) over
+    block `job` followed by its mirror block, or over the single block when
+    there is only one.
 
     The complement of graph i is graph total - 1 - i (every edge bit
-    flipped), and it lies in the mirror block at the reversed position, so
-    value(i) = f(i) + f(total - 1 - i) pairs the two blocks' norms f.
+    flipped). In both layouts the indices ascend and position -1 - r holds
+    the complement of position r, so f + f[::-1] pairs each graph's norm f
+    with its complement's.
     """
     total = 1 << (n * (n - 1) // 2)
     block = min(total, 1 << _BLOCK_BITS)
-    mirror = total // block - 1 - job
     lo = np.arange(job * block, (job + 1) * block, dtype=np.int64)
-    if mirror == job:
-        f = _graph_norms(lo, n, objective, k)
-        return [(lo, f + f[::-1])]
-    hi = np.arange(mirror * block, (mirror + 1) * block, dtype=np.int64)
-    f = _graph_norms(np.concatenate([lo, hi]), n, objective, k)
-    vals = f[:block] + f[block:][::-1]
-    return [(lo, vals), (hi, vals[::-1])]
+    # the mirror block; a single block is its own mirror, and [:total] keeps it once
+    idx = np.concatenate([lo, total - 1 - lo[::-1]])[:total]
+    f = _graph_norms(idx, n, objective, k)
+    return idx, f + f[::-1]
 
 
-def _block_witnesses(idx: np.ndarray, vals: np.ndarray):
-    local_max = float(vals.max())
-    sel = np.flatnonzero(vals >= local_max - WITNESS_TOL)
-    clipped = sel.size > WITNESS_CAP + 1
-    sel = sel[: WITNESS_CAP + 1]
-    return int(idx[0]), local_max, idx[sel], vals[sel], clipped
+def _witnesses(n: int, candidates):
+    """(best, witnesses, truncated) of (value, bitset) candidates: the best
+    value, the distinct graphs within WITNESS_TOL of it in ascending bitset
+    order, cut at WITNESS_CAP, and whether the cut dropped any."""
+    best = max(v for v, _ in candidates)
+    bits = sorted({b for v, b in candidates if v >= best - WITNESS_TOL})
+    witnesses = tuple(Graph(n=n, bits=b) for b in bits[:WITNESS_CAP])
+    return best, witnesses, len(bits) > WITNESS_CAP
 
 
 def exhaustive_max(
@@ -263,8 +262,10 @@ def exhaustive_max(
     blocks of 2^16 indices. One job scores a block together with its mirror
     block, which holds the complements, and computes each graph's norm once;
     graphs with equal closed-walk counts are cospectral and share one batched
-    eigenvalue call. Jobs are fixed and merged in block order, so the result
-    does not depend on the thread count.
+    eigenvalue call. Each job hands on its graphs within WITNESS_TOL of its
+    own top, and the witnesses are those of all jobs within WITNESS_TOL of
+    the best, merged by one sort of their bitsets, so the result does not
+    depend on the thread count.
     """
     n = _check_order(n, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
     if n == EXHAUSTIVE_MAX_N:
@@ -278,22 +279,12 @@ def exhaustive_max(
     jobs = range(max(1, (total >> _BLOCK_BITS) // 2))
 
     def run(job):
-        return [_block_witnesses(idx, vals) for idx, vals in _job_values(job, n, objective, k)]
+        idx, vals = _job_values(job, n, objective, k)
+        near = vals >= vals.max() - WITNESS_TOL
+        return list(zip(vals[near].tolist(), idx[near].tolist()))
 
-    per_job = _fan_out(run, jobs, threads)
-    results = sorted((r for job in per_job for r in job), key=lambda r: r[0])
-
-    best = max(r[1] for r in results)
-    idx_all: list[int] = []
-    clipped_any = False
-    for _, local_max, idx, vals, clipped in results:
-        if local_max < best - WITNESS_TOL:
-            continue
-        keep = vals >= best - WITNESS_TOL
-        idx_all.extend(int(i) for i in idx[keep])
-        clipped_any = clipped_any or clipped
-    truncated = clipped_any or len(idx_all) > WITNESS_CAP
-    witnesses = tuple(Graph(n=n, bits=i) for i in idx_all[:WITNESS_CAP])
+    near_tops = [c for part in _fan_out(run, jobs, threads) for c in part]
+    best, witnesses, truncated = _witnesses(n, near_tops)
     return SearchResult(
         objective=objective,
         k=k,
@@ -499,10 +490,7 @@ def local_search_max(
 
     outcomes = _fan_out(run, range(cfg.restarts), threads)
 
-    best = max(o[0] for o in outcomes)
-    bits_set = sorted({o[1] for o in outcomes if o[0] >= best - WITNESS_TOL})
-    truncated = len(bits_set) > WITNESS_CAP
-    witnesses = tuple(Graph(n=n, bits=b) for b in bits_set[:WITNESS_CAP])
+    best, witnesses, truncated = _witnesses(n, [o[:2] for o in outcomes])
     return SearchResult(
         objective=objective,
         k=k,
@@ -612,6 +600,7 @@ def property_sweep(
     kinds = list(kinds)
     if not kinds or not set(kinds) <= set(SWEEP_KINDS):
         raise ValueError(f"sweep kinds must be a nonempty subset of {SWEEP_KINDS}, got {kinds}")
+    tol = check_tol(tol)
     tallies = []
     for kind in kinds:
         rng = SplitMix64(derive_seed(seed, _KIND_TAGS[kind]))

@@ -419,6 +419,25 @@ def test_weyl_domain():
         weyl_complement_check(np.array([[0, 1.0], [0.5, 0]]))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_every_check_rejects_a_bad_tolerance(tol):
+    g = paley_graph(9)
+    for check in (
+        lambda: check_bound("main", g, tol=tol),
+        lambda: check_bound("kyfan", np.eye(3), k=2, tol=tol),
+        lambda: equality_analysis(g, tol=tol),
+        lambda: weyl_complement_check(g, tol=tol),
+    ):
+        with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+            check()
+
+
+def test_zero_tolerance_is_allowed():
+    v = check_bound("main", cycle_graph(5), tol=0)
+    assert v.tol == 0.0 and v.eq_tol == 1e-6
+    assert weyl_complement_check(empty_graph(4), tol=0).tol == 0.0
+
+
 def test_main_improves_on_gutman_zhou():
     for n in range(7, 101):
         assert bound_value("main", n) < bound_value("gutman_zhou", n)

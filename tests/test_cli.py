@@ -207,6 +207,38 @@ def test_domain_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "main", "--paley", "9", "--tol", "nan"],
+        ["check", "main", "--paley", "9", "--tol", "-1"],
+        ["check", "weyl", "--paley", "9", "--tol", "inf"],
+        ["check", "equality", "--paley", "9", "--tol", "nan"],
+        ["sweep", "--trials", "2", "--tol", "nan"],
+    ],
+)
+def test_bad_tolerance_exits_two(capsys, argv):
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: tol must be finite and nonnegative")
+
+
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["check", "main", "--paley", "9", "--json", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "x.json" in err
+    assert not target.exists()
+
+
+def test_edges_past_the_cap_exits_two(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**6, "edges": []}))
+    code, out, err = run(capsys, ["check", "main", "--edges", str(path), "--json"])
+    assert code == 2 and out == ""
+    assert "exceeds the dimension cap 4096" in err
+
+
 def test_spectrum_near_the_float_maximum_warns_nothing(capsys, tmp_path):
     path = tmp_path / "big.csv"
     path.write_text("0,1e308\n1e308,0\n")

@@ -10,6 +10,7 @@ from normsum import (
     NotOneModFourError,
     NotPrimePowerError,
     SRGParams,
+    SizeOverflowError,
     SplitMix64,
     TooLargeError,
     adjacency_matrix,
@@ -26,6 +27,7 @@ from normsum import (
     srg_params,
     sym_eigen,
 )
+from normsum import graphs
 from normsum.graphs import _character_by_code, _gf_mul, pair_index, quadratic_character
 
 
@@ -359,6 +361,18 @@ def test_graph_json_integer_check():
             Graph.from_json(obj)
     g = Graph.from_json({"n": np.int64(3), "edges": [[np.int64(0), 1]]})
     assert g == graph_from_edges(3, [(0, 1)])
+
+
+def test_graph_json_past_the_cap_is_rejected_before_it_is_built(monkeypatch):
+    assert Graph.from_json({"n": DIMENSION_CAP, "edges": [[0, 4095]]}).edge_count == 1
+
+    def no_build(*args):
+        raise AssertionError("the graph was built before its order was checked")
+
+    monkeypatch.setattr(graphs, "graph_from_edges", no_build)
+    message = f"^graph order {DIMENSION_CAP + 1} exceeds the dimension cap {DIMENSION_CAP}$"
+    with pytest.raises(SizeOverflowError, match=message):
+        Graph.from_json({"n": DIMENSION_CAP + 1, "edges": []})
 
 
 def _srg_params_int64(g):

@@ -127,9 +127,9 @@ def kernel_values(n, objective, k):
     total = 1 << (n * (n - 1) // 2)
     vals = np.full(total, np.nan)
     for job in range(max(1, (total >> search._BLOCK_BITS) // 2)):
-        for idx, v in search._job_values(job, n, objective, k):
-            assert np.isnan(vals[idx]).all()  # every graph is scored exactly once
-            vals[idx] = v
+        idx, v = search._job_values(job, n, objective, k)
+        assert np.isnan(vals[idx]).all()  # every graph is scored exactly once
+        vals[idx] = v
     return vals
 
 
@@ -160,6 +160,48 @@ def test_exhaustive_mirror_blocks_across_threads(monkeypatch, objective, k):
     one = assert_matches_oracle(6, objective, k, threads=1)
     three = exhaustive_max(6, objective, k=k, threads=3)
     assert one == three
+
+
+def test_witnesses_merge_duplicate_bitsets():
+    # two restarts that end on one graph give one witness
+    best, witnesses, truncated = search._witnesses(4, [(6.0, 9), (5.0, 3), (6.0, 9)])
+    assert best == 6.0
+    assert witnesses == (Graph(n=4, bits=9),)
+    assert truncated is False
+
+
+def test_witnesses_keep_unequal_values_within_the_tolerance():
+    top = 21.2
+    candidates = [(top - 0.5 * WITNESS_TOL, 4), (top, 40), (top - 2 * WITNESS_TOL, 1)]
+    best, witnesses, truncated = search._witnesses(5, candidates)
+    assert best == top
+    assert [g.bits for g in witnesses] == [4, 40]
+    assert truncated is False
+
+
+def test_witnesses_sort_candidates_that_arrive_out_of_order():
+    # job 0's mirror half (high bitsets) ahead of job 1's first half
+    candidates = [(1.0, 1000), (1.0, 990), (1.0, 12), (1.0, 11)]
+    _, witnesses, _ = search._witnesses(5, candidates)
+    assert [g.bits for g in witnesses] == [11, 12, 990, 1000]
+
+
+def test_exhaustive_max_does_not_depend_on_the_order_jobs_return_in(monkeypatch):
+    monkeypatch.setattr(search, "_BLOCK_BITS", 10)
+    ref = exhaustive_max(6, "kyfan_sum", k=1)
+    fan_out = search._fan_out
+    monkeypatch.setattr(search, "_fan_out", lambda *a: fan_out(*a)[::-1])
+    assert exhaustive_max(6, "kyfan_sum", k=1) == ref
+
+
+def test_witnesses_are_truncated_only_past_the_cap():
+    exact = [(3.0, b) for b in range(WITNESS_CAP)]
+    _, witnesses, truncated = search._witnesses(5, exact[::-1])
+    assert [g.bits for g in witnesses] == list(range(WITNESS_CAP))
+    assert truncated is False
+    _, witnesses, truncated = search._witnesses(5, exact + [(3.0, WITNESS_CAP)])
+    assert [g.bits for g in witnesses] == list(range(WITNESS_CAP))
+    assert truncated is True
 
 
 def test_cospectral_pair_shares_a_solve_but_not_its_complements():
@@ -527,6 +569,16 @@ def test_property_sweep_checks_every_kind_before_the_first_draw(monkeypatch):
     for kinds in (["main", "bogus"], []):
         with pytest.raises(ValueError, match="sweep kinds"):
             property_sweep(300, 1, (4, 30), kinds)
+
+
+def test_property_sweep_checks_the_tolerance_before_the_first_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the tolerance was validated")
+
+    monkeypatch.setattr(search, "SplitMix64", no_draw)
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            property_sweep(2, 0, (4, 6), ["main"], tol=tol)
 
 
 def test_both_searches_share_the_order_and_thread_checks():
