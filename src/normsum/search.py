@@ -72,9 +72,10 @@ class SearchConfig:
             raise BadConfigError(f"restarts must be a positive integer, got {self.restarts!r}")
         if self.max_steps < 1:
             raise BadConfigError(f"max_steps must be a positive integer, got {self.max_steps!r}")
-        if not self.temperature_initial >= 0.0:
+        if not 0.0 <= self.temperature_initial < math.inf:
             raise BadConfigError(
-                f"temperature_initial must be nonnegative, got {self.temperature_initial!r}"
+                "temperature_initial must be finite and nonnegative, "
+                f"got {self.temperature_initial!r}"
             )
         if not 0.0 < self.cooling < 1.0:
             raise BadConfigError(f"cooling must be in (0, 1), got {self.cooling!r}")
@@ -411,6 +412,12 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     screen's factorization fails, or it gives a non-finite value, every flip
     is re-scored; so is every flip for kyfan_sum, and for n < SCREEN_MIN_N,
     where that costs less than the screen.
+
+    Each graph is scored once: a step that takes no flip leaves A as it was,
+    so the next step reuses its candidates and their exact values, and only
+    its random-flip draw is new. They are dropped when a flip is applied,
+    uphill or random. `evaluations` counts graphs considered, 1 for the start
+    and m per step, whether their flips were scored, screened out or reused.
     """
     m = n * (n - 1) // 2
     rng = SplitMix64((cfg.seed + restart) & MASK64)
@@ -425,9 +432,11 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     js, is_ = np.nonzero(pair_mask(n))  # flip r toggles pair bit r
     every = np.arange(m)
     screened = objective == "trace_sum" and n >= SCREEN_MIN_N
+    vals = None  # the scores of a, kept until a flip changes it
     for _ in range(cfg.max_steps):
-        cand = _flip_candidates(a, is_, js) if screened else every
-        vals = _flip_values(a, is_[cand], js[cand], objective, k)
+        if vals is None:
+            cand = _flip_candidates(a, is_, js) if screened else every
+            vals = _flip_values(a, is_[cand], js[cand], objective, k)
         evaluations += m
         top = int(np.argmax(vals))  # cand ascends, so ties go to the smallest flip
         flip, value = int(cand[top]), vals[top]
@@ -448,7 +457,7 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
                 flip = -1
         if flip >= 0:
             a[is_[flip], js[flip]] = a[js[flip], is_[flip]] = 1.0 - a[is_[flip], js[flip]]
-            cur_val = float(value)
+            cur_val, vals = float(value), None
             if cur_val > best_val:
                 best_val, best_a = cur_val, a.copy()
         elif temp < 1e-12 and vals.max() < cur_val - 1e-12:
@@ -473,12 +482,18 @@ def local_search_max(
     SCREEN_DELTA = 1e-6 of the screened maximum, plus those the screen marks
     unreliable (see `_anneal_once`). It scores every flip when A or J - I - A
     has an eigenvalue within SCREEN_TAU = 1e-6 of 0. The result is the one
-    that scoring every flip gives, bit for bit. On one thread of a 2-vCPU
-    Xeon a step takes about 1.3 ms at n = 16, 3-6 ms at n = 32 and 13 ms at
-    n = 64 (4.8, 62 and 1030 ms when every flip is scored). The freeze test
-    ends a default restart after about 5500 steps, so the default config at
-    n = 64 takes about 12 minutes on one thread. Speed does not find the
-    equality case: at n = 17 the default config misses the bound met by P17.
+    that scoring every flip gives, bit for bit. A step that takes no flip
+    leaves the graph unchanged, and the next step reuses its scores.
+
+    On one thread of a 2-vCPU Xeon a step that scores its graph takes about
+    0.6-1.1 ms at n = 16, 1.8-5.4 ms at n = 32 and 6-14 ms at n = 64 (4.8,
+    62 and 1030 ms when every flip is scored), and a step that reuses the
+    scores 0.04-0.25 ms. The freeze test ends a default restart after about
+    5500 steps, of which a few hundred score their graph, so the default
+    config at n = 64 takes about 41 s on one thread. `evaluations` counts
+    graphs considered, 1 per restart plus m per step, not factorizations.
+    Speed does not find the equality case: at n = 17 the default config
+    misses the bound met by P17.
     """
     n = _check_order(n, LOCAL_MAX_N, "local search")
     k = _check_objective(n, objective, k)

@@ -223,6 +223,13 @@ def test_bad_tolerance_exits_two(capsys, argv):
     assert err.startswith("error: tol must be finite and nonnegative")
 
 
+def test_infinite_start_temperature_exits_two(capsys):
+    # the report would echo "t0": null and could not reproduce its own run
+    code, out, err = run(capsys, ["search", "local", "--n", "6", "--t0", "inf", "--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: temperature_initial must be finite and nonnegative")
+
+
 def test_unwritable_out_exits_two(capsys, tmp_path):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, ["check", "main", "--paley", "9", "--json", "--out", str(target)])

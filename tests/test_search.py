@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -266,11 +267,13 @@ def test_search_config_validation():
         SearchConfig(cooling=1.0)
     with pytest.raises(BadConfigError):
         SearchConfig(cooling=0.0)
-    with pytest.raises(BadConfigError):
-        SearchConfig(temperature_initial=-1.0)
+    # an infinite temperature never cools, so every random flip is accepted
+    # and the freeze test never fires
+    for t0 in (-1.0, math.inf, math.nan):
+        with pytest.raises(BadConfigError, match="temperature_initial"):
+            SearchConfig(temperature_initial=t0)
     with pytest.raises(BadConfigError):
         SearchConfig(seed=-1)
-
 
 
 def test_entry_points_share_the_graph_integer_check():
@@ -357,6 +360,74 @@ def test_local_search_frozen_output(n, objective, k, cfg, best, witness, evaluat
     assert res.best_value == best
     assert [graph6_encode(g) for g in res.witnesses] == [witness]
     assert res.evaluations == evaluations
+
+
+# SHA-256 of (best_value.hex(), witness bitsets, evaluations, truncated) of
+# local_search_max on both objectives, temperature_initial 1 and 0 and seeds
+# 3 and 11, 2 restarts each; n: (trace_sum steps, kyfan_sum steps, digest).
+# The digests were recorded when every step rescored its graph, so they pin
+# that reusing the scores of an unchanged graph changes no bit.
+LOCAL_SEARCH_DIGESTS = {
+    5: (60, 60, "36560d76421d210487e810c304836d8ca8a46efa0a9689529873253ff1df030b"),
+    9: (60, 60, "78bbc0b5b41ffd00ce1293e6f65f02842845f914d9889e1a55e2e72a1c7436fb"),
+    12: (60, 60, "57fd5b0bb2b60e333f101a744c853340e2dd20c562eb89251c648a804662da35"),
+    16: (80, 40, "c5c1de8fb2c95edc1c0423774b5049c311dce5a3adb8fc046433c8f15c6b4b07"),
+    17: (80, 40, "c003aa5619c1ce12ea3d297d3e7f9e64fadfb0c0a573b9395ee5aa6c8dc3503e"),
+    24: (80, 12, "4d2329423a41df1015d4ef494c3c4a73b567ddb21bb72bc557c8320b4a5e9208"),
+    32: (130, 6, "3fd5dabb8ab484a56a8c95535b7cb3ffb8ab6708043332a6f50fd73897e251f7"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LOCAL_SEARCH_DIGESTS))
+def test_local_search_grid_digest(n):
+    trace_steps, kyfan_steps, digest = LOCAL_SEARCH_DIGESTS[n]
+    h = hashlib.sha256()
+    for objective, k, steps in (("trace_sum", None, trace_steps), ("kyfan_sum", 2, kyfan_steps)):
+        for t0 in (1.0, 0.0):
+            for seed in (3, 11):
+                cfg = SearchConfig(restarts=2, max_steps=steps, temperature_initial=t0, seed=seed)
+                res = local_search_max(n, objective, k, cfg)
+                key = (res.best_value.hex(), [g.bits for g in res.witnesses])
+                h.update(repr(key + (res.evaluations, res.truncated)).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [9, 16])
+@pytest.mark.parametrize("seed", range(5))
+def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
+    # a deterministic cost guard: a step that takes no flip leaves the graph
+    # as it was, and the next step reuses its screen and its exact scores;
+    # below SCREEN_MIN_N a step scores all m flips and there is no screen
+    screen, values = search._flip_candidates, search._flip_values
+    screens, scorings, held = [], [], []
+
+    def screened(a, is_, js):
+        screens.append(a.tobytes())
+        return screen(a, is_, js)
+
+    def scored(a, is_, js, objective, k):
+        held[:] = [a]  # the array the run flips in place
+        # the call on the screen's candidates or on all m flips, not the one
+        # on the random flip
+        if len(scorings) < len(screens) if screens else is_.size > 1:
+            scorings.append(a.tobytes())
+        return values(a, is_, js, objective, k)
+
+    monkeypatch.setattr(search, "_flip_candidates", screened)
+    monkeypatch.setattr(search, "_flip_values", scored)
+    cfg = SearchConfig(restarts=2, max_steps=300, seed=seed)
+    for r in range(cfg.restarts):
+        screens.clear()
+        scorings.clear()
+        search._anneal_once(n, "trace_sum", None, cfg, r)
+        # one exact scoring per screen, of the same graph
+        assert screens == (scorings if n >= search.SCREEN_MIN_N else [])
+        # one flip (two entries) between consecutive scorings and at most one
+        # after the last, so the scorings number 1 + the flips applied before
+        # the last step, and no graph is scored twice in a row
+        graphs = [np.frombuffer(b) for b in scorings] + [held[0].ravel()]
+        changed = [int(np.count_nonzero(x != y)) for x, y in zip(graphs, graphs[1:])]
+        assert changed[:-1] == [2] * (len(scorings) - 1) and changed[-1] in (0, 2)
 
 
 def flip_stack(a):
