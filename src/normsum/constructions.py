@@ -10,15 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadOrientationError,
-    OddProductError,
-    SizeOverflowError,
-    UnsupportedOrderError,
-    as_int,
-)
+from .errors import BadOrientationError, OddProductError, UnsupportedOrderError, as_int
 from .graphs import quadratic_character
-from .linalg import DIMENSION_CAP, DenseMatrix, _prime_power_split, kronecker
+from .linalg import DenseMatrix, _prime_power_split, check_dimensions, kronecker
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,7 @@ def hadamard(order: int) -> HadamardMatrix:
     order = as_int(order, "order", UnsupportedOrderError)
     if order < 1:
         raise UnsupportedOrderError(f"order must be a positive integer, got {order!r}")
-    if order > DIMENSION_CAP:
-        raise SizeOverflowError(f"order {order} exceeds the dimension cap {DIMENSION_CAP}")
+    check_dimensions(f"order {order}", order)
     if order & (order - 1) == 0:
         h = _sylvester(order)
     else:
@@ -99,10 +92,7 @@ def kyfan_extremal_matrix(k: int, p: int, q: int) -> DenseMatrix:
         raise ValueError(f"block multiplicities must be positive, got p={p}, q={q}")
     m = 2 * p * (k - 1)
     n = 2 * q * (k - 1)
-    if m > DIMENSION_CAP or n > DIMENSION_CAP:
-        raise SizeOverflowError(
-            f"result {m}x{n} exceeds the dimension cap {DIMENSION_CAP}"
-        )
+    check_dimensions(f"result {m}x{n}", m, n)
     h = hadamard(k - 1).entries
     hprime = kronecker(DenseMatrix([[1.0, -1.0], [-1.0, 1.0]]), h)
     block = kronecker(hprime, DenseMatrix(np.ones((p, q))))
@@ -119,8 +109,7 @@ def opnorm_extremal_matrix(m: int, n: int, orientation: str) -> DenseMatrix:
     m, n = as_int(m, "m"), as_int(n, "n")
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
-    if m > DIMENSION_CAP or n > DIMENSION_CAP:
-        raise SizeOverflowError(f"result {m}x{n} exceeds the dimension cap {DIMENSION_CAP}")
+    check_dimensions(f"result {m}x{n}", m, n)
     if (m * n) % 2 != 0:
         raise OddProductError(f"mn = {m * n} is odd; no half-ones split exists")
     if orientation not in ("rows", "columns"):

@@ -24,7 +24,8 @@ class KOutOfRangeError(NormsumError, ValueError):
 
 
 class SizeOverflowError(NormsumError, ValueError):
-    """Requested result exceeds the dense-dimension cap."""
+    """A result, input, field order or sweep order above the dense-dimension
+    cap, raised by ``linalg.check_dimensions`` before anything is built."""
 
 
 class NotPrimePowerError(NormsumError, ValueError):
@@ -33,10 +34,6 @@ class NotPrimePowerError(NormsumError, ValueError):
 
 class NotOneModFourError(NormsumError, ValueError):
     """Quadratic-residue graph needs q congruent to 1 mod 4."""
-
-
-class TooLargeError(NormsumError, ValueError):
-    """Field order above the supported limit."""
 
 
 class UnsupportedOrderError(NormsumError, ValueError):

@@ -17,14 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    NotOneModFourError,
-    NotPrimePowerError,
-    SizeOverflowError,
-    TooLargeError,
-    as_int,
-)
-from .linalg import DIMENSION_CAP, DenseMatrix, _prime_power_split
+from .errors import NotOneModFourError, NotPrimePowerError, as_int
+from .linalg import DenseMatrix, _prime_power_split, check_dimensions
 
 
 def pair_index(i: int, j: int) -> int:
@@ -109,13 +103,18 @@ class Graph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
+        """Read the {"n": n, "edges": [[i, j], ...]} wire form."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"graph JSON must be an object, got {type(obj).__name__}")
         try:
             n = as_int(obj["n"], "graph n")
             edges = obj["edges"]
         except KeyError as exc:
             raise ValueError(f"graph JSON missing field {exc}") from exc
-        if n > DIMENSION_CAP:
-            raise SizeOverflowError(f"graph order {n} exceeds the dimension cap {DIMENSION_CAP}")
+        check_dimensions(f"graph order {n}", n)
+        pairs = isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)
+        if not pairs:
+            raise ValueError("graph JSON field 'edges' must be a list of [i, j] pairs")
         ends = [(as_int(i, "edge end"), as_int(j, "edge end")) for i, j in edges]
         return graph_from_edges(n, ends)
 
@@ -278,8 +277,6 @@ def srg_params(g: Graph) -> SRGParams | None:
     mu = int(mu_vals[0]) if mu_vals.size else 0
     if not (lam_vals == lam).all() or not (mu_vals == mu).all():
         return None
-    if not (np.diag(a2) == k).all():
-        return None
     return SRGParams(n=n, k=k, lam=lam, mu=mu)
 
 
@@ -361,8 +358,7 @@ def _field_order(q: int) -> tuple[int, int]:
     input check of :func:`quadratic_character` and :func:`paley_graph`. The
     cap comes first, so that a huge q is never factored."""
     q = as_int(q, "q")
-    if q > DIMENSION_CAP:
-        raise TooLargeError(f"q = {q} exceeds the dimension cap {DIMENSION_CAP}")
+    check_dimensions(f"q = {q}", q)
     split = _prime_power_split(q)
     if split is None:
         raise NotPrimePowerError(f"q = {q} is not a prime power")

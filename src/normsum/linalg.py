@@ -59,15 +59,22 @@ STRUCTURED_MIN_N = 128
 _ASYM_TILE = 256
 
 
+def check_dimensions(what: str, *dims: int) -> None:
+    """The one size gate: SizeOverflowError, naming `what`, when a row or
+    column count in `dims` exceeds DIMENSION_CAP."""
+    if max(dims) > DIMENSION_CAP:
+        raise SizeOverflowError(f"{what} exceeds the dimension cap {DIMENSION_CAP}")
+
+
 class DenseMatrix:
     """Immutable real matrix, row-major float64.
 
     Construct from anything 2-d array-like, or via :meth:`from_flat` /
-    :meth:`from_json`. Entries must be finite; NaN and infinities are
-    rejected at construction so no operation needs to re-check.
+    :meth:`from_json`. Entries must be finite, checked at construction on
+    the entry range it keeps, so no operation needs to re-check.
     """
 
-    __slots__ = ("_data", "_asym")
+    __slots__ = ("_data", "_asym", "_min", "_max")
 
     def __init__(self, data) -> None:
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
@@ -75,23 +82,29 @@ class DenseMatrix:
             raise ValueError(f"matrix must be 2-d, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix dimensions must be positive, got {arr.shape}")
-        if arr.shape[0] > DIMENSION_CAP or arr.shape[1] > DIMENSION_CAP:
-            raise SizeOverflowError(
-                f"matrix of shape {arr.shape} exceeds the dimension cap {DIMENSION_CAP}"
-            )
-        if not np.isfinite(arr).all():
+        check_dimensions(f"matrix of shape {arr.shape}", *arr.shape)
+        # a NaN entry makes both NaN and an infinite one shows in one of them
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("matrix entries must be finite")
         arr.setflags(write=False)
         self._data = arr
         self._asym = None
+        self._min, self._max = lo, hi
 
     @classmethod
     def from_flat(cls, rows: int, cols: int, entries: Sequence[float]) -> "DenseMatrix":
-        """Build from a flat row-major entry list of length rows*cols."""
-        entries = list(entries)
+        """Build from a flat row-major list (or tuple) of rows*cols ints and
+        floats, numpy's too; the shape is checked before the entries."""
         rows, cols = as_int(rows, "matrix rows"), as_int(cols, "matrix cols")
         if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be positive")
+        check_dimensions(f"matrix of shape {(rows, cols)}", rows, cols)
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"matrix entries must be a list, got {type(entries).__name__}")
+        for kind in dict.fromkeys(map(type, entries)):
+            if kind is bool or not issubclass(kind, (int, float, np.integer, np.floating)):
+                raise ValueError(f"matrix entries must be numbers, got {kind.__name__}")
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
@@ -101,6 +114,8 @@ class DenseMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "DenseMatrix":
         """Read the {"rows": m, "cols": n, "entries": [...]} wire form."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"matrix JSON must be an object, got {type(obj).__name__}")
         try:
             return cls.from_flat(obj["rows"], obj["cols"], obj["entries"])
         except KeyError as exc:
@@ -137,11 +152,11 @@ class DenseMatrix:
 
     @property
     def entry_min(self) -> float:
-        return float(self._data.min())
+        return self._min
 
     @property
     def entry_max(self) -> float:
-        return float(self._data.max())
+        return self._max
 
     def _asymmetry(self) -> float:
         """Largest entrywise |A - A^T|: 0.0 iff A == A^T, inf if not square.
@@ -427,8 +442,5 @@ def kronecker(a, b) -> DenseMatrix:
     ma, mb = as_matrix(a), as_matrix(b)
     rows = ma.rows * mb.rows
     cols = ma.cols * mb.cols
-    if rows > DIMENSION_CAP or cols > DIMENSION_CAP:
-        raise SizeOverflowError(
-            f"Kronecker result {rows}x{cols} exceeds the dimension cap {DIMENSION_CAP}"
-        )
+    check_dimensions(f"Kronecker result {rows}x{cols}", rows, cols)
     return DenseMatrix(np.kron(ma.array, mb.array))

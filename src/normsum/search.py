@@ -25,7 +25,7 @@ from .errors import (
     as_int,
 )
 from .graphs import Graph, adjacency_matrix, complement_matrix, graph6_encode, pair_mask
-from .linalg import DenseMatrix, eigh_basis
+from .linalg import DenseMatrix, check_dimensions, eigh_basis
 from .rng import MASK64, SplitMix64, derive_seed
 
 EXHAUSTIVE_MAX_N = 8
@@ -612,6 +612,7 @@ def property_sweep(
     lo, hi = (as_int(v, "n_range bound") for v in n_range)
     if not 2 <= lo <= hi:
         raise ValueError(f"n_range must satisfy 2 <= lo <= hi, got ({lo}, {hi})")
+    check_dimensions(f"sweep order {hi}", hi)
     kinds = list(kinds)
     if not kinds or not set(kinds) <= set(SWEEP_KINDS):
         raise ValueError(f"sweep kinds must be a nonempty subset of {SWEEP_KINDS}, got {kinds}")

@@ -19,6 +19,7 @@ from normsum import (
     ky_fan_norm,
     linalg,
     paley_graph,
+    search,
 )
 from normsum.bounds import EQUALITY_TOL, HOLD_TOL
 from normsum.cli import format_float, main, render_json
@@ -244,6 +245,43 @@ def test_edges_past_the_cap_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, ["check", "main", "--edges", str(path), "--json"])
     assert code == 2 and out == ""
     assert "exceeds the dimension cap 4096" in err
+
+
+def test_sweep_past_the_cap_exits_two_before_the_first_draw(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the order was checked")
+
+    monkeypatch.setattr(search, "SplitMix64", no_draw)
+    for kind in ("main_matrix", "main"):
+        argv = ["sweep", "--trials", "1", "--n-min", "4", "--n-max", "4097", "--kinds", kind]
+        code, out, err = run(capsys, argv + ["--json"])
+        assert code == 2 and out == ""
+        assert err == "error: sweep order 4097 exceeds the dimension cap 4096\n"
+
+
+PAIRS = "graph JSON field 'edges' must be a list of [i, j] pairs"
+
+
+@pytest.mark.parametrize(
+    "flag, obj, message",
+    [
+        ("--edges", [1, 2], "graph JSON must be an object, got list"),
+        ("--edges", {"n": 3, "edges": 5}, PAIRS),
+        ("--edges", {"n": 3, "edges": [1, 2]}, PAIRS),
+        ("--matrix", {"rows": 2, "cols": 2, "entries": 5}, "matrix entries must be a list, got int"),
+        # no silent casts: a string or a bool is not an entry
+        ("--matrix", {"rows": 2, "cols": 2, "entries": "0110"}, "matrix entries must be a list, got str"),
+        ("--matrix", {"rows": 2, "cols": 2, "entries": ["1", True, 0, 0]}, "matrix entries must be numbers, got str"),
+        ("--matrix", {"rows": 2, "cols": 2, "entries": [0, True, 1, 0]}, "matrix entries must be numbers, got bool"),
+    ],
+)  # fmt: skip
+def test_malformed_input_json_exits_two(capsys, tmp_path, flag, obj, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    for command in (["check", "main"], ["norms"]):
+        code, out, err = run(capsys, [*command, flag, str(path), "--json"])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_spectrum_near_the_float_maximum_warns_nothing(capsys, tmp_path):

@@ -12,7 +12,6 @@ from normsum import (
     SRGParams,
     SizeOverflowError,
     SplitMix64,
-    TooLargeError,
     adjacency_matrix,
     complement,
     complete_graph,
@@ -163,7 +162,7 @@ def test_paley_argument_validation():
         paley_graph(12)
     with pytest.raises(NotPrimePowerError):
         paley_graph(1)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(SizeOverflowError):
         paley_graph(10009)
 
 
@@ -257,9 +256,9 @@ def test_paley_graph_is_frozen(q):
 def test_field_orders_stop_at_the_dimension_cap():
     assert DIMENSION_CAP == 4096
     # 4129 = 1 (mod 4) and 4099 = 3 (mod 4) are the first primes past the cap
-    with pytest.raises(TooLargeError, match="dimension cap 4096"):
+    with pytest.raises(SizeOverflowError, match="dimension cap 4096"):
         paley_graph(4129)
-    with pytest.raises(TooLargeError, match="dimension cap 4096"):
+    with pytest.raises(SizeOverflowError, match="dimension cap 4096"):
         quadratic_character(4099)
 
 
@@ -361,6 +360,16 @@ def test_graph_json_integer_check():
             Graph.from_json(obj)
     g = Graph.from_json({"n": np.int64(3), "edges": [[np.int64(0), 1]]})
     assert g == graph_from_edges(3, [(0, 1)])
+
+
+def test_graph_json_shape_check():
+    pairs = "^graph JSON field 'edges' must be a list of \\[i, j\\] pairs$"
+    for edges in (5, [1, 2], [[0, 1, 2]], [[0, 1], "01"], "01", ((0, 1),), {(0, 1): 1}):
+        with pytest.raises(ValueError, match=pairs):
+            Graph.from_json({"n": 3, "edges": edges})
+    with pytest.raises(ValueError, match="^graph JSON must be an object, got list$"):
+        Graph.from_json([1, 2])
+    assert Graph.from_json({"n": 3, "edges": [[0, 1], [2, 1]]}) == path_graph(3)
 
 
 def test_graph_json_past_the_cap_is_rejected_before_it_is_built(monkeypatch):

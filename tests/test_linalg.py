@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis
 import numpy as np
@@ -30,7 +31,7 @@ from normsum import (
     weyl_complement_check,
 )
 from normsum.graphs import complement_matrix, quadratic_character
-from normsum.linalg import SYMMETRY_TOL, _singular_from_eigen, spectra
+from normsum.linalg import SYMMETRY_TOL, _singular_from_eigen, check_dimensions, spectra
 
 
 def random_symmetric(rng, n):
@@ -68,6 +69,45 @@ def test_dense_matrix_rejects_bad_input():
         DenseMatrix.from_flat(2, 2, [1, 2, 3])
     with pytest.raises(SizeOverflowError):
         DenseMatrix(np.zeros((1, DIMENSION_CAP + 1)))
+
+
+def test_dense_matrix_keeps_its_entry_range():
+    m = DenseMatrix([[0.5, -2.0], [3.0, 0.0]])
+    assert (m.entry_min, m.entry_max) == (-2.0, 3.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                DenseMatrix([[0.0, bad], [1.0, 0.0]])
+
+
+def test_from_flat_reads_only_numbers():
+    m = DenseMatrix.from_flat(2, 2, [np.int64(1), np.float32(0.5), 0, 2.0])
+    assert m.entries == [1.0, 0.5, 0.0, 2.0]
+    assert DenseMatrix.from_flat(1, 2, (1, 0)).entries == [1.0, 0.0]
+    for entries, got in (("0110", "a list, got str"), (np.ones(4), "a list, got ndarray")):
+        with pytest.raises(ValueError, match=f"^matrix entries must be {got}$"):
+            DenseMatrix.from_flat(2, 2, entries)
+    for bad in ("1", True, np.bool_(True), None, [1]):
+        with pytest.raises(ValueError, match="^matrix entries must be numbers, got "):
+            DenseMatrix.from_flat(2, 2, [0, bad, 1, 0])
+    with pytest.raises(ValueError, match="^matrix JSON must be an object, got list$"):
+        DenseMatrix.from_json([1, 2])
+
+
+def test_from_flat_checks_the_cap_before_it_reads_the_entries():
+    message = r"^matrix of shape \(2, 4097\) exceeds the dimension cap 4096$"
+    for entries in ([], "0110"):  # neither the count nor the type is looked at
+        with pytest.raises(SizeOverflowError, match=message):
+            DenseMatrix.from_flat(2, DIMENSION_CAP + 1, entries)
+    with pytest.raises(SizeOverflowError, match=message):
+        DenseMatrix(np.zeros((2, DIMENSION_CAP + 1)))
+
+
+def test_check_dimensions():
+    check_dimensions("anything", 1, DIMENSION_CAP)
+    with pytest.raises(SizeOverflowError, match="^thing 5 exceeds the dimension cap 4096$"):
+        check_dimensions("thing 5", 3, DIMENSION_CAP + 1)
 
 
 def test_sym_eigen_small_exact():
