@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainViolationError, KOutOfRangeError, MissingParamError, as_int
+from .errors import DomainViolationError, KOutOfRangeError, MissingParamError
+from .errors import as_int, as_positive_int
 from .graphs import Graph, adjacency_matrix, complement_matrix
 from .linalg import (
     DenseMatrix,
@@ -109,9 +110,7 @@ def bound_value(kind: str, n: int, m: int | None = None, k: int | None = None) -
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
-    n = as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = as_positive_int(n, "n")
     if kind == "koolen_moulton":
         return (1.0 + math.sqrt(n)) * n / 2.0
     if kind == "main":
@@ -123,9 +122,7 @@ def bound_value(kind: str, n: int, m: int | None = None, k: int | None = None) -
     # rectangular kinds need m
     if m is None:
         raise MissingParamError(f"bound kind {kind!r} needs the row count m")
-    m = as_int(m, "m")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = as_positive_int(m, "m")
     if kind == "opnorm":
         return math.sqrt(2.0 * m * n)
     # kyfan
@@ -182,6 +179,8 @@ def check_bound(kind: str, obj, k: int | None = None, tol: float = HOLD_TOL) -> 
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
+    if k is not None and kind != "kyfan":
+        raise ValueError(f"k applies only to bound kind 'kyfan', got k={k!r} for {kind!r}")
     tol = check_tol(tol)
     mat = _domain(obj, kind)
     a = mat.array

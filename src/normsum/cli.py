@@ -120,17 +120,32 @@ def render_json(obj, indent: int = 0) -> str:
 # Input loading
 
 
+def _strict(convert):
+    """convert for ASCII text without '_' only: int and float also read "1_0"
+    as 10, and digits of every script. argparse names the error by convert."""
+
+    @functools.wraps(convert)
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"invalid {convert.__name__} value: {text!r}")
+        return convert(text)
+
+    return parse
+
+
+_int, _float = _strict(int), _strict(float)
+
+
 def _load_matrix_file(path: str) -> DenseMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return DenseMatrix.from_json(json.loads(text))
     rows = []
     for line in text.splitlines():
         line = line.strip()
         if line:
-            rows.append([float(tok) for tok in line.split(",")])
+            rows.append([_float(tok) for tok in line.split(",")])
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
     return DenseMatrix(rows)
@@ -178,10 +193,7 @@ def _threads(args) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    t = int(args.threads)
-    if t < 1:
-        raise ValueError(f"--threads must be positive, got {t}")
-    return t
+    return _int(args.threads)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +282,8 @@ def cmd_norms(args):
 
 def cmd_check(args):
     kind = args.kind
+    if args.k is not None and kind in ("weyl", "equality"):
+        raise ValueError(f"k applies only to bound kind 'kyfan', got k={args.k!r} for {kind!r}")
     obj = _resolve_input(args)
     # the kyfan witness is checked at its own index unless --k says otherwise
     k = args.k if args.k is not None else args.order
@@ -330,11 +344,11 @@ def cmd_sweep(args):
 
 _RUN_FLAGS = {
     "tol": dict(
-        type=float,
+        type=_float,
         default=None,
         help="verdict tolerance (default 1e-7, or 1e-6 for check equality)",
     ),
-    "seed": dict(type=int, default=None, help="64-bit seed for randomized runs"),
+    "seed": dict(type=_int, default=None, help="64-bit seed for randomized runs"),
     "threads": dict(default=None, help="worker threads: an integer or 'auto'"),
 }
 
@@ -359,7 +373,7 @@ def _add_common(sub, *run_flags):
 def _add_input_flags(sub):
     sub.add_argument(
         "--paley",
-        type=int,
+        type=_int,
         default=None,
         help=f"use the Paley graph of this order (at most {DIMENSION_CAP})",
     )
@@ -381,19 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
     cp = csub.add_parser(
         "paley", help=f"Paley graph of prime-power order q = 1 (mod 4), q <= {DIMENSION_CAP}"
     )
-    cp.add_argument("order", type=int)
+    cp.add_argument("order", type=_int)
     _add_common(cp)
     ch = csub.add_parser("hadamard", help="Hadamard matrix of a supported order")
-    ch.add_argument("order", type=int)
+    ch.add_argument("order", type=_int)
     _add_common(ch)
     ck = csub.add_parser("kyfan-extremal", help="Ky Fan equality witness for index k")
-    ck.add_argument("order", type=int, help="the norm index k (needs a Hadamard of order k-1)")
-    ck.add_argument("--p", type=int, default=1, help="row block multiplicity")
-    ck.add_argument("--q", type=int, default=1, help="column block multiplicity")
+    ck.add_argument("order", type=_int, help="the norm index k (needs a Hadamard of order k-1)")
+    ck.add_argument("--p", type=_int, default=1, help="row block multiplicity")
+    ck.add_argument("--q", type=_int, default=1, help="column block multiplicity")
     _add_common(ck)
     co = csub.add_parser("opnorm-extremal", help="half-ones operator norm equality witness")
-    co.add_argument("rows", type=int)
-    co.add_argument("cols", type=int)
+    co.add_argument("rows", type=_int)
+    co.add_argument("cols", type=_int)
     co.add_argument("--orientation", choices=("rows", "columns"), required=True)
     _add_common(co)
 
@@ -403,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("norms", help="trace, operator, and Ky Fan norms")
     _add_input_flags(p)
-    p.add_argument("--k", type=int, default=None, help="also report the Ky Fan k-norm")
+    p.add_argument("--k", type=_int, default=None, help="also report the Ky Fan k-norm")
     _add_common(p)
 
     p = subs.add_parser("check", help="evaluate a bound or equality analysis")
@@ -411,42 +425,40 @@ def build_parser() -> argparse.ArgumentParser:
         "kind", choices=("main", "shifted", "kyfan", "opnorm", "weyl", "equality")
     )
     _add_input_flags(p)
-    p.add_argument("--k", type=int, default=None, help="Ky Fan index for kind kyfan")
-    p.add_argument("--order", type=int, default=None, help="kyfan: build the witness for this k")
-    p.add_argument("--p", type=int, default=None, help="kyfan witness row multiplicity")
-    p.add_argument("--q", type=int, default=None, help="kyfan witness column multiplicity")
-    p.add_argument("--rows", type=int, default=None, help="opnorm: build the witness, row count")
-    p.add_argument("--cols", type=int, default=None, help="opnorm witness column count")
+    p.add_argument("--k", type=_int, default=None, help="Ky Fan index for kind kyfan")
+    p.add_argument("--order", type=_int, default=None, help="kyfan: build the witness for this k")
+    p.add_argument("--p", type=_int, default=None, help="kyfan witness row multiplicity")
+    p.add_argument("--q", type=_int, default=None, help="kyfan witness column multiplicity")
+    p.add_argument("--rows", type=_int, default=None, help="opnorm: build the witness, row count")
+    p.add_argument("--cols", type=_int, default=None, help="opnorm witness column count")
     p.add_argument("--orientation", choices=("rows", "columns"), default=None)
     _add_common(p, "tol")
 
     p = subs.add_parser("search", help="maximize a norm sum over graphs")
     ssub = p.add_subparsers(dest="mode", required=True)
     se = ssub.add_parser("exhaustive", help="all labeled graphs, n <= 8")
-    se.add_argument("--n", type=int, required=True)
-    se.add_argument("--objective", choices=OBJECTIVES, default="trace_sum")
-    se.add_argument("--k", type=int, default=None)
-    _add_common(se, "threads")
     sl = ssub.add_parser("local", help="seeded annealing over edge flips, n <= 64")
-    sl.add_argument("--n", type=int, required=True)
-    sl.add_argument("--objective", choices=OBJECTIVES, default="trace_sum")
-    sl.add_argument("--k", type=int, default=None)
+    for sp in (se, sl):
+        sp.add_argument("--n", type=_int, required=True)
+        sp.add_argument("--objective", choices=OBJECTIVES, default="trace_sum")
+        sp.add_argument("--k", type=_int, default=None, help="Ky Fan index for kyfan_sum")
+    _add_common(se, "threads")
     cfg = SearchConfig()
-    sl.add_argument("--restarts", type=int, default=cfg.restarts)
-    sl.add_argument("--steps", type=int, default=cfg.max_steps)
-    sl.add_argument("--t0", type=float, default=cfg.temperature_initial)
-    sl.add_argument("--cooling", type=float, default=cfg.cooling)
+    sl.add_argument("--restarts", type=_int, default=cfg.restarts)
+    sl.add_argument("--steps", type=_int, default=cfg.max_steps)
+    sl.add_argument("--t0", type=_float, default=cfg.temperature_initial)
+    sl.add_argument("--cooling", type=_float, default=cfg.cooling)
     _add_common(sl, "seed", "threads")
 
     p = subs.add_parser("sweep", help="randomized property sweep over the checkers")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_int, required=True)
     p.add_argument(
         "--kinds",
         default=",".join(SWEEP_KINDS),
         help=f"comma-separated subset of {','.join(SWEEP_KINDS)}",
     )
-    p.add_argument("--n-min", type=int, default=4, dest="n_min")
-    p.add_argument("--n-max", type=int, default=12, dest="n_max")
+    p.add_argument("--n-min", type=_int, default=4, dest="n_min")
+    p.add_argument("--n-max", type=_int, default=12, dest="n_max")
     _add_common(p, "tol", "seed")
 
     return parser

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadOrientationError, OddProductError, UnsupportedOrderError, as_int
+from .errors import BadOrientationError, OddProductError, UnsupportedOrderError
+from .errors import as_int, as_positive_int
 from .graphs import quadratic_character
 from .linalg import DenseMatrix, _prime_power_split, check_dimensions, kronecker
 
@@ -59,9 +60,7 @@ def hadamard(order: int) -> HadamardMatrix:
     power q = 3 (mod 4) (character construction), up to ``DIMENSION_CAP``.
     Every multiple of 4 up to 32 is covered; 36 is the first that is not.
     """
-    order = as_int(order, "order", UnsupportedOrderError)
-    if order < 1:
-        raise UnsupportedOrderError(f"order must be a positive integer, got {order!r}")
+    order = as_positive_int(order, "order", UnsupportedOrderError)
     check_dimensions(f"order {order}", order)
     if order & (order - 1) == 0:
         h = _sylvester(order)
@@ -85,11 +84,9 @@ def kyfan_extremal_matrix(k: int, p: int, q: int) -> DenseMatrix:
     of order k-1 into [[H, -H], [-H, H]]. Its nonzero singular values are
     sigma_1 = sqrt(mn)/2 and sigma_2 = ... = sigma_k = sqrt(mn)/(2 sqrt(k-1)).
     """
-    k, p, q = as_int(k, "k"), as_int(p, "p"), as_int(q, "q")
+    k, p, q = as_int(k, "k"), as_positive_int(p, "p"), as_positive_int(q, "q")
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    if p < 1 or q < 1:
-        raise ValueError(f"block multiplicities must be positive, got p={p}, q={q}")
     m = 2 * p * (k - 1)
     n = 2 * q * (k - 1)
     check_dimensions(f"result {m}x{n}", m, n)
@@ -106,9 +103,7 @@ def opnorm_extremal_matrix(m: int, n: int, orientation: str) -> DenseMatrix:
     These are the matrices for which the largest singular values of A and of
     its complement J - A sum to sqrt(2mn); that needs mn even.
     """
-    m, n = as_int(m, "m"), as_int(n, "n")
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be positive, got {m}x{n}")
+    m, n = as_positive_int(m, "m"), as_positive_int(n, "n")
     check_dimensions(f"result {m}x{n}", m, n)
     if (m * n) % 2 != 0:
         raise OddProductError(f"mn = {m * n} is odd; no half-ones split exists")

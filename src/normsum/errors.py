@@ -1,4 +1,4 @@
-"""Exception types, and the integer check, shared across the package."""
+"""Exception types, and the integer checks, shared across the package."""
 
 import operator
 
@@ -73,3 +73,11 @@ def as_int(value, name: str, error: type[ValueError] = ValueError) -> int:
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def as_positive_int(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """The one positivity gate: `as_int`, then `error` unless value >= 1."""
+    n = as_int(value, name, error)
+    if n < 1:
+        raise error(f"{name} must be a positive integer, got {n!r}")
+    return n

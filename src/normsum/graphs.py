@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotOneModFourError, NotPrimePowerError, as_int
+from .errors import NotOneModFourError, NotPrimePowerError, as_int, as_positive_int
 from .linalg import DenseMatrix, _prime_power_split, check_dimensions
 
 
@@ -43,10 +43,8 @@ class Graph:
     bits: int
 
     def __post_init__(self):
-        for name in ("n", "bits"):
-            object.__setattr__(self, name, as_int(getattr(self, name), f"graph {name}"))
-        if self.n < 1:
-            raise ValueError(f"graph order must be positive, got {self.n}")
+        object.__setattr__(self, "n", as_positive_int(self.n, "graph n"))
+        object.__setattr__(self, "bits", as_int(self.bits, "graph bits"))
         m = self.n * (self.n - 1) // 2
         if not 0 <= self.bits < (1 << m):
             raise ValueError(f"edge bitset out of range for order {self.n}")
@@ -214,8 +212,6 @@ def graph6_decode(s: str) -> Graph:
         for v in data[2:8]:
             n = (n << 6) | v
         pos = 8
-    if n < 1:
-        raise ValueError(f"graph6 order {n} must be positive")
     m = n * (n - 1) // 2
     need = (m + 5) // 6
     body = codes[pos:]

@@ -38,6 +38,7 @@ from .errors import (
     NonSymmetricError,
     SizeOverflowError,
     as_int,
+    as_positive_int,
 )
 
 # Largest row/column count any operation will produce or accept.
@@ -96,9 +97,7 @@ class DenseMatrix:
     def from_flat(cls, rows: int, cols: int, entries: Sequence[float]) -> "DenseMatrix":
         """Build from a flat row-major list (or tuple) of rows*cols ints and
         floats, numpy's too; the shape is checked before the entries."""
-        rows, cols = as_int(rows, "matrix rows"), as_int(cols, "matrix cols")
-        if rows < 1 or cols < 1:
-            raise ValueError("rows and cols must be positive")
+        rows, cols = as_positive_int(rows, "matrix rows"), as_positive_int(cols, "matrix cols")
         check_dimensions(f"matrix of shape {(rows, cols)}", rows, cols)
         if not isinstance(entries, (list, tuple)):
             raise ValueError(f"matrix entries must be a list, got {type(entries).__name__}")
@@ -339,6 +338,12 @@ def eigh_basis(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigendecomposition failed: {exc}") from exc
     return w, q, _certify(_frobenius(sym @ q - q * w), sym, "eigen")
+
+
+def _eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a symmetric (B, n, n) stack, by
+    one batched LAPACK call and uncertified: the search's scoring kernel."""
+    return np.linalg.eigvalsh(stack)
 
 
 def sym_eigen(m) -> EigenSpectrum:

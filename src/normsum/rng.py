@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import as_int
+
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -38,15 +40,21 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
+def as_seed(value, error: type[ValueError] = ValueError) -> int:
+    """The one seed gate: `as_int`, then `error` unless 0 <= value < 2^64."""
+    seed = as_int(value, "seed", error)
+    if not 0 <= seed <= MASK64:
+        raise error(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return seed
+
+
 class SplitMix64:
     """The generator above; state is a single 64-bit word."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int) -> None:
-        if not isinstance(seed, int) or not 0 <= seed <= MASK64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        self.state = seed
+        self.state = as_seed(seed)
 
     def next64(self) -> int:
         self.state = (self.state + _GAMMA) & MASK64

@@ -23,10 +23,11 @@ from .errors import (
     NoConvergenceError,
     OrderTooLargeError,
     as_int,
+    as_positive_int,
 )
 from .graphs import Graph, adjacency_matrix, complement_matrix, graph6_encode, pair_mask
-from .linalg import DenseMatrix, check_dimensions, eigh_basis
-from .rng import MASK64, SplitMix64, derive_seed
+from .linalg import DenseMatrix, _eigvalsh_stack, check_dimensions, eigh_basis
+from .rng import MASK64, SplitMix64, as_seed, derive_seed
 
 EXHAUSTIVE_MAX_N = 8
 LOCAL_MAX_N = 64
@@ -66,12 +67,9 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_steps", "seed"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name, BadConfigError))
-        if self.restarts < 1:
-            raise BadConfigError(f"restarts must be a positive integer, got {self.restarts!r}")
-        if self.max_steps < 1:
-            raise BadConfigError(f"max_steps must be a positive integer, got {self.max_steps!r}")
+        for key in ("restarts", "max_steps"):
+            object.__setattr__(self, key, as_positive_int(getattr(self, key), key, BadConfigError))
+        object.__setattr__(self, "seed", as_seed(self.seed, BadConfigError))
         if not 0.0 <= self.temperature_initial < math.inf:
             raise BadConfigError(
                 "temperature_initial must be finite and nonnegative, "
@@ -79,8 +77,6 @@ class SearchConfig:
             )
         if not 0.0 < self.cooling < 1.0:
             raise BadConfigError(f"cooling must be in (0, 1), got {self.cooling!r}")
-        if not 0 <= self.seed <= MASK64:
-            raise BadConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -103,35 +99,21 @@ class SearchResult:
     method: str
 
     def to_json(self) -> dict:
-        return {
-            "objective": self.objective,
-            "k": self.k,
-            "n": self.n,
-            "best_value": self.best_value,
-            "witnesses": [graph6_encode(g) for g in self.witnesses],
-            "truncated": self.truncated,
-            "evaluations": self.evaluations,
-            "seed": self.seed,
-            "method": self.method,
-        }
+        fields_ = {f.name: getattr(self, f.name) for f in fields(self)}
+        return fields_ | {"witnesses": [graph6_encode(g) for g in self.witnesses]}
 
 
-def _check_order(n: int, cap: int, what: str) -> int:
-    """n as an int in [1, cap]; `what` names the capped search."""
-    n = as_int(n, "n")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+def _check_order(n: int, threads: int, cap: int, what: str) -> tuple[int, int]:
+    """(n, threads) as positive ints, n at most cap; `what` names the search."""
+    n = as_positive_int(n, "n")
     if n > cap:
         raise OrderTooLargeError(f"{what} is capped at n = {cap}, got n = {n}")
-    return n
+    return n, as_positive_int(threads, "threads")
 
 
 def _fan_out(run, items, threads: int) -> list:
     """[run(x) for x in items] on up to `threads` worker threads (a positive
     integer), in item order whatever the thread count."""
-    threads = as_int(threads, "threads")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
     if threads == 1 or len(items) == 1:
         return [run(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -142,6 +124,8 @@ def _check_objective(n: int, objective: str, k: int | None) -> int | None:
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     if objective == "trace_sum":
+        if k is not None:
+            raise ValueError(f"k applies only to objective 'kyfan_sum', got k={k!r}")
         return None
     if k is None:
         raise KOutOfRangeError("objective 'kyfan_sum' needs k")
@@ -164,8 +148,8 @@ def _spectral_norms(w: np.ndarray, objective: str, k: int | None) -> np.ndarray:
 def _pair_objective(a: np.ndarray, objective: str, k: int | None) -> np.ndarray:
     """Objective values for a (B, n, n) adjacency stack: norm of each graph
     plus norm of its complement."""
-    return _spectral_norms(np.linalg.eigvalsh(a), objective, k) + _spectral_norms(
-        np.linalg.eigvalsh(complement_matrix(a)), objective, k
+    return _spectral_norms(_eigvalsh_stack(a), objective, k) + _spectral_norms(
+        _eigvalsh_stack(complement_matrix(a)), objective, k
     )
 
 
@@ -220,7 +204,7 @@ def _graph_norms(idx: np.ndarray, n: int, objective: str, k: int | None) -> np.n
     """Norm of every graph index in idx, with one eigensolve per distinct
     spectrum: the smallest index of each walk-count class stands in for it."""
     first, inverse = _group_rows(_walk_counts(idx, n))
-    w = np.linalg.eigvalsh(_adjacency_from_indices(idx[first], n))
+    w = _eigvalsh_stack(_adjacency_from_indices(idx[first], n))
     return _spectral_norms(w, objective, k)[inverse]
 
 
@@ -268,7 +252,7 @@ def exhaustive_max(
     the best, merged by one sort of their bitsets, so the result does not
     depend on the thread count.
     """
-    n = _check_order(n, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
+    n, threads = _check_order(n, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
     if n == EXHAUSTIVE_MAX_N:
         warnings.warn(
             "exhaustive_max(8) enumerates 2^28 graphs in 2048 jobs of two 2^16 blocks; "
@@ -495,7 +479,7 @@ def local_search_max(
     Speed does not find the equality case: at n = 17 the default config
     misses the bound met by P17.
     """
-    n = _check_order(n, LOCAL_MAX_N, "local search")
+    n, threads = _check_order(n, threads, LOCAL_MAX_N, "local search")
     k = _check_objective(n, objective, k)
     if cfg is None:
         cfg = SearchConfig()
@@ -603,12 +587,7 @@ def property_sweep(
     reported with the offending input serialized in full. The kyfan kind
     checks k = 2 and, when the shape allows, k = 3 on every sample.
     """
-    trials = as_int(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    seed = as_int(seed, "seed")
-    if not 0 <= seed <= MASK64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    trials, seed = as_positive_int(trials, "trials"), as_seed(seed)
     lo, hi = (as_int(v, "n_range bound") for v in n_range)
     if not 2 <= lo <= hi:
         raise ValueError(f"n_range must satisfy 2 <= lo <= hi, got ({lo}, {hi})")
@@ -620,7 +599,7 @@ def property_sweep(
     tallies = []
     for kind in kinds:
         rng = SplitMix64(derive_seed(seed, _KIND_TAGS[kind]))
-        passes = violations = 0
+        passes = 0
         worst_slack = math.inf
         worst_witness = None
 
@@ -655,10 +634,7 @@ def property_sweep(
                     slack = min(v.slack for v in sub)
                 witness = {"matrix": mat.to_json()}
 
-            if ok:
-                passes += 1
-            else:
-                violations += 1
+            passes += ok
             if slack < worst_slack:
                 worst_slack = slack
                 worst_witness = witness
@@ -668,7 +644,7 @@ def property_sweep(
                 kind=kind,
                 trials=trials,
                 passes=passes,
-                violations=violations,
+                violations=trials - passes,
                 worst_slack=worst_slack,
                 worst_witness=worst_witness,
             )

@@ -441,3 +441,12 @@ def test_zero_tolerance_is_allowed():
 def test_main_improves_on_gutman_zhou():
     for n in range(7, 101):
         assert bound_value("main", n) < bound_value("gutman_zhou", n)
+
+
+def test_check_bound_takes_k_only_for_kyfan():
+    g = paley_graph(9)
+    for kind in ("koolen_moulton", "main", "gutman_zhou", "shifted", "opnorm"):
+        message = f"^k applies only to bound kind 'kyfan', got k=3 for '{kind}'$"
+        with pytest.raises(ValueError, match=message):
+            check_bound(kind, g, k=3)
+    assert check_bound("kyfan", kyfan_extremal_matrix(3, 1, 1), k=3).equality

@@ -719,3 +719,76 @@ def test_parser_reads_the_library_constants():
         for objective in OBJECTIVES:
             args = parser.parse_args(["search", mode, "--n", "4", "--objective", objective])
             assert args.objective == objective
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "main", "--paley", "1_3", "--json"],
+        ["sweep", "--trials", "1_0", "--n-max", "5", "--kinds", "main"],
+        ["search", "exhaustive", "--n", "3", "--threads", "1_0"],
+        ["construct", "paley", "١٣"],  # 13 in Arabic-Indic digits
+        ["search", "local", "--n", "4", "--t0", "1_0.0"],
+    ],
+)
+def test_numbers_on_the_command_line_are_ascii_without_separators(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(_error_lines(err)) == 1
+
+
+def test_every_numeric_flag_reads_numbers_strictly():
+    strict = 0
+    for leaf, p in _leaf_parsers(cli.build_parser()):
+        for action in p._actions:
+            assert action.type not in (int, float), (leaf, action.dest)
+            if action.type in (cli._int, cli._float):
+                strict += 1
+                for bad in ("1_0", "١"):
+                    with pytest.raises(ValueError, match="^invalid (int|float) value: "):
+                        action.type(bad)
+    assert strict == 32  # numeric flags and positionals, over all leaf parsers
+    assert cli._int(" 10 ") == 10 and cli._float("-1e1") == -10.0
+    assert math.isnan(cli._float("nan")) and cli._float("inf") == math.inf
+
+
+@pytest.mark.parametrize("cells", ["0,1_0\n1_0,0\n", "0,١\n١,0\n"])
+def test_csv_cells_are_ascii_without_separators(tmp_path, capsys, cells):
+    path = tmp_path / "m.csv"
+    path.write_text(cells, encoding="utf-8")
+    code, out, err = run(capsys, ["spectrum", "--matrix", str(path)])
+    assert code == 2 and out == ""
+    assert len(_error_lines(err)) == 1
+    path.write_text("0, 1e1\n10 ,0\n", encoding="utf-8")
+    _, rep = run_json(capsys, ["spectrum", "--matrix", str(path)])
+    assert rep["results"]["eigenvalues"] == [10, -10]
+
+
+def test_threads_are_checked_by_the_search_and_echoed_as_given(capsys):
+    code, out, err = run(capsys, ["search", "exhaustive", "--n", "3", "--threads", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: threads must be a positive integer, got 0\n"
+    _, rep = run_json(capsys, ["search", "exhaustive", "--n", "3", "--threads", "2"])
+    assert rep["inputs"]["threads"] == "2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "main", "--paley", "9", "--k", "3"],
+        ["check", "shifted", "--paley", "9", "--k", "3"],
+        ["check", "weyl", "--paley", "9", "--k", "3"],
+        ["check", "equality", "--paley", "9", "--k", "3"],
+        ["check", "opnorm", "--rows", "2", "--cols", "2", "--orientation", "rows", "--k", "1"],
+        ["search", "exhaustive", "--n", "4", "--k", "3"],
+        ["search", "local", "--n", "4", "--k", "3", "--steps", "2"],
+    ],
+)
+def test_a_k_the_command_does_not_read_exits_two(capsys, argv):
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 2 and out == ""
+    assert len(_error_lines(err)) == 1 and "k=" in err

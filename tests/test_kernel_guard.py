@@ -1,4 +1,4 @@
-"""Static guard: LAPACK factorizations, FFTs and the symmetric-input decision stay in linalg."""
+"""Static guard: numpy.linalg, numpy.fft and the symmetric-input decision stay in linalg."""
 
 import ast
 from pathlib import Path
@@ -6,8 +6,7 @@ from pathlib import Path
 import normsum
 
 SRC = Path(normsum.__file__).parent
-FACTORIZATIONS = {f"{np}.linalg.{fn}" for np in ("np", "numpy") for fn in ("eigh", "svd")}
-FFT = ("np.fft.", "numpy.fft.")
+KERNELS = ("np.linalg", "numpy.linalg", "np.fft", "numpy.fft")
 PRIVATE = {"_asymmetry", "_singular_from_eigen"}
 
 
@@ -21,26 +20,32 @@ def _dotted(node):
     return ".".join(reversed(parts))
 
 
+def _is_kernel(name):
+    return any(name == mod or name.startswith(mod + ".") for mod in KERNELS)
+
+
 def violations(path):
-    """(line, what) for each LAPACK factorization, FFT or linalg-private
-    symmetry helper that the module references."""
+    """(line, what) for each numpy.linalg or numpy.fft reference or import,
+    and each linalg-private symmetry helper, in the module. A reference is
+    reported by its longest dotted name: np.linalg.eigh, not np.linalg too."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nodes = list(ast.walk(tree))
+    inner = {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Attribute) and (
-            _dotted(node) in FACTORIZATIONS or _dotted(node).startswith(FFT)
-        ):
+    for node in nodes:
+        if isinstance(node, ast.Attribute) and id(node) not in inner and _is_kernel(_dotted(node)):
             found.append((node.lineno, _dotted(node)))
         elif isinstance(node, ast.Attribute) and node.attr in PRIVATE:
             found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if _is_kernel(a.name)]
         elif isinstance(node, ast.ImportFrom):
             names = {alias.name for alias in node.names}
             bad = names & PRIVATE
-            if node.module == "numpy.linalg":
-                bad |= names & {"eigh", "svd"}
-            elif node.module == "numpy.fft":
+            if _is_kernel(node.module or ""):
                 bad |= names
             elif node.module == "numpy":
-                bad |= names & {"fft"}
+                bad |= names & {"linalg", "fft"}
             found += [(node.lineno, name) for name in sorted(bad)]
     return found
 
@@ -53,8 +58,30 @@ def test_factorizations_and_symmetry_helpers_stay_in_linalg():
     # the scan does see the kernel's own call sites and symmetry reads
     assert {what for _, what in violations(SRC / "linalg.py")} == {
         "_asymmetry",
+        "np.linalg.LinAlgError",
         "np.linalg.eigh",
+        "np.linalg.eigvalsh",
         "np.linalg.svd",
         "np.fft.fftn",
         "np.fft.ifftn",
     }
+
+
+def test_the_scan_finds_every_numpy_linalg_reference(tmp_path):
+    stray = tmp_path / "stray.py"
+    stray.write_text(
+        "import numpy.linalg\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import norm\n"
+        "la = np.linalg\n"
+        "w = numpy.linalg.eigvalsh(a).T\n"
+        "from normsum.linalg import _asymmetry\n"
+    )
+    assert sorted(violations(stray)) == [
+        (1, "numpy.linalg"),
+        (2, "linalg"),
+        (3, "norm"),
+        (4, "np.linalg"),
+        (5, "numpy.linalg.eigvalsh"),
+        (6, "_asymmetry"),
+    ]

@@ -661,7 +661,7 @@ def test_both_searches_share_the_order_and_thread_checks():
             search_max(cap + 1)
         with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
             search_max(0)
-        with pytest.raises(ValueError, match="^threads must be positive, got 0$"):
+        with pytest.raises(ValueError, match="^threads must be a positive integer, got 0$"):
             search_max(3, threads=0)
 
 
@@ -676,3 +676,9 @@ def test_property_sweep_validation():
         property_sweep(5, 0, (1, 4), ["main"])
     with pytest.raises(ValueError):
         property_sweep(5, -1, (3, 6), ["main"])
+
+
+def test_trace_sum_takes_no_k():
+    for search_max in (exhaustive_max, local_search_max):
+        with pytest.raises(ValueError, match="^k applies only to objective 'kyfan_sum', got k=3$"):
+            search_max(4, k=3)
