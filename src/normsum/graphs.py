@@ -45,8 +45,8 @@ class Graph:
     def __post_init__(self):
         object.__setattr__(self, "n", as_positive_int(self.n, "graph n"))
         object.__setattr__(self, "bits", as_int(self.bits, "graph bits"))
-        m = self.n * (self.n - 1) // 2
-        if not 0 <= self.bits < (1 << m):
+        # bit_length, not 1 << m: no m-bit integer is built for a large n
+        if not (self.bits >= 0 and self.bits.bit_length() <= self.pair_count):
             raise ValueError(f"edge bitset out of range for order {self.n}")
 
     @property

@@ -106,5 +106,6 @@ def fnv1a64(text: str) -> int:
 
 
 def derive_seed(seed: int, tag: str) -> int:
-    """Seed for the named substream: one generator step of seed XOR hash(tag)."""
-    return SplitMix64((seed & MASK64) ^ fnv1a64(tag)).next64()
+    """Seed for the named substream: one generator step of seed XOR hash(tag).
+    seed passes `as_seed`, so an out-of-range seed raises rather than wraps."""
+    return SplitMix64(as_seed(seed) ^ fnv1a64(tag)).next64()

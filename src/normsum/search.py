@@ -38,7 +38,6 @@ WITNESS_TOL = 1e-9
 OBJECTIVES = ("trace_sum", "kyfan_sum")
 
 _BLOCK_BITS = 16  # exhaustive enumeration block size 2^16
-_KEY_CHUNK = 1 << 13  # graphs per batch of closed-walk counts, bounding memory
 
 # Annealing flip screen, see _screen_flips and _anneal_once. Below
 # SCREEN_MIN_N scoring all m <= 36 flips exactly costs less than the screen.
@@ -163,55 +162,155 @@ def _adjacency_from_indices(idx: np.ndarray, n: int) -> np.ndarray:
     return ((idx[:, None, None] & bit) != 0).astype(np.float64)
 
 
-def _walk_counts(idx: np.ndarray, n: int) -> np.ndarray:
-    """Closed-walk counts tr(A^k), k = 2..n, one row per graph index.
+def _border_sets(v: int, values: np.ndarray) -> np.ndarray:
+    """(U, v) 0/1 float rows: bit i of values[u] joins a new vertex v to
+    vertex i, as the pair bits of vertex v do in a graph index."""
+    return ((values[:, None] >> np.arange(v)) & 1).astype(np.float64)
 
-    With tr A = 0 these fix the characteristic polynomial (Newton's
-    identities), so two graphs share a spectrum exactly when their rows are
-    equal. Every count is an integer at most n (n-1)^n < 2^53 for n <= 8, so
-    the float64 products and sums are exact. n = 1 keeps the column
-    tr A^2 = 0 so that every row has a key.
+
+def _border(adj: np.ndarray, rows: np.ndarray, counts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Closed-walk counts of the graphs (u, g) bordered by a new vertex joined
+    to the 0/1 row xs[u].
+
+    Graph (u, g) has adjacency A = [[adj[g], B], [B^T, D]], adj a (G, b, b)
+    stack and rows[u] = [B^T | D] the (s, b + s) rows of its s later
+    vertices; xs is (U, b + s), counts (top - 1, U or 1, G) holds tr A^k,
+    k = 2..top, and so does the (top - 1, U, G) result for the bordered
+    graphs. By the Schur complement the bordered graph A' has
+    det(I - zA') = det(I - zA) (1 - F(z)), F(z) = sum_j (x^T A^j x) z^(j+2),
+    and -z d/dz log det(I - zA) = sum_k tr A^k z^k, so tr A'^k = tr A^k + s_k
+    with s = zF'/(1 - F): s_k = k F_k + sum_{i=2}^{k-2} F_i s_(k-i).
+    x^T A^j x is y_a . y_(j-a), a = j // 2 and y_i = A^i x: one batched
+    matvec with adj, and two small products with rows, per i. Every term is a
+    nonnegative walk count below 2^53, so the float64 arithmetic is exact.
     """
-    top = max(n, 2)
-    keys = np.empty((idx.shape[0], top - 1), dtype=np.float64)
-    for s in range(0, idx.shape[0], _KEY_CHUNK):
-        a = _adjacency_from_indices(idx[s : s + _KEY_CHUNK], n)
-        powers = [a]  # powers[j] = A^(j+1)
-        while len(powers) < (top + 1) // 2:
-            powers.append(powers[-1] @ a)
-        flat = [p.reshape(p.shape[0], -1) for p in powers]
-        for kk in range(2, top + 1):
-            # tr(A^i A^j) = sum of the entrywise product, as A^j is symmetric
-            keys[s : s + _KEY_CHUNK, kk - 2] = np.einsum(
-                "bi,bi->b", flat[kk - kk // 2 - 1], flat[kk // 2 - 1]
-            )
-    return keys
+    b, top = adj.shape[1], counts.shape[0] + 1
+
+    def times_a(y):  # rows y[g, u] of (G, U, b + s) times A, which is symmetric
+        out = y[..., :b] @ adj
+        if rows.shape[1] == 0:
+            return out
+        out += np.einsum("gus,usb->gub", y[..., b:], rows[..., :b])
+        return np.concatenate([out, np.einsum("guw,usw->gus", y, rows)], axis=2)
+
+    y = [np.broadcast_to(xs, (adj.shape[0],) + xs.shape)]
+    while len(y) <= (top - 1) // 2:
+        y.append(times_a(y[-1]))
+    f, s = {}, {}
+    out = np.empty((top - 1, xs.shape[0], adj.shape[0]))
+    for kk in range(2, top + 1):
+        a = (kk - 2) // 2
+        f[kk] = np.einsum("guw,guw->ug", y[a], y[kk - 2 - a])
+        s[kk] = kk * f[kk]
+        for i in range(2, kk - 1):
+            s[kk] += f[i] * s[kk - i]
+        np.add(counts[kk - 2], s[kk], out=out[kk - 2])
+    return out
+
+
+def _base_table(n: int):
+    """(adjacency, counts) of all graphs on the first b vertices of an
+    enumeration block, in index order: b is the largest b <= n whose
+    b(b-1)/2 pair bits fit in _BLOCK_BITS. counts (max(n, 2) - 1, 1,
+    2^(b(b-1)/2)) holds tr H^k, k = 2..max(n, 2), grown by bordering from
+    the one-vertex graph with every set of each next vertex, and the
+    (2^(b(b-1)/2), b, b) adjacency stack is None when b = n, where the base
+    graphs are the whole enumeration and nothing is bordered onto them.
+    n = 1 keeps the row tr A^2 = 0 so that every graph has a key."""
+    b = 1
+    while b < n and (b + 1) * b // 2 <= _BLOCK_BITS:
+        b += 1
+    adj, counts = np.zeros((1, 1, 1)), np.zeros((max(n, 2) - 1, 1, 1))
+    for v in range(1, b):
+        xs = _border_sets(v, np.arange(1 << v))
+        counts = _border(adj, np.zeros((xs.shape[0], 0, v)), counts, xs)
+        counts = counts.reshape(counts.shape[0], 1, -1)
+        # graph u 2^(v(v-1)/2) + g is adj[g] plus vertex v; the stack on b
+        # vertices serves only blocks that border later vertices onto it
+        if v + 1 < b or b < n:
+            grown = np.zeros((xs.shape[0], adj.shape[0], v + 1, v + 1))
+            grown[:, :, :v, :v] = adj
+            grown[:, :, v, :v] = grown[:, :, :v, v] = xs[:, None]
+            adj = grown.reshape(-1, v + 1, v + 1)
+    return (adj if b < n else None), counts
+
+
+def _pack_keys(counts: np.ndarray, n: int) -> np.ndarray:
+    """(G, W) int64 keys of the (top - 1, G) closed-walk counts of graphs on
+    n vertices: tr A^k <= n (n-1)^(k-1) gets that bound's bit width, and
+    the widths fill 63-bit words in k order (W = 2 for n = 7, 8), so equal
+    keys are equal counts."""
+    words, used = [], 0
+    for kk, row in enumerate(counts, start=2):
+        width = (n * (n - 1) ** (kk - 1)).bit_length()
+        if not words or used + width > 63:
+            words.append(np.zeros(row.shape, dtype=np.int64))
+            used = 0
+        words[-1] |= row.astype(np.int64) << used
+        used += width
+    return np.stack(words, axis=1)
+
+
+def _block_keys(block: int, n: int, table) -> np.ndarray:
+    """Packed closed-walk keys of enumeration block `block`, in index order.
+
+    Vertex v owns pair bits v(v-1)/2 .. v(v+1)/2 - 1, so the block's indices
+    form a grid: offset t = h + 2^(b(b-1)/2) u, with h every base graph of
+    `table` (on b vertices) and u every value of the block's low bits of
+    vertex b; each later vertex has the one set that the block's high bits
+    give it. The later vertices' rows are kept per u, never per graph.
+    """
+    adj, counts = table
+    if adj is not None:
+        b, start = adj.shape[1], block << _BLOCK_BITS
+        low = b * (b - 1) // 2
+        xs = _border_sets(b, (start >> low) + np.arange(1 << (_BLOCK_BITS - low)))
+        rows = np.zeros((xs.shape[0], 0, b))
+        for v in range(b, n):
+            if v > b:
+                x = _border_sets(v, np.array([start >> (v * (v - 1) // 2)]))
+                xs = np.broadcast_to(x, (rows.shape[0], v))
+            counts = _border(adj, rows, counts, xs)
+            # vertex v joins the later rows: column v is xs[:, b:], row v is xs
+            grown = np.zeros((rows.shape[0], rows.shape[1] + 1, v + 1))
+            grown[:, :-1, :v] = rows
+            grown[:, :-1, v] = xs[:, b:]
+            grown[:, -1, :v] = xs
+            rows = grown
+    return _pack_keys(counts.reshape(counts.shape[0], -1), n)
 
 
 def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact grouping of equal rows: (first, inverse) with first[g] the
     smallest row index of group g and inverse[i] the group of row i."""
     order = np.lexsort(keys.T)  # stable, so each group starts at its smallest row
-    ranked = keys[order]
-    starts = np.ones(order.shape[0], dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.zeros(order.shape[0], dtype=bool)
+    starts[0] = True
+    for column in keys.T:
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
     inverse = np.empty(order.shape[0], dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return order[starts], inverse
 
 
-def _graph_norms(idx: np.ndarray, n: int, objective: str, k: int | None) -> np.ndarray:
-    """Norm of every graph index in idx, with one eigensolve per distinct
-    spectrum: the smallest index of each walk-count class stands in for it."""
-    first, inverse = _group_rows(_walk_counts(idx, n))
+def _graph_norms(
+    idx: np.ndarray, keys: np.ndarray, n: int, objective: str, k: int | None
+) -> np.ndarray:
+    """Norm of every graph index in idx, given rows of keys that are equal
+    exactly when the graphs' closed-walk counts tr A^k, k = 2..n, are. With
+    tr A = 0 these fix the characteristic polynomial (Newton's identities),
+    so graphs with equal counts are cospectral, and the smallest index of
+    each class stands in for it in one batched eigensolve."""
+    first, inverse = _group_rows(keys)
     w = _eigvalsh_stack(_adjacency_from_indices(idx[first], n))
     return _spectral_norms(w, objective, k)[inverse]
 
 
-def _job_values(job: int, n: int, objective: str, k: int | None):
+def _job_values(job: int, n: int, objective: str, k: int | None, table):
     """Objective values of enumeration job `job`: (indices, values) over
     block `job` followed by its mirror block, or over the single block when
-    there is only one.
+    there is only one; `table` is :func:`_base_table` (n).
 
     The complement of graph i is graph total - 1 - i (every edge bit
     flipped). In both layouts the indices ascend and position -1 - r holds
@@ -223,7 +322,9 @@ def _job_values(job: int, n: int, objective: str, k: int | None):
     lo = np.arange(job * block, (job + 1) * block, dtype=np.int64)
     # the mirror block; a single block is its own mirror, and [:total] keeps it once
     idx = np.concatenate([lo, total - 1 - lo[::-1]])[:total]
-    f = _graph_norms(idx, n, objective, k)
+    blocks = (job, total // block - 1 - job)[: idx.size // block]
+    keys = np.concatenate([_block_keys(b, n, table) for b in blocks])
+    f = _graph_norms(idx, keys, n, objective, k)
     return idx, f + f[::-1]
 
 
@@ -242,29 +343,33 @@ def exhaustive_max(
 ) -> SearchResult:
     """Exact maximum of the objective over all 2^(n(n-1)/2) labeled graphs.
 
-    Hard-capped at n = 8 (2^28 graphs, 2048 jobs, about 13 minutes per thread);
-    n = 8 warns about the runtime up front. The graphs are enumerated in
-    blocks of 2^16 indices. One job scores a block together with its mirror
-    block, which holds the complements, and computes each graph's norm once;
-    graphs with equal closed-walk counts are cospectral and share one batched
-    eigenvalue call. Each job hands on its graphs within WITNESS_TOL of its
-    own top, and the witnesses are those of all jobs within WITNESS_TOL of
-    the best, merged by one sort of their bitsets, so the result does not
-    depend on the thread count.
+    Hard-capped at n = 8 (2^28 graphs, 2048 jobs of about 65 ms each on a
+    2-vCPU Xeon, so about 2 minutes per thread); n = 8 warns about the
+    runtime up front. The graphs are enumerated in blocks of 2^16 indices.
+    One job scores a block together with its mirror block, which holds the
+    complements, and computes each graph's norm once; graphs with equal
+    closed-walk counts are cospectral and share one batched eigenvalue call.
+    The counts of a block come from those of all graphs on its first
+    vertices, built once per call, by bordering with the block's later
+    vertices (:func:`_border`). Each job hands on its graphs within
+    WITNESS_TOL of its own top, and the witnesses are those of all jobs
+    within WITNESS_TOL of the best, merged by one sort of their bitsets, so
+    the result does not depend on the thread count.
     """
     n, threads = _check_order(n, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
     if n == EXHAUSTIVE_MAX_N:
         warnings.warn(
             "exhaustive_max(8) enumerates 2^28 graphs in 2048 jobs of two 2^16 blocks; "
-            "expect about 13 minutes per thread",
+            "expect about 2 minutes per thread",
             stacklevel=2,
         )
     k = _check_objective(n, objective, k)
     total = 1 << (n * (n - 1) // 2)
     jobs = range(max(1, (total >> _BLOCK_BITS) // 2))
+    table = _base_table(n)  # read-only, shared by the jobs
 
     def run(job):
-        idx, vals = _job_values(job, n, objective, k)
+        idx, vals = _job_values(job, n, objective, k, table)
         near = vals >= vals.max() - WITNESS_TOL
         return list(zip(vals[near].tolist(), idx[near].tolist()))
 

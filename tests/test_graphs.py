@@ -63,6 +63,23 @@ def test_graph_construction_and_queries():
         Graph(n=0, bits=0)
 
 
+def test_graph_bitset_range_needs_no_m_bit_integer():
+    # the verdict of 0 <= bits < 2^m, decided by bit lengths alone
+    for n in range(1, 7):
+        m = n * (n - 1) // 2
+        for bits in (-(1 << m), -1, 0, 1, (1 << m) - 1, 1 << m, 1 << (m + 1)):
+            if 0 <= bits < 1 << m:
+                assert Graph(n=n, bits=bits).bits == bits
+            else:
+                with pytest.raises(ValueError):
+                    Graph(n=n, bits=bits)
+    # 2^m would need m/8 bytes: about 625 MB at n = 100000, none at n = 2^64
+    assert Graph(n=100000, bits=(1 << 1000) - 1).edge_count == 1000
+    assert Graph(n=1 << 64, bits=0).edge_count == 0
+    with pytest.raises(ValueError):
+        Graph(n=1 << 64, bits=-1)
+
+
 def test_graph_normalizes_integer_fields():
     g = Graph(n=np.int64(4), bits=np.int64(3))
     assert type(g.n) is int and type(g.bits) is int

@@ -131,3 +131,12 @@ def test_fnv1a64_and_derive_seed():
     assert derive_seed(3, "graph") != derive_seed(3, "sym_matrix")
     assert derive_seed(3, "graph") != derive_seed(4, "graph")
     assert 0 <= derive_seed(123456, "rect_matrix") < (1 << 64)
+
+
+def test_derive_seed_gates_its_seed():
+    # the seed passes the one seed gate instead of being masked to 64 bits
+    for seed in (1 << 64, (1 << 64) + 5, -1, True, 5.0, "5"):
+        with pytest.raises(ValueError):
+            derive_seed(seed, "graph")
+    assert derive_seed(np.uint64(5), "graph") == derive_seed(5, "graph")
+    assert 0 <= derive_seed((1 << 64) - 1, "graph") < (1 << 64)

@@ -127,8 +127,9 @@ def kernel_values(n, objective, k):
     """Objective of every graph as the exhaustive jobs compute it."""
     total = 1 << (n * (n - 1) // 2)
     vals = np.full(total, np.nan)
+    table = search._base_table(n)
     for job in range(max(1, (total >> search._BLOCK_BITS) // 2)):
-        idx, v = search._job_values(job, n, objective, k)
+        idx, v = search._job_values(job, n, objective, k, table)
         assert np.isnan(vals[idx]).all()  # every graph is scored exactly once
         vals[idx] = v
     return vals
@@ -205,6 +206,32 @@ def test_witnesses_are_truncated_only_past_the_cap():
     assert truncated is True
 
 
+KEY_CHUNK = 1 << 13  # graphs per batch of walk_counts, bounding memory
+
+
+def walk_counts(idx, n):
+    """Closed-walk counts tr(A^k), k = 2..max(n, 2), one row per graph index,
+    by batched matrix powers: the slow oracle of the bordered block keys.
+
+    Every count is an integer at most n (n-1)^(k-1) < 2^53 for n <= 8, so
+    the float64 products and sums are exact.
+    """
+    top = max(n, 2)
+    keys = np.empty((idx.shape[0], top - 1), dtype=np.float64)
+    for s in range(0, idx.shape[0], KEY_CHUNK):
+        a = search._adjacency_from_indices(idx[s : s + KEY_CHUNK], n)
+        powers = [a]  # powers[j] = A^(j+1)
+        while len(powers) < (top + 1) // 2:
+            powers.append(powers[-1] @ a)
+        flat = [p.reshape(p.shape[0], -1) for p in powers]
+        for kk in range(2, top + 1):
+            # tr(A^i A^j) = sum of the entrywise product, as A^j is symmetric
+            keys[s : s + KEY_CHUNK, kk - 2] = np.einsum(
+                "bi,bi->b", flat[kk - kk // 2 - 1], flat[kk // 2 - 1]
+            )
+    return keys
+
+
 def test_cospectral_pair_shares_a_solve_but_not_its_complements():
     star = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])  # K_{1,4}
     c4k1 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C_4 + K_1
@@ -212,17 +239,80 @@ def test_cospectral_pair_shares_a_solve_but_not_its_complements():
     graphs = [star, c4k1, complement(star), complement(c4k1)]
     assert [g.bits for g in graphs[2:]] == [total - 1 - star.bits, total - 1 - c4k1.bits]
     idx = np.array([g.bits for g in graphs], dtype=np.int64)
-    keys = search._walk_counts(idx, 5)
+    keys = walk_counts(idx, 5)
     assert (keys[0] == keys[1]).all() and not (keys[2] == keys[3]).all()
     first, inverse = search._group_rows(keys)
     assert len(first) == 3 and inverse[0] == inverse[1]
-    norms = search._graph_norms(idx, 5, "trace_sum", None)
+    norms = search._graph_norms(idx, keys, 5, "trace_sum", None)
     ref = [trace_norm(adjacency_matrix(g)) for g in graphs]
     assert np.max(np.abs(norms - ref)) <= 1e-12
     assert norms[2] != pytest.approx(norms[3])
     vals = kernel_values(5, "trace_sum", None)
     for g in (star, c4k1):
         assert abs(vals[g.bits] - pair_value(g)) <= 1e-12
+
+
+def assert_block_keys_match_oracle(n, blocks):
+    table = search._base_table(n)
+    total = 1 << (n * (n - 1) // 2)
+    size = min(total, 1 << search._BLOCK_BITS)
+    for b in blocks:
+        idx = np.arange(b * size, (b + 1) * size, dtype=np.int64)
+        ref = search._pack_keys(walk_counts(idx, n).T, n)
+        assert np.array_equal(search._block_keys(b, n, table), ref), (n, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_bordered_keys_match_matrix_powers_on_every_block(n):
+    total = 1 << (n * (n - 1) // 2)
+    assert_block_keys_match_oracle(n, range(max(1, total >> search._BLOCK_BITS)))
+
+
+def test_bordered_keys_match_matrix_powers_at_n8():
+    # jobs 0, 1, 1023 and 2047 of 2048: each block with its mirror
+    blocks = [b for job in (0, 1, 1023, 2047) for b in (job, 4095 - job)]
+    assert_block_keys_match_oracle(8, blocks)
+
+
+@pytest.mark.parametrize("bits", [10, 12])
+@pytest.mark.parametrize("n", [6, 7])
+def test_bordered_keys_match_matrix_powers_in_smaller_blocks(monkeypatch, bits, n):
+    # base graphs on 5 vertices; vertex 5 takes 1 or 4 border sets per block
+    monkeypatch.setattr(search, "_BLOCK_BITS", bits)
+    assert_block_keys_match_oracle(n, range(1 << (n * (n - 1) // 2 - bits)))
+
+
+@pytest.mark.parametrize("n,bits", [(7, 6), (8, 10), (8, 12)])
+def test_bordered_keys_match_matrix_powers_past_two_later_vertices(monkeypatch, n, bits):
+    # base graphs on 4 or 5 vertices, so three later vertices are bordered on
+    monkeypatch.setattr(search, "_BLOCK_BITS", bits)
+    last = (1 << (n * (n - 1) // 2 - bits)) - 1
+    assert_block_keys_match_oracle(n, [0, 1, 777, last // 3, last - 1, last])
+
+
+def unpack_keys(keys, n):
+    """Inverse of search._pack_keys: tr A^k takes the bit width of its bound
+    n (n-1)^(k-1), and the widths fill 63-bit words in k order."""
+    rows, word, used = [], -1, 63
+    for kk in range(2, max(n, 2) + 1):
+        width = (n * (n - 1) ** (kk - 1)).bit_length()
+        if used + width > 63:
+            word, used = word + 1, 0
+        rows.append((keys[:, word] >> used) & ((1 << width) - 1))
+        used += width
+    return np.array(rows, dtype=np.float64)
+
+
+def test_packed_keys_fit_two_words_and_unpack_exactly():
+    for n in range(1, 9):
+        # K_n and the empty graph have the largest and smallest walk counts
+        idx = np.array([(1 << (n * (n - 1) // 2)) - 1, 0], dtype=np.int64)
+        counts = walk_counts(idx, n).T
+        keys = search._pack_keys(counts, n)
+        assert keys.shape[1] <= 2 and (keys >= 0).all()
+        assert np.array_equal(unpack_keys(keys, n), counts)
+    assert counts[:, 0].tolist() == [7**kk + 7 * (-1) ** kk for kk in range(2, 9)]
+    assert keys.shape == (2, 2) and not (keys[0] == keys[1]).any()
 
 
 def test_adjacency_from_indices_matches_adjacency_matrix():
