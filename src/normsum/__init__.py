@@ -45,19 +45,11 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    SRGParams,
     adjacency_matrix,
-    complement,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
     graph6_decode,
     graph6_encode,
     graph_from_edges,
-    is_conference,
     paley_graph,
-    path_graph,
-    srg_params,
 )
 from .linalg import (
     DIMENSION_CAP,
@@ -106,7 +98,6 @@ __all__ = [
     "NotPrimePowerError",
     "OddProductError",
     "OrderTooLargeError",
-    "SRGParams",
     "SearchConfig",
     "SearchResult",
     "SingularSpectrum",
@@ -118,12 +109,8 @@ __all__ = [
     "adjacency_matrix",
     "bound_value",
     "check_bound",
-    "complement",
-    "complete_graph",
     "conference_eigenvalues",
-    "cycle_graph",
     "derive_seed",
-    "empty_graph",
     "equality_analysis",
     "exhaustive_max",
     "fnv1a64",
@@ -131,7 +118,6 @@ __all__ = [
     "graph6_encode",
     "graph_from_edges",
     "hadamard",
-    "is_conference",
     "ky_fan_norm",
     "kronecker",
     "kyfan_extremal_matrix",
@@ -139,9 +125,7 @@ __all__ = [
     "opnorm_extremal_matrix",
     "operator_norm",
     "paley_graph",
-    "path_graph",
     "property_sweep",
-    "srg_params",
     "svd",
     "sym_eigen",
     "trace_norm",

@@ -1,10 +1,12 @@
 """Closed-form norm bounds and their verdicts.
 
-Six bound families are evaluated here. Four compare a norm sum against a
-closed form of the dimensions (main, shifted, kyfan, opnorm); two are
-single-object energy bounds kept for comparison (koolen_moulton,
-gutman_zhou). Each check returns a BoundVerdict with the raw slack so
-callers can distinguish "holds with room" from "sits on the equality edge".
+Six bound families are evaluated here, each one a `check` kind of the CLI.
+Four compare a complement norm sum against a closed form of the dimensions
+(main, shifted, kyfan, opnorm). Two are earlier energy bounds that main
+improves on: koolen_moulton caps the trace norm of one graph, and
+gutman_zhou the sum over a graph and its complement. Each check returns a
+BoundVerdict with the raw slack so callers can distinguish "holds with room"
+from "sits on the equality edge".
 
 Domain validation is strict and runs once per check: entries out of range,
 a non-square shape, asymmetry or a nonzero diagonal, where the check needs
@@ -70,8 +72,12 @@ class EqualityReport:
     A square nonnegative zero-diagonal matrix sits on the equality edge iff
     it is (0,1), all of its row and column sums are (n-1)/2, and the shifted
     matrix A + I/2 has all singular values past the first equal to sqrt(n)/2.
-    The conference flag is the symmetric specialization: eigenvalues matching
-    ((n-1)/2, ((sqrt n - 1)/2)^r, (-(sqrt n + 1)/2)^r) with r = (n-1)/2.
+    overall is exactly these four flags, so Paley tournaments (n = 3 mod 4)
+    pass as well as conference graphs.
+
+    conference_spectrum_ok is informational and not part of overall: the
+    eigenvalues of a symmetric input match ((n-1)/2, ((sqrt n - 1)/2)^r,
+    (-(sqrt n + 1)/2)^r) with r = (n-1)/2, which needs n = 1 (mod 4).
     """
 
     is_zero_one: bool
@@ -257,9 +263,7 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
             abs(e - x) <= tol for e, x in zip(eig.values, expected)
         )
 
-    overall = (
-        is_zero_one and row_sums_ok and col_sums_ok and flat_tail_ok and conference_spectrum_ok
-    )
+    overall = is_zero_one and row_sums_ok and col_sums_ok and flat_tail_ok
     return EqualityReport(
         is_zero_one=is_zero_one,
         row_sums_ok=row_sums_ok,

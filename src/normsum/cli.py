@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Subcommands map one-to-one onto the library: construct (paley, hadamard,
-kyfan-extremal, opnorm-extremal), spectrum, norms, check (main, shifted,
-kyfan, opnorm, weyl, equality), search (exhaustive, local), and sweep.
+kyfan-extremal, opnorm-extremal), spectrum, norms, check (every bound kind
+of bounds.BOUND_KINDS, plus weyl and equality), search (exhaustive, local),
+and sweep.
 
 Exit codes: 0 success with all verdicts holding, 1 when a checked bound is
 violated (a scientific alarm, not a crash), 2 for usage, domain or overflow errors.
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    BOUND_KINDS,
     EQUALITY_TOL,
     HOLD_TOL,
     check_bound,
@@ -421,9 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("check", help="evaluate a bound or equality analysis")
-    p.add_argument(
-        "kind", choices=("main", "shifted", "kyfan", "opnorm", "weyl", "equality")
-    )
+    p.add_argument("kind", choices=BOUND_KINDS + ("weyl", "equality"))
     _add_input_flags(p)
     p.add_argument("--k", type=_int, default=None, help="Ky Fan index for kind kyfan")
     p.add_argument("--order", type=_int, default=None, help="kyfan: build the witness for this k")

@@ -1,5 +1,5 @@
 """Simple undirected graphs as pair bitsets, plus Paley graphs over prime-power
-fields and exact strong-regularity tests.
+fields.
 
 A graph on n vertices stores its edges in a single integer bitset over the
 n(n-1)/2 unordered pairs, pair (i, j) with i < j living at bit j(j-1)/2 + i.
@@ -57,15 +57,6 @@ class Graph:
     def edge_count(self) -> int:
         return self.bits.bit_count()
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        if i > j:
-            i, j = j, i
-        if not 0 <= i < j < self.n:
-            raise ValueError(f"vertex pair ({i}, {j}) out of range for order {self.n}")
-        return bool((self.bits >> pair_index(i, j)) & 1)
-
     def edge_flags(self) -> np.ndarray:
         """Boolean array over the pair bits, index k = pair k."""
         m = self.pair_count
@@ -75,6 +66,7 @@ class Graph:
     @classmethod
     def from_flags(cls, n: int, flags) -> "Graph":
         """Inverse of :meth:`edge_flags`: pair k is an edge iff flags[k]."""
+        n = as_positive_int(n, "graph n")
         flags, m = np.asarray(flags, dtype=bool), n * (n - 1) // 2
         if flags.shape != (m,):
             raise ValueError(f"need {m} pair flags for order {n}, got shape {flags.shape}")
@@ -91,10 +83,6 @@ class Graph:
         """Edge list as (i, j) with i < j, in bit order."""
         js, is_ = np.nonzero(self._lower_triangle())
         return list(zip(is_.tolist(), js.tolist()))
-
-    def degrees(self) -> list[int]:
-        low = self._lower_triangle()
-        return (low.sum(axis=0) + low.sum(axis=1)).tolist()
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [[i, j] for i, j in self.edges()]}
@@ -113,17 +101,19 @@ class Graph:
         pairs = isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 for e in edges)
         if not pairs:
             raise ValueError("graph JSON field 'edges' must be a list of [i, j] pairs")
-        ends = [(as_int(i, "edge end"), as_int(j, "edge end")) for i, j in edges]
-        return graph_from_edges(n, ends)
+        return graph_from_edges(n, edges)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
 def graph_from_edges(n: int, edges) -> Graph:
-    """Build a graph from 0-based vertex pairs; order within a pair is ignored."""
+    """Build a graph from 0-based vertex pairs; order within a pair is ignored.
+    The order and every end must be integers (a bool or a float is refused)."""
+    n = as_positive_int(n, "graph n")
     flags = np.zeros(n * (n - 1) // 2, dtype=bool)
     for i, j in edges:
+        i, j = as_int(i, "edge end"), as_int(j, "edge end")
         if i == j:
             raise ValueError(f"self-loop ({i}, {j}) not allowed")
         if i > j:
@@ -132,30 +122,6 @@ def graph_from_edges(n: int, edges) -> Graph:
             raise ValueError(f"edge ({i}, {j}) out of range for order {n}")
         flags[pair_index(i, j)] = True
     return Graph.from_flags(n, flags)
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n=n, bits=0)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n=n, bits=(1 << (n * (n - 1) // 2)) - 1)
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complement(g: Graph) -> Graph:
-    """Graph on the same vertices whose edges are exactly the non-edges of g."""
-    mask = (1 << g.pair_count) - 1
-    return Graph(n=g.n, bits=g.bits ^ mask)
 
 
 def adjacency_matrix(g: Graph) -> DenseMatrix:
@@ -221,71 +187,6 @@ def graph6_decode(s: str) -> Graph:
     if flags[m:].any():
         raise ValueError("nonzero padding bits in graph6 body")
     return Graph.from_flags(n, flags[:m])
-
-
-# ---------------------------------------------------------------------------
-# Strong regularity
-
-
-@dataclass(frozen=True)
-class SRGParams:
-    """Strongly-regular parameter tuple (n, k, lam, mu)."""
-
-    n: int
-    k: int
-    lam: int
-    mu: int
-
-    def __post_init__(self):
-        # row-sum identity every strongly regular graph satisfies
-        if self.k * (self.k - self.lam - 1) != (self.n - self.k - 1) * self.mu:
-            raise ValueError(
-                f"infeasible parameters ({self.n}, {self.k}, {self.lam}, {self.mu})"
-            )
-
-
-def srg_params(g: Graph) -> SRGParams | None:
-    """Exact integer strong-regularity test.
-
-    Returns the parameter tuple iff the graph is regular of degree k and
-    A^2 = k I + lam A + mu (J - I - A) holds over the integers. Complete and
-    empty graphs are excluded (mu resp. lam undefined).
-    """
-    n = g.n
-    if n < 3:
-        return None
-    af = adjacency_matrix(g).array
-    a = af.astype(np.int64)
-    deg = a.sum(axis=1)
-    k = int(deg[0])
-    if not (deg == k).all():
-        return None
-    if k == 0 or k == n - 1:
-        return None
-    # float64 so the product runs through BLAS; it is exact, as every entry
-    # is 0 or 1 and every sum an integer at most n < 2^53
-    a2 = (af @ af).astype(np.int64)
-    adj_off = a == 1
-    non_off = (a == 0) & ~np.eye(n, dtype=bool)
-    lam_vals = a2[adj_off]
-    mu_vals = a2[non_off]
-    lam = int(lam_vals[0])
-    mu = int(mu_vals[0]) if mu_vals.size else 0
-    if not (lam_vals == lam).all() or not (mu_vals == mu).all():
-        return None
-    return SRGParams(n=n, k=k, lam=lam, mu=mu)
-
-
-def is_conference(g: Graph) -> bool:
-    """True iff g is strongly regular with the self-paired parameter family
-    (n, (n-1)/2, (n-5)/4, (n-1)/4), which forces n = 1 (mod 4)."""
-    n = g.n
-    if n % 4 != 1 or n < 5:
-        return False
-    params = srg_params(g)
-    if params is None:
-        return False
-    return params == SRGParams(n, (n - 1) // 2, (n - 5) // 4, (n - 1) // 4)
 
 
 # ---------------------------------------------------------------------------

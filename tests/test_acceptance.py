@@ -17,26 +17,23 @@ import numpy as np
 from normsum import (
     SearchConfig,
     SplitMix64,
-    SRGParams,
     adjacency_matrix,
     bound_value,
     check_bound,
-    cycle_graph,
     equality_analysis,
     exhaustive_max,
     graph_from_edges,
-    is_conference,
     kyfan_extremal_matrix,
     local_search_max,
     opnorm_extremal_matrix,
     paley_graph,
     property_sweep,
-    srg_params,
     svd,
     sym_eigen,
     trace_norm,
 )
 from normsum.cli import main
+from oracles import SRGParams, cycle, is_conference, srg_params
 
 # exhaustive_max(7, "trace_sum"), first verified full 2^21 enumeration
 N7_MAXIMUM = 21.20375412983717
@@ -206,7 +203,7 @@ def test_criterion_08_equality_analysis_flags(capsys):
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     petersen = graph_from_edges(10, outer + spokes + inner)
-    neg = not equality_analysis(adjacency_matrix(cycle_graph(7))).overall
+    neg = not equality_analysis(adjacency_matrix(cycle(7))).overall
     neg = neg and not equality_analysis(adjacency_matrix(petersen)).overall
     elapsed = time.perf_counter() - start
     ok = all_true and neg and elapsed < 1.0
@@ -272,5 +269,5 @@ def test_criterion_11_numerics(capsys):
 
 def test_trace_norm_agrees_with_energy_oracle():
     # spot check tying the norm path to a hand-computable case
-    g = cycle_graph(4)
+    g = cycle(4)
     assert abs(trace_norm(adjacency_matrix(g)) - 4.0) < 1e-12

@@ -7,16 +7,14 @@ import pytest
 from normsum import (
     DenseMatrix,
     DomainViolationError,
+    Graph,
     KOutOfRangeError,
     MissingParamError,
     SplitMix64,
     adjacency_matrix,
     bound_value,
     check_bound,
-    complete_graph,
     conference_eigenvalues,
-    cycle_graph,
-    empty_graph,
     equality_analysis,
     graph_from_edges,
     kyfan_extremal_matrix,
@@ -25,6 +23,8 @@ from normsum import (
     weyl_complement_check,
 )
 from normsum import cli, linalg
+from normsum.graphs import quadratic_character
+from oracles import complete, cycle
 
 
 def random_unit_symmetric(rng, n):
@@ -108,7 +108,7 @@ def test_check_koolen_moulton_and_gutman_zhou_on_paley9():
 
 
 def test_check_main_on_complete_graph():
-    v = check_bound("main", complete_graph(9))
+    v = check_bound("main", complete(9))
     assert abs(v.lhs - 16) <= 1e-9
     assert v.rhs == 32
     assert v.holds and not v.equality
@@ -116,7 +116,7 @@ def test_check_main_on_complete_graph():
 
 def test_check_main_cycle5_hits_bound():
     # C5 is self-complementary and conference, so equality holds at n = 5 too
-    v = check_bound("main", cycle_graph(5))
+    v = check_bound("main", cycle(5))
     assert v.equality
 
 
@@ -254,7 +254,7 @@ def test_check_kyfan_random_matrices_hold():
 
 
 def test_verdict_fields_consistent():
-    v = check_bound("main", cycle_graph(6))
+    v = check_bound("main", cycle(6))
     assert v.slack == v.rhs - v.lhs
     assert v.holds == (v.slack >= -v.tol)
     assert v.equality == (v.holds and abs(v.slack) <= v.eq_tol)
@@ -270,7 +270,7 @@ def test_equality_analysis_conference():
 
 
 def test_equality_analysis_cycle7():
-    r = equality_analysis(adjacency_matrix(cycle_graph(7)))
+    r = equality_analysis(adjacency_matrix(cycle(7)))
     assert not r.row_sums_ok  # degree 2, needs 3
     assert not r.overall
 
@@ -309,8 +309,8 @@ def _two_branch_sum_flags(a):
 def _sum_flag_cases():
     tournament5 = [[1.0 if (j - i) % 5 in (1, 2) else 0.0 for j in range(5)] for i in range(5)]
     cases = [adjacency_matrix(g).array for g in (
-        paley_graph(9), paley_graph(13), cycle_graph(5), cycle_graph(7),
-        cycle_graph(6), complete_graph(4), empty_graph(2),
+        paley_graph(9), paley_graph(13), cycle(5), cycle(7),
+        cycle(6), complete(4), Graph(n=2, bits=0),
         graph_from_edges(6, [(0, 1), (2, 3), (4, 5), (0, 3), (1, 4), (2, 5)]),
     )] + [np.array(tournament5)]  # fmt: skip
     # within 1e-13 of 0/1: still integral
@@ -350,7 +350,7 @@ def test_equality_analysis_factors_symmetric_input_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "_certified_eigh", counting)
     assert equality_analysis(adjacency_matrix(paley_graph(13))).overall
-    assert not equality_analysis(adjacency_matrix(cycle_graph(7))).overall
+    assert not equality_analysis(adjacency_matrix(cycle(7))).overall
     assert factored == [(13, 13), (7, 7)]
 
     # a non-symmetric input keeps the SVD of A + I/2: the cyclic tournament
@@ -375,6 +375,35 @@ def test_equality_implies_shifted_equality():
         assert abs(v.slack) <= 10 * 1e-6
 
 
+def paley_tournament(q):
+    """T[u, v] = 1 iff u - v is a nonzero square of GF(q), q = 3 (mod 4)."""
+    return (quadratic_character(q) == 1).astype(float)
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27, 31, 43])
+def test_paley_tournaments_meet_the_shifted_bound_in_both_checks(q):
+    t = paley_tournament(q)
+    r = equality_analysis(t)
+    assert r.overall and not r.conference_spectrum_ok
+    assert check_bound("shifted", t).equality
+    # one reversed arc breaks both: two row sums move off (q - 1)/2
+    u, v = np.argwhere(t == 1)[0]
+    t[u, v], t[v, u] = 0.0, 1.0
+    r = equality_analysis(t)
+    assert not r.overall and not r.row_sums_ok and not r.flat_tail_ok
+    assert not check_bound("shifted", t).equality
+
+
+def test_overall_is_the_four_flags_and_leaves_out_the_conference_spectrum():
+    # the one-vertex graph meets the shifted bound at 1 = 1
+    r = equality_analysis(np.zeros((1, 1)))
+    assert r.overall and not r.conference_spectrum_ok
+    assert check_bound("shifted", np.zeros((1, 1))).equality
+    for a in _sum_flag_cases() + [paley_tournament(7)]:
+        r = equality_analysis(a)
+        assert r.overall == (r.is_zero_one and r.row_sums_ok and r.col_sums_ok and r.flat_tail_ok)
+
+
 def test_equality_analysis_domain():
     with pytest.raises(DomainViolationError):
         equality_analysis(np.ones((3, 3)))  # nonzero diagonal
@@ -390,7 +419,7 @@ def test_conference_eigenvalues_guard():
 
 
 def test_weyl_empty_graph_margins_zero():
-    r = weyl_complement_check(empty_graph(6))
+    r = weyl_complement_check(Graph(n=6, bits=0))
     assert r.ok
     assert len(r.margins) == 5
     assert max(abs(m) for m in r.margins) <= 1e-12
@@ -404,8 +433,6 @@ def test_weyl_conference_margins_zero():
 
 def test_weyl_random_graphs():
     rng = SplitMix64(77)
-    from normsum import Graph
-
     for _ in range(50):
         n = 4 + rng.next_below(9)
         g = Graph(n=n, bits=rng.next_bits(n * (n - 1) // 2))
@@ -433,9 +460,9 @@ def test_every_check_rejects_a_bad_tolerance(tol):
 
 
 def test_zero_tolerance_is_allowed():
-    v = check_bound("main", cycle_graph(5), tol=0)
+    v = check_bound("main", cycle(5), tol=0)
     assert v.tol == 0.0 and v.eq_tol == 1e-6
-    assert weyl_complement_check(empty_graph(4), tol=0).tol == 0.0
+    assert weyl_complement_check(Graph(n=4, bits=0), tol=0).tol == 0.0
 
 
 def test_main_improves_on_gutman_zhou():

@@ -13,9 +13,13 @@ import pytest
 
 from normsum import (
     BoundVerdict,
+    DomainViolationError,
+    Graph,
     SplitMix64,
     adjacency_matrix,
+    check_bound,
     cli,
+    graph6_encode,
     ky_fan_norm,
     linalg,
     paley_graph,
@@ -146,6 +150,24 @@ def test_check_equality_report(capsys):
     assert code == 0
     r = rep["results"]
     assert r["overall"] is True and r["conference_spectrum_ok"] is True
+
+
+@pytest.mark.parametrize("kind", ["koolen_moulton", "gutman_zhou"])
+def test_check_comparison_kinds(capsys, tmp_path, kind):
+    rng = SplitMix64(23)
+    g = Graph(n=12, bits=rng.next_bits(66))
+    for source, obj in ((["--paley", "9"], paley_graph(9)), (["--graph6", graph6_encode(g)], g)):
+        code, rep = run_json(capsys, ["check", kind] + source)
+        assert code == 0
+        assert rep["results"] == check_bound(kind, obj).to_json()
+    # a nonsymmetric matrix is outside both bounds' domain
+    path = tmp_path / "m.csv"
+    path.write_text("0,1\n0,0\n", encoding="utf-8")
+    with pytest.raises(DomainViolationError) as exc:
+        check_bound(kind, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    code, out, err = run(capsys, ["check", kind, "--matrix", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: {exc.value}\n"
 
 
 def test_check_weyl(capsys):
@@ -786,6 +808,8 @@ def test_threads_are_checked_by_the_search_and_echoed_as_given(capsys):
         ["check", "opnorm", "--rows", "2", "--cols", "2", "--orientation", "rows", "--k", "1"],
         ["search", "exhaustive", "--n", "4", "--k", "3"],
         ["search", "local", "--n", "4", "--k", "3", "--steps", "2"],
+        ["check", "koolen_moulton", "--paley", "9", "--k", "3"],
+        ["check", "gutman_zhou", "--paley", "9", "--k", "3"],
     ],
 )
 def test_a_k_the_command_does_not_read_exits_two(capsys, argv):

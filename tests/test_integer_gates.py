@@ -20,6 +20,7 @@ from normsum import (
     UnsupportedOrderError,
     bound_value,
     exhaustive_max,
+    graph_from_edges,
     hadamard,
     kyfan_extremal_matrix,
     local_search_max,
@@ -40,6 +41,8 @@ POSITIVE = {
     "opnorm_extremal m": (lambda v: opnorm_extremal_matrix(v, 2, "columns"), "m", ValueError),
     "opnorm_extremal n": (lambda v: opnorm_extremal_matrix(2, v, "rows"), "n", ValueError),
     "Graph n": (lambda v: Graph(n=v, bits=0), "graph n", ValueError),
+    "graph_from_edges n": (lambda v: graph_from_edges(v, []), "graph n", ValueError),
+    "from_flags n": (lambda v: Graph.from_flags(v, [False]), "graph n", ValueError),
     "from_flat rows": (lambda v: DenseMatrix.from_flat(v, 1, [0, 0]), "matrix rows", ValueError),
     "from_flat cols": (lambda v: DenseMatrix.from_flat(1, v, [0, 0]), "matrix cols", ValueError),
     "SearchConfig restarts": (lambda v: SearchConfig(restarts=v), "restarts", BadConfigError),

@@ -19,7 +19,6 @@ from normsum import (
     SplitMix64,
     adjacency_matrix,
     check_bound,
-    cycle_graph,
     equality_analysis,
     ky_fan_norm,
     kronecker,
@@ -32,6 +31,7 @@ from normsum import (
 )
 from normsum.graphs import complement_matrix, quadratic_character
 from normsum.linalg import SYMMETRY_TOL, _singular_from_eigen, check_dimensions, spectra
+from oracles import cycle
 
 
 def random_symmetric(rng, n):
@@ -241,7 +241,7 @@ def _symmetric_inputs():
     """Exactly symmetric inputs: graph adjacency matrices, A + I/2 for them,
     and random indefinite matrices."""
     rng = SplitMix64(41)
-    graphs = [adjacency_matrix(g).array for g in (cycle_graph(7), paley_graph(13), paley_graph(25))]
+    graphs = [adjacency_matrix(g).array for g in (cycle(7), paley_graph(13), paley_graph(25))]
     shifted = [a + np.eye(a.shape[0]) / 2.0 for a in graphs]
     indefinite = [random_symmetric(rng, n) for n in (1, 2, 5, 16, 33)]
     return graphs + shifted + indefinite

@@ -17,7 +17,6 @@ from normsum import (  # noqa: E402
     adjacency_matrix,
     bound_value,
     check_bound,
-    complement,
     graph6_decode,
     graph6_encode,
     kyfan_extremal_matrix,
@@ -25,6 +24,7 @@ from normsum import (  # noqa: E402
     svd,
 )
 from normsum.graphs import pair_index  # noqa: E402
+from oracles import flipped  # noqa: E402
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -45,15 +45,14 @@ def test_graph_layout_round_trips_and_invariants(g):
     edges = g.edges()
     assert [pair_index(i, j) for i, j in edges] == [k for k in range(g.pair_count) if g.bits >> k & 1]
     assert all(a[i, j] == 1.0 for i, j in edges) and a.sum() == 2 * len(edges)
-    assert g.degrees() == a.sum(axis=1).astype(int).tolist()
-    assert sum(g.degrees()) == 2 * g.edge_count
+    assert len(edges) == g.edge_count
 
 
 @hypothesis.settings(max_examples=100, **SETTINGS)
 @hypothesis.given(graphs())
 def test_objective_is_complement_symmetric(g):
     """||A|| + ||J - I - A|| is the same sum for G and its complement."""
-    ours, theirs = check_bound("main", g), check_bound("main", complement(g))
+    ours, theirs = check_bound("main", g), check_bound("main", flipped(g))
     assert ours.lhs == pytest.approx(theirs.lhs, rel=1e-12, abs=1e-12)
     assert ours.rhs == theirs.rhs
 

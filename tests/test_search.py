@@ -14,25 +14,23 @@ from normsum import (
     SearchResult,
     adjacency_matrix,
     bound_value,
-    complement,
-    cycle_graph,
     exhaustive_max,
     graph6_encode,
     graph_from_edges,
     local_search_max,
     property_sweep,
     SplitMix64,
-    srg_params,
     trace_norm,
 )
 from normsum import cli, paley_graph, search
 from normsum.graphs import pair_mask
 from normsum.search import WITNESS_CAP, WITNESS_TOL
+from oracles import cycle, flipped, srg_params
 
 
 def pair_value(g, objective="trace_sum", k=None):
     a = adjacency_matrix(g)
-    b = adjacency_matrix(complement(g))
+    b = adjacency_matrix(flipped(g))
     if objective == "trace_sum":
         return trace_norm(a) + trace_norm(b)
     sa = np.sort(np.abs(np.linalg.eigvalsh(a.array)))[::-1]
@@ -236,7 +234,7 @@ def test_cospectral_pair_shares_a_solve_but_not_its_complements():
     star = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])  # K_{1,4}
     c4k1 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C_4 + K_1
     total = 1 << 10
-    graphs = [star, c4k1, complement(star), complement(c4k1)]
+    graphs = [star, c4k1, flipped(star), flipped(c4k1)]
     assert [g.bits for g in graphs[2:]] == [total - 1 - star.bits, total - 1 - c4k1.bits]
     idx = np.array([g.bits for g in graphs], dtype=np.int64)
     keys = walk_counts(idx, 5)
@@ -345,7 +343,7 @@ def test_group_rows_is_exact():
 
 def test_objective_complement_symmetric():
     g = Graph(n=6, bits=0b101100111010011)
-    assert abs(pair_value(g) - pair_value(complement(g))) < 1e-12
+    assert abs(pair_value(g) - pair_value(flipped(g))) < 1e-12
 
 
 def test_search_config_validation():
@@ -630,7 +628,7 @@ def test_screened_annealing_breaks_ties_like_scoring_every_flip(monkeypatch):
     # start every restart from the 10-cycle, where 7 flips tie bit for bit at
     # the maximum (with numpy 2.4 and OpenBLAS 0.3.31): the step must take
     # the smallest of them
-    c10 = adjacency_matrix(cycle_graph(10))
+    c10 = adjacency_matrix(cycle(10))
     monkeypatch.setattr(search, "adjacency_matrix", lambda g: c10)
     flips = flip_stack(c10.array)
     vals = search._pair_objective(flips, "trace_sum", None)
