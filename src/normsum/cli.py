@@ -448,7 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--steps", type=_int, default=cfg.max_steps)
     sl.add_argument("--t0", type=_float, default=cfg.temperature_initial)
     sl.add_argument("--cooling", type=_float, default=cfg.cooling)
-    _add_common(sl, "seed", "threads")
+    sl.add_argument(
+        "--threads",
+        **_RUN_FLAGS["threads"]
+        | {"help": "accepted but has no effect: restarts run on one thread"},
+    )
+    _add_common(sl, "seed")
 
     p = subs.add_parser("sweep", help="randomized property sweep over the checkers")
     p.add_argument("--trials", type=_int, required=True)

@@ -269,14 +269,16 @@ def quadratic_character(q: int) -> np.ndarray:
     p, e = _field_order(q)
     if q % 2 == 0:
         raise ValueError(f"q = {q} is even; the quadratic character needs odd q")
-    # the code of u - v, digit by digit, constant term first; int16 holds
-    # every code, as q - 1 < 2^15
-    code = np.zeros((q, q), dtype=np.int16)
-    for t in range(e):
-        d = (np.arange(q, dtype=np.int16) // p ** (e - 1 - t)) % p
-        code *= p
-        code += (d[:, None] - d[None, :]) % p
-    return _character_by_code(q)[code]
+    # chi(u - v) is chi of the code whose base-p digits (most significant
+    # first) are (u_t - v_t) % p. On the (p,) * e digit grid, ext[c] is chi
+    # of the digits (p - 1 - c_t) % p, c_t in [0, 2p - 1), so window a at
+    # offset b holds chi(p - 1 - a - b), and reversed window axes
+    # (a = p - 1 - u) give chi(u - b). One copy makes that strided view a
+    # writable (q, q) table.
+    back = np.arange(p - 1, -p, -1) % p
+    ext = _character_by_code(q).reshape((p,) * e)[np.ix_(*[back] * e)]
+    windows = np.lib.stride_tricks.sliding_window_view(ext, (p,) * e)
+    return windows[(slice(None, None, -1),) * e].copy().reshape(q, q)
 
 
 def paley_graph(q: int) -> Graph:

@@ -3,8 +3,9 @@
 Three strategies: exhaustive labeled enumeration for n <= 8, seeded
 edge-flip annealing for n <= 64, and randomized property sweeps that hammer
 the bound checkers with seeded graphs and matrices. Everything is
-deterministic given its inputs, including under thread fan-out: work is
-split into fixed jobs, and their witnesses are merged by one sort.
+deterministic given its inputs. Exhaustive enumeration fans its fixed jobs
+out over threads and merges their witnesses by one sort; annealing runs its
+restarts in order on the calling thread.
 """
 
 from __future__ import annotations
@@ -507,6 +508,17 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     its random-flip draw is new. They are dropped when a flip is applied,
     uphill or random. `evaluations` counts graphs considered, 1 for the start
     and m per step, whether their flips were scored, screened out or reused.
+
+    A random flip that is not a candidate is scored only if it could be
+    accepted. It scores below vals.max(), as every flip of maximal exact
+    value is a candidate, so its delta is at most the step's best delta.
+    When that best delta gives delta / T < -746, exp of the flip's own
+    delta / T underflows to 0.0, which never exceeds the draw in [0, 1);
+    at T = 0 a best delta below 0 rules out the delta == 0 that acceptance
+    needs. Such a flip is rejected unscored, after the same draws, so the
+    run is bit for bit the one that scores it. A default restart (seed 3)
+    makes 1985 single-flip scorings at n = 16 instead of 5564, and 2656
+    instead of 5551 at n = 64.
     """
     m = n * (n - 1) // 2
     rng = SplitMix64((cfg.seed + restart) & MASK64)
@@ -536,6 +548,10 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
             at = int(np.searchsorted(cand, flip))
             if at < cand.size and cand[at] == flip:
                 value = vals[at]
+            elif (delta < 0.0 if temp <= 0.0 else delta / temp < -746.0):
+                # the flip is no candidate, so it scores below vals.max() and
+                # exp of its delta / T underflows to 0.0: it cannot be accepted
+                value = -math.inf
             else:
                 value = _flip_values(a, is_[flip : flip + 1], js[flip : flip + 1], objective, k)[0]
             delta = value - cur_val
@@ -578,22 +594,24 @@ def local_search_max(
     0.6-1.1 ms at n = 16, 1.8-5.4 ms at n = 32 and 6-14 ms at n = 64 (4.8,
     62 and 1030 ms when every flip is scored), and a step that reuses the
     scores 0.04-0.25 ms. The freeze test ends a default restart after about
-    5500 steps, of which a few hundred score their graph, so the default
-    config at n = 64 takes about 41 s on one thread. `evaluations` counts
-    graphs considered, 1 per restart plus m per step, not factorizations.
-    Speed does not find the equality case: at n = 17 the default config
-    misses the bound met by P17.
+    5500 steps, of which a few hundred score their graph; with seed 3 one
+    restart took 0.4-0.5, 1.5-1.8 and 7.2-8.5 s at n = 16, 32 and 64, and
+    the default config at n = 64 took 68 s. `evaluations` counts graphs
+    considered, 1 per restart plus m per step, not factorizations. Speed
+    does not find the equality case: at n = 17 the default config misses
+    the bound met by P17.
+
+    The restarts run in order on the calling thread. `threads` is checked
+    like exhaustive_max's but not used: a step is many small numpy calls
+    whose dispatch holds the GIL, and two threads were slower than one at
+    n = 16, 32 and 64.
     """
-    n, threads = _check_order(n, threads, LOCAL_MAX_N, "local search")
+    n, _ = _check_order(n, threads, LOCAL_MAX_N, "local search")
     k = _check_objective(n, objective, k)
     if cfg is None:
         cfg = SearchConfig()
 
-    def run(r):
-        return _anneal_once(n, objective, k, cfg, r)
-
-    outcomes = _fan_out(run, range(cfg.restarts), threads)
-
+    outcomes = [_anneal_once(n, objective, k, cfg, r) for r in range(cfg.restarts)]
     best, witnesses, truncated = _witnesses(n, [o[:2] for o in outcomes])
     return SearchResult(
         objective=objective,

@@ -1,8 +1,8 @@
 """Exact oracles and small graph fixtures for the tests: the integer
 strong-regularity test A^2 = k I + lam A + mu (J - I - A), the
-conference-graph family it singles out, the complement graph by bit flips,
-and cycles and complete graphs. Test code only; the package does not call
-them."""
+conference-graph family it singles out, the GF(q) character table by digit
+codes, the complement graph by bit flips, and cycles and complete graphs.
+Test code only; the package does not call them."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from normsum import Graph, adjacency_matrix, graph_from_edges
+from normsum.graphs import _character_by_code
+from normsum.linalg import _prime_power_split
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,19 @@ def is_conference(g: Graph) -> bool:
     if params is None:
         return False
     return params == SRGParams(n, (n - 1) // 2, (n - 5) // 4, (n - 1) // 4)
+
+
+def character_table_by_digits(q: int) -> np.ndarray:
+    """chi(u - v) at (u, v) for an odd prime power q, by the element code
+    of u - v: each base-p digit (most significant first) is the difference
+    of those of u and v modulo p. int16 holds every code, as q - 1 < 2^15."""
+    p, e = _prime_power_split(q)
+    code = np.zeros((q, q), dtype=np.int16)
+    for t in range(e):
+        d = (np.arange(q, dtype=np.int16) // p ** (e - 1 - t)) % p
+        code *= p
+        code += (d[:, None] - d[None, :]) % p
+    return _character_by_code(q)[code]
 
 
 def flipped(g):

@@ -816,3 +816,14 @@ def test_a_k_the_command_does_not_read_exits_two(capsys, argv):
     code, out, err = run(capsys, argv + ["--json"])
     assert code == 2 and out == ""
     assert len(_error_lines(err)) == 1 and "k=" in err
+
+
+def test_local_search_threads_change_no_result_byte(capsys):
+    argv = ["search", "local", "--n", "16", "--steps", "40", "--json"]
+    outs = [run(capsys, argv + ["--threads", t])[1] for t in ("1", "2")]
+    # the report is command, inputs, results, tool_version, elapsed_ms in order
+    results = [out[out.index('"results"') : out.index('"tool_version"')] for out in outs]
+    assert results[0] == results[1]
+    code, out, err = run(capsys, ["search", "local", "--n", "16", "--threads", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: threads must be a positive integer, got 0\n"

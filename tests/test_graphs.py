@@ -20,7 +20,16 @@ from normsum import (
 )
 from normsum import graphs
 from normsum.graphs import _character_by_code, _gf_mul, pair_index, quadratic_character
-from oracles import SRGParams, complete, cycle, flipped, is_conference, srg_params
+from normsum.linalg import _prime_power_split
+from oracles import (
+    SRGParams,
+    character_table_by_digits,
+    complete,
+    cycle,
+    flipped,
+    is_conference,
+    srg_params,
+)
 
 
 def petersen():
@@ -227,6 +236,15 @@ def test_quadratic_character_matches_paley_adjacency():
         assert np.array_equal(chi, chi.T)  # -1 is a square when q = 1 (mod 4)
         assert (np.abs(chi).sum(axis=1) == q - 1).all()
         assert np.array_equal(chi == 1, adjacency_matrix(g).array == 1)
+
+
+def test_character_table_matches_the_digit_code_oracle():
+    odd = [q for q in range(3, 1501, 2) if _prime_power_split(q)]
+    assert len(odd) == 257
+    for q in odd + [2187, 3125, 4001]:
+        chi = quadratic_character(q)
+        assert chi.flags.writeable and chi.flags.c_contiguous and chi.dtype == np.int8, q
+        assert np.array_equal(chi, character_table_by_digits(q)), q
 
 
 # SHA-256 of graph6_encode(paley_graph(q)) from the column-blocked build that

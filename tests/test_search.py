@@ -1,6 +1,9 @@
+import ast
 import hashlib
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +432,134 @@ def test_local_seed_determinism():
     assert a.best_value == b.best_value == c.best_value
     assert a.witnesses == b.witnesses == c.witnesses
     assert a.evaluations == b.evaluations == c.evaluations
+
+
+def test_local_search_starts_no_thread(monkeypatch):
+    cfg = SearchConfig(restarts=3, max_steps=40, seed=2)
+    ref = local_search_max(16, cfg=cfg, threads=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("local search started a thread pool")
+
+    monkeypatch.setattr(search, "ThreadPoolExecutor", no_pool)
+    assert local_search_max(16, cfg=cfg, threads=4) == ref
+
+
+def fan_out_calls(path):
+    """(line, enclosing function or None) for each call of _fan_out, bare or
+    as an attribute, in the module."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "_fan_out"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "_fan_out"
+        ):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_exhaustive_max_is_the_one_caller_of_fan_out():
+    modules = sorted(Path(search.__file__).parent.glob("*.py"))
+    assert "search.py" in {p.name for p in modules}
+    sites = [(p.name, func) for p in modules for _, func in fan_out_calls(p)]
+    assert sites == [("search.py", "exhaustive_max")]
+
+
+def test_the_fan_out_scan_finds_a_stray_call(tmp_path):
+    stray = tmp_path / "stray.py"
+    stray.write_text(
+        "def restarts(cfg):\n"
+        "    def run(r):\n"
+        "        return search._fan_out(f, [r], 1)\n"
+        "    return run\n"
+        "parts = _fan_out(g, range(3), 2)\n"
+    )
+    assert fan_out_calls(stray) == [(3, "run"), (5, None)]
+
+
+def random_flip_draws(monkeypatch, n, cfg):
+    """(delta, temperature, scored) of every random flip that annealing
+    drew outside its candidates, over the restarts of cfg: the flip's exact
+    change of the objective, the step's temperature, and whether the step
+    scored the flip."""
+    values = search._flip_values
+    events = []
+
+    class Recording(SplitMix64):
+        __slots__ = ()
+
+        def next_below(self, bound):
+            flip = super().next_below(bound)
+            step = sys._getframe(1).f_locals  # the annealing step that drew it
+            if flip in step["cand"]:
+                events.append(None)
+            else:
+                events.append((step["a"].copy(), flip, step["cur_val"], step["temp"]))
+            return flip
+
+    def scored(a, is_, js, objective, k):
+        events.append(is_.size)
+        return values(a, is_, js, objective, k)
+
+    monkeypatch.setattr(search, "SplitMix64", Recording)
+    monkeypatch.setattr(search, "_flip_values", scored)
+    for r in range(cfg.restarts):
+        search._anneal_once(n, "trace_sum", None, cfg, r)
+        events.append(None)
+    js, is_ = np.nonzero(pair_mask(n))
+    draws = []
+    # the step scores a drawn flip right after the draw; one it skips is
+    # rejected, so the next event is another draw or the end of the restart
+    for event, after in zip(events, events[1:]):
+        if isinstance(event, tuple):
+            a, flip, cur_val, temp = event
+            delta = values(a, is_[flip : flip + 1], js[flip : flip + 1], "trace_sum", None)[0]
+            draws.append((delta - cur_val, temp, after == 1))
+    return draws
+
+
+@pytest.mark.parametrize(
+    "n,cfg",
+    [
+        (
+            16,
+            SearchConfig(restarts=2, max_steps=300, temperature_initial=0.05, cooling=0.5, seed=3),
+        ),
+        (12, SearchConfig(restarts=6, max_steps=300, temperature_initial=0.0, seed=4)),
+        (16, SearchConfig(restarts=1, max_steps=3000, seed=3)),  # scores some, skips some
+    ],
+)
+def test_random_flips_are_skipped_only_when_they_cannot_be_accepted(monkeypatch, n, cfg):
+    draws = random_flip_draws(monkeypatch, n, cfg)
+    skipped = [(delta, temp) for delta, temp, scored in draws if not scored]
+    assert skipped
+    for delta, temp in skipped:
+        if temp > 0.0:
+            assert math.exp(delta / temp) == 0.0
+        else:
+            assert delta < 0.0
+
+
+def test_a_default_restart_scores_few_random_flips(monkeypatch):
+    # a deterministic cost guard: scoring every random flip outside the
+    # candidates made 5564 single-flip calls in this restart
+    values = search._flip_values
+    sizes = []
+
+    def counted(a, is_, js, objective, k):
+        sizes.append(is_.size)
+        return values(a, is_, js, objective, k)
+
+    monkeypatch.setattr(search, "_flip_values", counted)
+    local_search_max(16, cfg=SearchConfig(restarts=1, seed=3))
+    assert sizes.count(1) == 1985
 
 
 # best value, witness and evaluation count of two seeded runs, frozen so that
