@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotOneModFourError, NotPrimePowerError, as_int, as_positive_int
-from .linalg import DenseMatrix, _prime_power_split, check_dimensions
+from .linalg import DenseMatrix, _difference_view, _prime_power_split, check_dimensions
 
 
 def pair_index(i: int, j: int) -> int:
@@ -269,16 +269,7 @@ def quadratic_character(q: int) -> np.ndarray:
     p, e = _field_order(q)
     if q % 2 == 0:
         raise ValueError(f"q = {q} is even; the quadratic character needs odd q")
-    # chi(u - v) is chi of the code whose base-p digits (most significant
-    # first) are (u_t - v_t) % p. On the (p,) * e digit grid, ext[c] is chi
-    # of the digits (p - 1 - c_t) % p, c_t in [0, 2p - 1), so window a at
-    # offset b holds chi(p - 1 - a - b), and reversed window axes
-    # (a = p - 1 - u) give chi(u - b). One copy makes that strided view a
-    # writable (q, q) table.
-    back = np.arange(p - 1, -p, -1) % p
-    ext = _character_by_code(q).reshape((p,) * e)[np.ix_(*[back] * e)]
-    windows = np.lib.stride_tricks.sliding_window_view(ext, (p,) * e)
-    return windows[(slice(None, None, -1),) * e].copy().reshape(q, q)
+    return _difference_view(_character_by_code(q), p, e).copy().reshape(q, q)
 
 
 def paley_graph(q: int) -> Graph:

@@ -708,7 +708,8 @@ def property_sweep(
     Graph kinds draw graphs with edge probability 1/2; matrix kinds draw
     uniform [0, 1) entries shaped as the checker demands. Any violation is
     reported with the offending input serialized in full. The kyfan kind
-    checks k = 2 and, when the shape allows, k = 3 on every sample.
+    checks k = 2 and, when the shape allows, k = 3 on every sample. A kind
+    named twice is an error, as it would run on the same samples again.
     """
     trials, seed = as_positive_int(trials, "trials"), as_seed(seed)
     lo, hi = (as_int(v, "n_range bound") for v in n_range)
@@ -716,8 +717,8 @@ def property_sweep(
         raise ValueError(f"n_range must satisfy 2 <= lo <= hi, got ({lo}, {hi})")
     check_dimensions(f"sweep order {hi}", hi)
     kinds = list(kinds)
-    if not kinds or not set(kinds) <= set(SWEEP_KINDS):
-        raise ValueError(f"sweep kinds must be a nonempty subset of {SWEEP_KINDS}, got {kinds}")
+    if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= set(SWEEP_KINDS):
+        raise ValueError(f"sweep kinds must be nonempty, distinct, in {SWEEP_KINDS}, got {kinds}")
     tol = check_tol(tol)
     tallies = []
     for kind in kinds:

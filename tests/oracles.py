@@ -1,7 +1,8 @@
 """Exact oracles and small graph fixtures for the tests: the integer
 strong-regularity test A^2 = k I + lam A + mu (J - I - A), the
 conference-graph family it singles out, the GF(q) character table by digit
-codes, the complement graph by bit flips, and cycles and complete graphs.
+codes, the (Z_p)^e translation-invariance test by rolls, the complement
+graph by bit flips, and cycles and complete graphs.
 Test code only; the package does not call them."""
 
 from __future__ import annotations
@@ -87,6 +88,27 @@ def character_table_by_digits(q: int) -> np.ndarray:
         code *= p
         code += (d[:, None] - d[None, :]) % p
     return _character_by_code(q)[code]
+
+
+def invariant_by_rolls(sym: np.ndarray) -> bool:
+    """(Z_p)^e-translation invariance of an exactly symmetric array of order
+    p^e under the base-p digit labelling; False for any other order.
+
+    An O(n) probe compares row g_t, the generator with digit t equal to 1,
+    with row 0 rolled along digit axis t; only then does the O(e n^2) test
+    roll the whole array along both copies of each axis.
+    """
+    split = _prime_power_split(sym.shape[0])
+    if split is None:
+        return False
+    p, e = split
+    shape = (p,) * e
+    row0 = sym[0].reshape(shape)
+    for t in range(e):
+        if not np.array_equal(sym[p ** (e - 1 - t)].reshape(shape), np.roll(row0, 1, axis=t)):
+            return False
+    cube = sym.reshape(shape * 2)
+    return all(np.array_equal(np.roll(cube, 1, axis=(t, e + t)), cube) for t in range(e))
 
 
 def flipped(g):

@@ -350,6 +350,16 @@ def test_sweep_without_kinds_exits_two(capsys):
     assert code == 2 and out == "" and "nonempty" in err
 
 
+def test_sweep_with_a_repeated_kind_exits_two(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the kinds were checked")
+
+    monkeypatch.setattr(search, "SplitMix64", no_draw)
+    code, out, err = run(capsys, ["sweep", "--trials", "2", "--kinds", "main,main", "--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: sweep kinds must be nonempty, distinct") and "'main', 'main'" in err
+
+
 def test_json_csv_conflict(capsys):
     code, _, err = run(capsys, ["check", "main", "--paley", "9", "--json", "--csv"])
     assert code == 2

@@ -31,7 +31,7 @@ from normsum import (
 )
 from normsum.graphs import complement_matrix, quadratic_character
 from normsum.linalg import SYMMETRY_TOL, _singular_from_eigen, check_dimensions, spectra
-from oracles import cycle
+from oracles import cycle, invariant_by_rolls
 
 
 def random_symmetric(rng, n):
@@ -529,18 +529,6 @@ def _eigh_spy(monkeypatch):
     return calls
 
 
-def _roll_sizes(monkeypatch):
-    sizes = []
-    real = np.roll
-
-    def spy(arr, *args, **kwargs):
-        sizes.append(np.size(arr))
-        return real(arr, *args, **kwargs)
-
-    monkeypatch.setattr(np, "roll", spy)
-    return sizes
-
-
 def test_paley_spectra_skip_eigh(monkeypatch):
     g = paley_graph(401)
     calls = _eigh_spy(monkeypatch)
@@ -563,21 +551,78 @@ def test_forged_fft_result_fails_the_certificate(monkeypatch):
 def test_flipped_edge_is_rejected_and_factored_densely(monkeypatch):
     a = adjacency_matrix(paley_graph(401)).array.copy()
     a[200, 300] = a[300, 200] = 1.0 - a[200, 300]  # rows 0 and 1 untouched
-    rolled = _roll_sizes(monkeypatch)
     assert linalg._structured_eigh(a) is None
-    assert max(rolled) == 401 * 401  # the probe passed; the full test rejected
     calls = _eigh_spy(monkeypatch)
     verdict = check_bound("main", a)
     assert calls == [(401, 401)] * 2
     assert verdict.holds and not verdict.equality
 
 
-def test_random_graph_is_rejected_by_the_probe(monkeypatch):
-    g = Graph(n=401, bits=SplitMix64(59).next_bits(401 * 400 // 2))
-    a = adjacency_matrix(g).array
-    rolled = _roll_sizes(monkeypatch)
-    assert linalg._structured_eigh(a) is None
-    assert rolled and max(rolled) == 401  # only rows were rolled
+def test_random_graph_is_rejected_and_factored_densely(monkeypatch):
+    g = _random_graph(401)
+    assert linalg._structured_eigh(adjacency_matrix(g).array) is None
+    calls = _eigh_spy(monkeypatch)
+    check_bound("main", g)
+    assert calls == [(401, 401)] * 2
+
+
+def _random_graph(n):
+    return Graph(n=n, bits=SplitMix64(59).next_bits(n * (n - 1) // 2))
+
+
+def _flip(a, u, v):
+    a = a.copy()
+    a[u, v] = a[v, u] = 1.0 - a[u, v]
+    return a
+
+
+def _invariant_along_axis_0_only():
+    """A symmetric matrix on (Z_3)^5 that is invariant under the translations
+    of digit 0 alone: A[u, v] = r[u_0 - v_0] + B[u', v'] for an even r and a
+    symmetric B over the other four digits u', v'."""
+    rng = np.random.default_rng(3)
+    r = rng.standard_normal(3)
+    r[2] = r[1]
+    b = rng.standard_normal((81, 81))
+    b = b + b.T
+    d = np.arange(243) // 81
+    return r[(d[:, None] - d[None, :]) % 3] + b[np.ix_(np.arange(243) % 81, np.arange(243) % 81)]
+
+
+def _comparison_inputs():
+    paley = {q: adjacency_matrix(paley_graph(q)).array for q in (401, 729, 1009)}
+    yield from paley.values()
+    yield from (complement_matrix(a) for a in paley.values())
+    yield _flip(paley[401], 200, 300)
+    yield _flip(paley[729], 400, 401)  # vertices that differ only in the last digit
+    yield from (adjacency_matrix(_random_graph(n)).array for n in (401, 729))
+    yield _invariant_along_axis_0_only()
+
+
+def test_difference_comparison_agrees_with_the_roll_oracle():
+    verdicts = []
+    for a in _comparison_inputs():
+        assert np.array_equal(a, a.T)
+        verdicts.append(linalg._structured_eigh(a) is not None)
+        assert verdicts[-1] == invariant_by_rolls(a)
+    assert verdicts == [True] * 6 + [False] * 5
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(invariant_matrices())
+def test_difference_comparison_accepts_what_the_roll_oracle_accepts(a):
+    assert invariant_by_rolls(a) and linalg._structured_eigh(a) is not None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_difference_view_is_the_transposed_cayley_matrix(p, e):
+    q = p**e
+    row = np.random.default_rng(q).standard_normal(q)
+    cayley = _cayley_matrix(row, p, e)
+    # column 0 is row[-v]: the row is not even (over (Z_2)^e every row is)
+    assert p == 2 or not np.array_equal(row, cayley[:, 0])
+    assert np.array_equal(linalg._difference_view(row, p, e).reshape(q, q), cayley.T)
 
 
 def test_orders_below_the_floor_stay_dense(monkeypatch):

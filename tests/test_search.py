@@ -861,6 +861,16 @@ def test_property_sweep_checks_every_kind_before_the_first_draw(monkeypatch):
             property_sweep(300, 1, (4, 30), kinds)
 
 
+def test_property_sweep_refuses_a_repeated_kind_before_the_first_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the kinds were validated")
+
+    monkeypatch.setattr(search, "SplitMix64", no_draw)
+    for kinds in (["main", "main"], ["weyl", "shifted", "weyl"]):
+        with pytest.raises(ValueError, match="sweep kinds must be nonempty, distinct"):
+            property_sweep(3, 1, (4, 6), kinds)
+
+
 def test_property_sweep_checks_the_tolerance_before_the_first_draw(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("a sample was drawn before the tolerance was validated")
