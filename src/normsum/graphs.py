@@ -178,6 +178,7 @@ def graph6_decode(s: str) -> Graph:
         for v in data[2:8]:
             n = (n << 6) | v
         pos = 8
+    check_dimensions(f"graph order {n}", n)
     m = n * (n - 1) // 2
     need = (m + 5) // 6
     body = codes[pos:]

@@ -22,7 +22,8 @@ Invariance is one exact comparison of A with the difference table of row 0,
 A[u, v] = A[0, u - v]. It reads all n^2 entries (about 20 ms at n = 4001),
 which a non-invariant input of prime-power order pays before its dense
 ``eigh``. Q is the unitary character basis, and the reconstruction residual
-||A - QΛQ*||_F = sqrt(n) ||row0 - ifftn(λ)||_2 is certified as above.
+||A - QΛQ*||_F = sqrt(n) ||row0 - ifftn(λ)||_2 is certified as above, with
+||A||_F taken as sqrt(n) ||row0||_2 (each row permutes row 0), an O(n) sum.
 """
 
 from __future__ import annotations
@@ -258,8 +259,9 @@ def require_symmetric(mat: DenseMatrix, error: type[Exception]) -> None:
 
 
 def _certify(residual: float, a: np.ndarray, what: str) -> float:
-    """The residual, if at most the certificate threshold; a NaN or infinite
-    residual or threshold fails."""
+    """The residual, if at most the certificate threshold CERT_FACTOR * (1 +
+    ||a||_F), a being the factored matrix or any array of its Frobenius norm;
+    a NaN or infinite residual or threshold fails."""
     threshold = CERT_FACTOR * (1.0 + _frobenius(a))
     if not residual <= threshold < math.inf:
         raise NoConvergenceError(
@@ -322,8 +324,9 @@ def _structured_eigh(sym: np.ndarray) -> tuple[np.ndarray, float] | None:
         return None
     # row0 is even (row0[-d] = row0[d]), so its transform is real
     lam = np.fft.fftn(row0).real
-    residual = math.sqrt(row0.size) * _frobenius(np.abs(row0 - np.fft.ifftn(lam)))
-    return np.sort(lam, axis=None), _certify(residual, sym, "structured eigen")
+    scale = math.sqrt(row0.size)  # each row permutes row 0: ||A||_F = ||scale row0||_2
+    residual = scale * _frobenius(np.abs(row0 - np.fft.ifftn(lam)))
+    return np.sort(lam, axis=None), _certify(residual, scale * row0, "structured eigen")
 
 
 def _certified_eigh(sym: np.ndarray) -> tuple[np.ndarray, float]:

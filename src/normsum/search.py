@@ -2,7 +2,8 @@
 
 Three strategies: exhaustive labeled enumeration for n <= 8, seeded
 edge-flip annealing for n <= 64, and randomized property sweeps that hammer
-the bound checkers with seeded graphs and matrices. Everything is
+the bound checkers with seeded graphs and matrices, each sample drawn once
+and checked by every requested kind of its stream. Everything is
 deterministic given its inputs. Exhaustive enumeration fans its fixed jobs
 out over threads and merges their witnesses by one sort; annealing runs its
 restarts in order on the calling thread.
@@ -668,8 +669,8 @@ class SweepReport:
 
 SWEEP_KINDS = ("main", "main_matrix", "shifted", "kyfan", "opnorm", "weyl")
 
-# sweep kinds drawing from the same generator tag see identical samples,
-# so e.g. main_matrix and shifted exercise the same random matrices
+# the sample stream each sweep kind reads; the kinds of one stream check
+# the same samples, each drawn once
 _KIND_TAGS = {
     "main": "graph",
     "weyl": "graph",
@@ -678,10 +679,6 @@ _KIND_TAGS = {
     "kyfan": "rect_matrix",
     "opnorm": "rect_matrix",
 }
-
-
-def _random_graph(rng: SplitMix64, n: int) -> Graph:
-    return Graph(n=n, bits=rng.next_bits(n * (n - 1) // 2))
 
 
 def _random_symmetric(rng: SplitMix64, n: int) -> DenseMatrix:
@@ -696,6 +693,34 @@ def _random_rect(rng: SplitMix64, m: int, n: int) -> DenseMatrix:
     return DenseMatrix(rng.next_doubles(m * n).reshape(m, n))
 
 
+def _draw(tag: str, rng: SplitMix64, lo: int, hi: int) -> Graph | DenseMatrix:
+    """The next sample of stream `tag`: its order, drawn from [lo, hi], then
+    for rect_matrix its column count, then its entries. A graph has edge
+    probability 1/2, a matrix uniform [0, 1) entries."""
+    size = lo + rng.next_below(hi - lo + 1)
+    if tag == "graph":
+        return Graph(n=size, bits=rng.next_bits(size * (size - 1) // 2))
+    if tag == "sym_matrix":
+        return _random_symmetric(rng, size)
+    return _random_rect(rng, size, lo + rng.next_below(hi - lo + 1))
+
+
+def _sweep_check(kind: str, mat: DenseMatrix, tol: float) -> tuple[bool, float]:
+    """(passed, slack) of sweep kind `kind` on one sample matrix. The weyl
+    slack is minus the largest margin (an order n >= 2 has n - 1); kyfan
+    checks k = 2 and, when the shape allows, k = 3, and takes the smaller
+    slack."""
+    if kind == "weyl":
+        report = weyl_complement_check(mat, tol=tol)
+        return report.ok, -max(report.margins)
+    if kind == "kyfan":
+        ks = (2, 3) if min(mat.shape) >= 3 else (2,)
+        sub = [check_bound("kyfan", mat, k=k, tol=tol) for k in ks]
+        return all(v.holds for v in sub), min(v.slack for v in sub)
+    verdict = check_bound("main" if kind == "main_matrix" else kind, mat, tol=tol)
+    return verdict.holds, verdict.slack
+
+
 def property_sweep(
     trials: int,
     seed: int,
@@ -705,11 +730,13 @@ def property_sweep(
 ) -> SweepReport:
     """Run `trials` seeded random inputs through each requested checker.
 
-    Graph kinds draw graphs with edge probability 1/2; matrix kinds draw
-    uniform [0, 1) entries shaped as the checker demands. Any violation is
-    reported with the offending input serialized in full. The kyfan kind
-    checks k = 2 and, when the shape allows, k = 3 on every sample. A kind
-    named twice is an error, as it would run on the same samples again.
+    Each stream among the requested kinds (see _KIND_TAGS) is opened once,
+    from the seed and its tag, and draws `trials` samples
+    (:func:`_draw`). Every requested kind of that stream checks each sample,
+    a graph through one adjacency matrix. Any violation is reported with
+    the offending input serialized in full: each kind keeps its worst
+    sample and serializes it once, at the end. A kind named twice is an
+    error, as it would run on the same samples again.
     """
     trials, seed = as_positive_int(trials, "trials"), as_seed(seed)
     lo, hi = (as_int(v, "n_range bound") for v in n_range)
@@ -720,57 +747,24 @@ def property_sweep(
     if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= set(SWEEP_KINDS):
         raise ValueError(f"sweep kinds must be nonempty, distinct, in {SWEEP_KINDS}, got {kinds}")
     tol = check_tol(tol)
-    tallies = []
-    for kind in kinds:
-        rng = SplitMix64(derive_seed(seed, _KIND_TAGS[kind]))
-        passes = 0
-        worst_slack = math.inf
-        worst_witness = None
-
+    tally = {kind: [0, math.inf, None] for kind in kinds}  # passes, worst slack, its sample
+    for tag in dict.fromkeys(_KIND_TAGS[kind] for kind in kinds):
+        rng = SplitMix64(derive_seed(seed, tag))
+        group = [kind for kind in kinds if _KIND_TAGS[kind] == tag]
         for _ in range(trials):
-            size = lo + rng.next_below(hi - lo + 1)
-            if kind in ("main", "weyl"):
-                g = _random_graph(rng, size)
-                if kind == "main":
-                    verdict = check_bound("main", g, tol=tol)
-                    ok, slack = verdict.holds, verdict.slack
-                else:
-                    report = weyl_complement_check(g, tol=tol)
-                    ok = report.ok
-                    slack = -max(report.margins) if report.margins else math.inf
-                witness = {"graph6": graph6_encode(g)}
-            elif kind in ("main_matrix", "shifted"):
-                mat = _random_symmetric(rng, size)
-                bound = "main" if kind == "main_matrix" else "shifted"
-                verdict = check_bound(bound, mat, tol=tol)
-                ok, slack = verdict.holds, verdict.slack
-                witness = {"matrix": mat.to_json()}
-            else:
-                cols = lo + rng.next_below(hi - lo + 1)
-                mat = _random_rect(rng, size, cols)
-                if kind == "opnorm":
-                    verdict = check_bound("opnorm", mat, tol=tol)
-                    ok, slack = verdict.holds, verdict.slack
-                else:
-                    ks = [2] + ([3] if min(size, cols) >= 3 else [])
-                    sub = [check_bound("kyfan", mat, k=kk, tol=tol) for kk in ks]
-                    ok = all(v.holds for v in sub)
-                    slack = min(v.slack for v in sub)
-                witness = {"matrix": mat.to_json()}
-
-            passes += ok
-            if slack < worst_slack:
-                worst_slack = slack
-                worst_witness = witness
-
-        tallies.append(
-            KindSweep(
-                kind=kind,
-                trials=trials,
-                passes=passes,
-                violations=trials - passes,
-                worst_slack=worst_slack,
-                worst_witness=worst_witness,
-            )
-        )
-    return SweepReport(seed=seed, n_range=(lo, hi), results=tuple(tallies))
+            sample = _draw(tag, rng, lo, hi)
+            mat = adjacency_matrix(sample) if tag == "graph" else sample
+            for kind in group:
+                ok, slack = _sweep_check(kind, mat, tol)
+                tally[kind][0] += ok
+                if slack < tally[kind][1]:
+                    tally[kind][1:] = slack, sample
+    results = []
+    for kind, (passes, slack, sample) in tally.items():
+        witness = None
+        if isinstance(sample, Graph):
+            witness = {"graph6": graph6_encode(sample)}
+        elif sample is not None:
+            witness = {"matrix": sample.to_json()}
+        results.append(KindSweep(kind, trials, passes, trials - passes, slack, witness))
+    return SweepReport(seed=seed, n_range=(lo, hi), results=tuple(results))

@@ -2,18 +2,31 @@
 strong-regularity test A^2 = k I + lam A + mu (J - I - A), the
 conference-graph family it singles out, the GF(q) character table by digit
 codes, the (Z_p)^e translation-invariance test by rolls, the complement
-graph by bit flips, and cycles and complete graphs.
+graph by bit flips, cycles and complete graphs, and the property sweep
+run kind by kind, each kind drawing its own samples.
 Test code only; the package does not call them."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from normsum import Graph, adjacency_matrix, graph_from_edges
-from normsum.graphs import _character_by_code
-from normsum.linalg import _prime_power_split
+from normsum.bounds import HOLD_TOL, check_bound, check_tol, weyl_complement_check
+from normsum.errors import as_int, as_positive_int
+from normsum.graphs import _character_by_code, graph6_encode
+from normsum.linalg import _prime_power_split, check_dimensions
+from normsum.rng import SplitMix64, as_seed, derive_seed
+from normsum.search import (
+    _KIND_TAGS,
+    SWEEP_KINDS,
+    KindSweep,
+    SweepReport,
+    _random_rect,
+    _random_symmetric,
+)
 
 
 @dataclass(frozen=True)
@@ -122,3 +135,78 @@ def cycle(n):
 
 def complete(n):
     return Graph(n=n, bits=(1 << (n * (n - 1) // 2)) - 1)
+
+
+def property_sweep_per_kind(
+    trials: int,
+    seed: int,
+    n_range: tuple[int, int],
+    kinds: list[str],
+    tol: float = HOLD_TOL,
+) -> SweepReport:
+    """search.property_sweep as it was before the kinds of one stream shared
+    their samples: each kind opens its own stream and draws, checks and
+    serializes every sample itself."""
+    trials, seed = as_positive_int(trials, "trials"), as_seed(seed)
+    lo, hi = (as_int(v, "n_range bound") for v in n_range)
+    if not 2 <= lo <= hi:
+        raise ValueError(f"n_range must satisfy 2 <= lo <= hi, got ({lo}, {hi})")
+    check_dimensions(f"sweep order {hi}", hi)
+    kinds = list(kinds)
+    if not kinds or len(set(kinds)) < len(kinds) or not set(kinds) <= set(SWEEP_KINDS):
+        raise ValueError(f"sweep kinds must be nonempty, distinct, in {SWEEP_KINDS}, got {kinds}")
+    tol = check_tol(tol)
+    tallies = []
+    for kind in kinds:
+        rng = SplitMix64(derive_seed(seed, _KIND_TAGS[kind]))
+        passes = 0
+        worst_slack = math.inf
+        worst_witness = None
+
+        for _ in range(trials):
+            size = lo + rng.next_below(hi - lo + 1)
+            if kind in ("main", "weyl"):
+                g = Graph(n=size, bits=rng.next_bits(size * (size - 1) // 2))
+                if kind == "main":
+                    verdict = check_bound("main", g, tol=tol)
+                    ok, slack = verdict.holds, verdict.slack
+                else:
+                    report = weyl_complement_check(g, tol=tol)
+                    ok = report.ok
+                    slack = -max(report.margins) if report.margins else math.inf
+                witness = {"graph6": graph6_encode(g)}
+            elif kind in ("main_matrix", "shifted"):
+                mat = _random_symmetric(rng, size)
+                bound = "main" if kind == "main_matrix" else "shifted"
+                verdict = check_bound(bound, mat, tol=tol)
+                ok, slack = verdict.holds, verdict.slack
+                witness = {"matrix": mat.to_json()}
+            else:
+                cols = lo + rng.next_below(hi - lo + 1)
+                mat = _random_rect(rng, size, cols)
+                if kind == "opnorm":
+                    verdict = check_bound("opnorm", mat, tol=tol)
+                    ok, slack = verdict.holds, verdict.slack
+                else:
+                    ks = [2] + ([3] if min(size, cols) >= 3 else [])
+                    sub = [check_bound("kyfan", mat, k=kk, tol=tol) for kk in ks]
+                    ok = all(v.holds for v in sub)
+                    slack = min(v.slack for v in sub)
+                witness = {"matrix": mat.to_json()}
+
+            passes += ok
+            if slack < worst_slack:
+                worst_slack = slack
+                worst_witness = witness
+
+        tallies.append(
+            KindSweep(
+                kind=kind,
+                trials=trials,
+                passes=passes,
+                violations=trials - passes,
+                worst_slack=worst_slack,
+                worst_witness=worst_witness,
+            )
+        )
+    return SweepReport(seed=seed, n_range=(lo, hi), results=tuple(tallies))

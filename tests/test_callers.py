@@ -1,5 +1,6 @@
-"""Static guard: every public name has a caller outside the tests, every bound
-kind is a `check` choice, and every name the benchmark imports exists."""
+"""Static guard: every public name and every module-level definition has a
+caller outside the tests, every bound kind is a `check` choice, and every
+name the benchmark imports exists."""
 
 import ast
 from collections import Counter
@@ -54,6 +55,24 @@ def strays(names, paths):
     return [name for name in names if name not in used]
 
 
+def definitions(path):
+    """The module-level functions, classes and assigned names of a module, in
+    source order."""
+    names = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [
+                leaf.id
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Store)
+            ]
+    return names
+
+
 def kinds_without_a_check_choice():
     """The entries of bounds.BOUND_KINDS that `check` does not offer."""
     parser = cli.build_parser()
@@ -66,6 +85,13 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     paths = callers()
     assert {"cli.py", "graphs.py", "workloads.py", "run.py"} <= {p.name for p in paths}
     assert strays(normsum.__all__, paths) == []
+
+
+def test_every_module_level_definition_has_a_caller_outside_the_tests():
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    names = [name for path in modules for name in definitions(path)]
+    assert {"_draw", "_sweep_check", "property_sweep", "DIMENSION_CAP"} <= set(names)
+    assert strays(names, callers()) == []
 
 
 def test_every_bound_kind_is_a_check_choice():
@@ -93,6 +119,32 @@ def test_the_scan_finds_a_stray_name(tmp_path):
     caller = tmp_path / "caller.py"
     caller.write_text("from module import used\nused()\n")
     assert strays(names, [module, caller]) == ["stray", "Own", "trace_norm"]
+
+
+def test_the_scan_finds_a_stray_definition(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import numpy as np\n"
+        "_CAP = 3\n"
+        "_unused: int = 4\n"
+        "a, (b, _c) = 1, (2, 3)\n"
+        "def _helper():\n"
+        "    return _CAP + b\n"
+        "def _stray(n):\n"
+        "    return _stray(n - 1) if n else a\n"
+        "class _Own:\n"
+        "    def make(self):\n"
+        "        return _Own()\n"
+        "def main():\n"
+        "    return _helper()\n"
+    )
+    names = definitions(module)
+    assert names == ["_CAP", "_unused", "a", "b", "_c", "_helper", "_stray", "_Own", "main"]
+    # private names count, and a use inside the name's own definition does not
+    assert strays(names, [module]) == ["_unused", "_c", "_stray", "_Own", "main"]
+    caller = tmp_path / "caller.py"
+    caller.write_text("from module import main\nmain()\n")
+    assert strays(names, [module, caller]) == ["_unused", "_c", "_stray", "_Own"]
 
 
 def test_the_scan_finds_a_bound_kind_without_a_check_choice(monkeypatch):

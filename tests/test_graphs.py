@@ -398,6 +398,21 @@ def test_graph_json_past_the_cap_is_rejected_before_it_is_built(monkeypatch):
         Graph.from_json({"n": DIMENSION_CAP + 1, "edges": []})
 
 
+def test_graph6_past_the_cap_is_rejected_before_its_body_is_read():
+    def prefix(n):
+        return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+
+    # a body of the wrong length would be reported, were it read
+    with pytest.raises(ValueError, match="^graph6 body has 0 groups"):
+        graph6_decode(prefix(DIMENSION_CAP))
+    n = DIMENSION_CAP + 1
+    message = f"^graph order {n} exceeds the dimension cap {DIMENSION_CAP}$"
+    # no body, a short one, and the whole body of the empty graph
+    for body in ("", "?", "?" * ((n * (n - 1) // 2 + 5) // 6)):
+        with pytest.raises(SizeOverflowError, match=message):
+            graph6_decode(prefix(n) + body)
+
+
 def _srg_params_int64(g):
     """srg_params with the square A^2 taken in int64, which gets no BLAS."""
     n = g.n

@@ -1,4 +1,5 @@
 import math
+import unittest.mock
 import warnings
 
 import hypothesis
@@ -536,6 +537,38 @@ def test_paley_spectra_skip_eigh(monkeypatch):
     assert calls == [] and verdict.equality
     assert equality_analysis(g).overall and weyl_complement_check(g).ok
     assert calls == []
+
+
+def test_structured_certificate_sums_no_more_than_n_squares(monkeypatch):
+    a = adjacency_matrix(paley_graph(401)).array
+    sizes = []
+    real = linalg._sum_of_squares
+
+    def spy(arr):
+        sizes.append(arr.size)
+        return real(arr)
+
+    monkeypatch.setattr(linalg, "_sum_of_squares", spy)
+    assert linalg._structured_eigh(a) is not None
+    assert sizes and max(sizes) <= 401
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(invariant_matrices())
+def test_structured_threshold_is_the_frobenius_norm_of_the_input(a):
+    scales = []
+    real = linalg._certify
+
+    def spy(residual, scale, what):
+        scales.append(scale)
+        return real(residual, scale, what)
+
+    with unittest.mock.patch.object(linalg, "_certify", spy):
+        assert linalg._structured_eigh(a) is not None
+    (scale,) = scales
+    assert scale.size == a.shape[0]
+    old, new = (linalg.CERT_FACTOR * (1 + linalg._frobenius(x)) for x in (a, scale))
+    assert new == pytest.approx(old, rel=1e-12, abs=0)
 
 
 def test_forged_fft_result_fails_the_certificate(monkeypatch):

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -25,10 +26,11 @@ from normsum import (
     SplitMix64,
     trace_norm,
 )
-from normsum import cli, paley_graph, search
+from normsum import bounds, cli, paley_graph, search
 from normsum.graphs import pair_mask
 from normsum.search import WITNESS_CAP, WITNESS_TOL
-from oracles import cycle, flipped, srg_params
+import oracles
+from oracles import cycle, flipped, property_sweep_per_kind, srg_params
 
 
 def pair_value(g, objective="trace_sum", k=None):
@@ -830,6 +832,49 @@ def test_property_sweep_all_kinds():
     )
     assert rep.total_violations == 0
     assert len(rep.results) == 6
+
+
+SWEEP_KIND_LISTS = (
+    [list(search.SWEEP_KINDS), list(search.SWEEP_KINDS[::-1]), ["weyl", "main_matrix", "main"]]
+    + [[kind] for kind in search.SWEEP_KINDS]
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1])
+def test_property_sweep_matches_the_per_kind_sweep(seed):
+    # one stream per tag, shared by its kinds, gives each kind the samples
+    # that its own stream gave it
+    for kinds, n_range, trials, tol in itertools.product(
+        SWEEP_KIND_LISTS, ((2, 2), (2, 6), (4, 12)), (1, 3), (0.0, bounds.HOLD_TOL)
+    ):
+        args = (trials, seed, n_range, kinds, tol)
+        assert property_sweep(*args).to_json() == property_sweep_per_kind(*args).to_json()
+
+
+def test_property_sweep_draws_each_sample_once(monkeypatch):
+    counts = {"streams": 0, "graphs": 0, "adjacency": 0}
+
+    class Counting(SplitMix64):
+        def __init__(self, seed):
+            counts["streams"] += 1
+            super().__init__(seed)
+
+        def next_bits(self, nbits):
+            counts["graphs"] += 1
+            return super().next_bits(nbits)
+
+    def adjacency(g):
+        counts["adjacency"] += 1
+        return adjacency_matrix(g)
+
+    monkeypatch.setattr(search, "SplitMix64", Counting)
+    monkeypatch.setattr(oracles, "SplitMix64", Counting)
+    for module in (search, bounds):
+        monkeypatch.setattr(module, "adjacency_matrix", adjacency)
+    for sweep, seen in ((property_sweep, 3), (property_sweep_per_kind, 6)):
+        counts.update(dict.fromkeys(counts, 0))
+        sweep(3, 7, (4, 8), list(search.SWEEP_KINDS))
+        assert counts == {"streams": seen, "graphs": seen, "adjacency": seen}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 32])
