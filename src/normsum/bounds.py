@@ -22,17 +22,9 @@ import numpy as np
 
 from .errors import DomainViolationError, KOutOfRangeError, MissingParamError
 from .errors import as_int, as_positive_int
-from .graphs import Graph, adjacency_matrix, complement_matrix
-from .linalg import (
-    DenseMatrix,
-    as_matrix,
-    ky_fan_norm,
-    operator_norm,
-    require_symmetric,
-    spectra,
-    sym_eigen,
-    trace_norm,
-)
+from .graphs import Graph, adjacency_matrix
+from .linalg import SpectrumPair, as_matrix, require_symmetric
+from .linalg import ky_fan_norm, operator_norm, trace_norm
 
 BOUND_KINDS = ("koolen_moulton", "main", "gutman_zhou", "shifted", "kyfan", "opnorm")
 
@@ -146,23 +138,26 @@ _SQUARE_KINDS = ("koolen_moulton", "main", "gutman_zhou", "shifted", "equality",
 _SYMMETRIC_KINDS = ("koolen_moulton", "main", "gutman_zhou", "weyl")
 
 
-def _domain(obj, kind: str) -> DenseMatrix:
-    """obj as a DenseMatrix (a Graph by its adjacency matrix), once it meets
-    the hypotheses of check `kind`, tested in this order: entries in [0, 1],
-    square, symmetric, zero diagonal. The first that fails raises
-    DomainViolationError."""
-    mat = adjacency_matrix(obj) if isinstance(obj, Graph) else as_matrix(obj)
+def _pair(obj, kind: str) -> SpectrumPair:
+    """The spectrum pair of obj (a Graph, a matrix or a SpectrumPair) with the
+    partner of check `kind`, J - I - X for the square kinds and J - X for the
+    others, once X meets the hypotheses of the kind, tested in this order:
+    entries in [0, 1], square, symmetric, zero diagonal. The first that fails
+    raises DomainViolationError."""
+    graph = kind in _SQUARE_KINDS
+    pair = obj if isinstance(obj, SpectrumPair) else None
+    mat = pair.x if pair else adjacency_matrix(obj) if isinstance(obj, Graph) else as_matrix(obj)
     lo, hi = mat.entry_min, mat.entry_max
     if lo < 0.0 or hi > 1.0:
         raise DomainViolationError(f"entries must lie in [0, 1], found range [{lo}, {hi}]")
-    if kind in _SQUARE_KINDS:
+    if graph:
         if mat.rows != mat.cols:
             raise DomainViolationError(f"matrix must be square, got {mat.rows}x{mat.cols}")
         if kind in _SYMMETRIC_KINDS:
             require_symmetric(mat, DomainViolationError)
         if np.any(np.diag(mat.array) != 0.0):
             raise DomainViolationError("matrix must have a zero diagonal")
-    return mat
+    return pair if pair and pair.graph == graph else SpectrumPair(mat, graph)
 
 
 def check_tol(tol: float) -> float:
@@ -178,37 +173,24 @@ def check_tol(tol: float) -> float:
 def check_bound(kind: str, obj, k: int | None = None, tol: float = HOLD_TOL) -> BoundVerdict:
     """Evaluate one bound on a graph or matrix and return the verdict.
 
-    Graphs enter through their adjacency matrix. The complement partner
-    depends on the kind: J - I - A for the square symmetric kinds, the
-    shifted pair for 'shifted', and J - A for the rectangular kinds.
-    Equality means |slack| <= EQUALITY_TOL.
+    Graphs enter through their adjacency matrix, and checks of one input
+    can share its SpectrumPair (:func:`_pair`). The partner is J - I - A for
+    the square kinds ('shifted' reads A + I/2 and J - A - I/2) and J - A for
+    the rectangular kinds. Equality means |slack| <= EQUALITY_TOL.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
     if k is not None and kind != "kyfan":
         raise ValueError(f"k applies only to bound kind 'kyfan', got k={k!r} for {kind!r}")
     tol = check_tol(tol)
-    mat = _domain(obj, kind)
-    a = mat.array
-    rows, cols = mat.shape
-
-    if kind in ("koolen_moulton", "main", "gutman_zhou"):
-        if kind == "koolen_moulton":
-            lhs = trace_norm(mat)
-        else:
-            lhs = trace_norm(mat) + trace_norm(complement_matrix(a))
-        rhs = bound_value(kind, cols)
-    elif kind == "shifted":
-        n = cols
-        shift = a + np.eye(n) / 2.0
-        lhs = trace_norm(shift) + trace_norm(np.ones((n, n)) - shift)
-        rhs = bound_value(kind, n)
-    elif kind == "opnorm":
-        lhs = operator_norm(mat) + operator_norm(np.ones((rows, cols)) - a)
-        rhs = bound_value(kind, cols, m=rows)
-    else:  # kyfan
-        rhs = bound_value(kind, cols, m=rows, k=k)
-        lhs = ky_fan_norm(mat, k) + ky_fan_norm(np.ones((rows, cols)) - a, k)
+    pair = _pair(obj, kind)
+    rows, cols = pair.x.shape
+    rhs = bound_value(kind, cols, m=rows, k=k)
+    norm = {"opnorm": operator_norm, "kyfan": lambda s: ky_fan_norm(s, k)}.get(kind, trace_norm)
+    shift = 0.5 if kind == "shifted" else 0.0
+    lhs = norm(pair.sing(0, shift))
+    if kind != "koolen_moulton":
+        lhs += norm(pair.sing(1, shift))
 
     slack = rhs - lhs
     holds = slack >= -tol
@@ -238,9 +220,8 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
     """Test a square nonnegative zero-diagonal matrix against the structural
     equality conditions of the shifted bound, flag by flag."""
     tol = check_tol(tol)
-    mat = _domain(obj, "equality")
-    a = mat.array
-    n = mat.rows
+    pair = _pair(obj, "equality")
+    a, n = pair.x.array, pair.x.rows
 
     rounded = np.round(a)
     integral = bool(np.abs(a - rounded).max() <= INTEGRALITY_TOL)
@@ -252,15 +233,14 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
     row_sums_ok = bool((2 * r.sum(axis=1) == n - 1).all())
     col_sums_ok = bool((2 * r.sum(axis=0) == n - 1).all())
 
-    eig, shift_sing = spectra(mat, 0.5)
     target = math.sqrt(n) / 2.0
-    flat_tail_ok = all(abs(s - target) <= tol for s in shift_sing.values[1:])
+    flat_tail_ok = all(abs(s - target) <= tol for s in pair.sing(0, 0.5).values[1:])
 
     conference_spectrum_ok = False
-    if eig is not None and n % 4 == 1 and n >= 5:
+    if pair.symmetric and n % 4 == 1 and n >= 5:
         expected = conference_eigenvalues(n)
         conference_spectrum_ok = all(
-            abs(e - x) <= tol for e, x in zip(eig.values, expected)
+            abs(e - x) <= tol for e, x in zip(pair.eig(0).values, expected)
         )
 
     overall = is_zero_one and row_sums_ok and col_sums_ok and flat_tail_ok
@@ -281,10 +261,9 @@ def weyl_complement_check(obj, tol: float = HOLD_TOL) -> WeylReport:
     index sitting exactly on the inequality reads 0.
     """
     tol = check_tol(tol)
-    mat = _domain(obj, "weyl")
-    n = mat.rows
-    mu = sym_eigen(mat).values
-    mubar = sym_eigen(complement_matrix(mat.array)).values
+    pair = _pair(obj, "weyl")
+    n = pair.x.rows
+    mu, mubar = pair.eig(0).values, pair.eig(1).values
     # mu is 0-based descending: mu_k is mu[k-1], mu_{n-k+2} is mubar[n-k+1]
     margins = tuple(mu[kk - 1] + mubar[n - kk + 1] + 1.0 for kk in range(2, n + 1))
     ok = all(mg <= tol for mg in margins)

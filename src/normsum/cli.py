@@ -39,12 +39,12 @@ from .errors import NormsumError
 from .graphs import (
     Graph,
     adjacency_matrix,
-    complement_matrix,
     graph6_decode,
     graph6_encode,
     paley_graph,
 )
-from .linalg import DIMENSION_CAP, DenseMatrix, _ky_fan, spectra, svd, trace_norm
+from .linalg import DIMENSION_CAP, DenseMatrix, SingularSpectrum, SpectrumPair, _ky_fan
+from .linalg import operator_norm, trace_norm
 from .search import (
     OBJECTIVES,
     SWEEP_KINDS,
@@ -245,14 +245,19 @@ def cmd_construct(args):
     return results, False, {"csv": _csv_matrix(mat)}
 
 
-def cmd_spectrum(args):
+def _input_spectra(args) -> tuple[SpectrumPair, SingularSpectrum, dict]:
+    """The input's spectrum pair, its singular values and its shape fields."""
     obj = _resolve_input(args)
-    mat = adjacency_matrix(obj) if isinstance(obj, Graph) else obj
-    results: dict = {"rows": mat.rows, "cols": mat.cols}
-    eig, sing = spectra(mat)
-    if eig is not None:
-        results["eigenvalues"] = list(eig.values)
-        results["eigen_residual"] = eig.offdiag_residual
+    graph = isinstance(obj, Graph)
+    pair = SpectrumPair(adjacency_matrix(obj) if graph else obj, graph)
+    return pair, pair.sing(0), {"rows": pair.x.rows, "cols": pair.x.cols}
+
+
+def cmd_spectrum(args):
+    pair, sing, results = _input_spectra(args)
+    if pair.symmetric:
+        results["eigenvalues"] = list(pair.eig(0).values)
+        results["eigen_residual"] = pair.eig(0).offdiag_residual
     results["singular_values"] = list(sing.values)
     results["svd_residual"] = sing.residual
     eigs = results.get("eigenvalues", [None] * len(sing.values))
@@ -264,20 +269,13 @@ def cmd_spectrum(args):
 
 
 def cmd_norms(args):
-    obj = _resolve_input(args)
-    mat = adjacency_matrix(obj) if isinstance(obj, Graph) else obj
-    sigma = svd(mat).values
-    results: dict = {
-        "rows": mat.rows,
-        "cols": mat.cols,
-        "trace_norm": math.fsum(sigma),
-        "operator_norm": sigma[0],
-    }
+    pair, sing, results = _input_spectra(args)
+    results |= {"trace_norm": trace_norm(sing), "operator_norm": operator_norm(sing)}
     if args.k is not None:
         results["ky_fan_k"] = args.k
-        results["ky_fan_norm"] = _ky_fan(sigma, args.k, mat.rows, mat.cols)
-    if isinstance(obj, Graph):
-        results["complement_trace_norm"] = trace_norm(complement_matrix(mat.array))
+        results["ky_fan_norm"] = _ky_fan(sing.values, args.k)
+    if pair.graph:
+        results["complement_trace_norm"] = trace_norm(pair.sing(1))
         results["trace_sum"] = results["trace_norm"] + results["complement_trace_norm"]
     return results, False, {}
 
@@ -289,14 +287,13 @@ def cmd_check(args):
     obj = _resolve_input(args)
     # the kyfan witness is checked at its own index unless --k says otherwise
     k = args.k if args.k is not None else args.order
-
+    tol = args.tol if args.tol is not None else EQUALITY_TOL if kind == "equality" else HOLD_TOL
     if kind == "equality":
-        report = equality_analysis(obj, tol=args.tol if args.tol is not None else EQUALITY_TOL)
-        return report.to_json(), False, {}
+        return equality_analysis(obj, tol=tol).to_json(), False, {}
     if kind == "weyl":
-        wreport = weyl_complement_check(obj, tol=args.tol if args.tol is not None else HOLD_TOL)
+        wreport = weyl_complement_check(obj, tol=tol)
         return wreport.to_json(), not wreport.ok, {}
-    verdict = check_bound(kind, obj, k=k, tol=args.tol if args.tol is not None else HOLD_TOL)
+    verdict = check_bound(kind, obj, k=k, tol=tol)
     payload = verdict.to_json()
     csv = (
         "kind,lhs,rhs,slack,holds,equality\n"

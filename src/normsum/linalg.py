@@ -1,10 +1,8 @@
-"""Dense real linear algebra for small matrices.
-
-Everything downstream (bound checks, extremal constructions, searches) runs
-on the four operations here: symmetric eigendecomposition, SVD, Ky Fan
-norms, and Kronecker products. Matrices are dense float64 and small by
-design (dimension cap 4096), so LAPACK via numpy is used throughout and
-every factorization is certified by an explicit residual.
+"""Dense real linear algebra for small matrices: certified spectra, and the
+norms, Kronecker products and complement spectrum pairs built on them.
+Matrices are dense float64 and small by design (dimension cap 4096), so
+LAPACK via numpy is used throughout and every factorization is certified by
+an explicit residual.
 
 A DenseMatrix measures its asymmetry max |A - A^T| once, on first use, and
 every operation reads that value. Exactly symmetric input (A == A^T) is
@@ -12,6 +10,8 @@ factored by ``eigh`` and its singular values are the eigenvalue magnitudes;
 any other input goes through the LAPACK SVD. The residual is ||AQ - QΛ||_F
 for ``eigh`` and ||A - U diag(s) V^T||_F for the SVD; unless it is at most
 CERT_FACTOR * (1 + ||A||_F) (so a NaN fails), NoConvergenceError is raised.
+Every bound reads the spectra of an input X and of its complement partner
+(J - I - X or J - X): a SpectrumPair factors each once and keeps both.
 
 Structured input skips ``eigh``. A symmetric A of order n = p^e >=
 STRUCTURED_MIN_N that is invariant under the translations of (Z_p)^e, vertex
@@ -19,11 +19,12 @@ v labelled by its base-p digits most significant first (the Paley graph
 layout, and its complement), is diagonalized by the characters of (Z_p)^e:
 its eigenvalues are the e-dimensional DFT of its first row (Babai 1979).
 Invariance is one exact comparison of A with the difference table of row 0,
-A[u, v] = A[0, u - v]. It reads all n^2 entries (about 20 ms at n = 4001),
-which a non-invariant input of prime-power order pays before its dense
-``eigh``. Q is the unitary character basis, and the reconstruction residual
-||A - QΛQ*||_F = sqrt(n) ||row0 - ifftn(λ)||_2 is certified as above, with
-||A||_F taken as sqrt(n) ||row0||_2 (each row permutes row 0), an O(n) sum.
+A[u, v] = A[0, u - v], which reads all n^2 entries. Q is the unitary
+character basis, and the reconstruction residual ||A - QΛQ*||_F = sqrt(n)
+||row0 - ifftn(λ)||_2 is certified as above, with ||A||_F taken as sqrt(n)
+||row0||_2 (each row permutes row 0), an O(n) sum. The partner of an
+invariant X is invariant, with row 0 J[0] - X[0]: its spectrum is one more
+DFT of a row, and the pair never builds it.
 """
 
 from __future__ import annotations
@@ -124,11 +125,7 @@ class DenseMatrix:
             raise ValueError(f"matrix JSON missing field {exc}") from exc
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": self.entries,
-        }
+        return {"rows": self.rows, "cols": self.cols, "entries": self.entries}
 
     @property
     def rows(self) -> int:
@@ -204,14 +201,8 @@ def as_matrix(m) -> DenseMatrix:
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Eigenvalues of a symmetric matrix, descending, with a residual certificate.
-
-    ``offdiag_residual`` is the Frobenius norm of A@Q - Q@diag(values) for the
-    orthogonal Q of the factorization, i.e. the off-diagonal mass left after
-    rotating A into the eigenbasis. For translation-invariant input (see the
-    module docstring) Q is the unitary character basis, and the residual is
-    the equal reconstruction residual ||A - QΛQ*||_F.
-    """
+    """Eigenvalues of a symmetric matrix, descending, and the residual
+    ||AQ - QΛ||_F of their factorization (see the module docstring)."""
 
     values: tuple[float, ...]
     offdiag_residual: float
@@ -219,13 +210,9 @@ class EigenSpectrum:
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Singular values, descending, with the residual of their factorization.
-
-    For exactly symmetric A the values are |eigenvalues| from ``eigh`` and
-    residual is ||AQ - QΛ||_F, which for orthogonal Q equals the
-    reconstruction residual ||A - QΛQ^T||_F. Otherwise residual is the SVD
-    reconstruction residual frobenius(A - U diag(values) V^T).
-    """
+    """Singular values, descending, and the residual of their factorization:
+    ||AQ - QΛ||_F when they are the |eigenvalues| of an exactly symmetric A,
+    else ||A - U diag(s) V^T||_F (see the module docstring)."""
 
     values: tuple[float, ...]
     residual: float
@@ -307,21 +294,9 @@ def _difference_view(row: np.ndarray, p: int, e: int) -> np.ndarray:
     return windows[(slice(None, None, -1),) * e]
 
 
-def _structured_eigh(sym: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Ascending eigenvalues and certified residual of an exactly symmetric
-    array of order p^e that is (Z_p)^e-translation invariant under the base-p
-    digit labelling, from the DFT of its first row; None for any other input.
-
-    Invariance is tested exactly, by one comparison with the difference
-    table of row 0: a symmetric A is invariant iff A[u, v] = A[0, u - v].
-    """
-    split = _prime_power_split(sym.shape[0])
-    if split is None:
-        return None
-    p, e = split
-    row0 = sym[0].reshape((p,) * e)
-    if not np.array_equal(sym.reshape(row0.shape * 2), _difference_view(row0, p, e)):
-        return None
+def _character_eigh(row0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues and certified residual of the invariant symmetric
+    matrix with row 0 `row0`, given on its (Z_p)^e grid: the row's DFT."""
     # row0 is even (row0[-d] = row0[d]), so its transform is real
     lam = np.fft.fftn(row0).real
     scale = math.sqrt(row0.size)  # each row permutes row 0: ||A||_F = ||scale row0||_2
@@ -329,12 +304,25 @@ def _structured_eigh(sym: np.ndarray) -> tuple[np.ndarray, float] | None:
     return np.sort(lam, axis=None), _certify(residual, scale * row0, "structured eigen")
 
 
-def _certified_eigh(sym: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues of a symmetric array and their certified residual.
+def _structured_eigh(sym: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Ascending eigenvalues and certified residual of an exactly symmetric
+    array of order p^e that is (Z_p)^e-translation invariant under the base-p
+    digit labelling, else None. Invariance is tested exactly, by comparing A
+    with the difference table of row 0: A is invariant iff A[u, v] = A[0, u - v]."""
+    split = _prime_power_split(sym.shape[0])
+    if split is None:
+        return None
+    p, e = split
+    row0 = sym[0].reshape((p,) * e)
+    if not np.array_equal(sym.reshape(row0.shape * 2), _difference_view(row0, p, e)):
+        return None
+    return _character_eigh(row0)
 
-    Translation-invariant input of order >= STRUCTURED_MIN_N takes its
-    spectrum from the character transform (:func:`_structured_eigh`).
-    """
+
+def _certified_eigh(sym: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues and certified residual of a symmetric array: from
+    the character transform (:func:`_structured_eigh`) when it applies at
+    order >= STRUCTURED_MIN_N, else from a dense ``eigh``."""
     if sym.shape[0] >= STRUCTURED_MIN_N and (fast := _structured_eigh(sym)) is not None:
         return fast
     w, _, residual = eigh_basis(sym)
@@ -371,8 +359,11 @@ def sym_eigen(m) -> EigenSpectrum:
     require_symmetric(mat, NonSymmetricError)
     a = mat.array
     # a == a.T is factored as it is: a + a.T would give it back, or overflow
-    w, residual = _certified_eigh(a if mat._asymmetry() == 0.0 else (a + a.T) / 2.0)
-    # LAPACK returns ascending; flip for descending.
+    return _descending(*_certified_eigh(a if mat._asymmetry() == 0.0 else (a + a.T) / 2.0))
+
+
+def _descending(w: np.ndarray, residual: float) -> EigenSpectrum:
+    """The EigenSpectrum of LAPACK's ascending eigenvalues."""
     return EigenSpectrum(values=tuple(w[::-1].tolist()), offdiag_residual=residual)
 
 
@@ -402,54 +393,85 @@ def svd(m) -> SingularSpectrum:
     return SingularSpectrum(values=tuple(s.tolist()), residual=residual)
 
 
-def spectra(m, shift: float = 0.0) -> tuple[EigenSpectrum | None, SingularSpectrum]:
-    """Eigenvalues of m when it is square and symmetric within SYMMETRY_TOL
-    (else None), and the singular values of m + shift*I (a nonzero shift
-    needs m square).
+class SpectrumPair:
+    """An input X and its complement partner Y, J - I - X when `graph` and
+    J - X otherwise, each factored at most once, on first use; member i is X
+    (i = 0) or Y (i = 1). Y is exactly symmetric when X is, and then the
+    singular values of a member plus shift*I are |lambda + shift| of its
+    eigenvalues; otherwise they take one SVD."""
 
-    Exactly symmetric input is factored once: the singular values are
-    |lambda + shift| from the same ``eigh``. Any other input takes its
-    singular values from :func:`svd`.
-    """
-    mat = as_matrix(m)
-    asym = mat._asymmetry()
-    eig = sym_eigen(mat) if asym <= SYMMETRY_TOL else None
-    if asym == 0.0:
-        return eig, _singular_from_eigen(eig, shift)
-    return eig, svd(mat.array + shift * np.eye(mat.rows) if shift else mat)
+    __slots__ = ("x", "graph", "symmetric", "_y", "_eig", "_sing")
+
+    def __init__(self, x: DenseMatrix, graph: bool) -> None:
+        self.x, self.graph, self._y = x, graph, None
+        self.symmetric = x._asymmetry() <= SYMMETRY_TOL  # X has eigenvalues
+        self._eig: list[EigenSpectrum | None] = [None, None]
+        self._sing: dict[tuple[int, float], SingularSpectrum] = {}  # by (member, shift)
+        if x.rows >= STRUCTURED_MIN_N and x._asymmetry() == 0.0:
+            if (fast := _structured_eigh(x.array)) is not None:  # so Y is invariant too
+                p, e = _prime_power_split(x.rows)
+                y0 = _character_eigh(self._partner(1).reshape((p,) * e))
+                self._eig = [_descending(*fast), _descending(*y0)]
+
+    def _partner(self, rows: int) -> np.ndarray:
+        """The first `rows` rows of Y, bit for bit as ``complement_matrix`` or J - X."""
+        j = np.ones((rows, self.x.cols))
+        if self.graph:
+            np.fill_diagonal(j, 0.0)
+        return j - self.x.array[:rows]
+
+    def _member(self, i: int) -> DenseMatrix:
+        if i and self._y is None:
+            self._y = DenseMatrix(self._partner(self.x.rows))
+            self._y._asym = 0.0 if self.x._asymmetry() == 0.0 else None  # J, I are symmetric
+        return self._y if i else self.x
+
+    def eig(self, i: int) -> EigenSpectrum:
+        """Eigenvalues of member i (symmetric within SYMMETRY_TOL), descending."""
+        if self._eig[i] is None:
+            self._eig[i] = sym_eigen(self._member(i))
+        return self._eig[i]
+
+    def sing(self, i: int, shift: float = 0.0) -> SingularSpectrum:
+        """Singular values of member i + shift*I, descending."""
+        if (i, shift) not in self._sing:
+            if self.x._asymmetry() == 0.0:
+                self._sing[i, shift] = _singular_from_eigen(self.eig(i), shift)
+            else:
+                mat = self._member(i)
+                self._sing[i, shift] = svd(mat.array + shift * np.eye(mat.rows) if shift else mat)
+        return self._sing[i, shift]
 
 
-def _ky_fan(values: Sequence[float], k: int, rows: int, cols: int) -> float:
-    """Exactly rounded sum of the k largest of the descending singular values
-    of a rows x cols matrix, after checking 1 <= k <= min(rows, cols)."""
-    kmax = min(rows, cols)
+def _ky_fan(values: Sequence[float], k: int) -> float:
+    """Exactly rounded sum of the k largest of descending singular values,
+    once 1 <= k <= their count."""
     k = as_int(k, "k", KOutOfRangeError)
-    if k < 1 or k > kmax:
-        raise KOutOfRangeError(f"k={k} outside [1, {kmax}] for a {rows}x{cols} matrix")
+    if k < 1 or k > len(values):
+        raise KOutOfRangeError(f"k={k} outside [1, {len(values)}], the count of singular values")
     return math.fsum(values[:k])
 
 
 def ky_fan_norm(m, k: int) -> float:
-    """Sum of the k largest singular values.
-
-    k = 1 is the operator norm, k = min(rows, cols) the trace norm.
-    """
-    mat = as_matrix(m)
-    return _ky_fan(svd(mat).values, k, mat.rows, mat.cols)
+    """Sum of the k largest singular values of a matrix, or of its
+    SingularSpectrum: k = 1 is the operator norm, k = min(rows, cols) the
+    trace norm."""
+    return _ky_fan((m if isinstance(m, SingularSpectrum) else svd(m)).values, k)
 
 
 def trace_norm(m) -> float:
-    """Sum of all singular values (graph energy when m is an adjacency matrix).
+    """Sum of all singular values of a matrix, or of its SingularSpectrum
+    (graph energy when m is an adjacency matrix).
 
     Summed with math.fsum, exactly rounded: a naive sum of the n values loses
     about n ulps, which at n = 4001 is larger than the eigenvalue error.
     """
-    return math.fsum(svd(m).values)
+    return math.fsum((m if isinstance(m, SingularSpectrum) else svd(m)).values)
 
 
 def operator_norm(m) -> float:
-    """Largest singular value."""
-    return float(svd(m).values[0])
+    """Largest singular value of a matrix, or of its SingularSpectrum."""
+    return float((m if isinstance(m, SingularSpectrum) else svd(m)).values[0])
 
 
 def kronecker(a, b) -> DenseMatrix:

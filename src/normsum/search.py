@@ -28,7 +28,7 @@ from .errors import (
     as_positive_int,
 )
 from .graphs import Graph, adjacency_matrix, complement_matrix, graph6_encode, pair_mask
-from .linalg import DenseMatrix, _eigvalsh_stack, check_dimensions, eigh_basis
+from .linalg import DenseMatrix, SpectrumPair, _eigvalsh_stack, check_dimensions, eigh_basis
 from .rng import MASK64, SplitMix64, as_seed, derive_seed
 
 EXHAUSTIVE_MAX_N = 8
@@ -705,19 +705,19 @@ def _draw(tag: str, rng: SplitMix64, lo: int, hi: int) -> Graph | DenseMatrix:
     return _random_rect(rng, size, lo + rng.next_below(hi - lo + 1))
 
 
-def _sweep_check(kind: str, mat: DenseMatrix, tol: float) -> tuple[bool, float]:
-    """(passed, slack) of sweep kind `kind` on one sample matrix. The weyl
-    slack is minus the largest margin (an order n >= 2 has n - 1); kyfan
-    checks k = 2 and, when the shape allows, k = 3, and takes the smaller
-    slack."""
+def _sweep_check(kind: str, pair: SpectrumPair, tol: float) -> tuple[bool, float]:
+    """(passed, slack) of sweep kind `kind` on the spectrum pair of one
+    sample. The weyl slack is minus the largest margin (an order n >= 2 has
+    n - 1); kyfan checks k = 2 and, when the shape allows, k = 3, and takes
+    the smaller slack."""
     if kind == "weyl":
-        report = weyl_complement_check(mat, tol=tol)
+        report = weyl_complement_check(pair, tol=tol)
         return report.ok, -max(report.margins)
     if kind == "kyfan":
-        ks = (2, 3) if min(mat.shape) >= 3 else (2,)
-        sub = [check_bound("kyfan", mat, k=k, tol=tol) for k in ks]
+        ks = (2, 3) if min(pair.x.shape) >= 3 else (2,)
+        sub = [check_bound("kyfan", pair, k=k, tol=tol) for k in ks]
         return all(v.holds for v in sub), min(v.slack for v in sub)
-    verdict = check_bound("main" if kind == "main_matrix" else kind, mat, tol=tol)
+    verdict = check_bound("main" if kind == "main_matrix" else kind, pair, tol=tol)
     return verdict.holds, verdict.slack
 
 
@@ -731,12 +731,12 @@ def property_sweep(
     """Run `trials` seeded random inputs through each requested checker.
 
     Each stream among the requested kinds (see _KIND_TAGS) is opened once,
-    from the seed and its tag, and draws `trials` samples
-    (:func:`_draw`). Every requested kind of that stream checks each sample,
-    a graph through one adjacency matrix. Any violation is reported with
-    the offending input serialized in full: each kind keeps its worst
-    sample and serializes it once, at the end. A kind named twice is an
-    error, as it would run on the same samples again.
+    from the seed and its tag, and draws `trials` samples (:func:`_draw`).
+    Every requested kind of that stream checks each sample through one
+    SpectrumPair, so a sample and its partner are factored once each. Any
+    violation is reported with the offending input serialized in full: each
+    kind keeps its worst sample and serializes it once, at the end. A kind
+    named twice is an error, as it would run on the same samples again.
     """
     trials, seed = as_positive_int(trials, "trials"), as_seed(seed)
     lo, hi = (as_int(v, "n_range bound") for v in n_range)
@@ -754,8 +754,9 @@ def property_sweep(
         for _ in range(trials):
             sample = _draw(tag, rng, lo, hi)
             mat = adjacency_matrix(sample) if tag == "graph" else sample
+            pair = SpectrumPair(mat, tag != "rect_matrix")
             for kind in group:
-                ok, slack = _sweep_check(kind, mat, tol)
+                ok, slack = _sweep_check(kind, pair, tol)
                 tally[kind][0] += ok
                 if slack < tally[kind][1]:
                     tally[kind][1:] = slack, sample

@@ -204,7 +204,8 @@ def test_each_matrix_is_built_and_has_its_asymmetry_measured_once(monkeypatch, c
         built.clear()
         measured.clear()
         run()
-        assert built == measured == [(13, 13)] * matrices
+        # J - I - A inherits the exact symmetry of A, so only A is measured
+        assert built == [(13, 13)] * matrices and measured == [(13, 13)]
 
 
 def test_check_shifted_allows_asymmetry():

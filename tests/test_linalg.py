@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from normsum import linalg
+from normsum import graphs, linalg, search
 from normsum import (
     DIMENSION_CAP,
     DenseMatrix,
@@ -31,7 +31,7 @@ from normsum import (
     weyl_complement_check,
 )
 from normsum.graphs import complement_matrix, quadratic_character
-from normsum.linalg import SYMMETRY_TOL, _singular_from_eigen, check_dimensions, spectra
+from normsum.linalg import SYMMETRY_TOL, SpectrumPair, _singular_from_eigen, check_dimensions
 from oracles import cycle, invariant_by_rolls
 
 
@@ -413,7 +413,7 @@ def test_singular_values_of_a_shift_come_from_one_eigh():
             assert got.residual == eig.offdiag_residual
 
 
-def test_spectra_eigenvalues_only_for_symmetric_input(monkeypatch):
+def test_spectrum_pair_eigenvalues_only_for_symmetric_input(monkeypatch):
     rng = SplitMix64(53)
     exact = random_symmetric(rng, 5)
     near = exact.copy()
@@ -429,15 +429,20 @@ def test_spectra_eigenvalues_only_for_symmetric_input(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(linalg, "_certified_eigh", counting)
-    eig, sing = spectra(exact, 0.5)
-    assert factored == [(5, 5)]
-    assert eig == sym_eigen(exact) and sing == _singular_from_eigen(eig, 0.5)
+    pair = SpectrumPair(DenseMatrix(exact), graph=True)
+    for i in (0, 1):
+        for shift in (0.0, 0.5):
+            assert pair.sing(i, shift) == _singular_from_eigen(pair.eig(i), shift)
+    assert pair.symmetric and factored == [(5, 5)] * 2  # X and J - I - X, once each
+    assert pair.eig(0) == sym_eigen(exact) and pair.eig(1) == sym_eigen(complement_matrix(exact))
     for a, symmetric in ((near, True), (far, False), (rect, False)):
-        eig, sing = spectra(a)
-        assert (eig == sym_eigen(a)) if symmetric else eig is None
-        assert sing == svd(a)
-    eig, sing = spectra(far, -1.25)
-    assert eig is None and sing == svd(far - 1.25 * np.eye(5))
+        pair = SpectrumPair(DenseMatrix(a), graph=False)
+        assert pair.symmetric == symmetric
+        assert not symmetric or pair.eig(0) == sym_eigen(a)
+        assert pair.sing(0) == svd(a) and pair.sing(1) == svd(np.ones(a.shape) - a)
+    pair = SpectrumPair(DenseMatrix(far), graph=True)
+    assert pair.sing(0, -1.25) == svd(far - 1.25 * np.eye(5))
+    assert pair.sing(1, -1.25) == svd(complement_matrix(far) - 1.25 * np.eye(5))
 
 
 def test_dense_matrix_json_integer_check():
@@ -537,6 +542,38 @@ def test_paley_spectra_skip_eigh(monkeypatch):
     assert calls == [] and verdict.equality
     assert equality_analysis(g).overall and weyl_complement_check(g).ok
     assert calls == []
+
+
+@pytest.mark.parametrize("q", [401, 729])
+def test_paley_checks_read_the_partner_from_row_0(monkeypatch, q):
+    g = paley_graph(q)
+    a = adjacency_matrix(g).array
+    dense = [sym_eigen(a), sym_eigen(complement_matrix(a))]
+    built = []
+    real_init = DenseMatrix.__init__
+
+    def init(mat, data):
+        built.append(np.shape(data))
+        real_init(mat, data)
+
+    monkeypatch.setattr(DenseMatrix, "__init__", init)
+    for module in (graphs, search):
+        monkeypatch.setattr(module, "complement_matrix", lambda a: pytest.fail("J - I - A built"))
+    calls = _eigh_spy(monkeypatch)
+    assert check_bound("main", g).equality
+    assert weyl_complement_check(g).ok and equality_analysis(g).overall
+    pair = SpectrumPair(adjacency_matrix(g), graph=True)
+    assert [pair.eig(0), pair.eig(1)] == dense  # bit for bit, residuals included
+    assert calls == [] and built == [(q, q)] * 4  # A, once per check and once for the pair
+
+
+def test_flipped_edge_factors_both_members_densely(monkeypatch):
+    a = _flip(adjacency_matrix(paley_graph(401)).array, 200, 300)
+    calls = _eigh_spy(monkeypatch)
+    pair = SpectrumPair(DenseMatrix(a), graph=True)
+    assert weyl_complement_check(pair).ok and check_bound("main", pair).holds
+    assert calls == [(401, 401)] * 2
+    assert pair.eig(1) == sym_eigen(complement_matrix(a))
 
 
 def test_structured_certificate_sums_no_more_than_n_squares(monkeypatch):

@@ -877,6 +877,31 @@ def test_property_sweep_draws_each_sample_once(monkeypatch):
         assert counts == {"streams": seen, "graphs": seen, "adjacency": seen}
 
 
+@pytest.mark.parametrize(
+    "kinds, eighs, svds",
+    [
+        (list(search.SWEEP_KINDS), 4, 2),
+        (["main", "weyl"], 2, 0),
+        (["main_matrix", "shifted"], 2, 0),
+        (["kyfan", "opnorm"], 0, 2),
+    ],
+)
+def test_property_sweep_factors_a_sample_and_its_partner_once(monkeypatch, kinds, eighs, svds):
+    # one sample per stream, of order 6: however many kinds check it, the
+    # sample and its complement partner take one factorization each (the
+    # 6 x 6 rect_matrix sample is not symmetric, so it takes SVDs)
+    calls = {"eigh": 0, "svd": 0}
+    for name, real in [(name, getattr(np.linalg, name)) for name in calls]:
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    assert property_sweep(1, 7, (6, 6), kinds).total_violations == 0
+    assert calls == {"eigh": eighs, "svd": svds}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 32])
 def test_random_symmetric_draws_the_upper_triangle_row_by_row(n):
     rng, oracle = SplitMix64(n), SplitMix64(n)
