@@ -13,18 +13,20 @@ CERT_FACTOR * (1 + ||A||_F) (so a NaN fails), NoConvergenceError is raised.
 Every bound reads the spectra of an input X and of its complement partner
 (J - I - X or J - X): a SpectrumPair factors each once and keeps both.
 
-Structured input skips ``eigh``. A symmetric A of order n = p^e >=
+Structured input skips ``eigh``. An exactly symmetric A of order n = p^e >=
 STRUCTURED_MIN_N that is invariant under the translations of (Z_p)^e, vertex
 v labelled by its base-p digits most significant first (the Paley graph
 layout, and its complement), is diagonalized by the characters of (Z_p)^e:
 its eigenvalues are the e-dimensional DFT of its first row (Babai 1979).
 Invariance is one exact comparison of A with the difference table of row 0,
-A[u, v] = A[0, u - v], which reads all n^2 entries. Q is the unitary
-character basis, and the reconstruction residual ||A - QΛQ*||_F = sqrt(n)
-||row0 - ifftn(λ)||_2 is certified as above, with ||A||_F taken as sqrt(n)
-||row0||_2 (each row permutes row 0), an O(n) sum. The partner of an
-invariant X is invariant, with row 0 J[0] - X[0]: its spectrum is one more
-DFT of a row, and the pair never builds it.
+A[u, v] = A[0, u - v], which reads all n^2 entries; like the asymmetry, a
+DenseMatrix makes it once, on first use, and every operation reads the
+verdict. Q is the unitary character basis, and the reconstruction residual
+||A - QΛQ*||_F = sqrt(n) ||row0 - ifftn(λ)||_2 is certified as above, with
+||A||_F taken as sqrt(n) ||row0||_2 (each row permutes row 0), an O(n) sum.
+The partner of an invariant X is invariant, with row 0 J[0] - X[0]: its
+spectrum is one more DFT of a row, and the pair never builds it. The
+partner of any other X is factored densely, with no comparison of its own.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class DenseMatrix:
     the entry range it keeps, so no operation needs to re-check.
     """
 
-    __slots__ = ("_data", "_asym", "_min", "_max")
+    __slots__ = ("_data", "_asym", "_grid", "_min", "_max")
 
     def __init__(self, data) -> None:
         arr = np.array(data, dtype=np.float64, order="C", copy=True)
@@ -94,7 +96,7 @@ class DenseMatrix:
             raise ValueError("matrix entries must be finite")
         arr.setflags(write=False)
         self._data = arr
-        self._asym = None
+        self._asym = self._grid = None
         self._min, self._max = lo, hi
 
     @classmethod
@@ -178,10 +180,26 @@ class DenseMatrix:
             )
         return self._asym
 
+    def _invariance(self) -> tuple[int, ...]:
+        """(p,) * e, the grid of row 0, when A is exactly symmetric, of order
+        p^e >= STRUCTURED_MIN_N and (Z_p)^e-translation invariant under the
+        base-p digit labelling, else (). Tested once, exactly, by comparing A
+        with the difference table of row 0: A[u, v] = A[0, u - v]."""
+        if self._grid is None:
+            self._grid = ()
+            n = self.rows
+            split = _prime_power_split(n) if n >= STRUCTURED_MIN_N else None
+            if split and self._asymmetry() == 0.0:
+                p, e = split
+                row0 = self._data[0].reshape((p,) * e)
+                if np.array_equal(self._data.reshape(row0.shape * 2), _difference_view(row0, p, e)):
+                    self._grid = row0.shape
+        return self._grid
+
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self._data
-        return self._data.astype(dtype)
+        if copy is None:  # numpy 1.x never passes copy
+            return np.asarray(self._data, dtype=dtype)
+        return np.asarray(self._data, dtype=dtype, copy=copy)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
@@ -304,31 +322,6 @@ def _character_eigh(row0: np.ndarray) -> tuple[np.ndarray, float]:
     return np.sort(lam, axis=None), _certify(residual, scale * row0, "structured eigen")
 
 
-def _structured_eigh(sym: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Ascending eigenvalues and certified residual of an exactly symmetric
-    array of order p^e that is (Z_p)^e-translation invariant under the base-p
-    digit labelling, else None. Invariance is tested exactly, by comparing A
-    with the difference table of row 0: A is invariant iff A[u, v] = A[0, u - v]."""
-    split = _prime_power_split(sym.shape[0])
-    if split is None:
-        return None
-    p, e = split
-    row0 = sym[0].reshape((p,) * e)
-    if not np.array_equal(sym.reshape(row0.shape * 2), _difference_view(row0, p, e)):
-        return None
-    return _character_eigh(row0)
-
-
-def _certified_eigh(sym: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues and certified residual of a symmetric array: from
-    the character transform (:func:`_structured_eigh`) when it applies at
-    order >= STRUCTURED_MIN_N, else from a dense ``eigh``."""
-    if sym.shape[0] >= STRUCTURED_MIN_N and (fast := _structured_eigh(sym)) is not None:
-        return fast
-    w, _, residual = eigh_basis(sym)
-    return w, residual
-
-
 def eigh_basis(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Ascending eigenvalues, orthonormal eigenvectors (columns) and certified
     residual ||AQ - QΛ||_F of a symmetric array, by a dense LAPACK ``eigh``;
@@ -357,9 +350,12 @@ def sym_eigen(m) -> EigenSpectrum:
     if mat.rows != mat.cols:
         raise NonSquareError(f"sym_eigen needs a square matrix, got {mat.rows}x{mat.cols}")
     require_symmetric(mat, NonSymmetricError)
+    if grid := mat._invariance():
+        return _descending(*_character_eigh(mat.array[0].reshape(grid)))
     a = mat.array
     # a == a.T is factored as it is: a + a.T would give it back, or overflow
-    return _descending(*_certified_eigh(a if mat._asymmetry() == 0.0 else (a + a.T) / 2.0))
+    w, _, residual = eigh_basis(a if mat._asymmetry() == 0.0 else (a + a.T) / 2.0)
+    return _descending(w, residual)
 
 
 def _descending(w: np.ndarray, residual: float) -> EigenSpectrum:
@@ -407,11 +403,6 @@ class SpectrumPair:
         self.symmetric = x._asymmetry() <= SYMMETRY_TOL  # X has eigenvalues
         self._eig: list[EigenSpectrum | None] = [None, None]
         self._sing: dict[tuple[int, float], SingularSpectrum] = {}  # by (member, shift)
-        if x.rows >= STRUCTURED_MIN_N and x._asymmetry() == 0.0:
-            if (fast := _structured_eigh(x.array)) is not None:  # so Y is invariant too
-                p, e = _prime_power_split(x.rows)
-                y0 = _character_eigh(self._partner(1).reshape((p,) * e))
-                self._eig = [_descending(*fast), _descending(*y0)]
 
     def _partner(self, rows: int) -> np.ndarray:
         """The first `rows` rows of Y, bit for bit as ``complement_matrix`` or J - X."""
@@ -424,12 +415,17 @@ class SpectrumPair:
         if i and self._y is None:
             self._y = DenseMatrix(self._partner(self.x.rows))
             self._y._asym = 0.0 if self.x._asymmetry() == 0.0 else None  # J, I are symmetric
+            self._y._grid = ()  # Y is built only when X is not invariant
         return self._y if i else self.x
 
     def eig(self, i: int) -> EigenSpectrum:
         """Eigenvalues of member i (symmetric within SYMMETRY_TOL), descending."""
         if self._eig[i] is None:
-            self._eig[i] = sym_eigen(self._member(i))
+            if grid := self.x._invariance():  # so Y is invariant too
+                row0 = self._partner(1) if i else self.x.array[0]
+                self._eig[i] = _descending(*_character_eigh(row0.reshape(grid)))
+            else:
+                self._eig[i] = sym_eigen(self._member(i))
         return self._eig[i]
 
     def sing(self, i: int, shift: float = 0.0) -> SingularSpectrum:

@@ -343,13 +343,13 @@ def test_equality_analysis_sum_flags_match_the_two_branch_rule():
 
 def test_equality_analysis_factors_symmetric_input_once(monkeypatch):
     factored = []
-    real = linalg._certified_eigh
+    real = linalg.eigh_basis
 
     def counting(a):
         factored.append(a.shape)
         return real(a)
 
-    monkeypatch.setattr(linalg, "_certified_eigh", counting)
+    monkeypatch.setattr(linalg, "eigh_basis", counting)
     assert equality_analysis(adjacency_matrix(paley_graph(13))).overall
     assert not equality_analysis(adjacency_matrix(cycle(7))).overall
     assert factored == [(13, 13), (7, 7)]

@@ -666,13 +666,13 @@ def test_threads_auto_respects_cpu_affinity(monkeypatch):
 
 def test_norms_factors_each_matrix_once(capsys, monkeypatch):
     factored = []
-    real = linalg._certified_eigh
+    real = linalg.eigh_basis
 
     def counting(a):
         factored.append(a.shape)
         return real(a)
 
-    monkeypatch.setattr(linalg, "_certified_eigh", counting)
+    monkeypatch.setattr(linalg, "eigh_basis", counting)
     code, rep = run_json(capsys, ["norms", "--paley", "13", "--k", "3"])
     assert code == 0
     assert factored == [(13, 13), (13, 13)]  # the graph and its complement
@@ -682,13 +682,13 @@ def test_norms_factors_each_matrix_once(capsys, monkeypatch):
 
 def test_spectrum_factors_symmetric_input_once(capsys, monkeypatch):
     factored = []
-    real = linalg._certified_eigh
+    real = linalg.eigh_basis
 
     def counting(a):
         factored.append(a.shape)
         return real(a)
 
-    monkeypatch.setattr(linalg, "_certified_eigh", counting)
+    monkeypatch.setattr(linalg, "eigh_basis", counting)
     code, rep = run_json(capsys, ["spectrum", "--paley", "13"])
     assert code == 0
     assert factored == [(13, 13)]

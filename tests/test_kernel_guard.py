@@ -1,4 +1,5 @@
-"""Static guard: numpy.linalg, numpy.fft and the symmetric-input decision stay in linalg."""
+"""Static guard: numpy.linalg, numpy.fft and the symmetric-input and invariance
+decisions stay in linalg."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,7 @@ import normsum
 
 SRC = Path(normsum.__file__).parent
 KERNELS = ("np.linalg", "numpy.linalg", "np.fft", "numpy.fft")
-PRIVATE = {"_asymmetry", "_singular_from_eigen"}
+PRIVATE = {"_asymmetry", "_invariance", "_singular_from_eigen"}
 
 
 def _dotted(node):
@@ -26,8 +27,9 @@ def _is_kernel(name):
 
 def violations(path):
     """(line, what) for each numpy.linalg or numpy.fft reference or import,
-    and each linalg-private symmetry helper, in the module. A reference is
-    reported by its longest dotted name: np.linalg.eigh, not np.linalg too."""
+    and each linalg-private symmetry or invariance helper, in the module. A
+    reference is reported by its longest dotted name: np.linalg.eigh, not
+    np.linalg too."""
     tree = ast.parse(path.read_text(), filename=str(path))
     nodes = list(ast.walk(tree))
     inner = {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
@@ -58,6 +60,7 @@ def test_factorizations_and_symmetry_helpers_stay_in_linalg():
     # the scan does see the kernel's own call sites and symmetry reads
     assert {what for _, what in violations(SRC / "linalg.py")} == {
         "_asymmetry",
+        "_invariance",
         "np.linalg.LinAlgError",
         "np.linalg.eigh",
         "np.linalg.eigvalsh",
@@ -76,6 +79,7 @@ def test_the_scan_finds_every_numpy_linalg_reference(tmp_path):
         "la = np.linalg\n"
         "w = numpy.linalg.eigvalsh(a).T\n"
         "from normsum.linalg import _asymmetry\n"
+        "grid = m._invariance()\n"
     )
     assert sorted(violations(stray)) == [
         (1, "numpy.linalg"),
@@ -84,4 +88,5 @@ def test_the_scan_finds_every_numpy_linalg_reference(tmp_path):
         (4, "np.linalg"),
         (5, "numpy.linalg.eigvalsh"),
         (6, "_asymmetry"),
+        (7, "_invariance"),
     ]

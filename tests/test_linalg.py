@@ -378,6 +378,21 @@ def test_tiled_asymmetry_is_the_max_over_the_whole_array(n):
     assert DenseMatrix(np.ones((n, n + 1)))._asymmetry() == math.inf
 
 
+def test_array_copy_is_writable_and_asarray_is_not_a_copy():
+    m = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
+    for dtype in (None, np.float64, np.float32):
+        out = np.array(m, dtype=dtype)
+        assert out.dtype == (dtype or np.float64) and out.flags.writeable
+        assert not np.shares_memory(out, m.array)
+        out[0, 0] = 9.0
+    assert m.array[0, 0] == 1.0
+    for view in (np.asarray(m), np.asarray(m, copy=False)):
+        assert np.shares_memory(view, m.array) and not view.flags.writeable
+    assert np.asarray(m, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):
+        np.asarray(m, dtype=np.float32, copy=False)
+
+
 def test_sym_eigen_of_entries_near_the_float_maximum():
     # a + a.T would overflow; an exactly symmetric input is factored as it is
     with np.errstate(over="ignore"):
@@ -386,14 +401,14 @@ def test_sym_eigen_of_entries_near_the_float_maximum():
 
 def test_sym_eigen_symmetrizes_only_inexactly_symmetric_input(monkeypatch):
     factored = []
-    real = linalg._certified_eigh
-    monkeypatch.setattr(linalg, "_certified_eigh", lambda a: factored.append(a) or real(a))
+    real = linalg.eigh_basis
+    monkeypatch.setattr(linalg, "eigh_basis", lambda a: factored.append(a) or real(a))
     for a in _symmetric_inputs():
         mat = DenseMatrix(a)
         eig = sym_eigen(mat)
         assert factored.pop() is mat.array
         # bit for bit what the symmetrized copy gives
-        w, residual = real((a + a.T) / 2.0)
+        w, _, residual = real((a + a.T) / 2.0)
         assert eig == linalg.EigenSpectrum(tuple(w[::-1].tolist()), residual)
     near = random_symmetric(SplitMix64(61), 6)
     near[0, 1] += SYMMETRY_TOL / 2
@@ -422,13 +437,13 @@ def test_spectrum_pair_eigenvalues_only_for_symmetric_input(monkeypatch):
     far[0, 1] += 1e-6
     rect = np.array([[rng.next_double() for _ in range(3)] for _ in range(2)])
     factored = []
-    real = linalg._certified_eigh
+    real = linalg.eigh_basis
 
     def counting(a):
         factored.append(a.shape)
         return real(a)
 
-    monkeypatch.setattr(linalg, "_certified_eigh", counting)
+    monkeypatch.setattr(linalg, "eigh_basis", counting)
     pair = SpectrumPair(DenseMatrix(exact), graph=True)
     for i in (0, 1):
         for shift in (0.0, 0.5):
@@ -477,8 +492,17 @@ def _cayley_matrix(row, p, e):
     return np.asarray(row)[((digits[None, :, :] - digits[:, None, :]) % p) @ weights]
 
 
+def _structured(a):
+    """(ascending eigenvalues, certified residual) of a from the character
+    transform of its row 0 once a passes the invariance comparison, else
+    None. The order floor is lowered to 2, so small examples take it too."""
+    with unittest.mock.patch.object(linalg, "STRUCTURED_MIN_N", 2):
+        grid = DenseMatrix(a)._invariance()
+    return linalg._character_eigh(a[0].reshape(grid)) if grid else None
+
+
 def _assert_structured_matches_dense(a):
-    fast = linalg._structured_eigh(a)
+    fast = _structured(a)
     assert fast is not None
     w, residual = fast
     ref, q = np.linalg.eigh(a)
@@ -586,7 +610,7 @@ def test_structured_certificate_sums_no_more_than_n_squares(monkeypatch):
         return real(arr)
 
     monkeypatch.setattr(linalg, "_sum_of_squares", spy)
-    assert linalg._structured_eigh(a) is not None
+    sym_eigen(a)
     assert sizes and max(sizes) <= 401
 
 
@@ -601,7 +625,7 @@ def test_structured_threshold_is_the_frobenius_norm_of_the_input(a):
         return real(residual, scale, what)
 
     with unittest.mock.patch.object(linalg, "_certify", spy):
-        assert linalg._structured_eigh(a) is not None
+        assert _structured(a) is not None
     (scale,) = scales
     assert scale.size == a.shape[0]
     old, new = (linalg.CERT_FACTOR * (1 + linalg._frobenius(x)) for x in (a, scale))
@@ -613,27 +637,65 @@ def test_forged_fft_result_fails_the_certificate(monkeypatch):
     real_fftn = np.fft.fftn
     monkeypatch.setattr(np.fft, "fftn", lambda x: real_fftn(x) + 1e-6)
     with pytest.raises(NoConvergenceError):
-        linalg._structured_eigh(a)
+        _structured(a)
     with pytest.raises(NoConvergenceError):
         sym_eigen(a)
+    pair = SpectrumPair(DenseMatrix(a), graph=True)
+    for i in (0, 1):
+        with pytest.raises(NoConvergenceError):
+            pair.eig(i)
 
 
 def test_flipped_edge_is_rejected_and_factored_densely(monkeypatch):
     a = adjacency_matrix(paley_graph(401)).array.copy()
     a[200, 300] = a[300, 200] = 1.0 - a[200, 300]  # rows 0 and 1 untouched
-    assert linalg._structured_eigh(a) is None
+    assert DenseMatrix(a)._invariance() == ()
     calls = _eigh_spy(monkeypatch)
     verdict = check_bound("main", a)
     assert calls == [(401, 401)] * 2
     assert verdict.holds and not verdict.equality
 
 
+def test_nearly_symmetric_invariant_input_is_factored_densely(monkeypatch):
+    # P401 plus an invariant antisymmetric 2^-45 pattern: not exactly
+    # symmetric, and its symmetrized copy is P401 itself, bit for bit
+    paley = adjacency_matrix(paley_graph(401)).array
+    odd = np.where(np.arange(401) <= 200, 2.0**-45, -(2.0**-45))
+    odd[0] = 0.0
+    a = paley + _cayley_matrix(odd, 401, 1)
+    assert 0.0 < DenseMatrix(a)._asymmetry() <= SYMMETRY_TOL
+    assert np.array_equal((a + a.T) / 2.0, paley)
+    compared = _comparison_spy(monkeypatch)
+    calls = _eigh_spy(monkeypatch)
+    eig = sym_eigen(a)
+    assert calls == [(401, 401)] and compared == []
+    w, _, residual = linalg.eigh_basis(paley)
+    assert eig == linalg.EigenSpectrum(tuple(w[::-1].tolist()), residual)
+
+
+def _comparison_spy(monkeypatch):
+    """The order of each matrix linalg compares with its difference table."""
+    compared = []
+    real = linalg._difference_view
+    monkeypatch.setattr(
+        linalg, "_difference_view", lambda row, p, e: compared.append(row.size) or real(row, p, e)
+    )
+    return compared
+
+
 def test_random_graph_is_rejected_and_factored_densely(monkeypatch):
-    g = _random_graph(401)
-    assert linalg._structured_eigh(adjacency_matrix(g).array) is None
+    g, paley = _random_graph(401), paley_graph(401)
+    assert DenseMatrix(adjacency_matrix(g).array)._invariance() == ()
+    compared = _comparison_spy(monkeypatch)
     calls = _eigh_spy(monkeypatch)
     check_bound("main", g)
     assert calls == [(401, 401)] * 2
+    # one comparison per input matrix, none for its partner (three before)
+    assert compared == [401]
+    weyl_complement_check(g)
+    assert calls == [(401, 401)] * 4 and compared == [401] * 2
+    check_bound("main", paley)
+    assert calls == [(401, 401)] * 4 and compared == [401] * 3
 
 
 def _random_graph(n):
@@ -673,7 +735,7 @@ def test_difference_comparison_agrees_with_the_roll_oracle():
     verdicts = []
     for a in _comparison_inputs():
         assert np.array_equal(a, a.T)
-        verdicts.append(linalg._structured_eigh(a) is not None)
+        verdicts.append(DenseMatrix(a)._invariance() != ())
         assert verdicts[-1] == invariant_by_rolls(a)
     assert verdicts == [True] * 6 + [False] * 5
 
@@ -681,7 +743,7 @@ def test_difference_comparison_agrees_with_the_roll_oracle():
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(invariant_matrices())
 def test_difference_comparison_accepts_what_the_roll_oracle_accepts(a):
-    assert invariant_by_rolls(a) and linalg._structured_eigh(a) is not None
+    assert invariant_by_rolls(a) and _structured(a) is not None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -701,9 +763,7 @@ def test_orders_below_the_floor_stay_dense(monkeypatch):
     small = [adjacency_matrix(paley_graph(q)).array for q in (13, 125)] + [
         _cayley_matrix(row[:64], 2, 6)
     ]
-    taken = []
-    real = linalg._structured_eigh
-    monkeypatch.setattr(linalg, "_structured_eigh", lambda a: taken.append(a.shape) or real(a))
+    taken = _comparison_spy(monkeypatch)
     calls = _eigh_spy(monkeypatch)
     for a in small:
         sym_eigen(a)
@@ -711,4 +771,4 @@ def test_orders_below_the_floor_stay_dense(monkeypatch):
     assert taken == [] and len(calls) == 2 * len(small)
     assert linalg.STRUCTURED_MIN_N == 128
     sym_eigen(_cayley_matrix(row, 2, 7))
-    assert taken == [(128, 128)] and len(calls) == 2 * len(small)
+    assert taken == [128] and len(calls) == 2 * len(small)
