@@ -348,7 +348,10 @@ _RUN_FLAGS = {
         help="verdict tolerance (default 1e-7, or 1e-6 for check equality)",
     ),
     "seed": dict(type=_int, default=None, help="64-bit seed for randomized runs"),
-    "threads": dict(default=None, help="worker threads: an integer or 'auto'"),
+    "threads": dict(
+        default=None,
+        help="an integer or 'auto'; checked but has no effect: searches run on one thread",
+    ),
 }
 
 
@@ -433,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search", help="maximize a norm sum over graphs")
     ssub = p.add_subparsers(dest="mode", required=True)
-    se = ssub.add_parser("exhaustive", help="all labeled graphs, n <= 8")
+    se = ssub.add_parser("exhaustive", help="every graph up to isomorphism, n <= 8")
     sl = ssub.add_parser("local", help="seeded annealing over edge flips, n <= 64")
     for sp in (se, sl):
         sp.add_argument("--n", type=_int, required=True)
@@ -445,12 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sl.add_argument("--steps", type=_int, default=cfg.max_steps)
     sl.add_argument("--t0", type=_float, default=cfg.temperature_initial)
     sl.add_argument("--cooling", type=_float, default=cfg.cooling)
-    sl.add_argument(
-        "--threads",
-        **_RUN_FLAGS["threads"]
-        | {"help": "accepted but has no effect: restarts run on one thread"},
-    )
-    _add_common(sl, "seed")
+    _add_common(sl, "seed", "threads")
 
     p = subs.add_parser("sweep", help="randomized property sweep over the checkers")
     p.add_argument("--trials", type=_int, required=True)

@@ -1,19 +1,19 @@
 """Empirical maximization of complement norm sums over graphs.
 
-Three strategies: exhaustive labeled enumeration for n <= 8, seeded
-edge-flip annealing for n <= 64, and randomized property sweeps that hammer
-the bound checkers with seeded graphs and matrices, each sample drawn once
-and checked by every requested kind of its stream. Everything is
-deterministic given its inputs. Exhaustive enumeration fans its fixed jobs
-out over threads and merges their witnesses by one sort; annealing runs its
-restarts in order on the calling thread.
+Three strategies: an exhaustive search for n <= 8 that scores the class
+representatives on n - 1 vertices bordered with every neighbour set, which
+meet every isomorphism class on n vertices, and expands the best of them into
+their labeled orbits; seeded edge-flip annealing for n <= 64; and randomized
+property sweeps that hammer the bound checkers with seeded graphs and
+matrices, each sample drawn once and checked by every requested kind of its
+stream. Everything is deterministic given its inputs and runs on the calling
+thread; both searches merge their witnesses by one sort.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,8 +38,6 @@ WITNESS_CAP = 1000
 WITNESS_TOL = 1e-9
 
 OBJECTIVES = ("trace_sum", "kyfan_sum")
-
-_BLOCK_BITS = 16  # exhaustive enumeration block size 2^16
 
 # Annealing flip screen, see _screen_flips and _anneal_once. Below
 # SCREEN_MIN_N scoring all m <= 36 flips exactly costs less than the screen.
@@ -104,21 +102,14 @@ class SearchResult:
         return fields_ | {"witnesses": [graph6_encode(g) for g in self.witnesses]}
 
 
-def _check_order(n: int, threads: int, cap: int, what: str) -> tuple[int, int]:
-    """(n, threads) as positive ints, n at most cap; `what` names the search."""
+def _check_order(n: int, threads: int, cap: int, what: str) -> int:
+    """n as a positive int at most cap, once threads, which no search uses,
+    is checked to be a positive int; `what` names the search."""
     n = as_positive_int(n, "n")
     if n > cap:
         raise OrderTooLargeError(f"{what} is capped at n = {cap}, got n = {n}")
-    return n, as_positive_int(threads, "threads")
-
-
-def _fan_out(run, items, threads: int) -> list:
-    """[run(x) for x in items] on up to `threads` worker threads (a positive
-    integer), in item order whatever the thread count."""
-    if threads == 1 or len(items) == 1:
-        return [run(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, items))
+    as_positive_int(threads, "threads")
+    return n
 
 
 def _check_objective(n: int, objective: str, k: int | None) -> int | None:
@@ -164,172 +155,6 @@ def _adjacency_from_indices(idx: np.ndarray, n: int) -> np.ndarray:
     return ((idx[:, None, None] & bit) != 0).astype(np.float64)
 
 
-def _border_sets(v: int, values: np.ndarray) -> np.ndarray:
-    """(U, v) 0/1 float rows: bit i of values[u] joins a new vertex v to
-    vertex i, as the pair bits of vertex v do in a graph index."""
-    return ((values[:, None] >> np.arange(v)) & 1).astype(np.float64)
-
-
-def _border(adj: np.ndarray, rows: np.ndarray, counts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Closed-walk counts of the graphs (u, g) bordered by a new vertex joined
-    to the 0/1 row xs[u].
-
-    Graph (u, g) has adjacency A = [[adj[g], B], [B^T, D]], adj a (G, b, b)
-    stack and rows[u] = [B^T | D] the (s, b + s) rows of its s later
-    vertices; xs is (U, b + s), counts (top - 1, U or 1, G) holds tr A^k,
-    k = 2..top, and so does the (top - 1, U, G) result for the bordered
-    graphs. By the Schur complement the bordered graph A' has
-    det(I - zA') = det(I - zA) (1 - F(z)), F(z) = sum_j (x^T A^j x) z^(j+2),
-    and -z d/dz log det(I - zA) = sum_k tr A^k z^k, so tr A'^k = tr A^k + s_k
-    with s = zF'/(1 - F): s_k = k F_k + sum_{i=2}^{k-2} F_i s_(k-i).
-    x^T A^j x is y_a . y_(j-a), a = j // 2 and y_i = A^i x: one batched
-    matvec with adj, and two small products with rows, per i. Every term is a
-    nonnegative walk count below 2^53, so the float64 arithmetic is exact.
-    """
-    b, top = adj.shape[1], counts.shape[0] + 1
-
-    def times_a(y):  # rows y[g, u] of (G, U, b + s) times A, which is symmetric
-        out = y[..., :b] @ adj
-        if rows.shape[1] == 0:
-            return out
-        out += np.einsum("gus,usb->gub", y[..., b:], rows[..., :b])
-        return np.concatenate([out, np.einsum("guw,usw->gus", y, rows)], axis=2)
-
-    y = [np.broadcast_to(xs, (adj.shape[0],) + xs.shape)]
-    while len(y) <= (top - 1) // 2:
-        y.append(times_a(y[-1]))
-    f, s = {}, {}
-    out = np.empty((top - 1, xs.shape[0], adj.shape[0]))
-    for kk in range(2, top + 1):
-        a = (kk - 2) // 2
-        f[kk] = np.einsum("guw,guw->ug", y[a], y[kk - 2 - a])
-        s[kk] = kk * f[kk]
-        for i in range(2, kk - 1):
-            s[kk] += f[i] * s[kk - i]
-        np.add(counts[kk - 2], s[kk], out=out[kk - 2])
-    return out
-
-
-def _base_table(n: int):
-    """(adjacency, counts) of all graphs on the first b vertices of an
-    enumeration block, in index order: b is the largest b <= n whose
-    b(b-1)/2 pair bits fit in _BLOCK_BITS. counts (max(n, 2) - 1, 1,
-    2^(b(b-1)/2)) holds tr H^k, k = 2..max(n, 2), grown by bordering from
-    the one-vertex graph with every set of each next vertex, and the
-    (2^(b(b-1)/2), b, b) adjacency stack is None when b = n, where the base
-    graphs are the whole enumeration and nothing is bordered onto them.
-    n = 1 keeps the row tr A^2 = 0 so that every graph has a key."""
-    b = 1
-    while b < n and (b + 1) * b // 2 <= _BLOCK_BITS:
-        b += 1
-    adj, counts = np.zeros((1, 1, 1)), np.zeros((max(n, 2) - 1, 1, 1))
-    for v in range(1, b):
-        xs = _border_sets(v, np.arange(1 << v))
-        counts = _border(adj, np.zeros((xs.shape[0], 0, v)), counts, xs)
-        counts = counts.reshape(counts.shape[0], 1, -1)
-        # graph u 2^(v(v-1)/2) + g is adj[g] plus vertex v; the stack on b
-        # vertices serves only blocks that border later vertices onto it
-        if v + 1 < b or b < n:
-            grown = np.zeros((xs.shape[0], adj.shape[0], v + 1, v + 1))
-            grown[:, :, :v, :v] = adj
-            grown[:, :, v, :v] = grown[:, :, :v, v] = xs[:, None]
-            adj = grown.reshape(-1, v + 1, v + 1)
-    return (adj if b < n else None), counts
-
-
-def _pack_keys(counts: np.ndarray, n: int) -> np.ndarray:
-    """(G, W) int64 keys of the (top - 1, G) closed-walk counts of graphs on
-    n vertices: tr A^k <= n (n-1)^(k-1) gets that bound's bit width, and
-    the widths fill 63-bit words in k order (W = 2 for n = 7, 8), so equal
-    keys are equal counts."""
-    words, used = [], 0
-    for kk, row in enumerate(counts, start=2):
-        width = (n * (n - 1) ** (kk - 1)).bit_length()
-        if not words or used + width > 63:
-            words.append(np.zeros(row.shape, dtype=np.int64))
-            used = 0
-        words[-1] |= row.astype(np.int64) << used
-        used += width
-    return np.stack(words, axis=1)
-
-
-def _block_keys(block: int, n: int, table) -> np.ndarray:
-    """Packed closed-walk keys of enumeration block `block`, in index order.
-
-    Vertex v owns pair bits v(v-1)/2 .. v(v+1)/2 - 1, so the block's indices
-    form a grid: offset t = h + 2^(b(b-1)/2) u, with h every base graph of
-    `table` (on b vertices) and u every value of the block's low bits of
-    vertex b; each later vertex has the one set that the block's high bits
-    give it. The later vertices' rows are kept per u, never per graph.
-    """
-    adj, counts = table
-    if adj is not None:
-        b, start = adj.shape[1], block << _BLOCK_BITS
-        low = b * (b - 1) // 2
-        xs = _border_sets(b, (start >> low) + np.arange(1 << (_BLOCK_BITS - low)))
-        rows = np.zeros((xs.shape[0], 0, b))
-        for v in range(b, n):
-            if v > b:
-                x = _border_sets(v, np.array([start >> (v * (v - 1) // 2)]))
-                xs = np.broadcast_to(x, (rows.shape[0], v))
-            counts = _border(adj, rows, counts, xs)
-            # vertex v joins the later rows: column v is xs[:, b:], row v is xs
-            grown = np.zeros((rows.shape[0], rows.shape[1] + 1, v + 1))
-            grown[:, :-1, :v] = rows
-            grown[:, :-1, v] = xs[:, b:]
-            grown[:, -1, :v] = xs
-            rows = grown
-    return _pack_keys(counts.reshape(counts.shape[0], -1), n)
-
-
-def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact grouping of equal rows: (first, inverse) with first[g] the
-    smallest row index of group g and inverse[i] the group of row i."""
-    order = np.lexsort(keys.T)  # stable, so each group starts at its smallest row
-    starts = np.zeros(order.shape[0], dtype=bool)
-    starts[0] = True
-    for column in keys.T:
-        ranked = column[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    inverse = np.empty(order.shape[0], dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
-
-
-def _graph_norms(
-    idx: np.ndarray, keys: np.ndarray, n: int, objective: str, k: int | None
-) -> np.ndarray:
-    """Norm of every graph index in idx, given rows of keys that are equal
-    exactly when the graphs' closed-walk counts tr A^k, k = 2..n, are. With
-    tr A = 0 these fix the characteristic polynomial (Newton's identities),
-    so graphs with equal counts are cospectral, and the smallest index of
-    each class stands in for it in one batched eigensolve."""
-    first, inverse = _group_rows(keys)
-    w = _eigvalsh_stack(_adjacency_from_indices(idx[first], n))
-    return _spectral_norms(w, objective, k)[inverse]
-
-
-def _job_values(job: int, n: int, objective: str, k: int | None, table):
-    """Objective values of enumeration job `job`: (indices, values) over
-    block `job` followed by its mirror block, or over the single block when
-    there is only one; `table` is :func:`_base_table` (n).
-
-    The complement of graph i is graph total - 1 - i (every edge bit
-    flipped). In both layouts the indices ascend and position -1 - r holds
-    the complement of position r, so f + f[::-1] pairs each graph's norm f
-    with its complement's.
-    """
-    total = 1 << (n * (n - 1) // 2)
-    block = min(total, 1 << _BLOCK_BITS)
-    lo = np.arange(job * block, (job + 1) * block, dtype=np.int64)
-    # the mirror block; a single block is its own mirror, and [:total] keeps it once
-    idx = np.concatenate([lo, total - 1 - lo[::-1]])[:total]
-    blocks = (job, total // block - 1 - job)[: idx.size // block]
-    keys = np.concatenate([_block_keys(b, n, table) for b in blocks])
-    f = _graph_norms(idx, keys, n, objective, k)
-    return idx, f + f[::-1]
-
-
 def _witnesses(n: int, candidates):
     """(best, witnesses, truncated) of (value, bitset) candidates: the best
     value, the distinct graphs within WITNESS_TOL of it in ascending bitset
@@ -340,43 +165,76 @@ def _witnesses(n: int, candidates):
     return best, witnesses, len(bits) > WITNESS_CAP
 
 
+def _relabelings(v: int) -> np.ndarray:
+    """(v!, v(v-1)/2) float table: row p, column b is 2^t, where pair bit t
+    is the image of pair bit b under the p-th permutation of range(v)."""
+    perms = np.array(list(itertools.permutations(range(v))), dtype=np.int64)
+    js, is_ = np.nonzero(pair_mask(v))
+    a, b = perms[:, js], perms[:, is_]
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    return np.ldexp(1.0, hi * (hi - 1) // 2 + lo)
+
+
+def _orbits(bits: np.ndarray, relabelings: np.ndarray) -> np.ndarray:
+    """(G, v!) bitsets of every relabeling of each graph of the int64
+    bitsets `bits` on v vertices. A graph's 0/1 pair-bit row times the
+    table is a sum of distinct powers of 2 below 2^53, so it is exact."""
+    rows = ((bits[:, None] >> np.arange(relabelings.shape[1])) & 1).astype(np.float64)
+    return (rows @ relabelings.T).astype(np.int64)
+
+
+def _bordered(v: int) -> np.ndarray:
+    """Bitsets of every graph on v >= 1 vertices whose first v - 1 vertices
+    form one of :func:`_class_reps` (v - 1): each rep with vertex v - 1
+    joined to every neighbour set. Vertex v - 1 owns the top v - 1 pair
+    bits, so the sets are the rep plus each value of those bits. Deleting
+    a vertex of any graph on v vertices leaves a graph isomorphic to some
+    rep, so every graph on v vertices is isomorphic to one of these."""
+    borders = np.arange(1 << (v - 1), dtype=np.int64) << ((v - 1) * (v - 2) // 2)
+    return (_class_reps(v - 1)[:, None] | borders).ravel()
+
+
+def _class_reps(v: int) -> np.ndarray:
+    """Bitsets of one graph per isomorphism class on v vertices (1, 1, 2, 4,
+    11, 34, 156, 1044 for v = 0..7, OEIS A000088): each bordered graph in
+    turn is kept unless a kept graph's orbit already marked it."""
+    if v <= 1:
+        return np.zeros(1, dtype=np.int64)
+    relabelings = _relabelings(v)
+    seen = np.zeros(1 << (v * (v - 1) // 2), dtype=bool)
+    reps = []
+    for g in _bordered(v).tolist():
+        if not seen[g]:
+            reps.append(g)
+            seen[_orbits(np.array([g]), relabelings)] = True
+    return np.array(reps, dtype=np.int64)
+
+
 def exhaustive_max(
     n: int, objective: str = "trace_sum", k: int | None = None, threads: int = 1
 ) -> SearchResult:
     """Exact maximum of the objective over all 2^(n(n-1)/2) labeled graphs.
 
-    Hard-capped at n = 8 (2^28 graphs, 2048 jobs of about 65 ms each on a
-    2-vCPU Xeon, so about 2 minutes per thread); n = 8 warns about the
-    runtime up front. The graphs are enumerated in blocks of 2^16 indices.
-    One job scores a block together with its mirror block, which holds the
-    complements, and computes each graph's norm once; graphs with equal
-    closed-walk counts are cospectral and share one batched eigenvalue call.
-    The counts of a block come from those of all graphs on its first
-    vertices, built once per call, by bordering with the block's later
-    vertices (:func:`_border`). Each job hands on its graphs within
-    WITNESS_TOL of its own top, and the witnesses are those of all jobs
-    within WITNESS_TOL of the best, merged by one sort of their bitsets, so
-    the result does not depend on the thread count.
+    Hard-capped at n = 8. Isomorphic graphs have one spectrum, and so do
+    their complements, so the objective is scored on :func:`_bordered` (n)
+    alone: one rep per isomorphism class on n - 1 vertices, bordered with
+    every neighbour set, which meets every class on n vertices (9,984
+    graphs at n = 7 and 133,632 at n = 8). The witnesses are the labeled
+    graphs in the orbits of the scored graphs within WITNESS_TOL of the
+    best, merged by one sort of their bitsets. `evaluations` counts the
+    labeled graphs covered, 2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes
+    about 0.08 s and n = 8 about 1.5 s, on the calling thread: `threads` is
+    checked like local_search_max's but not used.
     """
-    n, threads = _check_order(n, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
-    if n == EXHAUSTIVE_MAX_N:
-        warnings.warn(
-            "exhaustive_max(8) enumerates 2^28 graphs in 2048 jobs of two 2^16 blocks; "
-            "expect about 2 minutes per thread",
-            stacklevel=2,
-        )
+    n = _check_order(n, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
     k = _check_objective(n, objective, k)
-    total = 1 << (n * (n - 1) // 2)
-    jobs = range(max(1, (total >> _BLOCK_BITS) // 2))
-    table = _base_table(n)  # read-only, shared by the jobs
-
-    def run(job):
-        idx, vals = _job_values(job, n, objective, k, table)
-        near = vals >= vals.max() - WITNESS_TOL
-        return list(zip(vals[near].tolist(), idx[near].tolist()))
-
-    near_tops = [c for part in _fan_out(run, jobs, threads) for c in part]
-    best, witnesses, truncated = _witnesses(n, near_tops)
+    graphs = _bordered(n)
+    vals = _pair_objective(_adjacency_from_indices(graphs, n), objective, k)
+    near = np.flatnonzero(vals >= vals.max() - WITNESS_TOL)
+    orbits = _orbits(graphs[near], _relabelings(n)).tolist()
+    best, witnesses, truncated = _witnesses(
+        n, [(v, g) for v, orbit in zip(vals[near].tolist(), orbits) for g in orbit]
+    )
     return SearchResult(
         objective=objective,
         k=k,
@@ -384,7 +242,7 @@ def exhaustive_max(
         best_value=best,
         witnesses=witnesses,
         truncated=truncated,
-        evaluations=total,
+        evaluations=1 << (n * (n - 1) // 2),
         seed=None,
         method="exhaustive",
     )
@@ -607,7 +465,7 @@ def local_search_max(
     whose dispatch holds the GIL, and two threads were slower than one at
     n = 16, 32 and 64.
     """
-    n, _ = _check_order(n, threads, LOCAL_MAX_N, "local search")
+    n = _check_order(n, threads, LOCAL_MAX_N, "local search")
     k = _check_objective(n, objective, k)
     if cfg is None:
         cfg = SearchConfig()

@@ -1,10 +1,9 @@
-import ast
 import hashlib
 import itertools
 import json
 import math
 import sys
-from pathlib import Path
+import threading
 
 import numpy as np
 import pytest
@@ -87,11 +86,14 @@ def test_exhaustive_order_cap():
         exhaustive_max(0)
 
 
-def test_exhaustive_n8_warns():
-    # the scale warning fires before enumeration, so a bad k aborts cheaply
-    with pytest.warns(UserWarning):
-        with pytest.raises(KOutOfRangeError):
-            exhaustive_max(8, "kyfan_sum")
+def test_exhaustive_n8_checks_k_before_generating_classes(monkeypatch):
+    # a bad k aborts before any class is generated or scored
+    def no_reps(v):
+        raise AssertionError("classes were generated before k was checked")
+
+    monkeypatch.setattr(search, "_class_reps", no_reps)
+    with pytest.raises(KOutOfRangeError):
+        exhaustive_max(8, "kyfan_sum")
 
 
 def test_exhaustive_objective_validation():
@@ -105,12 +107,20 @@ def test_exhaustive_objective_validation():
         exhaustive_max(4, "kyfan_sum", k=0)
 
 
-def test_exhaustive_thread_determinism():
+def test_exhaustive_thread_determinism(monkeypatch):
+    # threads is checked but not used: the search runs on the calling thread
     a = exhaustive_max(6, threads=1)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     b = exhaustive_max(6, threads=3)
     assert a.best_value == b.best_value
     assert a.witnesses == b.witnesses
     assert a.evaluations == b.evaluations == 1 << 15
+
+
+def oracle_norms(x, objective, k):
+    """Norm of each matrix of a symmetric (B, n, n) stack by plain eigvalsh."""
+    s = np.sort(np.abs(np.linalg.eigvalsh(x)), axis=1)
+    return s.sum(axis=1) if objective == "trace_sum" else s[:, x.shape[1] - k :].sum(axis=1)
 
 
 def oracle_values(n, objective, k):
@@ -118,31 +128,12 @@ def oracle_values(n, objective, k):
     of A and of J - I - A, indexed by edge bitset."""
     total = 1 << (n * (n - 1) // 2)
     a = np.stack([adjacency_matrix(Graph(n=n, bits=b)).array for b in range(total)])
-
-    def norms(x):
-        s = np.sort(np.abs(np.linalg.eigvalsh(x)), axis=1)
-        return s.sum(axis=1) if objective == "trace_sum" else s[:, n - k :].sum(axis=1)
-
-    return norms(a) + norms(np.ones((n, n)) - np.eye(n) - a)
+    return oracle_norms(a, objective, k) + oracle_norms(np.ones((n, n)) - np.eye(n) - a, objective, k)
 
 
-def kernel_values(n, objective, k):
-    """Objective of every graph as the exhaustive jobs compute it."""
-    total = 1 << (n * (n - 1) // 2)
-    vals = np.full(total, np.nan)
-    table = search._base_table(n)
-    for job in range(max(1, (total >> search._BLOCK_BITS) // 2)):
-        idx, v = search._job_values(job, n, objective, k, table)
-        assert np.isnan(vals[idx]).all()  # every graph is scored exactly once
-        vals[idx] = v
-    return vals
-
-
-def assert_matches_oracle(n, objective, k, threads=1):
+def assert_matches_oracle(n, objective, k):
     ref = oracle_values(n, objective, k)
-    vals = kernel_values(n, objective, k)
-    assert np.max(np.abs(vals - ref)) <= 1e-12
-    res = exhaustive_max(n, objective, k=k, threads=threads)
+    res = exhaustive_max(n, objective, k=k)
     sel = np.flatnonzero(ref >= ref.max() - WITNESS_TOL)
     assert abs(res.best_value - ref.max()) <= 1e-12
     assert tuple(g.bits for g in res.witnesses) == tuple(int(i) for i in sel[:WITNESS_CAP])
@@ -156,15 +147,6 @@ def assert_matches_oracle(n, objective, k, threads=1):
 def test_exhaustive_kernel_matches_per_graph_oracle(n, objective):
     k = None if objective == "trace_sum" else min(2, n)
     assert_matches_oracle(n, objective, k)
-
-
-@pytest.mark.parametrize("objective,k", [("trace_sum", None), ("kyfan_sum", 3)])
-def test_exhaustive_mirror_blocks_across_threads(monkeypatch, objective, k):
-    # 32 blocks of 2^10 at n = 6: each job pairs block b with block 31 - b
-    monkeypatch.setattr(search, "_BLOCK_BITS", 10)
-    one = assert_matches_oracle(6, objective, k, threads=1)
-    three = exhaustive_max(6, objective, k=k, threads=3)
-    assert one == three
 
 
 def test_witnesses_merge_duplicate_bitsets():
@@ -191,14 +173,6 @@ def test_witnesses_sort_candidates_that_arrive_out_of_order():
     assert [g.bits for g in witnesses] == [11, 12, 990, 1000]
 
 
-def test_exhaustive_max_does_not_depend_on_the_order_jobs_return_in(monkeypatch):
-    monkeypatch.setattr(search, "_BLOCK_BITS", 10)
-    ref = exhaustive_max(6, "kyfan_sum", k=1)
-    fan_out = search._fan_out
-    monkeypatch.setattr(search, "_fan_out", lambda *a: fan_out(*a)[::-1])
-    assert exhaustive_max(6, "kyfan_sum", k=1) == ref
-
-
 def test_witnesses_are_truncated_only_past_the_cap():
     exact = [(3.0, b) for b in range(WITNESS_CAP)]
     _, witnesses, truncated = search._witnesses(5, exact[::-1])
@@ -209,113 +183,103 @@ def test_witnesses_are_truncated_only_past_the_cap():
     assert truncated is True
 
 
-KEY_CHUNK = 1 << 13  # graphs per batch of walk_counts, bounding memory
-
-
-def walk_counts(idx, n):
-    """Closed-walk counts tr(A^k), k = 2..max(n, 2), one row per graph index,
-    by batched matrix powers: the slow oracle of the bordered block keys.
-
-    Every count is an integer at most n (n-1)^(k-1) < 2^53 for n <= 8, so
-    the float64 products and sums are exact.
-    """
-    top = max(n, 2)
-    keys = np.empty((idx.shape[0], top - 1), dtype=np.float64)
-    for s in range(0, idx.shape[0], KEY_CHUNK):
-        a = search._adjacency_from_indices(idx[s : s + KEY_CHUNK], n)
-        powers = [a]  # powers[j] = A^(j+1)
-        while len(powers) < (top + 1) // 2:
-            powers.append(powers[-1] @ a)
-        flat = [p.reshape(p.shape[0], -1) for p in powers]
-        for kk in range(2, top + 1):
-            # tr(A^i A^j) = sum of the entrywise product, as A^j is symmetric
-            keys[s : s + KEY_CHUNK, kk - 2] = np.einsum(
-                "bi,bi->b", flat[kk - kk // 2 - 1], flat[kk // 2 - 1]
-            )
-    return keys
-
-
-def test_cospectral_pair_shares_a_solve_but_not_its_complements():
+def test_cospectral_pair_keeps_its_own_pair_values(monkeypatch):
+    # K_{1,4} and C_4 + K_1 share a spectrum but their complements do not, so
+    # the two pair values differ; every graph that exhaustive_max(5) scores
+    # in either class gets its own class's value
     star = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])  # K_{1,4}
     c4k1 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C_4 + K_1
-    total = 1 << 10
-    graphs = [star, c4k1, flipped(star), flipped(c4k1)]
-    assert [g.bits for g in graphs[2:]] == [total - 1 - star.bits, total - 1 - c4k1.bits]
-    idx = np.array([g.bits for g in graphs], dtype=np.int64)
-    keys = walk_counts(idx, 5)
-    assert (keys[0] == keys[1]).all() and not (keys[2] == keys[3]).all()
-    first, inverse = search._group_rows(keys)
-    assert len(first) == 3 and inverse[0] == inverse[1]
-    norms = search._graph_norms(idx, keys, 5, "trace_sum", None)
-    ref = [trace_norm(adjacency_matrix(g)) for g in graphs]
-    assert np.max(np.abs(norms - ref)) <= 1e-12
-    assert norms[2] != pytest.approx(norms[3])
-    vals = kernel_values(5, "trace_sum", None)
+    spectra = [np.linalg.eigvalsh(adjacency_matrix(g).array) for g in (star, c4k1)]
+    assert np.allclose(*spectra)
+    assert abs(pair_value(star) - pair_value(c4k1)) > 0.5
+    scored = {}
+    pair_objective = search._pair_objective
+    js, is_ = np.nonzero(pair_mask(5))
+
+    def recording(a, objective, k):
+        vals = pair_objective(a, objective, k)
+        scored.update((Graph.from_flags(5, m[is_, js]).bits, v) for m, v in zip(a, vals))
+        return vals
+
+    monkeypatch.setattr(search, "_pair_objective", recording)
+    res = exhaustive_max(5)
+    assert abs(res.best_value - bound_value("main", 5)) < 1e-9
+    relabelings = search._relabelings(5)
     for g in (star, c4k1):
-        assert abs(vals[g.bits] - pair_value(g)) <= 1e-12
+        orbit = set(search._orbits(np.array([g.bits]), relabelings)[0].tolist())
+        values = [v for bits, v in scored.items() if bits in orbit]
+        assert values and max(abs(v - pair_value(g)) for v in values) <= 1e-12
 
 
-def assert_block_keys_match_oracle(n, blocks):
-    table = search._base_table(n)
-    total = 1 << (n * (n - 1) // 2)
-    size = min(total, 1 << search._BLOCK_BITS)
-    for b in blocks:
-        idx = np.arange(b * size, (b + 1) * size, dtype=np.int64)
-        ref = search._pack_keys(walk_counts(idx, n).T, n)
-        assert np.array_equal(search._block_keys(b, n, table), ref), (n, b)
+# number of isomorphism classes of graphs on v = 0..7 vertices (OEIS A000088)
+CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-def test_bordered_keys_match_matrix_powers_on_every_block(n):
-    total = 1 << (n * (n - 1) // 2)
-    assert_block_keys_match_oracle(n, range(max(1, total >> search._BLOCK_BITS)))
+def test_class_reps_count_the_isomorphism_classes():
+    for v, count in enumerate(CLASS_COUNTS):
+        reps = search._class_reps(v)
+        assert reps.dtype == np.int64 and reps.size == count
+        if v:
+            assert search._bordered(v).size == CLASS_COUNTS[v - 1] << (v - 1)
+    assert search._bordered(8).size == 133_632
 
 
-def test_bordered_keys_match_matrix_powers_at_n8():
-    # jobs 0, 1, 1023 and 2047 of 2048: each block with its mirror
-    blocks = [b for job in (0, 1, 1023, 2047) for b in (job, 4095 - job)]
-    assert_block_keys_match_oracle(8, blocks)
+@pytest.mark.parametrize("v", [1, 2, 3, 4, 5, 6])
+def test_class_rep_orbits_partition_the_labeled_graphs(v):
+    orbits = search._orbits(search._class_reps(v), search._relabelings(v))
+    classes = [np.unique(orbit) for orbit in orbits]
+    members = np.concatenate(classes)
+    assert members.size == sum(c.size for c in classes) == 1 << (v * (v - 1) // 2)
+    assert np.array_equal(np.sort(members), np.arange(members.size))  # no overlap, none missed
 
 
-@pytest.mark.parametrize("bits", [10, 12])
-@pytest.mark.parametrize("n", [6, 7])
-def test_bordered_keys_match_matrix_powers_in_smaller_blocks(monkeypatch, bits, n):
-    # base graphs on 5 vertices; vertex 5 takes 1 or 4 border sets per block
-    monkeypatch.setattr(search, "_BLOCK_BITS", bits)
-    assert_block_keys_match_oracle(n, range(1 << (n * (n - 1) // 2 - bits)))
+def test_exhaustive_n7_matches_the_atlas():
+    # the atlas lists one graph per class; networkx is a test-only oracle
+    networkx = pytest.importorskip("networkx")
+    atlas = [h for h in networkx.graph_atlas_g() if len(h) == 7]
+    assert len(atlas) == CLASS_COUNTS[7]
+    a = np.stack([networkx.to_numpy_array(h, nodelist=range(7)) for h in atlas])
+    best = (oracle_norms(a, "trace_sum", None) + oracle_norms(1.0 - np.eye(7) - a, "trace_sum", None)).max()
+    assert abs(exhaustive_max(7).best_value - best) <= 1e-12
 
 
-@pytest.mark.parametrize("n,bits", [(7, 6), (8, 10), (8, 12)])
-def test_bordered_keys_match_matrix_powers_past_two_later_vertices(monkeypatch, n, bits):
-    # base graphs on 4 or 5 vertices, so three later vertices are bordered on
-    monkeypatch.setattr(search, "_BLOCK_BITS", bits)
-    last = (1 << (n * (n - 1) // 2 - bits)) - 1
-    assert_block_keys_match_oracle(n, [0, 1, 777, last // 3, last - 1, last])
+# The labeled enumeration that exhaustive_max replaced, as run at n = 8 on
+# 2 threads (148 s): best_value 26.246211251235334, and the SHA-256 of the
+# repr of the witness bitsets; 1000 witnesses, truncated.
+N8_LABELED_BEST = 26.246211251235334
+N8_LABELED_DIGEST = "8aa001aec9f817ebc057874d500aab8e94de2e1160c88f6956c664229c5f548d"
+# the same digest of its n = 7 trace_sum witnesses (1000 of them, truncated)
+N7_LABELED_DIGEST = "8c232d8a783da0c5c5bfff5e6a6101f77e75506110716c3a49da93d6d9f0c832"
+# SHA-256 of (witness bitsets, truncated, evaluations) of the labeled
+# enumeration for n = 1..7, trace_sum and then kyfan_sum with k = 1..n
+LABELED_GRID_DIGEST = "0acf8c2a4270330bf108465a14dc4fe5dc0ac2f63ac1e67440fa1046ded838af"
 
 
-def unpack_keys(keys, n):
-    """Inverse of search._pack_keys: tr A^k takes the bit width of its bound
-    n (n-1)^(k-1), and the widths fill 63-bit words in k order."""
-    rows, word, used = [], -1, 63
-    for kk in range(2, max(n, 2) + 1):
-        width = (n * (n - 1) ** (kk - 1)).bit_length()
-        if used + width > 63:
-            word, used = word + 1, 0
-        rows.append((keys[:, word] >> used) & ((1 << width) - 1))
-        used += width
-    return np.array(rows, dtype=np.float64)
+def witness_digest(res):
+    return hashlib.sha256(repr([g.bits for g in res.witnesses]).encode()).hexdigest()
 
 
-def test_packed_keys_fit_two_words_and_unpack_exactly():
-    for n in range(1, 9):
-        # K_n and the empty graph have the largest and smallest walk counts
-        idx = np.array([(1 << (n * (n - 1) // 2)) - 1, 0], dtype=np.int64)
-        counts = walk_counts(idx, n).T
-        keys = search._pack_keys(counts, n)
-        assert keys.shape[1] <= 2 and (keys >= 0).all()
-        assert np.array_equal(unpack_keys(keys, n), counts)
-    assert counts[:, 0].tolist() == [7**kk + 7 * (-1) ** kk for kk in range(2, 9)]
-    assert keys.shape == (2, 2) and not (keys[0] == keys[1]).any()
+def test_exhaustive_n8_matches_the_labeled_enumeration():
+    res = exhaustive_max(8)
+    assert abs(res.best_value - N8_LABELED_BEST) <= 1e-12
+    assert len(res.witnesses) == WITNESS_CAP and res.truncated
+    assert witness_digest(res) == N8_LABELED_DIGEST
+    assert res.evaluations == 1 << 28
+
+
+def test_exhaustive_n7_witnesses_match_the_labeled_enumeration():
+    res = exhaustive_max(7)
+    assert len(res.witnesses) == WITNESS_CAP and res.truncated
+    assert witness_digest(res) == N7_LABELED_DIGEST
+
+
+def test_exhaustive_grid_matches_the_labeled_enumeration():
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for objective, k in [("trace_sum", None)] + [("kyfan_sum", k) for k in range(1, n + 1)]:
+            res = exhaustive_max(n, objective, k)
+            h.update(repr(([g.bits for g in res.witnesses], res.truncated, res.evaluations)).encode())
+    assert h.hexdigest() == LABELED_GRID_DIGEST
 
 
 def test_adjacency_from_indices_matches_adjacency_matrix():
@@ -328,22 +292,6 @@ def test_adjacency_from_indices_matches_adjacency_matrix():
             idx = rng.integers(0, 1 << m, size=200, dtype=np.int64)
         ref = [adjacency_matrix(Graph(n=n, bits=int(i))).array for i in idx]
         assert np.array_equal(search._adjacency_from_indices(idx, n), np.array(ref))
-
-
-def test_group_rows_is_exact():
-    # rows that differ in one column by the smallest step, plus exact repeats:
-    # a summary of the row (a hash, a sum) could merge them, exact grouping must not
-    rng = np.random.default_rng(5)
-    keys = rng.integers(0, 3, size=(500, 4)).astype(np.float64)
-    keys[::7, 2] += 2.0**-40
-    keys[1::11] = keys[0]
-    first, inverse = search._group_rows(keys)
-    groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(map(tuple, keys)):
-        groups.setdefault(row, []).append(i)
-    assert sorted(first.tolist()) == sorted(members[0] for members in groups.values())
-    for i, row in enumerate(map(tuple, keys)):
-        assert first[inverse[i]] == groups[row][0]
 
 
 def test_objective_complement_symmetric():
@@ -436,54 +384,15 @@ def test_local_seed_determinism():
     assert a.evaluations == b.evaluations == c.evaluations
 
 
+def no_thread(*args, **kwargs):
+    raise AssertionError("a search started a thread")
+
+
 def test_local_search_starts_no_thread(monkeypatch):
     cfg = SearchConfig(restarts=3, max_steps=40, seed=2)
     ref = local_search_max(16, cfg=cfg, threads=1)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("local search started a thread pool")
-
-    monkeypatch.setattr(search, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     assert local_search_max(16, cfg=cfg, threads=4) == ref
-
-
-def fan_out_calls(path):
-    """(line, enclosing function or None) for each call of _fan_out, bare or
-    as an attribute, in the module."""
-    found = []
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        if isinstance(node, ast.Call) and (
-            isinstance(node.func, ast.Name) and node.func.id == "_fan_out"
-            or isinstance(node.func, ast.Attribute) and node.func.attr == "_fan_out"
-        ):
-            found.append((node.lineno, func))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(ast.parse(path.read_text(), filename=str(path)), None)
-    return found
-
-
-def test_exhaustive_max_is_the_one_caller_of_fan_out():
-    modules = sorted(Path(search.__file__).parent.glob("*.py"))
-    assert "search.py" in {p.name for p in modules}
-    sites = [(p.name, func) for p in modules for _, func in fan_out_calls(p)]
-    assert sites == [("search.py", "exhaustive_max")]
-
-
-def test_the_fan_out_scan_finds_a_stray_call(tmp_path):
-    stray = tmp_path / "stray.py"
-    stray.write_text(
-        "def restarts(cfg):\n"
-        "    def run(r):\n"
-        "        return search._fan_out(f, [r], 1)\n"
-        "    return run\n"
-        "parts = _fan_out(g, range(3), 2)\n"
-    )
-    assert fan_out_calls(stray) == [(3, "run"), (5, None)]
 
 
 def random_flip_draws(monkeypatch, n, cfg):
