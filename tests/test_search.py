@@ -149,6 +149,40 @@ def test_exhaustive_kernel_matches_per_graph_oracle(n, objective):
     assert_matches_oracle(n, objective, k)
 
 
+@pytest.mark.parametrize("objective,k", [("trace_sum", None), ("kyfan_sum", 3)])
+def test_exhaustive_mirror_blocks_across_threads(objective, k):
+    # the pair value is complement-symmetric, so at n = 6 (720 witnesses, not
+    # truncated) the witness set is its own complement mirror, on any threads
+    one = assert_matches_oracle(6, objective, k)
+    three = exhaustive_max(6, objective, k=k, threads=3)
+    assert one == three and not one.truncated
+    bits = {g.bits for g in one.witnesses}
+    assert {(1 << 15) - 1 - b for b in bits} == bits
+
+
+def test_exhaustive_max_does_not_depend_on_the_order_jobs_return_in(monkeypatch):
+    # the bordered graphs scored in reverse order give the same result
+    ref = exhaustive_max(6, "kyfan_sum", k=1)
+    bordered = search._bordered
+    monkeypatch.setattr(search, "_bordered", lambda v: bordered(v)[::-1].copy() if v == 6 else bordered(v))
+    assert exhaustive_max(6, "kyfan_sum", k=1) == ref
+    # reversed representatives at every order keep other graphs of the same
+    # classes, whose values may differ from the first ones in the last bits
+    monkeypatch.setattr(search, "_bordered", bordered)
+    class_reps = search._class_reps
+    plain, reps = class_reps(5), {}
+
+    def reversed_reps(v):
+        reps[v] = class_reps(v)[::-1].copy()
+        return reps[v]
+
+    monkeypatch.setattr(search, "_class_reps", reversed_reps)
+    res = exhaustive_max(6, "kyfan_sum", k=1)
+    assert reps[5].size == 34 and not np.array_equal(np.sort(reps[5]), np.sort(plain))
+    assert (res.witnesses, res.truncated, res.evaluations) == (ref.witnesses, ref.truncated, ref.evaluations)
+    assert abs(res.best_value - ref.best_value) <= 1e-12
+
+
 def test_witnesses_merge_duplicate_bitsets():
     # two restarts that end on one graph give one witness
     best, witnesses, truncated = search._witnesses(4, [(6.0, 9), (5.0, 3), (6.0, 9)])
@@ -183,7 +217,7 @@ def test_witnesses_are_truncated_only_past_the_cap():
     assert truncated is True
 
 
-def test_cospectral_pair_keeps_its_own_pair_values(monkeypatch):
+def test_cospectral_pair_shares_a_solve_but_not_its_complements(monkeypatch):
     # K_{1,4} and C_4 + K_1 share a spectrum but their complements do not, so
     # the two pair values differ; every graph that exhaustive_max(5) scores
     # in either class gets its own class's value
@@ -191,6 +225,8 @@ def test_cospectral_pair_keeps_its_own_pair_values(monkeypatch):
     c4k1 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C_4 + K_1
     spectra = [np.linalg.eigvalsh(adjacency_matrix(g).array) for g in (star, c4k1)]
     assert np.allclose(*spectra)
+    spectra = [np.linalg.eigvalsh(adjacency_matrix(flipped(g)).array) for g in (star, c4k1)]
+    assert not np.allclose(*spectra)
     assert abs(pair_value(star) - pair_value(c4k1)) > 0.5
     scored = {}
     pair_objective = search._pair_objective
@@ -241,6 +277,62 @@ def test_exhaustive_n7_matches_the_atlas():
     a = np.stack([networkx.to_numpy_array(h, nodelist=range(7)) for h in atlas])
     best = (oracle_norms(a, "trace_sum", None) + oracle_norms(1.0 - np.eye(7) - a, "trace_sum", None)).max()
     assert abs(exhaustive_max(7).best_value - best) <= 1e-12
+
+
+KEY_CHUNK = 1 << 13  # labeled graphs per block of walk_counts, bounding memory
+
+
+def walk_counts(idx, n):
+    """Closed-walk counts tr(A^k), k = 2..max(n, 2), one row per graph index,
+    by batched matrix powers: a class invariant independent of the orbits.
+
+    Every count is an integer at most n (n-1)^(k-1) < 2^53 for n <= 8, so
+    the float64 products and sums are exact.
+    """
+    top = max(n, 2)
+    keys = np.empty((idx.shape[0], top - 1), dtype=np.float64)
+    for s in range(0, idx.shape[0], KEY_CHUNK):
+        a = search._adjacency_from_indices(idx[s : s + KEY_CHUNK], n)
+        powers = [a]  # powers[j] = A^(j+1)
+        while len(powers) < (top + 1) // 2:
+            powers.append(powers[-1] @ a)
+        flat = [p.reshape(p.shape[0], -1) for p in powers]
+        for kk in range(2, top + 1):
+            # tr(A^i A^j) = sum of the entrywise product, as A^j is symmetric
+            keys[s : s + KEY_CHUNK, kk - 2] = np.einsum(
+                "bi,bi->b", flat[kk - kk // 2 - 1], flat[kk // 2 - 1]
+            )
+    return keys
+
+
+def block_keys(n, blocks):
+    """Distinct walk-count rows of the labeled graphs in the given blocks of
+    KEY_CHUNK consecutive bitsets."""
+    total = 1 << (n * (n - 1) // 2)
+    keys = set()
+    for b in blocks:
+        idx = np.arange(b * KEY_CHUNK, min(total, (b + 1) * KEY_CHUNK), dtype=np.int64)
+        keys.update(map(tuple, np.unique(walk_counts(idx, n), axis=0).tolist()))
+    return keys
+
+
+def bordered_keys(n):
+    return set(map(tuple, walk_counts(search._bordered(n), n).tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_bordered_keys_match_matrix_powers_on_every_block(n):
+    # the bordered graphs reach every walk-count key of the labeled graphs,
+    # and no other: a check of _bordered that does not use _orbits
+    total = 1 << (n * (n - 1) // 2)
+    assert block_keys(n, range(-(-total // KEY_CHUNK))) == bordered_keys(n)
+
+
+def test_bordered_keys_match_matrix_powers_at_n8():
+    # a few blocks of the 2^28 labeled graphs, and each block's complement
+    last = (1 << 28) // KEY_CHUNK - 1
+    blocks = [b for j in (0, 1, 1023, last // 3) for b in (j, last - j)]
+    assert block_keys(8, blocks) <= bordered_keys(8)
 
 
 # The labeled enumeration that exhaustive_max replaced, as run at n = 8 on
