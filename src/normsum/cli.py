@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 
@@ -188,16 +187,6 @@ def _resolve_input(args) -> Graph | DenseMatrix:
     return _load_matrix_file(args.matrix)
 
 
-def _threads(args) -> int:
-    if args.threads is None:
-        return 1
-    if args.threads == "auto":
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    return _int(args.threads)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (results dict, failed verdict flag,
 # optional raw text for the graph6/text/csv formats)
@@ -304,7 +293,8 @@ def cmd_check(args):
 
 
 def cmd_search(args):
-    threads = _threads(args)
+    # no search reads more than one thread, so 'auto' means 1; the search checks an integer
+    threads = 1 if args.threads in (None, "auto") else _int(args.threads)
     if args.mode == "exhaustive":
         result = exhaustive_max(args.n, args.objective, k=args.k, threads=threads)
     else:
@@ -350,7 +340,7 @@ _RUN_FLAGS = {
     "seed": dict(type=_int, default=None, help="64-bit seed for randomized runs"),
     "threads": dict(
         default=None,
-        help="an integer or 'auto'; checked but has no effect: searches run on one thread",
+        help="an integer, which is checked, or 'auto'; searches run on one thread either way",
     ),
 }
 

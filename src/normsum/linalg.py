@@ -11,7 +11,9 @@ any other input goes through the LAPACK SVD. The residual is ||AQ - QΛ||_F
 for ``eigh`` and ||A - U diag(s) V^T||_F for the SVD; unless it is at most
 CERT_FACTOR * (1 + ||A||_F) (so a NaN fails), NoConvergenceError is raised.
 Every bound reads the spectra of an input X and of its complement partner
-(J - I - X or J - X): a SpectrumPair factors each once and keeps both.
+(J - I - X or J - X): a SpectrumPair factors each once and keeps both. The
+partner of a matrix, of its first rows or of a stack is built by the one
+:func:`complement_matrix`.
 
 Structured input skips ``eigh``. An exactly symmetric A of order n = p^e >=
 STRUCTURED_MIN_N that is invariant under the translations of (Z_p)^e, vertex
@@ -389,6 +391,17 @@ def svd(m) -> SingularSpectrum:
     return SingularSpectrum(values=tuple(s.tolist()), residual=residual)
 
 
+def complement_matrix(a: np.ndarray, graph: bool = True) -> np.ndarray:
+    """J - I - A, or J - A when not `graph`, with J and I shaped as the last
+    two axes of `a`: an n x n matrix, its first rows, or a (B, n, n) stack.
+    Zeroing J's diagonal in place gives the values of ``np.ones - np.eye``
+    without a second temporary of A's size."""
+    j = np.ones(a.shape[-2:])
+    if graph:
+        np.fill_diagonal(j, 0.0)
+    return j - a
+
+
 class SpectrumPair:
     """An input X and its complement partner Y, J - I - X when `graph` and
     J - X otherwise, each factored at most once, on first use; member i is X
@@ -404,16 +417,9 @@ class SpectrumPair:
         self._eig: list[EigenSpectrum | None] = [None, None]
         self._sing: dict[tuple[int, float], SingularSpectrum] = {}  # by (member, shift)
 
-    def _partner(self, rows: int) -> np.ndarray:
-        """The first `rows` rows of Y, bit for bit as ``complement_matrix`` or J - X."""
-        j = np.ones((rows, self.x.cols))
-        if self.graph:
-            np.fill_diagonal(j, 0.0)
-        return j - self.x.array[:rows]
-
     def _member(self, i: int) -> DenseMatrix:
         if i and self._y is None:
-            self._y = DenseMatrix(self._partner(self.x.rows))
+            self._y = DenseMatrix(complement_matrix(self.x.array, self.graph))
             self._y._asym = 0.0 if self.x._asymmetry() == 0.0 else None  # J, I are symmetric
             self._y._grid = ()  # Y is built only when X is not invariant
         return self._y if i else self.x
@@ -422,7 +428,7 @@ class SpectrumPair:
         """Eigenvalues of member i (symmetric within SYMMETRY_TOL), descending."""
         if self._eig[i] is None:
             if grid := self.x._invariance():  # so Y is invariant too
-                row0 = self._partner(1) if i else self.x.array[0]
+                row0 = complement_matrix(self.x.array[:1], self.graph) if i else self.x.array[0]
                 self._eig[i] = _descending(*_character_eigh(row0.reshape(grid)))
             else:
                 self._eig[i] = sym_eigen(self._member(i))

@@ -27,8 +27,9 @@ from .errors import (
     as_int,
     as_positive_int,
 )
-from .graphs import Graph, adjacency_matrix, complement_matrix, graph6_encode, pair_mask
-from .linalg import DenseMatrix, SpectrumPair, _eigvalsh_stack, check_dimensions, eigh_basis
+from .graphs import Graph, _adjacency, adjacency_matrix, graph6_encode, pair_mask
+from .linalg import DenseMatrix, SpectrumPair, _eigvalsh_stack, check_dimensions
+from .linalg import complement_matrix, eigh_basis
 from .rng import MASK64, SplitMix64, as_seed, derive_seed
 
 EXHAUSTIVE_MAX_N = 8
@@ -145,14 +146,9 @@ def _pair_objective(a: np.ndarray, objective: str, k: int | None) -> np.ndarray:
     )
 
 
-def _adjacency_from_indices(idx: np.ndarray, n: int) -> np.ndarray:
-    """(B, n, n) symmetric 0/1 float adjacency stack of int64 graph indices:
-    pair bit k, cell (j, i) of :func:`pair_mask`, sets entries (j, i) and
-    (i, j). Needs the n(n-1)/2 pair bits to fit in an int64 (n <= 11)."""
-    bit = np.zeros((n, n), dtype=np.int64)
-    bit[pair_mask(n)] = 1 << np.arange(n * (n - 1) // 2, dtype=np.int64)
-    bit += bit.T
-    return ((idx[:, None, None] & bit) != 0).astype(np.float64)
+def _pair_flags(bits: np.ndarray, m: int) -> np.ndarray:
+    """(G, m) boolean rows of the low m pair bits of int64 bitsets (m <= 63)."""
+    return ((bits[:, None] >> np.arange(m)) & 1).astype(bool)
 
 
 def _witnesses(n: int, candidates):
@@ -179,7 +175,7 @@ def _orbits(bits: np.ndarray, relabelings: np.ndarray) -> np.ndarray:
     """(G, v!) bitsets of every relabeling of each graph of the int64
     bitsets `bits` on v vertices. A graph's 0/1 pair-bit row times the
     table is a sum of distinct powers of 2 below 2^53, so it is exact."""
-    rows = ((bits[:, None] >> np.arange(relabelings.shape[1])) & 1).astype(np.float64)
+    rows = _pair_flags(bits, relabelings.shape[1]).astype(np.float64)
     return (rows @ relabelings.T).astype(np.int64)
 
 
@@ -229,7 +225,9 @@ def exhaustive_max(
     n = _check_order(n, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
     k = _check_objective(n, objective, k)
     graphs = _bordered(n)
-    vals = _pair_objective(_adjacency_from_indices(graphs, n), objective, k)
+    vals = _pair_objective(
+        _adjacency(_pair_flags(graphs, n * (n - 1) // 2), n).astype(np.float64), objective, k
+    )
     near = np.flatnonzero(vals >= vals.max() - WITNESS_TOL)
     orbits = _orbits(graphs[near], _relabelings(n)).tolist()
     best, witnesses, truncated = _witnesses(

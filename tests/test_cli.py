@@ -656,12 +656,14 @@ def test_render_json_shapes():
         render_json({"bad": object()})
 
 
-def test_threads_auto_respects_cpu_affinity(monkeypatch):
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    assert cli._threads(argparse.Namespace(threads="auto")) == 3
-    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-    assert cli._threads(argparse.Namespace(threads="auto")) == 64
+def test_threads_auto_gives_the_results_of_threads_1(capsys):
+    for mode in (["exhaustive", "--n", "5"], ["local", "--n", "12", "--steps", "20"]):
+        outs = [run(capsys, ["search", *mode, "--threads", t, "--json"]) for t in ("auto", "1")]
+        assert [code for code, _, _ in outs] == [0, 0]
+        # the report is command, inputs, results, tool_version, elapsed_ms in order
+        results = [out[out.index('"results"') : out.index('"tool_version"')] for _, out, _ in outs]
+        assert results[0] == results[1]
+        assert json.loads(outs[0][1])["inputs"]["threads"] == "auto"
 
 
 def test_norms_factors_each_matrix_once(capsys, monkeypatch):

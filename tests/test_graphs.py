@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from normsum import (
     SizeOverflowError,
     SplitMix64,
     adjacency_matrix,
+    check_bound,
     graph6_decode,
     graph6_encode,
     graph_from_edges,
@@ -411,6 +413,22 @@ def test_graph6_past_the_cap_is_rejected_before_its_body_is_read():
     for body in ("", "?", "?" * ((n * (n - 1) // 2 + 5) // 6)):
         with pytest.raises(SizeOverflowError, match=message):
             graph6_decode(prefix(n) + body)
+
+
+@pytest.mark.parametrize(
+    "n,build", [(6000, adjacency_matrix), (10**6, lambda g: check_bound("main", g))]
+)
+def test_adjacency_past_the_cap_is_rejected_before_it_is_built(n, build):
+    message = f"^graph order {n} exceeds the dimension cap {DIMENSION_CAP}$"
+    g = Graph(n=n, bits=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflowError, match=message):
+            build(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _srg_params_int64(g):

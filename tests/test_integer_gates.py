@@ -111,7 +111,7 @@ def test_numpy_seeds_give_the_stream_of_the_python_int():
     assert sweep.to_json() == property_sweep(2, 7, (4, 6), ["main", "kyfan"]).to_json()
 
 
-def test_exhaustive_gates_threads_before_the_runtime_warning(monkeypatch):
+def test_exhaustive_gates_threads_before_generating_classes(monkeypatch):
     # no warning, and no class generated, before threads is checked
     def no_reps(v):
         raise AssertionError("classes were generated before threads was checked")

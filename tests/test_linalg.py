@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from normsum import graphs, linalg, search
+from normsum import linalg, search
 from normsum import (
     DIMENSION_CAP,
     DenseMatrix,
@@ -30,8 +30,9 @@ from normsum import (
     trace_norm,
     weyl_complement_check,
 )
-from normsum.graphs import complement_matrix, quadratic_character
+from normsum.graphs import quadratic_character
 from normsum.linalg import SYMMETRY_TOL, SpectrumPair, _singular_from_eigen, check_dimensions
+from normsum.linalg import complement_matrix
 from oracles import cycle, invariant_by_rolls
 
 
@@ -460,6 +461,20 @@ def test_spectrum_pair_eigenvalues_only_for_symmetric_input(monkeypatch):
     assert pair.sing(1, -1.25) == svd(complement_matrix(far) - 1.25 * np.eye(5))
 
 
+def test_complement_matrix_is_the_explicit_j_minus_i_minus_a():
+    rng = np.random.default_rng(3)
+    stack = rng.integers(0, 2, size=(4, 5, 5)).astype(np.float64)
+    stack[1] = rng.random((5, 5))
+    stack[2, range(5), range(5)] = -0.0
+    cases = [
+        (complement_matrix(stack), np.ones((5, 5)) - np.eye(5) - stack),
+        (complement_matrix(stack[1, :1]), np.ones((1, 5)) - np.eye(1, 5) - stack[1, :1]),
+        (complement_matrix(stack[1, :3], graph=False), np.ones((3, 5)) - stack[1, :3]),
+    ]
+    for got, want in cases:  # bit for bit, signed zeros included
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_dense_matrix_json_integer_check():
     with pytest.raises(ValueError):
         DenseMatrix.from_json({"rows": 1.5, "cols": 2, "entries": [1, 2]})
@@ -581,14 +596,24 @@ def test_paley_checks_read_the_partner_from_row_0(monkeypatch, q):
         real_init(mat, data)
 
     monkeypatch.setattr(DenseMatrix, "__init__", init)
-    for module in (graphs, search):
-        monkeypatch.setattr(module, "complement_matrix", lambda a: pytest.fail("J - I - A built"))
+
+    rows = []
+
+    def row_only(a, graph=True):
+        rows.append(a.shape[-2])
+        if rows[-1] > 1:
+            pytest.fail(f"J - I - A built on {rows[-1]} rows")
+        return complement_matrix(a, graph)
+
+    for module in (linalg, search):
+        monkeypatch.setattr(module, "complement_matrix", row_only)
     calls = _eigh_spy(monkeypatch)
     assert check_bound("main", g).equality
     assert weyl_complement_check(g).ok and equality_analysis(g).overall
     pair = SpectrumPair(adjacency_matrix(g), graph=True)
     assert [pair.eig(0), pair.eig(1)] == dense  # bit for bit, residuals included
     assert calls == [] and built == [(q, q)] * 4  # A, once per check and once for the pair
+    assert rows and set(rows) == {1}  # each partner spectrum read row 0 of J - I - A
 
 
 def test_flipped_edge_factors_both_members_densely(monkeypatch):

@@ -26,7 +26,7 @@ from normsum import (
     trace_norm,
 )
 from normsum import bounds, cli, paley_graph, search
-from normsum.graphs import pair_mask
+from normsum.graphs import _adjacency, pair_mask
 from normsum.search import WITNESS_CAP, WITNESS_TOL
 import oracles
 from oracles import cycle, flipped, property_sweep_per_kind, srg_params
@@ -150,7 +150,7 @@ def test_exhaustive_kernel_matches_per_graph_oracle(n, objective):
 
 
 @pytest.mark.parametrize("objective,k", [("trace_sum", None), ("kyfan_sum", 3)])
-def test_exhaustive_mirror_blocks_across_threads(objective, k):
+def test_exhaustive_witnesses_are_their_own_complement_mirror_on_any_threads(objective, k):
     # the pair value is complement-symmetric, so at n = 6 (720 witnesses, not
     # truncated) the witness set is its own complement mirror, on any threads
     one = assert_matches_oracle(6, objective, k)
@@ -160,7 +160,7 @@ def test_exhaustive_mirror_blocks_across_threads(objective, k):
     assert {(1 << 15) - 1 - b for b in bits} == bits
 
 
-def test_exhaustive_max_does_not_depend_on_the_order_jobs_return_in(monkeypatch):
+def test_exhaustive_max_does_not_depend_on_the_order_graphs_are_scored_in(monkeypatch):
     # the bordered graphs scored in reverse order give the same result
     ref = exhaustive_max(6, "kyfan_sum", k=1)
     bordered = search._bordered
@@ -282,6 +282,12 @@ def test_exhaustive_n7_matches_the_atlas():
 KEY_CHUNK = 1 << 13  # labeled graphs per block of walk_counts, bounding memory
 
 
+def index_adjacency(idx, n):
+    """(B, n, n) float adjacency stack of int64 graph indices, by the batch
+    path of the exhaustive search."""
+    return _adjacency(search._pair_flags(idx, n * (n - 1) // 2), n).astype(np.float64)
+
+
 def walk_counts(idx, n):
     """Closed-walk counts tr(A^k), k = 2..max(n, 2), one row per graph index,
     by batched matrix powers: a class invariant independent of the orbits.
@@ -292,7 +298,7 @@ def walk_counts(idx, n):
     top = max(n, 2)
     keys = np.empty((idx.shape[0], top - 1), dtype=np.float64)
     for s in range(0, idx.shape[0], KEY_CHUNK):
-        a = search._adjacency_from_indices(idx[s : s + KEY_CHUNK], n)
+        a = index_adjacency(idx[s : s + KEY_CHUNK], n)
         powers = [a]  # powers[j] = A^(j+1)
         while len(powers) < (top + 1) // 2:
             powers.append(powers[-1] @ a)
@@ -383,7 +389,7 @@ def test_adjacency_from_indices_matches_adjacency_matrix():
         else:
             idx = rng.integers(0, 1 << m, size=200, dtype=np.int64)
         ref = [adjacency_matrix(Graph(n=n, bits=int(i))).array for i in idx]
-        assert np.array_equal(search._adjacency_from_indices(idx, n), np.array(ref))
+        assert np.array_equal(index_adjacency(idx, n), np.array(ref))
 
 
 def test_objective_complement_symmetric():
