@@ -14,6 +14,7 @@ alike; the complement of a matrix is ``linalg.complement_matrix``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,10 +77,21 @@ class Graph:
         return cls(n=n, bits=int.from_bytes(packed.tobytes(), "little"))
 
     def edges(self) -> list[tuple[int, int]]:
-        """Edge list as (i, j) with i < j, in bit order: the adjacency's cells
-        under :func:`pair_mask`, row-major."""
-        js, is_ = np.nonzero(_adjacency(self.edge_flags(), self.n) & pair_mask(self.n))
-        return list(zip(is_.tolist(), js.tolist()))
+        """Edge list as (i, j) with i < j, in bit order. Set bit k is the pair
+        with j the largest j such that j(j-1)/2 <= k, and i = k - j(j-1)/2,
+        found in integers by one search of the triangular numbers. Only the
+        bytes up to the top set bit are read, and only the nonzero ones are
+        unpacked, so no n x n or m-entry array is built."""
+        size = self.bits.bit_length()
+        raw = np.frombuffer(self.bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+        at = np.flatnonzero(raw)
+        byte, bit = np.nonzero(np.unpackbits(raw[at, None], axis=1, bitorder="little"))
+        ks = at[byte] * 8 + bit
+        # the top bit k < size has (j - 1)^2 <= j(j - 1) <= 2k < 2 size
+        tri = np.arange(math.isqrt(2 * size) + 2, dtype=np.int64)
+        tri = tri * (tri - 1) // 2
+        js = np.searchsorted(tri, ks, side="right") - 1
+        return list(zip((ks - tri[js]).tolist(), js.tolist()))
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [[i, j] for i, j in self.edges()]}

@@ -193,16 +193,25 @@ def _bordered(v: int) -> np.ndarray:
 def _class_reps(v: int) -> np.ndarray:
     """Bitsets of one graph per isomorphism class on v vertices (1, 1, 2, 4,
     11, 34, 156, 1044 for v = 0..7, OEIS A000088): each bordered graph in
-    turn is kept unless a kept graph's orbit already marked it."""
+    turn is kept unless a kept graph's orbit already marked it, and each
+    kept graph g is followed by its labeled complement full - g (full is
+    K_v's bitset) unless that class is marked too. Only a self-complementary class (P4 at v = 4, C5
+    and the bull at v = 5) keeps g alone, so at v = 2, 3, 6 and 7 the list
+    is closed under labeled complement."""
     if v <= 1:
         return np.zeros(1, dtype=np.int64)
     relabelings = _relabelings(v)
-    seen = np.zeros(1 << (v * (v - 1) // 2), dtype=bool)
+    full = (1 << (v * (v - 1) // 2)) - 1
+    seen = np.zeros(full + 1, dtype=bool)
     reps = []
     for g in _bordered(v).tolist():
         if not seen[g]:
             reps.append(g)
-            seen[_orbits(np.array([g]), relabelings)] = True
+            orbit = _orbits(np.array([g]), relabelings)
+            seen[orbit] = True
+            if not seen[full - g]:
+                reps.append(full - g)
+                seen[full - orbit] = True
     return np.array(reps, dtype=np.int64)
 
 
@@ -215,19 +224,30 @@ def exhaustive_max(
     their complements, so the objective is scored on :func:`_bordered` (n)
     alone: one rep per isomorphism class on n - 1 vertices, bordered with
     every neighbour set, which meets every class on n vertices (9,984
-    graphs at n = 7 and 133,632 at n = 8). The witnesses are the labeled
-    graphs in the orbits of the scored graphs within WITNESS_TOL of the
-    best, merged by one sort of their bitsets. `evaluations` counts the
-    labeled graphs covered, 2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes
-    about 0.08 s and n = 8 about 1.5 s, on the calling thread: `threads` is
-    checked like local_search_max's but not used.
+    graphs at n = 7 and 133,632 at n = 8). The complement of a graph is a
+    graph, so the norm is taken once per matrix of the union of the
+    bordered graphs and their labeled complements, by one batched eigvalsh,
+    and a graph's value is its norm plus its complement's: bit for bit what
+    :func:`_pair_objective` gives it. The reps on 6 and 7 vertices are
+    closed under complement (:func:`_class_reps`), and so are the graphs
+    bordered from them, so at n = 7 and 8 the union is the bordered set
+    itself. The witnesses are the labeled graphs in the orbits of the
+    scored graphs within WITNESS_TOL of the best, merged by one sort of
+    their bitsets. `evaluations` counts the labeled graphs covered,
+    2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes about 0.05 s and n = 8
+    about 0.9 s, on the calling thread: `threads` is checked like
+    local_search_max's but not used.
     """
     n = _check_order(n, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
     k = _check_objective(n, objective, k)
+    m = n * (n - 1) // 2
     graphs = _bordered(n)
-    vals = _pair_objective(
-        _adjacency(_pair_flags(graphs, n * (n - 1) // 2), n).astype(np.float64), objective, k
+    complements = ((1 << m) - 1) - graphs
+    scored = np.union1d(graphs, complements)
+    norms = _spectral_norms(
+        _eigvalsh_stack(_adjacency(_pair_flags(scored, m), n).astype(np.float64)), objective, k
     )
+    vals = norms[np.searchsorted(scored, graphs)] + norms[np.searchsorted(scored, complements)]
     near = np.flatnonzero(vals >= vals.max() - WITNESS_TOL)
     orbits = _orbits(graphs[near], _relabelings(n)).tolist()
     best, witnesses, truncated = _witnesses(
@@ -240,7 +260,7 @@ def exhaustive_max(
         best_value=best,
         witnesses=witnesses,
         truncated=truncated,
-        evaluations=1 << (n * (n - 1) // 2),
+        evaluations=1 << m,
         seed=None,
         method="exhaustive",
     )

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from normsum import (
     sym_eigen,
 )
 from normsum import graphs
-from normsum.graphs import _character_by_code, _gf_mul, pair_index, quadratic_character
+from normsum.graphs import _character_by_code, _gf_mul, pair_index, pair_mask, quadratic_character
 from normsum.linalg import _prime_power_split
 from oracles import (
     SRGParams,
@@ -103,6 +104,40 @@ def test_graph_json_round_trip():
     assert g.to_json() == {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [0, 4], [3, 4]]}
     with pytest.raises(ValueError):
         Graph.from_json({"n": 3})
+
+
+def mask_edges(g):
+    """Edge list of g read off the pair mask: the (j, i) cells of its set
+    pair flags, row-major."""
+    js, is_ = np.nonzero(pair_mask(g.n))
+    flags = g.edge_flags()
+    return list(zip(is_[flags].tolist(), js[flags].tolist()))
+
+
+def test_edges_match_the_pair_mask():
+    # every graph on n <= 6 vertices, and dense and sparse random graphs to 64
+    graphs = [Graph(n=n, bits=b) for n in range(1, 7) for b in range(1 << (n * (n - 1) // 2))]
+    rng = SplitMix64(25)
+    for n in range(7, 65):
+        m = n * (n - 1) // 2
+        graphs.append(Graph(n=n, bits=rng.next_bits(m)))
+        graphs.append(Graph(n=n, bits=rng.next_bits(m) & rng.next_bits(m) & rng.next_bits(m)))
+    for g in graphs:
+        edges = mask_edges(g)
+        assert g.edges() == edges
+        wire = {"n": g.n, "edges": [[i, j] for i, j in edges]}
+        assert json.dumps(g.to_json()) == json.dumps(wire)
+
+
+def test_edges_of_a_large_empty_graph_build_no_n_by_n_array():
+    g = Graph(n=4001, bits=0)
+    tracemalloc.start()
+    try:
+        assert g.edges() == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_graph6_frozen_strings():

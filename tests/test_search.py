@@ -228,23 +228,48 @@ def test_cospectral_pair_shares_a_solve_but_not_its_complements(monkeypatch):
     spectra = [np.linalg.eigvalsh(adjacency_matrix(flipped(g)).array) for g in (star, c4k1)]
     assert not np.allclose(*spectra)
     assert abs(pair_value(star) - pair_value(c4k1)) > 0.5
-    scored = {}
-    pair_objective = search._pair_objective
+    # the norm of each matrix that exhaustive_max solves, by bitset; a scored
+    # graph's value is its norm plus its complement's
+    solved, norms = [], []
+    eigvalsh_stack, spectral_norms = search._eigvalsh_stack, search._spectral_norms
     js, is_ = np.nonzero(pair_mask(5))
 
-    def recording(a, objective, k):
-        vals = pair_objective(a, objective, k)
-        scored.update((Graph.from_flags(5, m[is_, js]).bits, v) for m, v in zip(a, vals))
-        return vals
+    def recording_solve(a):
+        solved.extend(Graph.from_flags(5, m[is_, js]).bits for m in a)
+        return eigvalsh_stack(a)
 
-    monkeypatch.setattr(search, "_pair_objective", recording)
+    def recording_norms(w, objective, k):
+        out = spectral_norms(w, objective, k)
+        norms.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(search, "_eigvalsh_stack", recording_solve)
+    monkeypatch.setattr(search, "_spectral_norms", recording_norms)
     res = exhaustive_max(5)
     assert abs(res.best_value - bound_value("main", 5)) < 1e-9
+    norm = dict(zip(solved, norms))
+    assert len(norm) == len(solved) == len(norms)
+    scored = {bits: norm[bits] + norm[(1 << 10) - 1 - bits] for bits in norm}
     relabelings = search._relabelings(5)
     for g in (star, c4k1):
         orbit = set(search._orbits(np.array([g.bits]), relabelings)[0].tolist())
         values = [v for bits, v in scored.items() if bits in orbit]
         assert values and max(abs(v - pair_value(g)) for v in values) <= 1e-12
+
+
+def test_exhaustive_n7_solves_each_bordered_graph_once(monkeypatch):
+    # the bordered graphs at n = 7 are closed under complement, so one
+    # eigvalsh call on the 9,984 of them gives every graph and complement
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    exhaustive_max(7)
+    assert calls == [(9984, 7, 7)]
 
 
 # number of isomorphism classes of graphs on v = 0..7 vertices (OEIS A000088)
@@ -258,6 +283,25 @@ def test_class_reps_count_the_isomorphism_classes():
         if v:
             assert search._bordered(v).size == CLASS_COUNTS[v - 1] << (v - 1)
     assert search._bordered(8).size == 133_632
+
+
+@pytest.mark.parametrize("v", [2, 3, 6, 7])
+def test_class_reps_are_closed_under_labeled_complement(v):
+    # no class on 2, 3, 6 or 7 vertices is self-complementary
+    reps = search._class_reps(v)
+    assert np.array_equal(np.sort((1 << (v * (v - 1) // 2)) - 1 - reps), np.sort(reps))
+
+
+@pytest.mark.parametrize("v,self_complementary", [(4, 1), (5, 2)])
+def test_class_reps_keep_one_graph_of_a_self_complementary_class(v, self_complementary):
+    # P4 on 4 vertices, C5 and the bull on 5: a rep whose complement is no
+    # rep has its complement in its own orbit
+    reps = search._class_reps(v)
+    full = (1 << (v * (v - 1) // 2)) - 1
+    alone = [g for g in reps.tolist() if full - g not in set(reps.tolist())]
+    assert len(alone) == self_complementary
+    orbits = search._orbits(np.array(alone, dtype=np.int64), search._relabelings(v))
+    assert all(full - g in orbit for g, orbit in zip(alone, orbits.tolist()))
 
 
 @pytest.mark.parametrize("v", [1, 2, 3, 4, 5, 6])
