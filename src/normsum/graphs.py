@@ -14,7 +14,6 @@ alike; the complement of a matrix is ``linalg.complement_matrix``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,26 +75,6 @@ class Graph:
         packed = np.packbits(flags, bitorder="little")
         return cls(n=n, bits=int.from_bytes(packed.tobytes(), "little"))
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edge list as (i, j) with i < j, in bit order. Set bit k is the pair
-        with j the largest j such that j(j-1)/2 <= k, and i = k - j(j-1)/2,
-        found in integers by one search of the triangular numbers. Only the
-        bytes up to the top set bit are read, and only the nonzero ones are
-        unpacked, so no n x n or m-entry array is built."""
-        size = self.bits.bit_length()
-        raw = np.frombuffer(self.bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-        at = np.flatnonzero(raw)
-        byte, bit = np.nonzero(np.unpackbits(raw[at, None], axis=1, bitorder="little"))
-        ks = at[byte] * 8 + bit
-        # the top bit k < size has (j - 1)^2 <= j(j - 1) <= 2k < 2 size
-        tri = np.arange(math.isqrt(2 * size) + 2, dtype=np.int64)
-        tri = tri * (tri - 1) // 2
-        js = np.searchsorted(tri, ks, side="right") - 1
-        return list(zip((ks - tri[js]).tolist(), js.tolist()))
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [[i, j] for i, j in self.edges()]}
-
     @classmethod
     def from_json(cls, obj: dict) -> "Graph":
         """Read the {"n": n, "edges": [[i, j], ...]} wire form."""
@@ -155,8 +134,15 @@ def adjacency_matrix(g: Graph) -> DenseMatrix:
 # graph6 serialization
 
 
-def graph6_encode(g: Graph) -> str:
-    n = g.n
+# each graph6 character packs six pair flags, the first most significant
+_GRAPH6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+
+
+def _graph6_batch(n: int, bits: list[int]) -> list[str]:
+    """graph6 strings of graphs on n vertices, given by their pair bitsets,
+    in one numpy pass: the bitsets' bytes are joined, unpacked as one
+    (B, m) flag array and packed six flags to a character. The size prefix
+    is checked before any array is built."""
     if n <= 62:
         prefix = [n + 63]
     elif n <= 258047:
@@ -165,12 +151,21 @@ def graph6_encode(g: Graph) -> str:
         prefix = [126, 126] + [((n >> (6 * s)) & 63) + 63 for s in range(5, -1, -1)]
     else:
         raise ValueError(f"order {n} too large for graph6")
-    flags = g.edge_flags()
-    groups = np.zeros((len(flags) + 5) // 6 * 6, dtype=np.int64)
-    groups[: len(flags)] = flags
-    # each character packs six pair flags, the first most significant
-    body = groups.reshape(-1, 6) @ (1 << np.arange(5, -1, -1)) + 63
-    return "".join(chr(c) for c in prefix) + body.astype(np.uint8).tobytes().decode("ascii")
+    m, count = n * (n - 1) // 2, len(bits)
+    width, chars = (m + 7) // 8, (m + 5) // 6
+    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), dtype=np.uint8)
+    groups = np.zeros((count, chars * 6), dtype=np.uint8)
+    groups[:, :m] = np.unpackbits(raw.reshape(count, width), axis=1, bitorder="little")[:, :m]
+    rows = np.empty((count, len(prefix) + chars), dtype=np.uint8)
+    rows[:, : len(prefix)] = prefix
+    rows[:, len(prefix) :] = groups.reshape(count, chars, 6) @ _GRAPH6_WEIGHTS + 63
+    text, size = rows.tobytes().decode("ascii"), rows.shape[1]
+    return [text[at : at + size] for at in range(0, len(text), size)]
+
+
+def graph6_encode(g: Graph) -> str:
+    """The graph6 string of g: :func:`_graph6_batch` on a batch of one."""
+    return _graph6_batch(g.n, [g.bits])[0]
 
 
 def graph6_decode(s: str) -> Graph:

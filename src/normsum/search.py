@@ -1,13 +1,15 @@
 """Empirical maximization of complement norm sums over graphs.
 
 Three strategies: an exhaustive search for n <= 8 that scores the class
-representatives on n - 1 vertices bordered with every neighbour set, which
-meet every isomorphism class on n vertices, and expands the best of them into
-their labeled orbits; seeded edge-flip annealing for n <= 64; and randomized
-property sweeps that hammer the bound checkers with seeded graphs and
-matrices, each sample drawn once and checked by every requested kind of its
-stream. Everything is deterministic given its inputs and runs on the calling
-thread; both searches merge their witnesses by one sort.
+representatives on n - 1 vertices, each bordered with one neighbour set per
+orbit of its automorphism group, which meet every isomorphism class on n
+vertices, and expands the best of them into their labeled orbits; seeded
+edge-flip annealing for n <= 64; and randomized property sweeps that hammer
+the bound checkers with seeded graphs and matrices, each sample drawn once
+and checked by every requested kind of its stream. Everything is
+deterministic given its inputs and runs on the calling thread; both searches
+merge their witnesses by one sort of their bitsets, and a result's JSON
+encodes its witnesses to graph6 in one batch.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     as_int,
     as_positive_int,
 )
-from .graphs import Graph, _adjacency, adjacency_matrix, graph6_encode, pair_mask
+from .graphs import Graph, _adjacency, _graph6_batch, adjacency_matrix, graph6_encode, pair_mask
 from .linalg import DenseMatrix, SpectrumPair, _eigvalsh_stack, check_dimensions
 from .linalg import complement_matrix, eigh_basis
 from .rng import MASK64, SplitMix64, as_seed, derive_seed
@@ -100,7 +102,7 @@ class SearchResult:
 
     def to_json(self) -> dict:
         fields_ = {f.name: getattr(self, f.name) for f in fields(self)}
-        return fields_ | {"witnesses": [graph6_encode(g) for g in self.witnesses]}
+        return fields_ | {"witnesses": _graph6_batch(self.n, [g.bits for g in self.witnesses])}
 
 
 def _check_order(n: int, threads: int, cap: int, what: str) -> int:
@@ -151,20 +153,37 @@ def _pair_flags(bits: np.ndarray, m: int) -> np.ndarray:
     return ((bits[:, None] >> np.arange(m)) & 1).astype(bool)
 
 
-def _witnesses(n: int, candidates):
-    """(best, witnesses, truncated) of (value, bitset) candidates: the best
-    value, the distinct graphs within WITNESS_TOL of it in ascending bitset
-    order, cut at WITNESS_CAP, and whether the cut dropped any."""
-    best = max(v for v, _ in candidates)
-    bits = sorted({b for v, b in candidates if v >= best - WITNESS_TOL})
-    witnesses = tuple(Graph(n=n, bits=b) for b in bits[:WITNESS_CAP])
-    return best, witnesses, len(bits) > WITNESS_CAP
+def _distinct(bits: np.ndarray) -> np.ndarray:
+    """The distinct entries of an array, ascending, by one sort: what
+    np.unique gives, without the numpy.ma import of its first call (about
+    14 ms and 1.5 MB of RSS in a fresh process)."""
+    bits = np.sort(bits, axis=None)
+    return bits[np.append(True, bits[1:] != bits[:-1])]
+
+
+def _witnesses(n: int, values, rows):
+    """(best, witnesses, truncated) of candidate graphs: row i of `rows`
+    holds one bitset or several (an orbit), each of value values[i]. The
+    best value, the distinct graphs within WITNESS_TOL of it in ascending
+    bitset order by one sort, cut at WITNESS_CAP, and whether the cut
+    dropped any. The bitsets are int64, or Python ints in an object array
+    when they may not fit 63 bits."""
+    values = np.asarray(values)
+    best = float(values.max())
+    bits = _distinct(np.asarray(rows)[values >= best - WITNESS_TOL])
+    witnesses = tuple(Graph(n=n, bits=b) for b in bits[:WITNESS_CAP].tolist())
+    return best, witnesses, bits.size > WITNESS_CAP
+
+
+def _permutations(v: int) -> np.ndarray:
+    """(v!, v) table of the permutations of range(v), in itertools order."""
+    return np.array(list(itertools.permutations(range(v))), dtype=np.int64).reshape(-1, v)
 
 
 def _relabelings(v: int) -> np.ndarray:
     """(v!, v(v-1)/2) float table: row p, column b is 2^t, where pair bit t
     is the image of pair bit b under the p-th permutation of range(v)."""
-    perms = np.array(list(itertools.permutations(range(v))), dtype=np.int64)
+    perms = _permutations(v)
     js, is_ = np.nonzero(pair_mask(v))
     a, b = perms[:, js], perms[:, is_]
     hi, lo = np.maximum(a, b), np.minimum(a, b)
@@ -180,39 +199,67 @@ def _orbits(bits: np.ndarray, relabelings: np.ndarray) -> np.ndarray:
 
 
 def _bordered(v: int) -> np.ndarray:
-    """Bitsets of every graph on v >= 1 vertices whose first v - 1 vertices
-    form one of :func:`_class_reps` (v - 1): each rep with vertex v - 1
-    joined to every neighbour set. Vertex v - 1 owns the top v - 1 pair
-    bits, so the sets are the rep plus each value of those bits. Deleting
-    a vertex of any graph on v vertices leaves a graph isomorphic to some
-    rep, so every graph on v vertices is isomorphic to one of these."""
-    borders = np.arange(1 << (v - 1), dtype=np.int64) << ((v - 1) * (v - 2) // 2)
-    return (_class_reps(v - 1)[:, None] | borders).ravel()
+    """Bitsets of graphs on v >= 1 vertices whose first v - 1 vertices form
+    one of :func:`_class_reps` (v - 1): each rep R with vertex v - 1 joined
+    to one neighbour set S per orbit of Aut(R) on the subsets of range(v -
+    1). Vertex v - 1 owns the top v - 1 pair bits, so a graph is R plus S
+    in those bits. Deleting a vertex of any graph on v vertices leaves a
+    graph isomorphic to some rep, so every graph on v vertices is
+    isomorphic to some (R, S); and (R, S) is isomorphic to (R, p(S)) for p
+    in Aut(R), by p fixing vertex v - 1, so one S per orbit still meets
+    every class.
+
+    The kept S is the least of its orbit, or the largest when R exceeds its
+    labeled complement full - R. As p commutes with complementing a set,
+    S is largest in its orbit exactly when its complement is least, so the
+    borders kept for the complement rep are the complements of R's. The
+    complement of (R, S) is (full - R, complement of S), so bordering a
+    list closed under labeled complement (v - 1 = 6 or 7) gives a set closed
+    under it too. Each rep keeps (1/|Aut R|) sum over p of 2^cycles(p)
+    sets (Burnside), 5,096 graphs at v = 7 and 79,264 at v = 8."""
+    w = v - 1
+    shift = w * (w - 1) // 2  # the pair bits of the first w vertices
+    reps, groups = _class_reps(w)
+    subsets = np.arange(1 << w, dtype=np.int64)
+    # image of each S under each automorphism p, the sum of 2^p(i) over i
+    # in S: below 2^w, so exact in float32
+    powers = (1 << np.concatenate(groups)).astype(np.float32)
+    images = _pair_flags(subsets, w).astype(np.float32) @ powers.T
+    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    least = np.minimum.reduceat(images, starts, axis=1).T == subsets  # (reps, 2^w)
+    top = reps > ((1 << shift) - 1) - reps
+    keep = np.where(top[:, None], least[:, ::-1], least)
+    return (reps[:, None] | (subsets << shift))[keep]
 
 
-def _class_reps(v: int) -> np.ndarray:
+def _class_reps(v: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Bitsets of one graph per isomorphism class on v vertices (1, 1, 2, 4,
-    11, 34, 156, 1044 for v = 0..7, OEIS A000088): each bordered graph in
-    turn is kept unless a kept graph's orbit already marked it, and each
-    kept graph g is followed by its labeled complement full - g (full is
-    K_v's bitset) unless that class is marked too. Only a self-complementary class (P4 at v = 4, C5
-    and the bull at v = 5) keeps g alone, so at v = 2, 3, 6 and 7 the list
-    is closed under labeled complement."""
+    11, 34, 156, 1044 for v = 0..7, OEIS A000088), and the automorphism
+    group of each: the (|Aut|, v) rows p of :func:`_permutations` under
+    which the rep's orbit returns the rep. Each bordered graph in turn is
+    kept unless a kept graph's orbit already marked it, and each kept graph
+    g is followed by its labeled complement full - g (full is K_v's bitset),
+    which has the same group, unless that class is marked too. Only a
+    self-complementary class (P4 at v = 4, C5 and the bull at v = 5) keeps
+    g alone, so at v = 2, 3, 6 and 7 the list is closed under labeled
+    complement."""
     if v <= 1:
-        return np.zeros(1, dtype=np.int64)
-    relabelings = _relabelings(v)
+        return np.zeros(1, dtype=np.int64), [np.zeros((1, v), dtype=np.int64)]
+    perms, relabelings = _permutations(v), _relabelings(v)
     full = (1 << (v * (v - 1) // 2)) - 1
     seen = np.zeros(full + 1, dtype=bool)
-    reps = []
+    reps, groups = [], []
     for g in _bordered(v).tolist():
         if not seen[g]:
-            reps.append(g)
-            orbit = _orbits(np.array([g]), relabelings)
+            orbit = _orbits(np.array([g]), relabelings)[0]
             seen[orbit] = True
+            reps.append(g)
+            groups.append(perms[orbit == g])
             if not seen[full - g]:
-                reps.append(full - g)
                 seen[full - orbit] = True
-    return np.array(reps, dtype=np.int64)
+                reps.append(full - g)
+                groups.append(groups[-1])
+    return np.array(reps, dtype=np.int64), groups
 
 
 def exhaustive_max(
@@ -223,19 +270,19 @@ def exhaustive_max(
     Hard-capped at n = 8. Isomorphic graphs have one spectrum, and so do
     their complements, so the objective is scored on :func:`_bordered` (n)
     alone: one rep per isomorphism class on n - 1 vertices, bordered with
-    every neighbour set, which meets every class on n vertices (9,984
-    graphs at n = 7 and 133,632 at n = 8). The complement of a graph is a
-    graph, so the norm is taken once per matrix of the union of the
+    one neighbour set per orbit of the rep's automorphism group, which
+    meets every class on n vertices (5,096 graphs at n = 7 and 79,264 at
+    n = 8, against 2^21 and 2^28 labeled ones). The complement of a graph
+    is a graph, so the norm is taken once per matrix of the union of the
     bordered graphs and their labeled complements, by one batched eigvalsh,
     and a graph's value is its norm plus its complement's: bit for bit what
-    :func:`_pair_objective` gives it. The reps on 6 and 7 vertices are
-    closed under complement (:func:`_class_reps`), and so are the graphs
-    bordered from them, so at n = 7 and 8 the union is the bordered set
-    itself. The witnesses are the labeled graphs in the orbits of the
-    scored graphs within WITNESS_TOL of the best, merged by one sort of
-    their bitsets. `evaluations` counts the labeled graphs covered,
-    2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes about 0.05 s and n = 8
-    about 0.9 s, on the calling thread: `threads` is checked like
+    :func:`_pair_objective` gives it. At n = 7 and 8 the bordered set is
+    closed under complement, so the union is the set itself. The witnesses
+    are the labeled graphs in the orbits of the scored graphs within
+    WITNESS_TOL of the best, merged by one sort of the orbit rows
+    (:func:`_witnesses`). `evaluations` counts the labeled graphs covered,
+    2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes 0.03-0.05 s and n = 8
+    0.5-0.7 s, on the calling thread: `threads` is checked like
     local_search_max's but not used.
     """
     n = _check_order(n, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
@@ -243,16 +290,13 @@ def exhaustive_max(
     m = n * (n - 1) // 2
     graphs = _bordered(n)
     complements = ((1 << m) - 1) - graphs
-    scored = np.union1d(graphs, complements)
+    scored = _distinct(np.concatenate([graphs, complements]))
     norms = _spectral_norms(
         _eigvalsh_stack(_adjacency(_pair_flags(scored, m), n).astype(np.float64)), objective, k
     )
     vals = norms[np.searchsorted(scored, graphs)] + norms[np.searchsorted(scored, complements)]
     near = np.flatnonzero(vals >= vals.max() - WITNESS_TOL)
-    orbits = _orbits(graphs[near], _relabelings(n)).tolist()
-    best, witnesses, truncated = _witnesses(
-        n, [(v, g) for v, orbit in zip(vals[near].tolist(), orbits) for g in orbit]
-    )
+    best, witnesses, truncated = _witnesses(n, vals[near], _orbits(graphs[near], _relabelings(n)))
     return SearchResult(
         objective=objective,
         k=k,
@@ -489,7 +533,9 @@ def local_search_max(
         cfg = SearchConfig()
 
     outcomes = [_anneal_once(n, objective, k, cfg, r) for r in range(cfg.restarts)]
-    best, witnesses, truncated = _witnesses(n, [o[:2] for o in outcomes])
+    best, witnesses, truncated = _witnesses(
+        n, [o[0] for o in outcomes], np.array([o[1] for o in outcomes], dtype=object)
+    )
     return SearchResult(
         objective=objective,
         k=k,

@@ -2,7 +2,8 @@
 strong-regularity test A^2 = k I + lam A + mu (J - I - A), the
 conference-graph family it singles out, the GF(q) character table by digit
 codes, the (Z_p)^e translation-invariance test by rolls, the complement
-graph by bit flips, cycles and complete graphs, and the property sweep
+graph by bit flips, the edge list read off the pair mask, cycles and
+complete graphs, and the property sweep
 run kind by kind, each kind drawing its own samples.
 Test code only; the package does not call them."""
 
@@ -16,7 +17,7 @@ import numpy as np
 from normsum import Graph, adjacency_matrix, graph_from_edges
 from normsum.bounds import HOLD_TOL, check_bound, check_tol, weyl_complement_check
 from normsum.errors import as_int, as_positive_int
-from normsum.graphs import _character_by_code, graph6_encode
+from normsum.graphs import _character_by_code, graph6_encode, pair_mask
 from normsum.linalg import _prime_power_split, check_dimensions
 from normsum.rng import SplitMix64, as_seed, derive_seed
 from normsum.search import (
@@ -127,6 +128,14 @@ def invariant_by_rolls(sym: np.ndarray) -> bool:
 def flipped(g):
     """The complement of g: every pair bit flipped."""
     return Graph(n=g.n, bits=g.bits ^ ((1 << g.pair_count) - 1))
+
+
+def mask_edges(g):
+    """Edge list of g read off the pair mask: the (j, i) cells of its set
+    pair flags, row-major, as (i, j) with i < j."""
+    js, is_ = np.nonzero(pair_mask(g.n))
+    flags = g.edge_flags()
+    return list(zip(is_[flags].tolist(), js[flags].tolist()))
 
 
 def cycle(n):

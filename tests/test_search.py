@@ -163,18 +163,39 @@ def test_exhaustive_witnesses_are_their_own_complement_mirror_on_any_threads(obj
 def test_exhaustive_max_does_not_depend_on_the_order_graphs_are_scored_in(monkeypatch):
     # the bordered graphs scored in reverse order give the same result
     ref = exhaustive_max(6, "kyfan_sum", k=1)
-    bordered = search._bordered
-    monkeypatch.setattr(search, "_bordered", lambda v: bordered(v)[::-1].copy() if v == 6 else bordered(v))
+    bordered, reversed_orders = search._bordered, []
+
+    def reversed_bordered(v):
+        if v != 6:
+            return bordered(v)
+        reversed_orders.append(v)
+        return bordered(v)[::-1].copy()
+
+    monkeypatch.setattr(search, "_bordered", reversed_bordered)
+    scored = []
+    eigvalsh_stack = search._eigvalsh_stack
+    js, is_ = np.nonzero(pair_mask(6))
+
+    def recording_solve(a):
+        scored.extend(Graph.from_flags(6, x[is_, js]).bits for x in a)
+        return eigvalsh_stack(a)
+
+    monkeypatch.setattr(search, "_eigvalsh_stack", recording_solve)
     assert exhaustive_max(6, "kyfan_sum", k=1) == ref
+    # the reversed set is the one scored, with its labeled complements
+    assert reversed_orders == [6]
+    graphs = bordered(6)
+    assert sorted(scored) == sorted(set(graphs.tolist()) | set(((1 << 15) - 1 - graphs).tolist()))
     # reversed representatives at every order keep other graphs of the same
     # classes, whose values may differ from the first ones in the last bits
     monkeypatch.setattr(search, "_bordered", bordered)
     class_reps = search._class_reps
-    plain, reps = class_reps(5), {}
+    plain, reps = class_reps(5)[0], {}
 
     def reversed_reps(v):
-        reps[v] = class_reps(v)[::-1].copy()
-        return reps[v]
+        found, groups = class_reps(v)
+        reps[v] = found[::-1].copy()
+        return reps[v], groups[::-1]
 
     monkeypatch.setattr(search, "_class_reps", reversed_reps)
     res = exhaustive_max(6, "kyfan_sum", k=1)
@@ -185,16 +206,22 @@ def test_exhaustive_max_does_not_depend_on_the_order_graphs_are_scored_in(monkey
 
 def test_witnesses_merge_duplicate_bitsets():
     # two restarts that end on one graph give one witness
-    best, witnesses, truncated = search._witnesses(4, [(6.0, 9), (5.0, 3), (6.0, 9)])
+    best, witnesses, truncated = search._witnesses(4, [6.0, 5.0, 6.0], [9, 3, 9])
     assert best == 6.0
     assert witnesses == (Graph(n=4, bits=9),)
     assert truncated is False
+    # annealing bitsets at n = 64 have up to 2016 bits: Python ints in an
+    # object array, merged by the same sort
+    big = np.array([(1 << 2000) + 5, 3, 1 << 2000, (1 << 2000) + 5], dtype=object)
+    best, witnesses, truncated = search._witnesses(64, [2.0, 1.0, 2.0, 2.0], big)
+    assert (best, truncated) == (2.0, False)
+    assert [g.bits for g in witnesses] == [1 << 2000, (1 << 2000) + 5]
 
 
 def test_witnesses_keep_unequal_values_within_the_tolerance():
     top = 21.2
     candidates = [(top - 0.5 * WITNESS_TOL, 4), (top, 40), (top - 2 * WITNESS_TOL, 1)]
-    best, witnesses, truncated = search._witnesses(5, candidates)
+    best, witnesses, truncated = search._witnesses(5, *zip(*candidates))
     assert best == top
     assert [g.bits for g in witnesses] == [4, 40]
     assert truncated is False
@@ -203,16 +230,16 @@ def test_witnesses_keep_unequal_values_within_the_tolerance():
 def test_witnesses_sort_candidates_that_arrive_out_of_order():
     # job 0's mirror half (high bitsets) ahead of job 1's first half
     candidates = [(1.0, 1000), (1.0, 990), (1.0, 12), (1.0, 11)]
-    _, witnesses, _ = search._witnesses(5, candidates)
+    _, witnesses, _ = search._witnesses(5, *zip(*candidates))
     assert [g.bits for g in witnesses] == [11, 12, 990, 1000]
 
 
 def test_witnesses_are_truncated_only_past_the_cap():
     exact = [(3.0, b) for b in range(WITNESS_CAP)]
-    _, witnesses, truncated = search._witnesses(5, exact[::-1])
+    _, witnesses, truncated = search._witnesses(5, *zip(*exact[::-1]))
     assert [g.bits for g in witnesses] == list(range(WITNESS_CAP))
     assert truncated is False
-    _, witnesses, truncated = search._witnesses(5, exact + [(3.0, WITNESS_CAP)])
+    _, witnesses, truncated = search._witnesses(5, *zip(*(exact + [(3.0, WITNESS_CAP)])))
     assert [g.bits for g in witnesses] == list(range(WITNESS_CAP))
     assert truncated is True
 
@@ -259,7 +286,7 @@ def test_cospectral_pair_shares_a_solve_but_not_its_complements(monkeypatch):
 
 def test_exhaustive_n7_solves_each_bordered_graph_once(monkeypatch):
     # the bordered graphs at n = 7 are closed under complement, so one
-    # eigvalsh call on the 9,984 of them gives every graph and complement
+    # eigvalsh call on the 5,096 of them gives every graph and complement
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -269,7 +296,7 @@ def test_exhaustive_n7_solves_each_bordered_graph_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     exhaustive_max(7)
-    assert calls == [(9984, 7, 7)]
+    assert calls == [(5096, 7, 7)]
 
 
 # number of isomorphism classes of graphs on v = 0..7 vertices (OEIS A000088)
@@ -278,17 +305,71 @@ CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044)
 
 def test_class_reps_count_the_isomorphism_classes():
     for v, count in enumerate(CLASS_COUNTS):
-        reps = search._class_reps(v)
-        assert reps.dtype == np.int64 and reps.size == count
-        if v:
-            assert search._bordered(v).size == CLASS_COUNTS[v - 1] << (v - 1)
-    assert search._bordered(8).size == 133_632
+        reps, groups = search._class_reps(v)
+        assert reps.dtype == np.int64 and reps.size == len(groups) == count
+
+
+def automorphism_groups(reps, v):
+    """Boolean (R, v!) rows: which permutations of range(v), in itertools
+    order, map each rep's adjacency matrix to itself, by brute force on the
+    matrices."""
+    perms = np.array(list(itertools.permutations(range(v))), dtype=np.int64).reshape(-1, v)
+    out = []
+    for lo in range(0, reps.size, 32):
+        a = index_adjacency(reps[lo : lo + 32], v)
+        moved = a[:, perms[:, :, None], perms[:, None, :]]
+        out.append((moved == a[:, None]).all(axis=(2, 3)))
+    return perms, np.concatenate(out)
+
+
+def cycle_count(p):
+    """Number of cycles of the permutation p of range(len(p))."""
+    seen, count = set(), 0
+    for start in range(len(p)):
+        count += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = p[start]
+    return count
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_bordered_keeps_one_border_per_automorphism_orbit(n):
+    # every rep R on n - 1 vertices is bordered with one neighbour set S per
+    # orbit of Aut(R) on the subsets of its vertices: their orbits are
+    # disjoint and cover every subset, and their number is Burnside's
+    # (1/|Aut R|) sum over p in Aut R of 2^cycles(p)
+    v = n - 1
+    shift = v * (v - 1) // 2
+    graphs = search._bordered(n)
+    reps, kept = np.unique(graphs & ((1 << shift) - 1), return_inverse=True)
+    found, groups = search._class_reps(v)
+    assert np.array_equal(reps, np.sort(found))
+    perms, is_auto = automorphism_groups(reps, v)
+    group_of = dict(zip(found.tolist(), groups))
+    cycles = np.array([cycle_count(p) for p in perms.tolist()])
+    for r, autos in enumerate(is_auto):
+        assert np.array_equal(group_of[int(reps[r])], perms[autos])
+        borders = graphs[kept == r] >> shift
+        assert borders.size * autos.sum() == (1 << cycles[autos]).sum()
+        images = search._pair_flags(borders, v) @ (1 << perms[autos]).T
+        orbits = [set(row) for row in images.tolist()]
+        assert sum(map(len, orbits)) == len(set().union(*orbits)) == 1 << v
+
+
+@pytest.mark.parametrize("n,size", [(7, 5_096), (8, 79_264)])
+def test_bordered_set_is_closed_under_labeled_complement(n, size):
+    # the reps on 6 and 7 vertices are; a rep's kept borders are the least
+    # of their orbits or the largest, and its complement's the other kind
+    graphs = search._bordered(n)
+    assert graphs.size == np.unique(graphs).size == size
+    assert np.array_equal(np.sort((1 << (n * (n - 1) // 2)) - 1 - graphs), np.sort(graphs))
 
 
 @pytest.mark.parametrize("v", [2, 3, 6, 7])
 def test_class_reps_are_closed_under_labeled_complement(v):
     # no class on 2, 3, 6 or 7 vertices is self-complementary
-    reps = search._class_reps(v)
+    reps = search._class_reps(v)[0]
     assert np.array_equal(np.sort((1 << (v * (v - 1) // 2)) - 1 - reps), np.sort(reps))
 
 
@@ -296,7 +377,7 @@ def test_class_reps_are_closed_under_labeled_complement(v):
 def test_class_reps_keep_one_graph_of_a_self_complementary_class(v, self_complementary):
     # P4 on 4 vertices, C5 and the bull on 5: a rep whose complement is no
     # rep has its complement in its own orbit
-    reps = search._class_reps(v).tolist()
+    reps = search._class_reps(v)[0].tolist()
     full = (1 << (v * (v - 1) // 2)) - 1
     alone = [g for g in reps if full - g not in set(reps)]
     assert len(alone) == self_complementary
@@ -306,11 +387,14 @@ def test_class_reps_keep_one_graph_of_a_self_complementary_class(v, self_complem
 
 @pytest.mark.parametrize("v", [1, 2, 3, 4, 5, 6])
 def test_class_rep_orbits_partition_the_labeled_graphs(v):
-    orbits = search._orbits(search._class_reps(v), search._relabelings(v))
+    reps, groups = search._class_reps(v)
+    orbits = search._orbits(reps, search._relabelings(v))
     classes = [np.unique(orbit) for orbit in orbits]
     members = np.concatenate(classes)
     assert members.size == sum(c.size for c in classes) == 1 << (v * (v - 1) // 2)
     assert np.array_equal(np.sort(members), np.arange(members.size))  # no overlap, none missed
+    # each group is the rep's stabilizer: orbit size times group order is v!
+    assert [c.size * len(g) for c, g in zip(classes, groups)] == [math.factorial(v)] * reps.size
 
 
 def test_exhaustive_n7_matches_the_atlas():
@@ -853,7 +937,10 @@ def test_search_result_json():
     assert d["n"] == 3 and d["truncated"] is False
     assert isinstance(d["witnesses"], list)
     assert all(isinstance(w, str) for w in d["witnesses"])
+    # one batch encodes the witnesses, each as graph6_encode does alone
+    assert d["witnesses"] == [graph6_encode(g) for g in res.witnesses]
     assert isinstance(res, SearchResult)
+
 
 
 def test_property_sweep_clean_and_deterministic():
