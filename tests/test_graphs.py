@@ -106,13 +106,19 @@ def test_graph_json_round_trip():
         Graph.from_json({"n": 3})
 
 
-def test_from_flags_inverts_edge_flags():
-    rng = SplitMix64(8)
-    for n in (1, 2, 3, 9, 33):
-        g = Graph(n=n, bits=rng.next_bits(n * (n - 1) // 2))
-        assert Graph.from_flags(n, g.edge_flags()) == g
-    with pytest.raises(ValueError):
-        Graph.from_flags(4, np.zeros(5, dtype=bool))
+def test_edges_of_a_large_empty_graph_build_no_n_by_n_array():
+    # the edge count, repr and equality read the bitset: no pair-flag or
+    # adjacency array is built for the 8,002,000 pairs of order 4001
+    tracemalloc.start()
+    try:
+        g = Graph(n=4001, bits=0)
+        assert g.edge_count == 0
+        assert repr(g) == "Graph(n=4001, edges=0)"
+        assert g == Graph(n=4001, bits=0) and hash(g) == hash(Graph(n=4001, bits=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_graph6_frozen_strings():
