@@ -42,8 +42,8 @@ from .graphs import (
     graph6_encode,
     paley_graph,
 )
-from .linalg import DIMENSION_CAP, DenseMatrix, SingularSpectrum, SpectrumPair, _ky_fan
-from .linalg import operator_norm, trace_norm
+from .linalg import DIMENSION_CAP, DenseMatrix, SingularSpectrum, SpectrumPair
+from .linalg import ky_fan_norm, operator_norm, trace_norm
 from .search import (
     OBJECTIVES,
     SWEEP_KINDS,
@@ -262,7 +262,7 @@ def cmd_norms(args):
     results |= {"trace_norm": trace_norm(sing), "operator_norm": operator_norm(sing)}
     if args.k is not None:
         results["ky_fan_k"] = args.k
-        results["ky_fan_norm"] = _ky_fan(sing.values, args.k)
+        results["ky_fan_norm"] = ky_fan_norm(sing, args.k)
     if pair.graph:
         results["complement_trace_norm"] = trace_norm(pair.sing(1))
         results["trace_sum"] = results["trace_norm"] + results["complement_trace_norm"]

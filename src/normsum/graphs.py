@@ -6,8 +6,9 @@ n(n-1)/2 unordered pairs, pair (i, j) with i < j living at bit j(j-1)/2 + i.
 That is entry (j, i) of the strict lower triangle read in row-major order
 (:func:`pair_mask`), the one layout every graph <-> matrix conversion uses.
 It is also the bit order of the graph6 format, so serialization is a straight
-repack. One builder turns pair flags into a symmetric adjacency, for a single
-graph (:func:`adjacency_matrix`) and for the exhaustive search's batches
+repack. One reader turns bitsets into pair flags after the cap check
+(:func:`_flags`); one builder turns pair flags into a symmetric adjacency, for
+a single graph (:func:`adjacency_matrix`) and the exhaustive search's batches
 alike; the complement of a matrix is ``linalg.complement_matrix``.
 """
 
@@ -60,10 +61,8 @@ class Graph:
         return self.bits.bit_count()
 
     def edge_flags(self) -> np.ndarray:
-        """Boolean array over the pair bits, index k = pair k."""
-        m = self.pair_count
-        raw = np.frombuffer(self.bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[:m].astype(bool)
+        """Boolean array over the pair bits, index k = pair k (:func:`_flags`)."""
+        return _flags(self.n, [self.bits])[0]
 
     @classmethod
     def from_flags(cls, n: int, flags) -> "Graph":
@@ -99,6 +98,7 @@ def graph_from_edges(n: int, edges) -> Graph:
     """Build a graph from 0-based vertex pairs; order within a pair is ignored.
     The order and every end must be integers (a bool or a float is refused)."""
     n = as_positive_int(n, "graph n")
+    check_dimensions(f"graph order {n}", n)
     flags = np.zeros(n * (n - 1) // 2, dtype=bool)
     for i, j in edges:
         i, j = as_int(i, "edge end"), as_int(j, "edge end")
@@ -110,6 +110,18 @@ def graph_from_edges(n: int, edges) -> Graph:
             raise ValueError(f"edge ({i}, {j}) out of range for order {n}")
         flags[pair_index(i, j)] = True
     return Graph.from_flags(n, flags)
+
+
+def _flags(n: int, bits: list[int]) -> np.ndarray:
+    """(B, m) boolean flags of B pair bitsets on n vertices, flag k = bit k,
+    from one joined to_bytes and one unpackbits. The order meets the
+    dimension cap first, so nothing is built above it."""
+    check_dimensions(f"graph order {n}", n)
+    m = n * (n - 1) // 2
+    width = (m + 7) // 8
+    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), dtype=np.uint8)
+    flags = np.unpackbits(raw.reshape(len(bits), width), axis=1, count=m, bitorder="little")
+    return flags.view(bool)
 
 
 def _adjacency(flags: np.ndarray, n: int) -> np.ndarray:
@@ -125,8 +137,8 @@ def _adjacency(flags: np.ndarray, n: int) -> np.ndarray:
 
 def adjacency_matrix(g: Graph) -> DenseMatrix:
     """Symmetric (0,1)-matrix with zero diagonal; entry (i, j) = 1 iff edge.
-    The order meets the dimension cap before any array is allocated."""
-    check_dimensions(f"graph order {g.n}", g.n)
+    The order meets the dimension cap (in :func:`_flags`) before any array
+    is allocated."""
     return DenseMatrix(_adjacency(g.edge_flags(), g.n))
 
 
@@ -140,22 +152,13 @@ _GRAPH6_WEIGHTS = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 def _graph6_batch(n: int, bits: list[int]) -> list[str]:
     """graph6 strings of graphs on n vertices, given by their pair bitsets,
-    in one numpy pass: the bitsets' bytes are joined, unpacked as one
-    (B, m) flag array and packed six flags to a character. The size prefix
-    is checked before any array is built."""
-    if n <= 62:
-        prefix = [n + 63]
-    elif n <= 258047:
-        prefix = [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
-    elif n <= 68719476735:
-        prefix = [126, 126] + [((n >> (6 * s)) & 63) + 63 for s in range(5, -1, -1)]
-    else:
-        raise ValueError(f"order {n} too large for graph6")
-    m, count = n * (n - 1) // 2, len(bits)
-    width, chars = (m + 7) // 8, (m + 5) // 6
-    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), dtype=np.uint8)
+    in one numpy pass: their (B, m) :func:`_flags`, packed six to a character
+    after a 1-character size prefix up to n = 62 and a 4-character one above."""
+    flags = _flags(n, bits)
+    prefix = [n + 63] if n <= 62 else [126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)]
+    (count, m), chars = flags.shape, (flags.shape[1] + 5) // 6
     groups = np.zeros((count, chars * 6), dtype=np.uint8)
-    groups[:, :m] = np.unpackbits(raw.reshape(count, width), axis=1, bitorder="little")[:, :m]
+    groups[:, :m] = flags
     rows = np.empty((count, len(prefix) + chars), dtype=np.uint8)
     rows[:, : len(prefix)] = prefix
     rows[:, len(prefix) :] = groups.reshape(count, chars, 6) @ _GRAPH6_WEIGHTS + 63

@@ -445,20 +445,15 @@ class SpectrumPair:
         return self._sing[i, shift]
 
 
-def _ky_fan(values: Sequence[float], k: int) -> float:
-    """Exactly rounded sum of the k largest of descending singular values,
-    once 1 <= k <= their count."""
+def ky_fan_norm(m, k: int) -> float:
+    """Sum of the k largest singular values of a matrix, or of its
+    SingularSpectrum: k = 1 is the operator norm, k = min(rows, cols) the
+    trace norm. Exactly rounded, once 1 <= k <= the count of values."""
+    values = (m if isinstance(m, SingularSpectrum) else svd(m)).values
     k = as_int(k, "k", KOutOfRangeError)
     if k < 1 or k > len(values):
         raise KOutOfRangeError(f"k={k} outside [1, {len(values)}], the count of singular values")
     return math.fsum(values[:k])
-
-
-def ky_fan_norm(m, k: int) -> float:
-    """Sum of the k largest singular values of a matrix, or of its
-    SingularSpectrum: k = 1 is the operator norm, k = min(rows, cols) the
-    trace norm."""
-    return _ky_fan((m if isinstance(m, SingularSpectrum) else svd(m)).values, k)
 
 
 def trace_norm(m) -> float:

@@ -180,11 +180,10 @@ def _permutations(v: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(v))), dtype=np.int64).reshape(-1, v)
 
 
-def _relabelings(v: int) -> np.ndarray:
-    """(v!, v(v-1)/2) float table: row p, column b is 2^t, where pair bit t
-    is the image of pair bit b under the p-th permutation of range(v)."""
-    perms = _permutations(v)
-    js, is_ = np.nonzero(pair_mask(v))
+def _relabelings(perms: np.ndarray) -> np.ndarray:
+    """(v!, v(v-1)/2) float table of the (v!, v) permutations `perms`: row p,
+    column b is 2^t, where pair bit t is the image of pair bit b under row p."""
+    js, is_ = np.nonzero(pair_mask(perms.shape[1]))
     a, b = perms[:, js], perms[:, is_]
     hi, lo = np.maximum(a, b), np.minimum(a, b)
     return np.ldexp(1.0, hi * (hi - 1) // 2 + lo)
@@ -245,7 +244,8 @@ def _class_reps(v: int) -> tuple[np.ndarray, list[np.ndarray]]:
     complement."""
     if v <= 1:
         return np.zeros(1, dtype=np.int64), [np.zeros((1, v), dtype=np.int64)]
-    perms, relabelings = _permutations(v), _relabelings(v)
+    perms = _permutations(v)
+    relabelings = _relabelings(perms)
     full = (1 << (v * (v - 1) // 2)) - 1
     seen = np.zeros(full + 1, dtype=bool)
     reps, groups = [], []
@@ -281,8 +281,8 @@ def exhaustive_max(
     are the labeled graphs in the orbits of the scored graphs within
     WITNESS_TOL of the best, merged by one sort of the orbit rows
     (:func:`_witnesses`). `evaluations` counts the labeled graphs covered,
-    2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes 0.03-0.05 s and n = 8
-    0.5-0.7 s, on the calling thread: `threads` is checked like
+    2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes 0.02-0.03 s and n = 8
+    0.35-0.37 s warm, on the calling thread: `threads` is checked like
     local_search_max's but not used.
     """
     n = _check_order(n, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
@@ -296,7 +296,8 @@ def exhaustive_max(
     )
     vals = norms[np.searchsorted(scored, graphs)] + norms[np.searchsorted(scored, complements)]
     near = np.flatnonzero(vals >= vals.max() - WITNESS_TOL)
-    best, witnesses, truncated = _witnesses(n, vals[near], _orbits(graphs[near], _relabelings(n)))
+    orbits = _orbits(graphs[near], _relabelings(_permutations(n)))
+    best, witnesses, truncated = _witnesses(n, vals[near], orbits)
     return SearchResult(
         objective=objective,
         k=k,

@@ -261,7 +261,14 @@ def test_graph6_batch_matches_networkx_row_by_row():
             ref = networkx.to_graph6_bytes(nxg, nodes=range(n), header=False)
             assert line == ref.decode("ascii").rstrip("\n")
     assert graphs._graph6_batch(5, []) == []
-    with pytest.raises(ValueError, match="too large for graph6"):
+    # an order above 62 takes the 4-character prefix: 126, then n in three
+    # six-bit characters, most significant first (4096 = 1 * 64^2)
+    for n, prefix in ((63, "~??~"), (DIMENSION_CAP, "~@??")):
+        (line,) = graphs._graph6_batch(n, [0])
+        assert line[:4] == prefix and len(line) == 4 + (n * (n - 1) // 2 + 5) // 6
+    # an order past the cap gets the cap error, not an 8-character prefix
+    message = f"^graph order 68719476736 exceeds the dimension cap {DIMENSION_CAP}$"
+    with pytest.raises(SizeOverflowError, match=message):
         graphs._graph6_batch(68719476736, [0])
 
 
@@ -451,7 +458,15 @@ def test_graph6_past_the_cap_is_rejected_before_its_body_is_read():
 
 
 @pytest.mark.parametrize(
-    "n,build", [(6000, adjacency_matrix), (10**6, lambda g: check_bound("main", g))]
+    "n,build",
+    [
+        (6000, adjacency_matrix),
+        (10**6, lambda g: check_bound("main", g)),
+        # one past the cap: unchecked, each would build 8.4 MB or more
+        (DIMENSION_CAP + 1, Graph.edge_flags),
+        (DIMENSION_CAP + 1, graph6_encode),
+        (DIMENSION_CAP + 1, lambda g: graph_from_edges(g.n, [])),
+    ],
 )
 def test_adjacency_past_the_cap_is_rejected_before_it_is_built(n, build):
     message = f"^graph order {n} exceeds the dimension cap {DIMENSION_CAP}$"

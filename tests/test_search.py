@@ -277,7 +277,7 @@ def test_cospectral_pair_shares_a_solve_but_not_its_complements(monkeypatch):
     norm = dict(zip(solved, norms))
     assert len(norm) == len(solved) == len(norms)
     scored = {bits: norm[bits] + norm[(1 << 10) - 1 - bits] for bits in norm}
-    relabelings = search._relabelings(5)
+    relabelings = search._relabelings(search._permutations(5))
     for g in (star, c4k1):
         orbit = set(search._orbits(np.array([g.bits]), relabelings)[0].tolist())
         values = [v for bits, v in scored.items() if bits in orbit]
@@ -381,14 +381,15 @@ def test_class_reps_keep_one_graph_of_a_self_complementary_class(v, self_complem
     full = (1 << (v * (v - 1) // 2)) - 1
     alone = [g for g in reps if full - g not in set(reps)]
     assert len(alone) == self_complementary
-    orbits = search._orbits(np.array(alone, dtype=np.int64), search._relabelings(v))
+    relabelings = search._relabelings(search._permutations(v))
+    orbits = search._orbits(np.array(alone, dtype=np.int64), relabelings)
     assert all(full - g in orbit for g, orbit in zip(alone, orbits.tolist()))
 
 
 @pytest.mark.parametrize("v", [1, 2, 3, 4, 5, 6])
 def test_class_rep_orbits_partition_the_labeled_graphs(v):
     reps, groups = search._class_reps(v)
-    orbits = search._orbits(reps, search._relabelings(v))
+    orbits = search._orbits(reps, search._relabelings(search._permutations(v)))
     classes = [np.unique(orbit) for orbit in orbits]
     members = np.concatenate(classes)
     assert members.size == sum(c.size for c in classes) == 1 << (v * (v - 1) // 2)
