@@ -43,18 +43,24 @@ WITNESS_TOL = 1e-9
 OBJECTIVES = ("trace_sum", "kyfan_sum")
 
 # Annealing flip screen, see _screen_flips and _anneal_once. Below
-# SCREEN_MIN_N scoring all m <= 36 flips exactly costs less than the screen.
+# SCREEN_MIN_N scoring all m <= 36 flips exactly costs less than the screen:
+# on one thread of a 2-vCPU Xeon, screen plus re-scoring took 0.38 ms against
+# 0.32 ms for all 36 flips at n = 9, 0.44 against 0.46 ms at n = 10 and 0.41
+# against 0.65 ms at n = 11.
 SCREEN_MIN_N = 10
 SCREEN_DELTA = 1e-6
 SCREEN_TAU = 1e-6
 _SCREEN_G_TOL = 1e-4
-# trapezoid rule in t on x = exp((pi/2) sinh t), t = -4.5, -4.4, ..., 4.5;
+# trapezoid rule in t on x = exp((pi/2) sinh t), t = -3.5, -3.4, ..., 3.5, so
+# x runs from 5.2e-12 to 1.9e11 (the tails it leaves out: see _screen_flips);
 # a node's weight folds in dx/dt, the 2/pi of the integral and the 1/2 of
 # log|g| = log1p(2 Re d + |d|^2) / 2
-_SCREEN_T = 0.1 * np.arange(-45, 46)
+_SCREEN_T = 0.1 * np.arange(-35, 36)
 _SCREEN_X = np.exp(np.pi / 2 * np.sinh(_SCREEN_T))
 _SCREEN_W = 0.05 * _SCREEN_X * np.cosh(_SCREEN_T)
-_SCREEN_CHUNK = 64  # flips per batch: the (2, 64, 91) temporaries stay in cache
+# flips per batch: the (2, 64, 71) temporaries stay in cache; at n = 16 a
+# screen took 0.35 ms with 64, against 0.40 ms with 32 and 0.50 ms with 128
+_SCREEN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -322,7 +328,7 @@ def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray):
     removed one, so the ratio is the 2x2 determinant g = 1 + d with
     d = 2s R_ij + R_ij^2 - R_ii R_jj and R = (A - ixI)^-1 = Q diag(1/(λ - ix)) Q^T.
     The complement takes -s. One certified eigh of A and one of J - I - A
-    give R at all 91 nodes, both matrices in one batch and in real
+    give R at all 71 nodes, both matrices in one batch and in real
     arithmetic: Re R = Q diag(λ/(λ² + x²)) Q^T and Im R = Q diag(x/(λ² + x²))
     Q^T, so R_ij at every node is the row product Q[i] * Q[j] times each
     weight table, one matmul. d is formed directly, since 1 + d would lose
@@ -330,6 +336,21 @@ def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray):
     makes d a difference of 1/x² terms, so the screen declines; a
     numerically singular A' makes |g| vanish at 0, and the flip is marked
     unreliable when |g| at the smallest node is below _SCREEN_G_TOL.
+
+    The nodes span x_min = 5.2e-12 to x_max = 1.9e11, and the two tails they
+    leave out carry under 1e-9 of a reliable value for n <= LOCAL_MAX_N.
+    Upper tail: Q[i] . Q[j] = 0 gives
+    R_ij = sum_k Q_ik Q_jk λ_k / (ix (λ_k - ix)), so |R_ij| <= ρ/x² with ρ
+    the spectral radius, and |R_ii| <= 1/x; hence |d| <= (2ρ + 2)/x² for
+    x >= 2ρ, and the integral beyond x_max is at most about
+    (2/π)(2ρ + 2)/x_max. As ρ(A)² + ρ(J - I - A)² <= tr A² +
+    tr (J - I - A)² = n(n - 1), both matrices together give at most
+    (2/π)(2 sqrt(2n(n - 1)) + 4)/x_max = 6.1e-10 at n = 64. Lower tail:
+    ||R(ix)|| <= 1/SCREEN_TAU gives log|g| <= log(1 + 2/τ + 2/τ²) < 29, and a
+    reliable flip has log|g| >= log _SCREEN_G_TOL > -10 at x_min, so the
+    integral over [0, x_min] is at most about (2/π) 30 x_min per matrix,
+    2.0e-10 for both. Both are far inside the 1e-8 the screened values are
+    held to and the SCREEN_DELTA margin of the candidates.
     """
     try:
         (wa, qa, _), (wb, qb, _) = eigh_basis(a), eigh_basis(complement_matrix(a))
@@ -513,15 +534,15 @@ def local_search_max(
     leaves the graph unchanged, and the next step reuses its scores.
 
     On one thread of a 2-vCPU Xeon a step that scores its graph takes about
-    0.6-1.1 ms at n = 16, 1.8-5.4 ms at n = 32 and 6-14 ms at n = 64 (4.8,
-    62 and 1030 ms when every flip is scored), and a step that reuses the
-    scores 0.04-0.25 ms. The freeze test ends a default restart after about
-    5500 steps, of which a few hundred score their graph; with seed 3 one
-    restart took 0.4-0.5, 1.5-1.8 and 7.2-8.5 s at n = 16, 32 and 64, and
-    the default config at n = 64 took 68 s. `evaluations` counts graphs
-    considered, 1 per restart plus m per step, not factorizations. Speed
-    does not find the equality case: at n = 17 the default config misses
-    the bound met by P17.
+    0.3-0.5 ms at n = 16, 1.2-1.6 ms at n = 32 and 4.7-5.7 ms at n = 64
+    (2.4, 35 and 530-580 ms when every flip is scored), and a step that
+    reuses the scores 0.02-0.12 ms. The freeze test ends a default restart
+    after about 5500 steps, of which a few hundred score their graph; with
+    seed 3 one restart took 0.16-0.18, 0.60-0.66 and 2.7-2.9 s at n = 16, 32
+    and 64, and the default config at n = 64 took 28 s. `evaluations`
+    counts graphs considered, 1 per restart plus m per step, not
+    factorizations. Speed does not find the equality case: at n = 17 the
+    default config misses the bound met by P17.
 
     The restarts run in order on the calling thread. `threads` is checked
     like exhaustive_max's but not used: a step is many small numpy calls

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -851,6 +852,131 @@ def test_screen_declines_on_singular_graphs(n):
     star[0, 1:] = star[1:, 0] = 1.0
     for a in (np.zeros((n, n)), np.ones((n, n)) - np.eye(n), star):
         assert not screen_against_exact(a)[1]  # every flip is a candidate
+
+
+def smallest_abs_eigenvalue(stack):
+    """Smallest |eigenvalue| of A or J - I - A, for each A of a (B, n, n) stack."""
+    both = np.stack([stack, 1.0 - np.eye(stack.shape[-1]) - stack])
+    return np.abs(np.linalg.eigvalsh(both)).min(axis=-1).min(axis=0)
+
+
+@functools.cache
+def near_singular_graphs():
+    """40 seeded graphs on 10 to 24 vertices whose A or J - I - A has its smallest
+    |eigenvalue| in (1e-6, 3e-2), where the screen's integrand has its
+    narrowest features: from a G(n, p), each step takes the flip that most
+    shrinks that eigenvalue while keeping it above 1e-6, until it is below a
+    target drawn log-uniformly from the range."""
+    rng = np.random.default_rng(0)
+    graphs = []
+    while len(graphs) < 40:
+        a = random_adjacency(rng, int(rng.integers(10, 25)), rng.uniform(0.15, 0.85))
+        target = 10.0 ** rng.uniform(-6, math.log10(3e-2))
+        for _ in range(30):
+            if smallest_abs_eigenvalue(a[None])[0] < target:
+                break
+            flips = flip_stack(a)
+            small = smallest_abs_eigenvalue(flips)
+            a = flips[np.argmin(np.where(small > 1e-6, small, np.inf))]
+        if 1e-6 < smallest_abs_eigenvalue(a[None])[0] < 3e-2:
+            graphs.append(a)
+    return tuple(graphs)
+
+
+def test_flip_screen_matches_near_singular_graphs():
+    graphs = near_singular_graphs()
+    assert all(screen_against_exact(a)[1] for a in graphs)
+    assert min(smallest_abs_eigenvalue(a[None])[0] for a in graphs) < 1e-4
+
+
+def assert_singular_flips_are_unreliable(a):
+    """Check that the screen of the adjacency a marks unreliable every flip
+    that makes A' or J - I - A' singular. Returns how many there were, or
+    None when the screen declined."""
+    js, is_ = np.nonzero(pair_mask(a.shape[0]))
+    screened = search._screen_flips(a, is_, js)
+    if screened is None:
+        return None
+    singular = smallest_abs_eigenvalue(flip_stack(a)) < 1e-9
+    assert screened[1][singular].all()
+    return int(singular.sum())
+
+
+@pytest.mark.parametrize("n", [10, 12, 16])
+def test_flips_to_a_singular_graph_are_marked_unreliable(n):
+    # |g| vanishes at x = 0 for such a flip and grows like x: the smallest
+    # node must stay small enough for |g| there to fall below _SCREEN_G_TOL
+    rng = np.random.default_rng(200 + n)
+    graphs = [random_adjacency(rng, n, p) for p in (0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9) * 6]
+    counts = [assert_singular_flips_are_unreliable(a) for a in graphs]
+    assert sum(c for c in counts if c) >= 100
+
+
+def test_flips_of_near_singular_graphs_to_a_singular_graph_are_marked_unreliable():
+    # a small eigenvalue of A makes |g| grow fastest away from x = 0
+    counts = [assert_singular_flips_are_unreliable(a) for a in near_singular_graphs()]
+    assert None not in counts and sum(counts) >= 100
+
+
+def full_screen_rule():
+    """Nodes and weights of the screen's trapezoid rule run out to t = ±4.5,
+    x from 2e-31 to 5e30, with the same step and weights."""
+    t = 0.1 * np.arange(-45, 46)
+    x = np.exp(np.pi / 2 * np.sinh(t))
+    return x, 0.05 * x * np.cosh(t)
+
+
+def screen_tail_bound(n):
+    """What the tails beyond the screen's nodes carry at order n, summed over
+    A and J - I - A, by the bound derived in _screen_flips."""
+    x = search._SCREEN_X
+    return 2 / math.pi * ((2 * math.sqrt(2 * n * (n - 1)) + 4) / x[-1] + 2 * 30 * x[0])
+
+
+def test_screen_rule_leaves_out_tails_under_1e_9():
+    # a deterministic accuracy and cost guard on the node range: a further
+    # trim breaks the bound, a wider rule costs more nodes
+    assert search._SCREEN_X.size == search._SCREEN_W.size == 71
+    assert search._SCREEN_X[-1] >= 2 * (search.LOCAL_MAX_N - 1)  # the upper tail needs x >= 2ρ
+    assert screen_tail_bound(search.LOCAL_MAX_N) <= 1e-9
+
+
+def assert_screen_matches_full_rule(monkeypatch, a):
+    """Check that each flip the screen of the adjacency a holds reliable under
+    both rules has a screened value within screen_tail_bound of the full
+    rule's. Returns whether the screen ran."""
+    js, is_ = np.nonzero(pair_mask(a.shape[0]))
+    trimmed = search._screen_flips(a, is_, js)
+    with monkeypatch.context() as m:
+        x, w = full_screen_rule()
+        m.setattr(search, "_SCREEN_X", x)
+        m.setattr(search, "_SCREEN_W", w)
+        full = search._screen_flips(a, is_, js)
+    if trimmed is None:
+        assert full is None
+        return False
+    reliable = ~(trimmed[1] | full[1])
+    err = np.abs(trimmed[0][reliable] - full[0][reliable])
+    assert err.size == 0 or err.max() <= screen_tail_bound(a.shape[0])
+    return True
+
+
+def test_screen_matches_the_full_rule_on_every_atlas_graph(monkeypatch):
+    networkx = pytest.importorskip("networkx")
+    ran = 0
+    for h in networkx.graph_atlas_g():
+        if h.number_of_nodes() >= 2:
+            a = networkx.to_numpy_array(h, nodelist=range(len(h)))
+            ran += assert_screen_matches_full_rule(monkeypatch, a)
+    assert ran >= 20
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 32, 64])
+def test_screen_matches_the_full_rule_on_random_graphs(monkeypatch, n):
+    rng = np.random.default_rng(n)  # the graphs of test_flip_screen_matches_random_graphs
+    graphs = [random_adjacency(rng, n, p) for p in (0.1, 0.5, 0.9)]
+    ran = [assert_screen_matches_full_rule(monkeypatch, a) for a in graphs]
+    assert ran[1]
 
 
 @pytest.mark.parametrize("n", [5, 9, 16, 32, 64])
