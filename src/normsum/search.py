@@ -3,18 +3,18 @@
 Three strategies: an exhaustive search for n <= 8 that scores the class
 representatives on n - 1 vertices, each bordered with one neighbour set per
 orbit of its automorphism group, which meet every isomorphism class on n
-vertices, and expands the best of them into their labeled orbits; seeded
-edge-flip annealing for n <= 64; and randomized property sweeps that hammer
-the bound checkers with seeded graphs and matrices, each sample drawn once
-and checked by every requested kind of its stream. Everything is
-deterministic given its inputs and runs on the calling thread; both searches
-merge their witnesses by one sort of their bitsets, and a result's JSON
-encodes its witnesses to graph6 in one batch.
+vertices, solves one matrix per spectrum among them and their complements,
+keyed by exact closed-walk counts, and expands the best of them into their
+labeled orbits; seeded edge-flip annealing for n <= 64; and randomized
+property sweeps that hammer the bound checkers with seeded graphs and
+matrices, each sample drawn once and checked by every requested kind of its
+stream. Everything is deterministic given its inputs and runs on the calling
+thread; both searches merge their witnesses by one sort of their bitsets, and
+a result's JSON encodes its witnesses to graph6 in one batch.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -41,6 +41,11 @@ WITNESS_CAP = 1000
 WITNESS_TOL = 1e-9
 
 OBJECTIVES = ("trace_sum", "kyfan_sum")
+
+# graphs per chunk of _walk_keys: three (1024, n, n) float64 stacks, 0.5 MB
+# each at n = 8, are alive at once; the 79,264 keys at n = 8 took 32 ms on one
+# thread of a 2-vCPU Xeon, against 36-37 ms in chunks of 256 or 4096
+_WALK_CHUNK = 1024
 
 # Annealing flip screen, see _screen_flips and _anneal_once. Below
 # SCREEN_MIN_N scoring all m <= 36 flips exactly costs less than the screen:
@@ -167,6 +172,49 @@ def _distinct(bits: np.ndarray) -> np.ndarray:
     return bits[np.append(True, bits[1:] != bits[:-1])]
 
 
+def _walk_keys(flags: np.ndarray, n: int) -> np.ndarray:
+    """(G, max(n, 2) - 1) float64 closed-walk counts tr(A^k), k = 2..max(n,
+    2), of the graphs on n vertices with (G, m) pair flags, in chunks of
+    _WALK_CHUNK graphs. A^i is symmetric, so tr(A^(i+j)) = <A^i, A^j>, the
+    sum of the entrywise product: the powers up to A^ceil(n/2), two alive at
+    a time, give every count. Each count is an integer at most n (n-1)^(k-1)
+    < 2^53 for n <= 9, so the float64 products and sums are exact. Newton's
+    identities give the characteristic polynomial from tr A = 0 and these
+    counts, so two graphs have equal rows exactly when they are cospectral."""
+    top = max(n, 2)
+    keys = np.empty((flags.shape[0], top - 1))
+    for lo in range(0, flags.shape[0], _WALK_CHUNK):
+        part = slice(lo, lo + _WALK_CHUNK)
+        a = _adjacency(flags[part], n).astype(np.float64)
+        keys[part, 0] = np.einsum("bij,bij->b", a, a)
+        p = a  # A^((k-1)/2)
+        for k in range(3, top + 1, 2):
+            q = p @ a
+            keys[part, k - 2] = np.einsum("bij,bij->b", q, p)
+            if k < top:
+                keys[part, k - 1] = np.einsum("bij,bij->b", q, q)
+            p = q
+    return keys
+
+
+def _norms_by_spectrum(scored: np.ndarray, n: int, objective: str, k: int | None) -> np.ndarray:
+    """Norm of each graph on n vertices of the ascending int64 bitsets
+    `scored`, from one batched eigvalsh of one graph per spectrum. The
+    graphs are grouped by their closed-walk counts (:func:`_walk_keys`),
+    equal exactly when their spectra are, by one stable lexsort and a
+    compare of neighbouring rows (not np.unique, see :func:`_distinct`). The
+    least bitset of each group is solved and its norm given to the group."""
+    flags = _pair_flags(scored, n * (n - 1) // 2)
+    keys = _walk_keys(flags, n)
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    first = np.append(True, (keys[1:] != keys[:-1]).any(axis=1))
+    group = np.empty(order.size, dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    w = _eigvalsh_stack(_adjacency(flags[order[first]], n).astype(np.float64))
+    return _spectral_norms(w, objective, k)[group]
+
+
 def _witnesses(n: int, values, rows):
     """(best, witnesses, truncated) of candidate graphs: row i of `rows`
     holds one bitset or several (an orbit), each of value values[i]. The
@@ -182,17 +230,27 @@ def _witnesses(n: int, values, rows):
 
 
 def _permutations(v: int) -> np.ndarray:
-    """(v!, v) table of the permutations of range(v), in itertools order."""
-    return np.array(list(itertools.permutations(range(v))), dtype=np.int64).reshape(-1, v)
+    """(v!, v) table of the permutations of range(v), in itertools order:
+    lexicographic, so the rows that start with f are f followed by the
+    (v - 1)-table with every entry >= f shifted up by one."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    for w in range(1, v + 1):
+        first = np.arange(w)[:, None, None]
+        rest = table + (table >= first)  # (w, (w - 1)!, w - 1)
+        table = np.concatenate([np.broadcast_to(first, rest.shape[:2] + (1,)), rest], axis=2)
+        table = table.reshape(-1, w)
+    return table
 
 
 def _relabelings(perms: np.ndarray) -> np.ndarray:
     """(v!, v(v-1)/2) float table of the (v!, v) permutations `perms`: row p,
-    column b is 2^t, where pair bit t is the image of pair bit b under row p."""
-    js, is_ = np.nonzero(pair_mask(perms.shape[1]))
-    a, b = perms[:, js], perms[:, is_]
-    hi, lo = np.maximum(a, b), np.minimum(a, b)
-    return np.ldexp(1.0, hi * (hi - 1) // 2 + lo)
+    column b is 2^t, where pair bit t is the image of pair bit b under row p,
+    read from one (v, v) table of 2^(pair bit) of each vertex pair."""
+    idx = np.arange(perms.shape[1])
+    hi, lo = np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
+    power = np.ldexp(1.0, hi * (hi - 1) // 2 + lo)  # 2^(pair bit of {i, j}), i != j
+    js, is_ = np.nonzero(pair_mask(idx.size))
+    return power[perms[:, js], perms[:, is_]]
 
 
 def _orbits(bits: np.ndarray, relabelings: np.ndarray) -> np.ndarray:
@@ -279,16 +337,20 @@ def exhaustive_max(
     one neighbour set per orbit of the rep's automorphism group, which
     meets every class on n vertices (5,096 graphs at n = 7 and 79,264 at
     n = 8, against 2^21 and 2^28 labeled ones). The complement of a graph
-    is a graph, so the norm is taken once per matrix of the union of the
-    bordered graphs and their labeled complements, by one batched eigvalsh,
-    and a graph's value is its norm plus its complement's: bit for bit what
-    :func:`_pair_objective` gives it. At n = 7 and 8 the bordered set is
-    closed under complement, so the union is the set itself. The witnesses
-    are the labeled graphs in the orbits of the scored graphs within
-    WITNESS_TOL of the best, merged by one sort of the orbit rows
-    (:func:`_witnesses`). `evaluations` counts the labeled graphs covered,
-    2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes 0.02-0.03 s and n = 8
-    0.35-0.37 s warm, on the calling thread: `threads` is checked like
+    is a graph, so a graph's value is the norm of its matrix plus its
+    complement's, over the union of the bordered graphs and their labeled
+    complements; at n = 7 and 8 the bordered set is closed under
+    complement, so the union is the set itself. Cospectral matrices have one
+    norm, so :func:`_norms_by_spectrum` solves the least bitset of each
+    closed-walk key of the union, in one batched eigvalsh (988 of 5,096
+    matrices at n = 7, 11,453 of 79,264 at n = 8). A graph's value adds the
+    norms of the labelings solved for its spectrum and its complement's, so
+    it may differ from what :func:`_pair_objective` gives the graph itself
+    in the last bits. The witnesses are the labeled graphs in the orbits of
+    the scored graphs within WITNESS_TOL of the best, merged by one sort of
+    the orbit rows (:func:`_witnesses`). `evaluations` counts the labeled graphs covered,
+    2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes 0.010-0.011 s and n = 8
+    0.14-0.15 s warm, on the calling thread: `threads` is checked like
     local_search_max's but not used.
     """
     n = _check_order(n, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
@@ -297,9 +359,7 @@ def exhaustive_max(
     graphs = _bordered(n)
     complements = ((1 << m) - 1) - graphs
     scored = _distinct(np.concatenate([graphs, complements]))
-    norms = _spectral_norms(
-        _eigvalsh_stack(_adjacency(_pair_flags(scored, m), n).astype(np.float64)), objective, k
-    )
+    norms = _norms_by_spectrum(scored, n, objective, k)
     vals = norms[np.searchsorted(scored, graphs)] + norms[np.searchsorted(scored, complements)]
     near = np.flatnonzero(vals >= vals.max() - WITNESS_TOL)
     orbits = _orbits(graphs[near], _relabelings(_permutations(n)))

@@ -183,10 +183,15 @@ def test_exhaustive_max_does_not_depend_on_the_order_graphs_are_scored_in(monkey
 
     monkeypatch.setattr(search, "_eigvalsh_stack", recording_solve)
     assert exhaustive_max(6, "kyfan_sum", k=1) == ref
-    # the reversed set is the one scored, with its labeled complements
+    # the reversed set is the one scored, with its labeled complements: the
+    # least bitset of each walk-count key of that union is solved
     assert reversed_orders == [6]
     graphs = bordered(6)
-    assert sorted(scored) == sorted(set(graphs.tolist()) | set(((1 << 15) - 1 - graphs).tolist()))
+    union = np.union1d(graphs, (1 << 15) - 1 - graphs)
+    least = {}
+    for bits, key in zip(union.tolist(), map(tuple, walk_counts(union, 6).tolist())):
+        least.setdefault(key, bits)
+    assert sorted(scored) == sorted(least.values())
     # reversed representatives at every order keep other graphs of the same
     # classes, whose values may differ from the first ones in the last bits
     monkeypatch.setattr(search, "_bordered", bordered)
@@ -247,8 +252,9 @@ def test_witnesses_are_truncated_only_past_the_cap():
 
 def test_cospectral_pair_shares_a_solve_but_not_its_complements(monkeypatch):
     # K_{1,4} and C_4 + K_1 share a spectrum but their complements do not, so
-    # the two pair values differ; every graph that exhaustive_max(5) scores
-    # in either class gets its own class's value
+    # the two pair values differ; exhaustive_max(5) solves one graph of the
+    # two classes and one of each complement class, and every graph it
+    # scores in either class gets its own class's value
     star = graph_from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])  # K_{1,4}
     c4k1 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C_4 + K_1
     spectra = [np.linalg.eigvalsh(adjacency_matrix(g).array) for g in (star, c4k1)]
@@ -256,38 +262,46 @@ def test_cospectral_pair_shares_a_solve_but_not_its_complements(monkeypatch):
     spectra = [np.linalg.eigvalsh(adjacency_matrix(flipped(g)).array) for g in (star, c4k1)]
     assert not np.allclose(*spectra)
     assert abs(pair_value(star) - pair_value(c4k1)) > 0.5
-    # the norm of each matrix that exhaustive_max solves, by bitset; a scored
-    # graph's value is its norm plus its complement's
-    solved, norms = [], []
-    eigvalsh_stack, spectral_norms = search._eigvalsh_stack, search._spectral_norms
+    # the bitsets of the solved matrices, and the norm exhaustive_max gives
+    # each matrix it scores; a scored graph's value is its norm plus its
+    # complement's
+    solved, norm = [], {}
+    eigvalsh_stack, norms_by_spectrum = search._eigvalsh_stack, search._norms_by_spectrum
     js, is_ = np.nonzero(pair_mask(5))
 
     def recording_solve(a):
         solved.extend(Graph.from_flags(5, m[is_, js]).bits for m in a)
         return eigvalsh_stack(a)
 
-    def recording_norms(w, objective, k):
-        out = spectral_norms(w, objective, k)
-        norms.extend(out.tolist())
+    def recording_norms(scored, n, objective, k):
+        out = norms_by_spectrum(scored, n, objective, k)
+        norm.update(zip(scored.tolist(), out.tolist()))
         return out
 
     monkeypatch.setattr(search, "_eigvalsh_stack", recording_solve)
-    monkeypatch.setattr(search, "_spectral_norms", recording_norms)
+    monkeypatch.setattr(search, "_norms_by_spectrum", recording_norms)
     res = exhaustive_max(5)
     assert abs(res.best_value - bound_value("main", 5)) < 1e-9
-    norm = dict(zip(solved, norms))
-    assert len(norm) == len(solved) == len(norms)
-    scored = {bits: norm[bits] + norm[(1 << 10) - 1 - bits] for bits in norm}
+    assert len(set(solved)) == len(solved) < len(norm)
     relabelings = search._relabelings(search._permutations(5))
+
+    def orbit(g):
+        return set(search._orbits(np.array([g.bits]), relabelings)[0].tolist())
+
+    assert len(set(solved) & (orbit(star) | orbit(c4k1))) == 1
+    assert [len(set(solved) & orbit(flipped(g))) for g in (star, c4k1)] == [1, 1]
+    scored = {bits: norm[bits] + norm[(1 << 10) - 1 - bits] for bits in norm}
     for g in (star, c4k1):
-        orbit = set(search._orbits(np.array([g.bits]), relabelings)[0].tolist())
-        values = [v for bits, v in scored.items() if bits in orbit]
+        values = [v for bits, v in scored.items() if bits in orbit(g)]
         assert values and max(abs(v - pair_value(g)) for v in values) <= 1e-12
 
 
-def test_exhaustive_n7_solves_each_bordered_graph_once(monkeypatch):
-    # the bordered graphs at n = 7 are closed under complement, so one
-    # eigvalsh call on the 5,096 of them gives every graph and complement
+@pytest.mark.parametrize("n,spectra", [(7, 988), (8, 11_453)])
+def test_exhaustive_solves_each_spectrum_once(monkeypatch, n, spectra):
+    # the bordered graphs at n = 7 and 8 are closed under complement, and
+    # their 5,096 and 79,264 matrices have 988 and 11,453 distinct spectra:
+    # one eigvalsh call on one graph per spectrum gives every graph and
+    # complement
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -296,8 +310,8 @@ def test_exhaustive_n7_solves_each_bordered_graph_once(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    exhaustive_max(7)
-    assert calls == [(5096, 7, 7)]
+    exhaustive_max(n)
+    assert calls == [(spectra, n, n)]
 
 
 # number of isomorphism classes of graphs on v = 0..7 vertices (OEIS A000088)
@@ -469,6 +483,60 @@ def test_bordered_keys_match_matrix_powers_at_n8():
     last = (1 << 28) // KEY_CHUNK - 1
     blocks = [b for j in (0, 1, 1023, last // 3) for b in (j, last - j)]
     assert block_keys(8, blocks) <= bordered_keys(8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_walk_keys_match_matrix_powers_across_chunks(monkeypatch, n):
+    # every labeled graph for n <= 6 and the bordered graphs at 7 and 8, in
+    # chunks of 37 graphs, so that keys cross chunk boundaries
+    monkeypatch.setattr(search, "_WALK_CHUNK", 37)
+    m = n * (n - 1) // 2
+    idx = np.arange(1 << m, dtype=np.int64) if n <= 6 else search._bordered(n)
+    keys = search._walk_keys(search._pair_flags(idx, m), n)
+    assert keys.dtype == np.float64 and np.array_equal(keys, walk_counts(idx, n))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_graphs_with_one_walk_key_share_a_spectrum(n):
+    # equal closed-walk counts give one characteristic polynomial (Newton's
+    # identities), so the spectra in a key group agree up to rounding: every
+    # labeled graph for n <= 6, the bordered graphs and complements at 7, 8
+    m = n * (n - 1) // 2
+    if n <= 6:
+        idx = np.arange(1 << m, dtype=np.int64)
+    else:
+        idx = np.union1d(search._bordered(n), (1 << m) - 1 - search._bordered(n))
+    keys = search._walk_keys(search._pair_flags(idx, m), n)
+    group = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    w = np.linalg.eigvalsh(index_adjacency(idx, n))
+    member = np.empty((group.max() + 1, n))
+    member[group] = w  # one spectrum of each group
+    assert np.abs(w - member[group]).max() <= 1e-12
+
+
+def test_atlas_spectra_on_7_vertices_are_the_distinct_walk_keys():
+    # 1044 classes, 988 spectra (Haemers & Spence 2004), one per walk key of
+    # the bordered graphs; networkx is a test-only oracle
+    networkx = pytest.importorskip("networkx")
+    atlas = [h for h in networkx.graph_atlas_g() if len(h) == 7]
+    a = np.stack([networkx.to_numpy_array(h, nodelist=range(7)) for h in atlas])
+    spectra = set(map(tuple, np.round(np.linalg.eigvalsh(a), 8).tolist()))
+    keys = search._walk_keys(search._pair_flags(search._bordered(7), 21), 7)
+    assert len(spectra) == len(set(map(tuple, keys.tolist()))) == 988
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_permutation_tables_match_itertools_and_the_pair_formula(v):
+    perms = np.array(list(itertools.permutations(range(v))), dtype=np.int64).reshape(-1, v)
+    got = search._permutations(v)
+    assert got.dtype == np.int64 and np.array_equal(got, perms)
+    # pair bit (j, i) goes to the pair bit of {p[j], p[i]}: hi(hi-1)/2 + lo
+    js, is_ = np.nonzero(pair_mask(v))
+    a, b = perms[:, js], perms[:, is_]
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    relabelings = search._relabelings(got)
+    assert relabelings.dtype == np.float64
+    assert np.array_equal(relabelings, np.ldexp(1.0, hi * (hi - 1) // 2 + lo))
 
 
 # The labeled enumeration that exhaustive_max replaced, as run at n = 8 on
