@@ -350,15 +350,25 @@ def _add_common(sub, *run_flags):
     that this subcommand reads."""
     for name in run_flags:
         sub.add_argument(f"--{name}", **_RUN_FLAGS[name])
-    sub.add_argument(
+    # the default is the parser's, not the flags': argparse takes a flag whose
+    # value *is* its default as absent, so "--format text --csv" would pass
+    sub.set_defaults(format="text")
+    fmt = sub.add_mutually_exclusive_group()
+    fmt.add_argument(
         "--format",
         choices=("json", "csv", "graph6", "text"),
-        default="text",
-        dest="format",
+        default=argparse.SUPPRESS,
         help="output format (default text)",
     )
-    sub.add_argument("--json", action="store_true", help="shorthand for --format json")
-    sub.add_argument("--csv", action="store_true", help="shorthand for --format csv")
+    for name in ("json", "csv"):
+        fmt.add_argument(
+            f"--{name}",
+            action="store_const",
+            const=name,
+            dest="format",
+            default=argparse.SUPPRESS,
+            help=f"shorthand for --format {name}",
+        )
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
@@ -494,15 +504,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if getattr(args, "json", False) and getattr(args, "csv", False):
-        print("error: --json and --csv are mutually exclusive", file=sys.stderr)
-        return 2
-    fmt = args.format
-    if getattr(args, "json", False):
-        fmt = "json"
-    elif getattr(args, "csv", False):
-        fmt = "csv"
-
     started = time.perf_counter()
     try:
         results, failed, extras = _HANDLERS[args.command](args)
@@ -511,13 +512,11 @@ def main(argv=None) -> int:
         return 2
     elapsed_ms = int(round((time.perf_counter() - started) * 1000))
 
-    if fmt == "json":
+    if args.format == "json":
         inputs = {
             k: v
             for k, v in sorted(vars(args).items())
-            if k
-            not in ("command", "what", "mode", "format", "json", "csv", "out")
-            and v is not None
+            if k not in ("command", "what", "mode", "format", "out") and v is not None
         }
         report = {
             "command": args.command if args.command != "construct" else f"construct {args.what}",
@@ -527,12 +526,12 @@ def main(argv=None) -> int:
             "elapsed_ms": elapsed_ms,
         }
         out = render_json(report)
-    elif fmt == "csv":
+    elif args.format == "csv":
         out = extras.get("csv")
         if not out:
             print("error: no CSV form for this subcommand", file=sys.stderr)
             return 2
-    elif fmt == "graph6":
+    elif args.format == "graph6":
         out = extras.get("graph6")
         if not out:
             print("error: graph6 output only applies to graph constructions", file=sys.stderr)

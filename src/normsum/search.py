@@ -47,12 +47,7 @@ OBJECTIVES = ("trace_sum", "kyfan_sum")
 # thread of a 2-vCPU Xeon, against 36-37 ms in chunks of 256 or 4096
 _WALK_CHUNK = 1024
 
-# Annealing flip screen, see _screen_flips and _anneal_once. Below
-# SCREEN_MIN_N scoring all m <= 36 flips exactly costs less than the screen:
-# on one thread of a 2-vCPU Xeon, screen plus re-scoring took 0.38 ms against
-# 0.32 ms for all 36 flips at n = 9, 0.44 against 0.46 ms at n = 10 and 0.41
-# against 0.65 ms at n = 11.
-SCREEN_MIN_N = 10
+# Annealing flip screen, see _screen_flips and _anneal_once
 SCREEN_DELTA = 1e-6
 SCREEN_TAU = 1e-6
 _SCREEN_G_TOL = 1e-4
@@ -246,10 +241,10 @@ def _relabelings(perms: np.ndarray) -> np.ndarray:
     """(v!, v(v-1)/2) float table of the (v!, v) permutations `perms`: row p,
     column b is 2^t, where pair bit t is the image of pair bit b under row p,
     read from one (v, v) table of 2^(pair bit) of each vertex pair."""
-    idx = np.arange(perms.shape[1])
-    hi, lo = np.maximum.outer(idx, idx), np.minimum.outer(idx, idx)
-    power = np.ldexp(1.0, hi * (hi - 1) // 2 + lo)  # 2^(pair bit of {i, j}), i != j
-    js, is_ = np.nonzero(pair_mask(idx.size))
+    v = perms.shape[1]
+    js, is_ = np.nonzero(pair_mask(v))  # pair bit r is {is_[r], js[r]}
+    power = np.zeros((v, v))
+    power[js, is_] = power[is_, js] = np.ldexp(1.0, np.arange(js.size))
     return power[perms[:, js], perms[:, is_]]
 
 
@@ -503,8 +498,7 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     among them, so the step and its tie-break are those of scoring all m.
     When A or J - I - A has an eigenvalue within SCREEN_TAU of 0, the
     screen's factorization fails, or it gives a non-finite value, every flip
-    is re-scored; so is every flip for kyfan_sum, and for n < SCREEN_MIN_N,
-    where that costs less than the screen.
+    is re-scored; so is every flip for kyfan_sum.
 
     Each graph is scored once: a step that takes no flip leaves A as it was,
     so the next step reuses its candidates and their exact values, and only
@@ -535,11 +529,10 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     temp = cfg.temperature_initial
     js, is_ = np.nonzero(pair_mask(n))  # flip r toggles pair bit r
     every = np.arange(m)
-    screened = objective == "trace_sum" and n >= SCREEN_MIN_N
     vals = None  # the scores of a, kept until a flip changes it
     for _ in range(cfg.max_steps):
         if vals is None:
-            cand = _flip_candidates(a, is_, js) if screened else every
+            cand = _flip_candidates(a, is_, js) if objective == "trace_sum" else every
             vals = _flip_values(a, is_[cand], js[cand], objective, k)
         evaluations += m
         top = int(np.argmax(vals))  # cand ascends, so ties go to the smallest flip
@@ -585,13 +578,13 @@ def local_search_max(
     """Seeded annealing over edge flips; a certified lower bound on the
     maximum (best_value always comes from a concrete evaluated graph).
 
-    For trace_sum at n >= SCREEN_MIN_N a step screens all m = n(n-1)/2 flips
-    with the Coulson integral and scores exactly only those within
-    SCREEN_DELTA = 1e-6 of the screened maximum, plus those the screen marks
-    unreliable (see `_anneal_once`). It scores every flip when A or J - I - A
-    has an eigenvalue within SCREEN_TAU = 1e-6 of 0. The result is the one
-    that scoring every flip gives, bit for bit. A step that takes no flip
-    leaves the graph unchanged, and the next step reuses its scores.
+    For trace_sum a step screens all m = n(n-1)/2 flips with the Coulson
+    integral and scores exactly only those within SCREEN_DELTA = 1e-6 of the
+    screened maximum, plus those the screen marks unreliable (see
+    `_anneal_once`). It scores every flip when A or J - I - A has an
+    eigenvalue within SCREEN_TAU = 1e-6 of 0. The result is the one that
+    scoring every flip gives, bit for bit. A step that takes no flip leaves
+    the graph unchanged, and the next step reuses its scores.
 
     On one thread of a 2-vCPU Xeon a step that scores its graph takes about
     0.3-0.5 ms at n = 16, 1.2-1.6 ms at n = 32 and 4.7-5.7 ms at n = 64

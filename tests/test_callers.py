@@ -1,6 +1,7 @@
-"""Static guard: every public name and every module-level definition has a
-caller outside the tests, every bound kind is a `check` choice, and every
-name the benchmark imports exists."""
+"""Static guard: every public name, every module-level definition and every
+method and property of a package class has a caller outside the tests, every
+bound kind is a `check` choice, and every name the benchmark imports
+exists."""
 
 import ast
 from collections import Counter
@@ -41,12 +42,15 @@ def references(path):
     return found
 
 
+def package_modules():
+    """The package without its ``__init__``, which only re-exports."""
+    return [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+
+
 def callers():
-    """The modules whose references count: the package without its
-    ``__init__`` (which only re-exports), and the benchmark."""
-    return [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"] + sorted(
-        PERFBENCH.glob("*.py")
-    )
+    """The modules whose references count: the package modules and the
+    benchmark."""
+    return package_modules() + sorted(PERFBENCH.glob("*.py"))
 
 
 def strays(names, paths):
@@ -73,6 +77,128 @@ def definitions(path):
     return names
 
 
+def _named_class(annotation, classes):
+    """The class of `classes` that a bare or quoted annotation names, else None."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        name = annotation.value
+    elif isinstance(annotation, ast.Name):
+        name = annotation.id
+    else:
+        return None
+    return name if name in classes else None
+
+
+def package_model(paths):
+    """The classes of the modules in paths, as (members, types): members
+    maps each class to its methods and properties that are not dunders;
+    types maps (class, name) to the package class that the field, method or
+    property holds or returns, and (None, name) likewise for a module-level
+    function."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+    classes = {n.name for t in trees for n in t.body if isinstance(n, ast.ClassDef)}
+    members, types = {}, {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                types[None, node.name] = _named_class(node.returns, classes)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members[node.name] = []
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    types[node.name, item.target.id] = _named_class(item.annotation, classes)
+                elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not (item.name.startswith("__") and item.name.endswith("__")):
+                        members[node.name].append(item.name)
+                        types[node.name, item.name] = _named_class(item.returns, classes)
+    return members, types
+
+
+def member_references(path, model):
+    """(class, name) for each `.name` in the module whose receiver has a
+    package class as its type, outside the definition of that class's own
+    `name`. The AST gives the type of a class name, of `self` or `cls` in a
+    method, of a parameter annotated with the class, of a call of the class
+    or of a function or method annotated to return it, of an annotated field
+    or property of a typed receiver, and of a variable assigned only values
+    of one such type. Any other receiver counts for no class, even when one
+    class alone has a member of that name: `args.edges` is no caller of a
+    `Graph.edges`."""
+    members, types = model
+    found = set()
+
+    def receiver(node, env):
+        called = isinstance(node, ast.Call)
+        if called:
+            node = node.func
+        if isinstance(node, ast.Name):
+            if node.id in members:
+                return node.id
+            return types.get((None, node.id)) if called else env.get(node.id)
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id in MODULES:
+                owner = None  # normsum.paley_graph and the like
+            else:
+                owner = receiver(node.value, env)
+            return types.get((owner, node.attr))
+        return None
+
+    def scope(fn, cls, env):
+        env = dict(env)
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        for arg in args:
+            env[arg.arg] = _named_class(arg.annotation, members)
+        if cls is not None and args:
+            env[args[0].arg] = cls  # self, or cls of a classmethod
+        assigned = {}
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+            ):
+                assigned.setdefault(node.targets[0].id, set()).add(receiver(node.value, env))
+        env.update({name: ts.pop() if len(ts) == 1 else None for name, ts in assigned.items()})
+        return env
+
+    def visit(node, env, cls, inside):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name if node.name in members else None
+            for child in node.body:
+                visit(child, env, cls, inside)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            env, inside, cls = scope(node, cls, env), inside | {(cls, node.name)}, None
+        elif isinstance(node, ast.Attribute):
+            owner = receiver(node.value, env)
+            if owner is not None and (owner, node.attr) not in inside:
+                found.add((owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, env, cls, inside)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), {}, None, frozenset())
+    return found
+
+
+def stray_members(model, paths):
+    """(class, name) of each method and property that no module of paths
+    references."""
+    used = set().union(*(member_references(p, model) for p in paths))
+    members = model[0]
+    return [(c, name) for c in members for name in members[c] if (c, name) not in used]
+
+
+# Methods and properties whose callers have receivers the scan cannot type,
+# with those callers.
+UNTYPED_CALLERS = {
+    ("DenseMatrix", "entry_min"): "bounds._pair reads it on the matrix that a conditional "
+    "expression picks from a SpectrumPair's x, an adjacency matrix or as_matrix",
+    ("DenseMatrix", "entry_max"): "read beside entry_min in bounds._pair",
+    ("KindSweep", "to_json"): "SweepReport.to_json calls it on each of its results, "
+    "a tuple field whose items the scan does not type",
+}
+
+
 def kinds_without_a_check_choice():
     """The entries of bounds.BOUND_KINDS that `check` does not offer."""
     parser = cli.build_parser()
@@ -88,10 +214,73 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 
 def test_every_module_level_definition_has_a_caller_outside_the_tests():
-    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    names = [name for path in modules for name in definitions(path)]
+    names = [name for path in package_modules() for name in definitions(path)]
     assert {"_draw", "_sweep_check", "property_sweep", "DIMENSION_CAP"} <= set(names)
     assert strays(names, callers()) == []
+
+
+def test_every_method_and_property_has_a_caller_outside_the_tests():
+    model = package_model(package_modules())
+    members = {(c, name) for c, names in model[0].items() for name in names}
+    assert {("Graph", "from_json"), ("DenseMatrix", "to_json"), ("SpectrumPair", "eig")} <= members
+    # fields and dunders are exempt: to_json reads the fields through fields()
+    assert not members & {("Graph", "bits"), ("Graph", "__post_init__"), ("DenseMatrix", "__eq__")}
+    assert sorted(set(stray_members(model, callers())) - set(UNTYPED_CALLERS)) == []
+
+
+def test_every_untyped_caller_exception_is_needed():
+    model = package_model(package_modules())
+    used = set().union(*(member_references(p, model) for p in callers()))
+    for (cls, name), reason in UNTYPED_CALLERS.items():
+        assert name in model[0][cls] and reason
+        assert (cls, name) not in used  # else the exception is stale
+
+
+def test_the_scan_finds_a_stray_method(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "class Box:\n"
+        "    size: int\n"
+        "    def to_json(self):\n"
+        "        return {'size': self.size, 'shape': self.shape}\n"
+        "    @property\n"
+        "    def shape(self):\n"
+        "        return (self.size,)\n"
+        "    def walk(self, n):\n"
+        "        return self.walk(n - 1) if n else 0\n"
+        "    def __repr__(self):\n"
+        "        return 'Box'\n"
+        "class Tag:\n"
+        "    def to_json(self):\n"
+        "        return {}\n"
+        "    def walk(self, n):\n"
+        "        return n\n"
+        "    def label(self) -> 'Box':\n"
+        "        return Box()\n"
+        "def make() -> Tag:\n"
+        "    return Tag()\n"
+    )
+    model = package_model([module])
+    assert model[0] == {"Box": ["to_json", "shape", "walk"], "Tag": ["to_json", "walk", "label"]}
+    # a call inside its own definition is not a caller; self.shape is one
+    assert stray_members(model, [module]) == [
+        ("Box", "to_json"), ("Box", "walk"), ("Tag", "to_json"), ("Tag", "walk"), ("Tag", "label"),
+    ]  # fmt: skip
+    # the receiver's type comes from a call annotated to return Tag, from the
+    # quoted Box return of label, and from a parameter annotation; an untyped
+    # receiver counts for no class, not even for label, which Tag alone has
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "from module import make\n"
+        "def run(anything):\n"
+        "    tag = make()\n"
+        "    anything.to_json(), anything.walk(1), anything.label()\n"
+        "    return tag.to_json(), make().label().walk(2)\n"
+    )
+    assert stray_members(model, [module, caller]) == [("Box", "to_json"), ("Tag", "walk")]
+    (tmp_path / "show.py").write_text("def show(box: Box):\n    return box.to_json()\n")
+    paths = [module, caller, tmp_path / "show.py"]
+    assert stray_members(model, paths) == [("Tag", "walk")]
 
 
 def test_every_bound_kind_is_a_check_choice():

@@ -361,9 +361,14 @@ def test_sweep_with_a_repeated_kind_exits_two(capsys, monkeypatch):
 
 
 def test_json_csv_conflict(capsys):
-    code, _, err = run(capsys, ["check", "main", "--paley", "9", "--json", "--csv"])
-    assert code == 2
-    assert "mutually exclusive" in err
+    # --json and --csv spell --format json and --format csv, so any two of the
+    # three are refused, also --format text, the default; the flags are
+    # literals, so "text" is the very object the parser holds as a default
+    conflicts = (["--json", "--csv"], ["--format", "csv", "--json"], ["--format", "text", "--csv"])
+    for flags in conflicts:
+        code, out, err = run(capsys, ["check", "main", "--paley", "9"] + flags)
+        assert code == 2 and out == ""
+        assert "not allowed with argument" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -21,7 +21,7 @@ from normsum import (
     sym_eigen,
 )
 from normsum import graphs
-from normsum.graphs import _character_by_code, _gf_mul, pair_index, pair_mask, quadratic_character
+from normsum.graphs import _character_by_code, _gf_mul, pair_index, quadratic_character
 from normsum.linalg import _prime_power_split
 from oracles import (
     SRGParams,

@@ -822,8 +822,7 @@ def test_local_search_grid_digest(n):
 @pytest.mark.parametrize("seed", range(5))
 def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
     # a deterministic cost guard: a step that takes no flip leaves the graph
-    # as it was, and the next step reuses its screen and its exact scores;
-    # below SCREEN_MIN_N a step scores all m flips and there is no screen
+    # as it was, and the next step reuses its screen and its exact scores
     screen, values = search._flip_candidates, search._flip_values
     screens, scorings, held = [], [], []
 
@@ -833,9 +832,8 @@ def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
 
     def scored(a, is_, js, objective, k):
         held[:] = [a]  # the array the run flips in place
-        # the call on the screen's candidates or on all m flips, not the one
-        # on the random flip
-        if len(scorings) < len(screens) if screens else is_.size > 1:
+        # the call on the screen's candidates, not the one on the random flip
+        if len(scorings) < len(screens):
             scorings.append(a.tobytes())
         return values(a, is_, js, objective, k)
 
@@ -847,7 +845,7 @@ def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
         scorings.clear()
         search._anneal_once(n, "trace_sum", None, cfg, r)
         # one exact scoring per screen, of the same graph
-        assert screens == (scorings if n >= search.SCREEN_MIN_N else [])
+        assert screens == scorings
         # one flip (two entries) between consecutive scorings and at most one
         # after the last, so the scorings number 1 + the flips applied before
         # the last step, and no graph is scored twice in a row
@@ -1062,9 +1060,8 @@ def test_pair_objective_of_any_substack_is_the_full_stack_bit_for_bit(n):
         assert np.array_equal(search._pair_objective(stack[rows], "trace_sum", None), full[rows])
 
 
-@pytest.mark.parametrize("n", [6, 9, 16, 24])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 16, 24])
 def test_screened_annealing_takes_the_steps_of_scoring_every_flip(monkeypatch, n):
-    monkeypatch.setattr(search, "SCREEN_MIN_N", 1)  # screen at every order
     cfgs = [
         SearchConfig(restarts=2, max_steps=40, seed=1),
         SearchConfig(restarts=2, max_steps=40, temperature_initial=0.0, seed=2),
@@ -1083,6 +1080,7 @@ def test_screened_annealing_takes_the_steps_of_scoring_every_flip(monkeypatch, n
     monkeypatch.setattr(search, "_flip_candidates", lambda a, is_, js: np.arange(is_.size))
     every = [local_search_max(n, cfg=cfg) for cfg in cfgs]
     assert screened == every
+    assert sizes  # the screen ran at every order; at n = 2 it declines the one flip
     if n >= 16:
         assert np.median(sizes) <= 2  # the screen ran and re-scored a few flips
 
