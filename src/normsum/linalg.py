@@ -324,15 +324,19 @@ def _character_eigh(row0: np.ndarray) -> tuple[np.ndarray, float]:
     return np.sort(lam, axis=None), _certify(residual, scale * row0, "structured eigen")
 
 
-def eigh_basis(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def eigh_basis(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, float | list[float]]:
     """Ascending eigenvalues, orthonormal eigenvectors (columns) and certified
     residual ||AQ - QΛ||_F of a symmetric array, by a dense LAPACK ``eigh``;
-    NoConvergenceError when the certificate fails."""
+    NoConvergenceError when the certificate fails. A (B, n, n) stack is
+    factored in one call and gets a list of B residuals, each certified
+    against its own matrix."""
     try:
         w, q = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigendecomposition failed: {exc}") from exc
-    return w, q, _certify(_frobenius(sym @ q - q * w), sym, "eigen")
+    if sym.ndim == 2:
+        return w, q, _certify(_frobenius(sym @ q - q * w), sym, "eigen")
+    return w, q, [_certify(_frobenius(s @ v - v * e), s, "eigen") for s, v, e in zip(sym, q, w)]
 
 
 def _eigvalsh_stack(stack: np.ndarray) -> np.ndarray:

@@ -58,8 +58,10 @@ _SCREEN_G_TOL = 1e-4
 _SCREEN_T = 0.1 * np.arange(-35, 36)
 _SCREEN_X = np.exp(np.pi / 2 * np.sinh(_SCREEN_T))
 _SCREEN_W = 0.05 * _SCREEN_X * np.cosh(_SCREEN_T)
-# flips per batch: the (2, 64, 71) temporaries stay in cache; at n = 16 a
-# screen took 0.35 ms with 64, against 0.40 ms with 32 and 0.50 ms with 128
+# flips per batch of _ScreenWork's chunk buffers, (2, 64, 71) complex128 at
+# most; on a 2-vCPU Xeon a screen took 0.21, 0.73 and 3.2 ms at n = 16, 32
+# and 64 with 64, against 0.23, 0.83 and 3.6 ms with 32 and 0.20, 0.69 and
+# 3.5 ms with 128
 _SCREEN_CHUNK = 64
 
 
@@ -372,28 +374,82 @@ def exhaustive_max(
     )
 
 
-def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray):
+class _ScreenWork:
+    """The arrays that the flip screen of an n-vertex adjacency writes, for
+    m flips: one per annealing restart, so that a chunk of flips allocates
+    nothing and a screen little beyond its factorization. The nodes and
+    weights are those of _SCREEN_X and _SCREEN_W when it is built.
+
+    A complex table is a float64 table with re and im interleaved on its
+    last axis, so that one real matmul fills it and its complex128 view
+    reads it. The chunk buffers are flat, and a chunk of c flips uses
+    contiguous views of their first c flips, made here for the two chunk
+    sizes of m: np.take and np.matmul then write into them directly."""
+
+    def __init__(self, n: int, m: int) -> None:
+        self.x, self.w = _SCREEN_X, _SCREEN_W
+        self.x2 = self.x * self.x
+        k = self.x.size
+        self.pair = np.empty((2, n, n))  # A and J - I - A, then Q * Q
+        self.coef = np.empty((2, n, 2 * k))  # 1/(λ - ix), so R = Q diag(coef) Q^T
+        self.diag = np.empty((2, n, 2 * k))  # R_ii
+        self.inv = self.diag.reshape(-1)[: 2 * n * k].reshape(2, n, k)  # 1/(λ² + x²)
+        self.signed = np.empty((2, 2 * n, n))  # the rows of Q and of -Q
+        self.rows = np.empty(m, dtype=np.intp)  # the row of signed for each flip
+        self.d0 = np.empty((2, m), dtype=np.complex128)  # d at the smallest node
+        self.delta = np.empty(m)
+        # per flip: s Q[i] and Q[j], P = s R_ij, R_ii and R_jj of both
+        # matrices, and v of their sum
+        widths = (2 * n, 2 * n, 4 * k, 4 * k, 4 * k, k)
+        full = min(_SCREEN_CHUNK, m)
+        flat = [np.empty(full * width) for width in widths]
+        self.chunks = {}
+        for c in {full, m % _SCREEN_CHUNK} - {0}:
+            qi, qj, p, ri, rj, v = (b[: c * width] for b, width in zip(flat, widths))
+            p = p.reshape(2, c, 2 * k)
+            self.chunks[c] = (
+                qi.reshape(2, c, n),
+                qj.reshape(2, c, n),
+                p,
+                p.view(np.complex128),
+                ri.view(np.complex128).reshape(2, c, k),
+                rj.view(np.complex128).reshape(2, c, k),
+                v.reshape(c, k),
+            )
+
+
+def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenWork | None = None):
     """Screened change of ||A||_* + ||J - I - A||_* under each flip (is_[r],
     js[r]) of the 0/1 adjacency a, and a mask of the flips whose screened
-    value is unreliable; None when the screen declines.
+    value is unreliable; None when the screen declines. The changes are
+    written into `work` (a new workspace when None), and the next screen
+    on it overwrites them.
 
     By the Coulson integral, for symmetric A and A' of one order,
     ||A'||_* - ||A||_* = (2/pi) int_0^inf log|det(A' - ixI) / det(A - ixI)| dx.
     A flip adds s(e_i e_j^T + e_j e_i^T), s = +1 for a new edge and -1 for a
     removed one, so the ratio is the 2x2 determinant g = 1 + d with
-    d = 2s R_ij + R_ij^2 - R_ii R_jj and R = (A - ixI)^-1 = Q diag(1/(λ - ix)) Q^T.
-    The complement takes -s. One certified eigh of A and one of J - I - A
-    give R at all 71 nodes, both matrices in one batch and in real
-    arithmetic: Re R = Q diag(λ/(λ² + x²)) Q^T and Im R = Q diag(x/(λ² + x²))
-    Q^T, so R_ij at every node is the row product Q[i] * Q[j] times each
-    weight table, one matmul. d is formed directly, since 1 + d would lose
-    its 1/x² tail. A numerically singular A or J - I - A (|λ| <= SCREEN_TAU)
-    makes d a difference of 1/x² terms, so the screen declines; a
-    numerically singular A' makes |g| vanish at 0, and the flip is marked
-    unreliable when |g| at the smallest node is below _SCREEN_G_TOL.
+    d = P (P + 2) - R_ii R_jj, P = s R_ij and R = (A - ixI)^-1 =
+    Q diag(1/(λ - ix)) Q^T. The complement takes -s. One certified eigh of
+    the stack of A and J - I - A gives R at all 71 nodes, both matrices in
+    one batch: the complex table 1/(λ - ix) = (λ + ix)/(λ² + x²) is kept
+    as interleaved re and im, so R_ij at every node is the row product
+    Q[i] * Q[j] times that table, one real matmul, and d is formed in
+    complex arithmetic. d is formed directly, since 1 + d would lose its
+    1/x² tail, and |g|² = 1 + u with u = 2 Re d + |d|². The two matrices
+    share one log per flip and node: log|g_A| + log|g_B| = log1p(v) / 2
+    with v = u_A + u_B + u_A u_B, as (1 + u_A)(1 + u_B) = |g_A g_B|². v is
+    formed as 2 Re e + |e|² from e = d_A + d_B + d_A d_B, since
+    g_A g_B = 1 + e, which keeps the tail as d does.
+    A numerically singular A or J - I - A (|λ| <= SCREEN_TAU) makes d a
+    difference of 1/x² terms, so the screen declines; a numerically
+    singular A' makes |g| vanish at 0, and the flip is marked unreliable
+    when |g| of either matrix at the smallest node is below _SCREEN_G_TOL.
 
     The nodes span x_min = 5.2e-12 to x_max = 1.9e11, and the two tails they
     leave out carry under 1e-9 of a reliable value for n <= LOCAL_MAX_N.
+    The summed integrand is log|g_A| + log|g_B|, so its tail is at most the
+    sum of the two matrices' tails, bounded here.
     Upper tail: Q[i] . Q[j] = 0 gives
     R_ij = sum_k Q_ik Q_jk λ_k / (ix (λ_k - ix)), so |R_ij| <= ρ/x² with ρ
     the spectral radius, and |R_ii| <= 1/x; hence |d| <= (2ρ + 2)/x² for
@@ -407,61 +463,78 @@ def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray):
     2.0e-10 for both. Both are far inside the 1e-8 the screened values are
     held to and the SCREEN_DELTA margin of the candidates.
     """
+    if work is None:
+        work = _ScreenWork(a.shape[0], is_.size)
+    pair = work.pair
+    pair[0], pair[1] = a, complement_matrix(a)
     try:
-        (wa, qa, _), (wb, qb, _) = eigh_basis(a), eigh_basis(complement_matrix(a))
+        w, q, _ = eigh_basis(pair)
     except NoConvergenceError:
         return None
-    w = np.stack([wa, wb])[:, :, None]
     if not (np.abs(w) > SCREEN_TAU).all():
         return None
-    q = np.stack([qa, qb])
-    x = _SCREEN_X
-    inv = 1.0 / (w * w + x * x)
-    coef_re, coef_im = w * inv, x * inv  # (2, n, nodes)
-    sq = q * q
-    diag_re, diag_im = sq @ coef_re, sq @ coef_im  # R_ii at every node
-    sign = 1.0 - 2.0 * a[is_, js]
-    sign = np.stack([sign, -sign])[:, :, None]
-    delta = np.empty((2, is_.size))
-    u0 = np.empty((2, is_.size))  # u at the smallest node, where |g|^2 = 1 + u
-    for lo in range(0, is_.size, _SCREEN_CHUNK):
-        part = slice(lo, lo + _SCREEN_CHUNK)
-        i, j = is_[part], js[part]
-        # P = s R_ij, so that 2s R_ij + R_ij^2 = P (P + 2) as s^2 = 1
-        rows = np.take(q, i, axis=1) * np.take(q, j, axis=1) * sign[:, part]
-        p_re, p_im = rows @ coef_re, rows @ coef_im
-        re_i, im_i = np.take(diag_re, i, axis=1), np.take(diag_im, i, axis=1)
-        re_j, im_j = np.take(diag_re, j, axis=1), np.take(diag_im, j, axis=1)
-        # Re d = Re P (Re P + 2) - (Im P)^2 - Re(R_ii R_jj)
-        re_d = p_re + 2.0
-        re_d *= p_re
-        re_d -= p_im * p_im
-        re_d -= re_i * re_j
-        re_d += im_i * im_j
-        # Im d = 2 Im P (Re P + 1) - Im(R_ii R_jj)
-        im_d = p_re + 1.0
-        im_d *= p_im
-        im_d += im_d
-        im_d -= re_i * im_j
-        im_d -= im_i * re_j
-        # u = 2 Re d + |d|^2, and log1p(u) = 2 log|g|
-        u = re_d + 2.0
-        u *= re_d
-        im_d *= im_d
-        u += im_d
-        u0[:, part] = u[:, :, 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.log1p(u, out=u)
-        delta[:, part] = u @ _SCREEN_W
-    return delta.sum(axis=0), (u0 < _SCREEN_G_TOL**2 - 1.0).any(axis=0)
+    w = w[:, :, None]
+    inv, coef = work.inv, work.coef.view(np.complex128)
+    np.multiply(w, w, out=inv)
+    inv += work.x2
+    np.divide(1.0, inv, out=inv)
+    np.multiply(w, inv, out=coef.real)
+    np.multiply(work.x, inv, out=coef.imag)
+    np.multiply(q, q, out=pair)
+    np.matmul(pair, work.coef, out=work.diag)  # R_ii at every node
+    diag = work.diag.view(np.complex128)
+    # s Q[i] is row i + n a_ij of signed[0] and of signed[1], as s = 1 - 2 a_ij
+    # for A and 2 a_ij - 1 for J - I - A
+    n = a.shape[0]
+    signed = work.signed.reshape(2, 2, n, n)
+    signed[0, 0], signed[1, 1] = q
+    np.negative(q[0], out=signed[0, 1])
+    np.negative(q[1], out=signed[1, 0])
+    np.add(is_, n * a[is_, js], out=work.rows, casting="unsafe")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for lo in range(0, is_.size, _SCREEN_CHUNK):
+            part = slice(lo, lo + _SCREEN_CHUNK)
+            i, j = is_[part], js[part]
+            qi, qj, p, pc, ri, rj, v = work.chunks[i.size]
+            # mode="clip" takes straight into out, "raise" through a copy
+            np.take(work.signed, work.rows[part], axis=1, out=qi, mode="clip")
+            np.take(q, j, axis=1, out=qj, mode="clip")
+            qi *= qj
+            np.matmul(qi, work.coef, out=p)  # P = s R_ij
+            np.take(diag, i, axis=1, out=ri, mode="clip")
+            np.take(diag, j, axis=1, out=rj, mode="clip")
+            # d = P (P + 2) - R_ii R_jj, as 2s R_ij + R_ij^2 = P (P + 2)
+            ri *= rj
+            np.add(pc, 2.0, out=rj)
+            pc *= rj
+            pc -= ri
+            work.d0[:, part] = pc[:, :, 0]
+            # e = d_A + d_B + d_A d_B, so that g_A g_B = 1 + e
+            e = ri[0]
+            np.multiply(pc[0], pc[1], out=e)
+            e += pc[0]
+            e += pc[1]
+            re, im = e.real, e.imag
+            np.add(re, 2.0, out=v)
+            v *= re
+            im *= im
+            v += im
+            np.log1p(v, out=v)
+            np.matmul(v, work.w, out=work.delta[part])
+    d0 = work.d0
+    u0 = (d0.real + 2.0) * d0.real + d0.imag * d0.imag  # |g|^2 = 1 + u0
+    return work.delta, (u0 < _SCREEN_G_TOL**2 - 1.0).any(axis=0)
 
 
-def _flip_candidates(a: np.ndarray, is_: np.ndarray, js: np.ndarray) -> np.ndarray:
+def _flip_candidates(
+    a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenWork | None = None
+) -> np.ndarray:
     """Ascending indices of the flips to re-score exactly: every flip whose
     screened value is within SCREEN_DELTA of the largest reliable one, and
     every unreliable flip; every flip when the screen declines or gives a
-    reliable value that is not finite."""
-    screened = _screen_flips(a, is_, js)
+    reliable value that is not finite. `work` is the restart's screen
+    workspace, or None for a new one."""
+    screened = _screen_flips(a, is_, js, work)
     if screened is not None:
         delta, unreliable = screened
         reliable = delta[~unreliable]
@@ -529,10 +602,11 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     temp = cfg.temperature_initial
     js, is_ = np.nonzero(pair_mask(n))  # flip r toggles pair bit r
     every = np.arange(m)
+    work = _ScreenWork(n, m) if objective == "trace_sum" else None
     vals = None  # the scores of a, kept until a flip changes it
     for _ in range(cfg.max_steps):
         if vals is None:
-            cand = _flip_candidates(a, is_, js) if objective == "trace_sum" else every
+            cand = _flip_candidates(a, is_, js, work) if objective == "trace_sum" else every
             vals = _flip_values(a, is_[cand], js[cand], objective, k)
         evaluations += m
         top = int(np.argmax(vals))  # cand ascends, so ties go to the smallest flip
@@ -586,13 +660,16 @@ def local_search_max(
     scoring every flip gives, bit for bit. A step that takes no flip leaves
     the graph unchanged, and the next step reuses its scores.
 
-    On one thread of a 2-vCPU Xeon a step that scores its graph takes about
-    0.3-0.5 ms at n = 16, 1.2-1.6 ms at n = 32 and 4.7-5.7 ms at n = 64
-    (2.4, 35 and 530-580 ms when every flip is scored), and a step that
-    reuses the scores 0.02-0.12 ms. The freeze test ends a default restart
-    after about 5500 steps, of which a few hundred score their graph; with
-    seed 3 one restart took 0.16-0.18, 0.60-0.66 and 2.7-2.9 s at n = 16, 32
-    and 64, and the default config at n = 64 took 28 s. `evaluations`
+    On a 2-vCPU Xeon a step that scores its graph takes about 0.27 ms at
+    n = 16, 0.87 ms at n = 32 and 3.5 ms at n = 64, of which the screen
+    takes 0.23, 0.78 and 3.2 ms (2.4, 35 and 530-580 ms when every flip is
+    scored), and a step that reuses the scores 0.016, 0.039 and 0.11 ms.
+    The freeze test ends a default restart after about 5500 steps, of which
+    a few hundred score their graph; with seed 3 one restart took 0.145,
+    0.48 and 2.1 s at n = 16, 32 and 64, and the default config at n = 64
+    took 22 s. Each restart builds one screen workspace
+    (:class:`_ScreenWork`, about 1.2 MB at n = 64) and frees it when it
+    ends. `evaluations`
     counts graphs considered, 1 per restart plus m per step, not
     factorizations. Speed does not find the equality case: at n = 17 the
     default config misses the bound met by P17.

@@ -3,8 +3,8 @@ strong-regularity test A^2 = k I + lam A + mu (J - I - A), the
 conference-graph family it singles out, the GF(q) character table by digit
 codes, the (Z_p)^e translation-invariance test by rolls, the complement
 graph by bit flips, the edge list read off the pair mask, cycles and
-complete graphs, and the property sweep
-run kind by kind, each kind drawing its own samples.
+complete graphs, the annealing flip screen with one log per matrix, and
+the property sweep run kind by kind, each kind drawing its own samples.
 Test code only; the package does not call them."""
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from normsum.linalg import _prime_power_split, check_dimensions
 from normsum.rng import SplitMix64, as_seed, derive_seed
 from normsum.search import (
     _KIND_TAGS,
+    _SCREEN_G_TOL,
+    SCREEN_TAU,
     SWEEP_KINDS,
     KindSweep,
     SweepReport,
@@ -144,6 +146,36 @@ def cycle(n):
 
 def complete(n):
     return Graph(n=n, bits=(1 << (n * (n - 1) // 2)) - 1)
+
+
+def two_log_screen(a, is_, js, x, weights):
+    """search._screen_flips as it was before the two matrices shared one log:
+    for each of A and J - I - A, factored by its own numpy eigh, the
+    Coulson integrand log|g| = log1p(u) / 2 with u = 2 Re d + |d|^2 from
+    real arithmetic on separate re and im tables, summed with the weights
+    at the nodes x, one matrix at a time. Returns (delta, unreliable), or
+    None when either matrix has an eigenvalue within SCREEN_TAU of 0."""
+    delta = np.zeros(is_.size)
+    unreliable = np.zeros(is_.size, dtype=bool)
+    s = 1.0 - 2.0 * a[is_, js]
+    j = np.ones(a.shape) - np.eye(a.shape[0])
+    for mat, sign in ((a, s), (j - a, -s)):
+        w, q = np.linalg.eigh(mat)
+        if not (np.abs(w) > SCREEN_TAU).all():
+            return None
+        inv = 1.0 / (w[:, None] ** 2 + x**2)
+        coef_re, coef_im = w[:, None] * inv, x * inv  # (n, nodes)
+        diag_re, diag_im = (q * q) @ coef_re, (q * q) @ coef_im
+        rows = q[is_] * q[js] * sign[:, None]
+        p_re, p_im = rows @ coef_re, rows @ coef_im
+        re_i, im_i, re_j, im_j = diag_re[is_], diag_im[is_], diag_re[js], diag_im[js]
+        re_d = p_re * (p_re + 2.0) - p_im * p_im - (re_i * re_j - im_i * im_j)
+        im_d = 2.0 * p_im * (p_re + 1.0) - (re_i * im_j + im_i * re_j)
+        u = re_d * (re_d + 2.0) + im_d * im_d
+        unreliable |= u[:, 0] < _SCREEN_G_TOL**2 - 1.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            delta += np.log1p(u) @ weights
+    return delta, unreliable
 
 
 def property_sweep_per_kind(

@@ -1,7 +1,7 @@
 """Static guard: every public name, every module-level definition and every
 method and property of a package class has a caller outside the tests, every
-bound kind is a `check` choice, and every name the benchmark imports
-exists."""
+definition of the test oracles has a caller in the tests, every bound kind is
+a `check` choice, and every name the benchmark imports exists."""
 
 import ast
 from collections import Counter
@@ -11,13 +11,14 @@ import normsum
 from normsum import bounds, cli
 
 SRC = Path(normsum.__file__).parent
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 # the package's modules, for attribute references such as normsum.svd or linalg.svd
 MODULES = {"normsum"} | {p.stem for p in SRC.glob("*.py")}
 
 
-def references(path):
-    """Names the module uses, bare or as an attribute of a package module,
+def references(path, modules=MODULES):
+    """Names the module uses, bare or as an attribute of one of `modules`,
     leaving out the uses inside the definition of the same name."""
     found = set()
 
@@ -30,7 +31,7 @@ def references(path):
         elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id in MODULES
+            and node.value.id in modules
         ):
             name = node.attr
         if name is not None and name not in owners:
@@ -53,9 +54,10 @@ def callers():
     return package_modules() + sorted(PERFBENCH.glob("*.py"))
 
 
-def strays(names, paths):
-    """The names that no module of paths references."""
-    used = set().union(*(references(p) for p in paths))
+def strays(names, paths, modules=MODULES):
+    """The names that no module of paths references, bare or as an
+    attribute of one of `modules`."""
+    used = set().union(*(references(p, modules) for p in paths))
     return [name for name in names if name not in used]
 
 
@@ -281,6 +283,39 @@ def test_the_scan_finds_a_stray_method(tmp_path):
     (tmp_path / "show.py").write_text("def show(box: Box):\n    return box.to_json()\n")
     paths = [module, caller, tmp_path / "show.py"]
     assert stray_members(model, paths) == [("Tag", "walk")]
+
+
+def test_every_oracle_has_a_caller_in_the_tests():
+    names = definitions(TESTS / "oracles.py")
+    assert {"two_log_screen", "property_sweep_per_kind", "SRGParams"} <= set(names)
+    tests = sorted(TESTS.glob("test_*.py"))
+    assert strays(names, tests, {"oracles"}) == []
+
+
+def test_the_scan_finds_a_stray_oracle(tmp_path):
+    (tmp_path / "oracles.py").write_text(
+        "def imported():\n"
+        "    return 1\n"
+        "def dotted(n):\n"
+        "    return dotted(n - 1) if n else imported()\n"
+        "def stray():\n"
+        "    return dotted(2)\n"
+        "class Fixture:\n"
+        "    pass\n"
+    )
+    (tmp_path / "test_a.py").write_text(
+        "import oracles\n"
+        "from oracles import imported\n"
+        "def test_a():\n"
+        "    assert oracles.dotted(3) == imported()\n"
+        "    other.stray, other.Fixture\n"
+    )
+    names = definitions(tmp_path / "oracles.py")
+    assert names == ["imported", "dotted", "stray", "Fixture"]
+    # a use inside the oracles themselves, or through another module's
+    # attribute, is not a caller
+    assert strays(names, [tmp_path / "test_a.py"], {"oracles"}) == ["stray", "Fixture"]
+    assert strays(names, [tmp_path / "test_a.py"]) == ["dotted", "stray", "Fixture"]
 
 
 def test_every_bound_kind_is_a_check_choice():

@@ -295,6 +295,38 @@ def test_forged_eigh_result_fails_the_svd_certificate(monkeypatch):
         sym_eigen(a)
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_eigh_basis_factors_a_stack_as_its_matrices(n):
+    # the annealing screen factors A and J - I - A in one call
+    rng = np.random.default_rng(n)
+    up = np.triu(rng.random((n, n)) < 0.5, 1)
+    a = (up | up.T).astype(np.float64)
+    stack = np.stack([a, 1.0 - np.eye(n) - a])
+    w, q, residuals = linalg.eigh_basis(stack)
+    assert w.shape == (2, n) and q.shape == (2, n, n) and len(residuals) == 2
+    for member, values, vectors, residual in zip(stack, w, q, residuals):
+        alone = linalg.eigh_basis(member)
+        assert np.array_equal(values, alone[0]) and np.array_equal(vectors, alone[1])
+        assert residual == alone[2]
+
+
+def test_eigh_basis_certifies_each_matrix_of_a_stack(monkeypatch):
+    a = random_symmetric(SplitMix64(47), 8)
+    stack = np.stack([a, a + 1.0])
+    real_eigh = np.linalg.eigh
+
+    def forged(arr):
+        w, q = real_eigh(arr)
+        if arr.ndim == 3:
+            w[1] += 1e-6  # the second matrix of a stack alone
+        return w, q
+
+    monkeypatch.setattr(np.linalg, "eigh", forged)
+    assert linalg.eigh_basis(stack[1])[2] <= 1e-12
+    with pytest.raises(NoConvergenceError):
+        linalg.eigh_basis(stack)
+
+
 def test_dense_matrix_keeps_its_measured_asymmetry():
     mat = DenseMatrix([[0, 1.0], [0.5, 0]])
     assert mat._asymmetry() == 0.5

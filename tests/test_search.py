@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -826,9 +827,9 @@ def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
     screen, values = search._flip_candidates, search._flip_values
     screens, scorings, held = [], [], []
 
-    def screened(a, is_, js):
+    def screened(a, is_, js, work):
         screens.append(a.tobytes())
-        return screen(a, is_, js)
+        return screen(a, is_, js, work)
 
     def scored(a, is_, js, objective, k):
         held[:] = [a]  # the array the run flips in place
@@ -1045,6 +1046,91 @@ def test_screen_matches_the_full_rule_on_random_graphs(monkeypatch, n):
     assert ran[1]
 
 
+def assert_screen_matches_two_logs(a, work=None):
+    """Check the screen of the adjacency a, on `work` or a new workspace,
+    against oracles.two_log_screen: the same decline, the same unreliable
+    mask, and each reliable value within 1e-10. Returns whether it ran."""
+    js, is_ = np.nonzero(pair_mask(a.shape[0]))
+    screened = search._screen_flips(a, is_, js, work)
+    oracle = oracles.two_log_screen(a, is_, js, search._SCREEN_X, search._SCREEN_W)
+    if screened is None or oracle is None:
+        assert screened is None and oracle is None
+        return False
+    assert np.array_equal(screened[1], oracle[1])
+    reliable = ~oracle[1]
+    err = np.abs(screened[0][reliable] - oracle[0][reliable])
+    assert err.size == 0 or err.max() <= 1e-10
+    return True
+
+
+@pytest.mark.parametrize("n", [10, 11, 16, 23, 32, 47, 64])
+def test_one_log_per_flip_matches_one_log_per_matrix(n):
+    # the screen sums log1p(u_A + u_B + u_A u_B) where the oracle sums
+    # log1p(u_A) and log1p(u_B); at n <= 11 the flips fill less than one
+    # chunk, and above it the last chunk is partial
+    rng = np.random.default_rng(300 + n)
+    ran = 0
+    for _ in range(40):  # small orders are often singular, and the screen declines
+        ran += assert_screen_matches_two_logs(random_adjacency(rng, n, rng.uniform(0.2, 0.8)))
+        if ran == 3:
+            break
+    assert ran == 3
+
+
+def test_one_log_per_flip_matches_one_log_per_matrix_near_singular_graphs():
+    assert all(assert_screen_matches_two_logs(a) for a in near_singular_graphs())
+
+
+def test_screen_workspace_keeps_no_state_between_graphs():
+    # an annealing restart screens every graph it scores on one workspace,
+    # including graphs the screen declines
+    near = near_singular_graphs()
+    n = near[0].shape[0]
+    rng = np.random.default_rng(7)
+    graphs = [random_adjacency(rng, n, p) for p in (0.5, 0.3)] + [np.zeros((n, n))]
+    graphs += [a for a in near if a.shape[0] == n] + [random_adjacency(rng, n, 0.7)]
+    work = search._ScreenWork(n, n * (n - 1) // 2)
+    ran = [assert_screen_matches_two_logs(a, work) for a in graphs]
+    assert ran[2] is False and ran.count(True) == len(graphs) - 1
+
+
+def test_screen_declines_when_one_certificate_fails(monkeypatch):
+    # A and J - I - A share one factorization call, each with its own
+    # certificate, and either failing declines the screen
+    a = random_adjacency(np.random.default_rng(16), 16, 0.5)
+    js, is_ = np.nonzero(pair_mask(16))
+    assert search._screen_flips(a, is_, js) is not None
+    real_eigh = np.linalg.eigh
+    for member in (0, 1):
+
+        def forged(arr, member=member):
+            w, q = real_eigh(arr)
+            w[member] += 1e-6
+            return w, q
+
+        monkeypatch.setattr(np.linalg, "eigh", forged)
+        assert search._screen_flips(a, is_, js) is None
+        assert np.array_equal(search._flip_candidates(a, is_, js), np.arange(js.size))
+
+
+@pytest.mark.parametrize("n, cap", [(16, 64_000), (64, 256_000)])
+def test_screen_on_a_workspace_allocates_no_chunk_temporaries(n, cap):
+    # a deterministic cost guard: one (2, 64, 71) float64 chunk temporary
+    # is 73 KB, and a screen that allocates them peaks at about 0.9 MB at
+    # n = 16; what is left is the factorization and a few (2, m) arrays
+    a = random_adjacency(np.random.default_rng(n), n, 0.5)
+    js, is_ = np.nonzero(pair_mask(n))
+    work = search._ScreenWork(n, js.size)
+    assert search._screen_flips(a, is_, js, work) is not None
+    tracemalloc.start()
+    try:
+        search._screen_flips(a, is_, js, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
+
+
 @pytest.mark.parametrize("n", [5, 9, 16, 32, 64])
 def test_pair_objective_of_any_substack_is_the_full_stack_bit_for_bit(n):
     # the annealing step re-scores a few flips and must get the values that
@@ -1070,14 +1156,14 @@ def test_screened_annealing_takes_the_steps_of_scoring_every_flip(monkeypatch, n
     sizes = []
     screen = search._flip_candidates
 
-    def recorded(a, is_, js):
-        cand = screen(a, is_, js)
+    def recorded(a, is_, js, work):
+        cand = screen(a, is_, js, work)
         sizes.append(cand.size)
         return cand
 
     monkeypatch.setattr(search, "_flip_candidates", recorded)
     screened = [local_search_max(n, cfg=cfg) for cfg in cfgs]
-    monkeypatch.setattr(search, "_flip_candidates", lambda a, is_, js: np.arange(is_.size))
+    monkeypatch.setattr(search, "_flip_candidates", lambda a, is_, js, work: np.arange(is_.size))
     every = [local_search_max(n, cfg=cfg) for cfg in cfgs]
     assert screened == every
     assert sizes  # the screen ran at every order; at n = 2 it declines the one flip
@@ -1098,7 +1184,7 @@ def test_screened_annealing_breaks_ties_like_scoring_every_flip(monkeypatch):
     screened = [local_search_max(10, cfg=cfg) for cfg in cfgs]
     # after one step the witness is the flipped graph, so the chosen flip shows
     assert screened[0].witnesses == (Graph.from_flags(10, flips[first][pair_mask(10)]),)
-    monkeypatch.setattr(search, "_flip_candidates", lambda a, is_, js: np.arange(is_.size))
+    monkeypatch.setattr(search, "_flip_candidates", lambda a, is_, js, work: np.arange(is_.size))
     assert screened == [local_search_max(10, cfg=cfg) for cfg in cfgs]
 
 
