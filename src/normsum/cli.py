@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -86,35 +87,72 @@ def _render_floats(items, pad: str) -> str | None:
 
 
 def render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+    """The JSON text of obj, as a RunReport is printed.
+
+    A non-empty dict, list or tuple puts one item per line, indented two
+    spaces per level from `indent`; keys keep their order and go through
+    str. Strings are escaped to ASCII exactly as json.dumps escapes them.
+    Floats and numpy floats print as format_float does: 17 significant
+    digits, -0.0 as 0, NaN and the infinities as null. A list or tuple met
+    again at the same indent is rendered once and its text repeated. Any
+    other type raises TypeError.
+    """
+    out: list[str] = []
+    _emit(obj, "  " * indent, out, {})
+    return "".join(out)
+
+
+def _emit(obj, pad: str, out: list[str], seen: dict) -> None:
+    """Append the text of obj, indented by pad, to out.
+
+    seen maps (id, pad) of each list or tuple rendered so far to the slice of
+    out that holds its text. Every object it names is reachable from the
+    object given to render_json, so no id is reused while seen lives.
+    """
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        inner = _render_floats(obj, pad)
-        if inner is None:
-            inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in obj.items():
+            out.append(sep + _quote(str(k)) + ": ")
+            _emit(v, inner, out, seen)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        key = (id(obj), pad)
+        if key in seen:
+            start, stop = seen[key]
+            out.extend(out[start:stop])
+            return
+        start = len(out)
+        body = _render_floats(obj, pad) if obj else None
+        if body is not None:
+            out.append("[\n" + body + "\n" + pad + "]")
+        elif not obj:
+            out.append("[]")
+        else:
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for v in obj:
+                out.append(sep)
+                _emit(v, inner, out, seen)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "]")
+        seen[key] = start, len(out)
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(float(obj)))
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +187,12 @@ def _load_matrix_file(path: str) -> DenseMatrix:
             rows.append([_float(tok) for tok in line.split(",")])
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
+    for i, row in enumerate(rows[1:], 2):
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"ragged matrix in {path}: row {i} has {len(row)} entries,"
+                f" the first row has {len(rows[0])}"
+            )
     return DenseMatrix(rows)
 
 

@@ -709,7 +709,8 @@ def local_search_max(
 class KindSweep:
     """Tally for one sweep kind: how many trials passed, the worst slack seen
     (for the complement eigenvalue kind, minus the largest margin), and the
-    input that produced it."""
+    input that produced it. Kinds that keep the same sample share one
+    witness dict."""
 
     kind: str
     trials: int
@@ -809,8 +810,9 @@ def property_sweep(
     Every requested kind of that stream checks each sample through one
     SpectrumPair, so a sample and its partner are factored once each. Any
     violation is reported with the offending input serialized in full: each
-    kind keeps its worst sample and serializes it once, at the end. A kind
-    named twice is an error, as it would run on the same samples again.
+    kind keeps its worst sample, and at the end each kept sample is
+    serialized once, into one witness that every kind keeping it shares. A
+    kind named twice is an error, as it would run on the same samples again.
     """
     trials, seed = as_positive_int(trials, "trials"), as_seed(seed)
     lo, hi = (as_int(v, "n_range bound") for v in n_range)
@@ -834,12 +836,16 @@ def property_sweep(
                 tally[kind][0] += ok
                 if slack < tally[kind][1]:
                     tally[kind][1:] = slack, sample
-    results = []
+    # kinds that keep the same sample share its one witness; the tally keeps
+    # every sample alive, so no id is reused here
+    results, witnesses = [], {}
     for kind, (passes, slack, sample) in tally.items():
-        witness = None
-        if isinstance(sample, Graph):
-            witness = {"graph6": graph6_encode(sample)}
-        elif sample is not None:
-            witness = {"matrix": sample.to_json()}
+        if sample is not None and id(sample) not in witnesses:
+            witnesses[id(sample)] = (
+                {"graph6": graph6_encode(sample)}
+                if isinstance(sample, Graph)
+                else {"matrix": sample.to_json()}
+            )
+        witness = witnesses.get(id(sample))
         results.append(KindSweep(kind, trials, passes, trials - passes, slack, witness))
     return SweepReport(seed=seed, n_range=(lo, hi), results=tuple(results))

@@ -452,6 +452,14 @@ def test_norms_matrix_file_csv(tmp_path, capsys):
     assert abs(rep["results"]["operator_norm"] - 0.5) < 1e-12
 
 
+def test_norms_ragged_matrix_file_csv_names_the_row(tmp_path, capsys):
+    path = tmp_path / "ragged.csv"
+    path.write_text("0,1\n\n1\n")
+    code, out, err = run(capsys, ["norms", "--matrix", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: ragged matrix in {path}: row 2 has 1 entries, the first row has 2\n"
+
+
 def test_spectrum_graph_and_edges_file(tmp_path, capsys):
     code, rep = run_json(capsys, ["spectrum", "--graph6", "Dhc"])
     assert code == 0
@@ -568,11 +576,26 @@ def test_format_float_matches_the_two_branch_rule_on_seeded_bit_patterns():
         assert format_float(x) == _two_branch_format_float(x)
 
 
-def _generic_list(items, indent: int) -> str:
-    """A list rendered item by item, as render_json does for mixed lists."""
+def _reference_render(obj, indent: int = 0) -> str:
+    """The JSON text item by item, each string through json.dumps and each
+    container rendered where it stands: what render_json must print."""
     pad = "  " * indent
-    inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in items)
-    return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, (dict, list, tuple)) and not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    if isinstance(obj, dict):
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {_reference_render(v, indent + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        inner = ",\n".join(f"{pad}  {_reference_render(v, indent + 1)}" for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    return json.dumps(obj)
 
 
 @pytest.mark.parametrize(
@@ -591,7 +614,7 @@ def _generic_list(items, indent: int) -> str:
 )
 def test_render_json_float_lists_match_the_generic_path(items):
     for indent in (0, 2):
-        assert render_json(items, indent) == _generic_list(items, indent)
+        assert render_json(items, indent) == _reference_render(items, indent)
     assert json.loads(render_json({"a": {"b": items}}))["a"]["b"] == [
         None if isinstance(v, float) and not math.isfinite(v) else v for v in items
     ]
@@ -610,7 +633,7 @@ def test_render_json_float_lists_match_the_generic_path_on_random_lists():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.one_of(st.lists(st.floats(), min_size=1), st.lists(item, min_size=1)))
     def check(items):
-        assert render_json(items, 1) == _generic_list(items, 1)
+        assert render_json(items, 1) == _reference_render(items, 1)
 
     check()
 
@@ -633,6 +656,10 @@ def test_construct_csv_matches_the_per_entry_rule(capsys, argv):
     assert out == expected + "\n"
 
 
+# one op per subcommand and check kind, plus a one-trial sweep whose kinds
+# share their witnesses and a seed-37 sweep whose kinds keep different
+# samples; the digests were taken from the renderer that called json.dumps
+# on every string and rendered each kind's witness on its own
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -643,6 +670,82 @@ def test_construct_csv_matches_the_per_entry_rule(capsys, argv):
         (
             "construct hadamard 32 --json",
             "389be649acf5527acce152ae4d37dc4566f42c20aaf7d6f9ee70c04d573261a2",
+        ),
+        (
+            "construct paley 13 --json",
+            "413055217a571f05c4db0daad0a612298fe407ac094fd786c5f7b879aff427d9",
+        ),
+        (
+            "construct kyfan-extremal 5 --p 2 --q 3 --json",
+            "2b0603e4625215da812798ca9bde7362167c4b67a347b4db9ae674050a6b1494",
+        ),
+        (
+            "construct opnorm-extremal 4 3 --orientation rows --json",
+            "bf3c0c7e126c37e6ff699429a61185adbbe4e95af62a0067ad05d42a14b94491",
+        ),
+        (
+            "spectrum --paley 13 --json",
+            "773e73de5ce524154aa9f98330312372d6b94c65dee497c5ad125e088ff4f395",
+        ),
+        (
+            "spectrum --graph6 Gz`pY? --json",
+            "8294f21944416b2ceaa063419bf59bcde656129c09b8f9a5919f424df3d927e1",
+        ),
+        (
+            "norms --paley 13 --k 3 --json",
+            "59e4f15db36cbb7147e539d08ebdf1e416d4e5e2b8a6f60ce96071bec13ce454",
+        ),
+        (
+            "norms --graph6 Gz`pY? --json",
+            "2d4458f605d2fed4c25d949fbd80b38af36de99b219dd34b672e1a357cf9b5cc",
+        ),
+        (
+            "check koolen_moulton --paley 13 --json",
+            "3b2f3fd99358acb4164a8b990d8a771ac384bda83ddba5c985f98f933930118b",
+        ),
+        (
+            "check main --paley 13 --json",
+            "463c95f495e6d492b2affe6924702528212fcfa900494bae13fabeffe21fab70",
+        ),
+        (
+            "check gutman_zhou --paley 13 --json",
+            "880b9b1da982cf101e3b501715f206fcd9620b0ad361fa068ac6a8a2600bee5a",
+        ),
+        (
+            "check shifted --paley 13 --json",
+            "0c9255178ce9167895ac7f016cedffa65cbad0290f2b88b1337bbeb0ac7ed6c7",
+        ),
+        (
+            "check kyfan --order 5 --p 2 --q 1 --json",
+            "7b0a59a9f85c472b73d872d312b99e050f2c6856b68b84d6e1b9fd365b7a0edd",
+        ),
+        (
+            "check opnorm --rows 4 --cols 6 --orientation columns --json",
+            "6efe9f03e1116496b54e8a7d55aace79965ba6c19653c9ec3195dcbb9fc4ee01",
+        ),
+        (
+            "check weyl --paley 13 --json",
+            "b96a50a7b0adb83fdf4f9bd7a3ae0f4d2efe09f16c1c956dbcb5a0bb14b143f0",
+        ),
+        (
+            "check equality --paley 13 --json",
+            "2d2c26feff6e688f52a7beb7fc9a3d5c182f367271346152ba2b4d9781de0c92",
+        ),
+        (
+            "search exhaustive --n 5 --json",
+            "c2a3f53beea279914ba8d2d9c1299dafc5514ca94a7fc7478af88db76db6553b",
+        ),
+        (
+            "search local --n 8 --seed 11 --steps 40 --restarts 2 --json",
+            "17ce96a621deeaa06dbb0d434e591c0e54ba1fd5cd54ae3d407d1dec5ec6a0ec",
+        ),
+        (
+            "sweep --trials 1 --seed 7 --json",
+            "fb397b5066984222f2e3628aa6ec13428e438a7d6eb8c294145fa6f82a3b4ea3",
+        ),
+        (
+            "sweep --trials 3 --n-min 2 --n-max 5 --seed 37 --json",
+            "80f5918025d2f0fd38243076a6c44e0e7fe68bd9073e1596dd87e0f97ac37f4b",
         ),
     ],
 )
@@ -659,6 +762,96 @@ def test_render_json_shapes():
     assert json.loads(text) == {"a": 1, "b": [1.5, None, True], "c": {"d": "x"}, "e": []}
     with pytest.raises(TypeError):
         render_json({"bad": object()})
+    row = [0.5, 1.5]
+    with pytest.raises(TypeError):
+        render_json({"a": row, "b": [row, object()]})
+
+
+def _unshared(obj):
+    """A copy of obj in which no list, tuple or dict appears twice.
+    (copy.deepcopy would keep the repeats.)"""
+    if isinstance(obj, dict):
+        return {k: _unshared(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_unshared(v) for v in obj)
+    return obj
+
+
+def _loaded(obj):
+    """What json.loads reads back from render_json(obj)."""
+    if isinstance(obj, dict):
+        return {str(k): _loaded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_loaded(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+def _check_render(obj):
+    for indent in (0, 1, 3):
+        text = render_json(obj, indent)
+        assert text == render_json(_unshared(obj), indent) == _reference_render(obj, indent)
+    assert json.loads(render_json(obj)) == _loaded(obj)
+
+
+def test_render_json_repeated_containers_render_as_unshared_copies():
+    row = [0.5, -0.0, 1 / 3]
+    mixed = [1, "a", None, row, (row, float("nan"))]
+    obj = {
+        "a": row,
+        "b": row,
+        "c": {"d": row, "e": mixed, "f": {}},
+        "g": [mixed, mixed, [], []],
+        "h": (row, row, {"row": row}),
+    }
+    _check_render(obj)
+    _check_render([obj, obj])
+
+
+def test_render_json_matches_the_reference_on_random_trees():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    leaf = st.one_of(
+        st.floats(),
+        st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+        st.integers(),
+        st.floats(width=32).map(np.float32),
+        st.floats().map(np.float64),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.none(),
+        st.booleans(),
+        st.text(max_size=8),
+    )
+    tree = st.recursive(
+        leaf,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=5),
+            st.lists(kids, max_size=5).map(tuple),
+            st.dictionaries(st.text(max_size=8), kids, max_size=5),
+        ),
+        max_leaves=30,
+    )
+    # the same subtrees at several positions and depths
+    shared = st.builds(lambda x, y: {"x": x, "y": [x, y, x], "z": (y, {"x": x})}, tree, tree)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(tree, shared))
+    def check(obj):
+        _check_render(obj)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['say "hi"', "back\\slash\\", "\t\n\r\x00\x08\x0c\x1f\x7f", "ünïcødé ✓ 𝄞 \u2028", "\ud800", ""],
+)
+def test_render_json_escapes_strings_as_json_dumps(text):
+    assert render_json(text) == json.dumps(text)
+    assert render_json({text: [text, text]}) == json.dumps({text: [text, text]}, indent=2)
 
 
 def test_threads_auto_gives_the_results_of_threads_1(capsys):

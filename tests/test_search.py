@@ -1243,6 +1243,27 @@ def test_property_sweep_shared_samples():
     assert set(w0) == set(w1) == {"matrix"}
 
 
+def _witnesses(trials, seed, n_range):
+    rep = property_sweep(trials, seed, n_range, list(search.SWEEP_KINDS))
+    return {t.kind: t.worst_witness for t in rep.results}
+
+
+def test_property_sweep_kinds_keeping_one_sample_share_its_witness():
+    # with one trial, the kinds of a stream all keep its one sample
+    w = _witnesses(1, 7, (2, 12))
+    assert w["main_matrix"] is w["shifted"]
+    assert w["kyfan"] is w["opnorm"]
+    assert w["main"] is w["weyl"]
+
+
+def test_property_sweep_kinds_keeping_different_samples_share_nothing():
+    # at seed 37 the two kinds of each stream keep different samples
+    w = _witnesses(3, 37, (2, 5))
+    for a, b in (("main_matrix", "shifted"), ("kyfan", "opnorm"), ("main", "weyl")):
+        assert w[a] != w[b]
+    assert len({id(v) for v in w.values()}) == len(w)
+
+
 def test_property_sweep_all_kinds():
     rep = property_sweep(
         10, 1, (3, 8), ["main", "main_matrix", "shifted", "kyfan", "opnorm", "weyl"]
