@@ -8,6 +8,11 @@ and sweep.
 Exit codes: 0 success with all verdicts holding, 1 when a checked bound is
 violated (a scientific alarm, not a crash), 2 for usage, domain or overflow errors.
 
+Every subcommand offers json and text output, construct paley also graph6,
+and the other constructs, spectrum, check and sweep also csv (refused at
+run time by check weyl and equality, which have no verdict row); argparse
+refuses any other format before a handler runs.
+
 JSON output is a single RunReport document; identical invocations are
 byte-identical except for elapsed_ms. Floats are printed with 17
 significant digits so doubles round-trip exactly.
@@ -26,14 +31,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    BOUND_KINDS,
-    EQUALITY_TOL,
-    HOLD_TOL,
-    check_bound,
-    equality_analysis,
-    weyl_complement_check,
-)
+from .bounds import BOUND_KINDS, check_bound, equality_analysis, weyl_complement_check
 from .constructions import hadamard, kyfan_extremal_matrix, opnorm_extremal_matrix
 from .errors import NormsumError
 from .graphs import (
@@ -232,12 +230,7 @@ def _resolve_input(args) -> Graph | DenseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (results dict, failed verdict flag,
-# optional raw text for the graph6/text/csv formats)
-
-
-def _csv_matrix(mat: DenseMatrix) -> str:
-    return "\n".join(_format_floats(row, ",") for row in mat.array.tolist())
+# Subcommand handlers: each returns (results dict, failed verdict flag)
 
 
 def cmd_construct(args):
@@ -250,11 +243,10 @@ def cmd_construct(args):
             "edge_count": g.edge_count,
             "graph6": graph6_encode(g),
         }
-        return results, False, {"graph6": results["graph6"], "csv": None}
+        return results, False
     if kind == "hadamard":
         h = hadamard(args.order)
-        results = {"kind": "hadamard", "order": h.order, "matrix": h.entries.to_json()}
-        return results, False, {"csv": _csv_matrix(h.entries)}
+        return {"kind": "hadamard", "order": h.order, "matrix": h.entries.to_json()}, False
     if kind == "kyfan-extremal":
         mat = kyfan_extremal_matrix(args.order, args.p, args.q)
         results = {
@@ -266,7 +258,7 @@ def cmd_construct(args):
             "cols": mat.cols,
             "matrix": mat.to_json(),
         }
-        return results, False, {"csv": _csv_matrix(mat)}
+        return results, False
     mat = opnorm_extremal_matrix(args.rows, args.cols, args.orientation)
     results = {
         "kind": "opnorm-extremal",
@@ -275,7 +267,7 @@ def cmd_construct(args):
         "orientation": args.orientation,
         "matrix": mat.to_json(),
     }
-    return results, False, {"csv": _csv_matrix(mat)}
+    return results, False
 
 
 def _input_spectra(args) -> tuple[SpectrumPair, SingularSpectrum, dict]:
@@ -293,12 +285,7 @@ def cmd_spectrum(args):
         results["eigen_residual"] = pair.eig(0).offdiag_residual
     results["singular_values"] = list(sing.values)
     results["svd_residual"] = sing.residual
-    eigs = results.get("eigenvalues", [None] * len(sing.values))
-    csv = "index,eigenvalue,singular_value\n" + "\n".join(
-        f"{i},{'' if e is None else format_float(e)},{format_float(s)}"
-        for i, (e, s) in enumerate(zip(eigs, sing.values), 1)
-    )
-    return results, False, {"csv": csv}
+    return results, False
 
 
 def cmd_norms(args):
@@ -310,7 +297,7 @@ def cmd_norms(args):
     if pair.graph:
         results["complement_trace_norm"] = trace_norm(pair.sing(1))
         results["trace_sum"] = results["trace_norm"] + results["complement_trace_norm"]
-    return results, False, {}
+    return results, False
 
 
 def cmd_check(args):
@@ -320,20 +307,15 @@ def cmd_check(args):
     obj = _resolve_input(args)
     # the kyfan witness is checked at its own index unless --k says otherwise
     k = args.k if args.k is not None else args.order
-    tol = args.tol if args.tol is not None else EQUALITY_TOL if kind == "equality" else HOLD_TOL
+    # without --tol, the library's default for the kind applies
+    tol = {} if args.tol is None else {"tol": args.tol}
     if kind == "equality":
-        return equality_analysis(obj, tol=tol).to_json(), False, {}
+        return equality_analysis(obj, **tol).to_json(), False
     if kind == "weyl":
-        wreport = weyl_complement_check(obj, tol=tol)
-        return wreport.to_json(), not wreport.ok, {}
-    verdict = check_bound(kind, obj, k=k, tol=tol)
-    payload = verdict.to_json()
-    csv = (
-        "kind,lhs,rhs,slack,holds,equality\n"
-        f"{verdict.kind},{format_float(verdict.lhs)},{format_float(verdict.rhs)},"
-        f"{format_float(verdict.slack)},{verdict.holds},{verdict.equality}"
-    )
-    return payload, not verdict.holds, {"csv": csv}
+        wreport = weyl_complement_check(obj, **tol)
+        return wreport.to_json(), not wreport.ok
+    verdict = check_bound(kind, obj, k=k, **tol)
+    return verdict.to_json(), not verdict.holds
 
 
 def cmd_search(args):
@@ -350,7 +332,7 @@ def cmd_search(args):
             seed=args.seed if args.seed is not None else 0,
         )
         result = local_search_max(args.n, args.objective, k=args.k, cfg=cfg, threads=threads)
-    return result.to_json(), False, {}
+    return result.to_json(), False
 
 
 def cmd_sweep(args):
@@ -360,15 +342,9 @@ def cmd_sweep(args):
         seed=args.seed if args.seed is not None else 0,
         n_range=(args.n_min, args.n_max),
         kinds=kinds,
-        tol=args.tol if args.tol is not None else HOLD_TOL,
+        **({} if args.tol is None else {"tol": args.tol}),
     )
-    payload = report.to_json()
-    lines = ["kind,trials,passes,violations,worst_slack"]
-    for r in report.results:
-        lines.append(
-            f"{r.kind},{r.trials},{r.passes},{r.violations},{format_float(r.worst_slack)}"
-        )
-    return payload, report.total_violations > 0, {"csv": "\n".join(lines)}
+    return report.to_json(), report.total_violations > 0
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +365,9 @@ _RUN_FLAGS = {
 }
 
 
-def _add_common(sub, *run_flags):
-    """The output flags every subcommand takes, plus the named _RUN_FLAGS
-    that this subcommand reads."""
+def _add_common(sub, formats, *run_flags):
+    """The output flags, offering json and text and the subcommand's other
+    formats, plus the named _RUN_FLAGS that this subcommand reads."""
     for name in run_flags:
         sub.add_argument(f"--{name}", **_RUN_FLAGS[name])
     # the default is the parser's, not the flags': argparse takes a flag whose
@@ -400,11 +376,11 @@ def _add_common(sub, *run_flags):
     fmt = sub.add_mutually_exclusive_group()
     fmt.add_argument(
         "--format",
-        choices=("json", "csv", "graph6", "text"),
+        choices=("json", *formats, "text"),
         default=argparse.SUPPRESS,
         help="output format (default text)",
     )
-    for name in ("json", "csv"):
+    for name in ("json", "csv") if "csv" in formats else ("json",):
         fmt.add_argument(
             f"--{name}",
             action="store_const",
@@ -442,29 +418,29 @@ def build_parser() -> argparse.ArgumentParser:
         "paley", help=f"Paley graph of prime-power order q = 1 (mod 4), q <= {DIMENSION_CAP}"
     )
     cp.add_argument("order", type=_int)
-    _add_common(cp)
+    _add_common(cp, ("graph6",))
     ch = csub.add_parser("hadamard", help="Hadamard matrix of a supported order")
     ch.add_argument("order", type=_int)
-    _add_common(ch)
+    _add_common(ch, ("csv",))
     ck = csub.add_parser("kyfan-extremal", help="Ky Fan equality witness for index k")
     ck.add_argument("order", type=_int, help="the norm index k (needs a Hadamard of order k-1)")
     ck.add_argument("--p", type=_int, default=1, help="row block multiplicity")
     ck.add_argument("--q", type=_int, default=1, help="column block multiplicity")
-    _add_common(ck)
+    _add_common(ck, ("csv",))
     co = csub.add_parser("opnorm-extremal", help="half-ones operator norm equality witness")
     co.add_argument("rows", type=_int)
     co.add_argument("cols", type=_int)
     co.add_argument("--orientation", choices=("rows", "columns"), required=True)
-    _add_common(co)
+    _add_common(co, ("csv",))
 
     p = subs.add_parser("spectrum", help="eigen/singular values of a graph or matrix")
     _add_input_flags(p)
-    _add_common(p)
+    _add_common(p, ("csv",))
 
     p = subs.add_parser("norms", help="trace, operator, and Ky Fan norms")
     _add_input_flags(p)
     p.add_argument("--k", type=_int, default=None, help="also report the Ky Fan k-norm")
-    _add_common(p)
+    _add_common(p, ())
 
     p = subs.add_parser("check", help="evaluate a bound or equality analysis")
     p.add_argument("kind", choices=BOUND_KINDS + ("weyl", "equality"))
@@ -476,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=_int, default=None, help="opnorm: build the witness, row count")
     p.add_argument("--cols", type=_int, default=None, help="opnorm witness column count")
     p.add_argument("--orientation", choices=("rows", "columns"), default=None)
-    _add_common(p, "tol")
+    _add_common(p, ("csv",), "tol")
 
     p = subs.add_parser("search", help="maximize a norm sum over graphs")
     ssub = p.add_subparsers(dest="mode", required=True)
@@ -486,13 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=_int, required=True)
         sp.add_argument("--objective", choices=OBJECTIVES, default="trace_sum")
         sp.add_argument("--k", type=_int, default=None, help="Ky Fan index for kyfan_sum")
-    _add_common(se, "threads")
+    _add_common(se, (), "threads")
     cfg = SearchConfig()
     sl.add_argument("--restarts", type=_int, default=cfg.restarts)
     sl.add_argument("--steps", type=_int, default=cfg.max_steps)
     sl.add_argument("--t0", type=_float, default=cfg.temperature_initial)
     sl.add_argument("--cooling", type=_float, default=cfg.cooling)
-    _add_common(sl, "seed", "threads")
+    _add_common(sl, (), "seed", "threads")
 
     p = subs.add_parser("sweep", help="randomized property sweep over the checkers")
     p.add_argument("--trials", type=_int, required=True)
@@ -503,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-min", type=_int, default=4, dest="n_min")
     p.add_argument("--n-max", type=_int, default=12, dest="n_max")
-    _add_common(p, "tol", "seed")
+    _add_common(p, ("csv",), "tol", "seed")
 
     return parser
 
@@ -516,6 +492,31 @@ _HANDLERS = {
     "search": cmd_search,
     "sweep": cmd_sweep,
 }
+
+
+def _csv(command: str, results: dict) -> str:
+    """The CSV form of the results of a subcommand that offers csv: a
+    construct's matrix rows; a spectrum's index, eigenvalue and singular
+    value columns, the eigenvalue empty for a non-symmetric input; a bound
+    check's verdict row; a sweep's row per kind."""
+    if command == "construct":
+        mat = results["matrix"]
+        flat, cols = mat["entries"], mat["cols"]
+        return "\n".join(_format_floats(flat[i : i + cols], ",") for i in range(0, len(flat), cols))
+    if command == "spectrum":
+        sing = results["singular_values"]
+        eigs = results.get("eigenvalues", [""] * len(sing))
+        header = ("index", "eigenvalue", "singular_value")
+        lines = [header, *zip(range(1, len(sing) + 1), eigs, sing)]
+    elif command == "check":
+        header = ("kind", "lhs", "rhs", "slack", "holds", "equality")
+        lines = [header, [results[h] for h in header]]
+    else:
+        header = ("kind", "trials", "passes", "violations", "worst_slack")
+        lines = [header, *([r[h] for h in header] for r in results["results"])]
+    return "\n".join(
+        ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) for row in lines
+    )
 
 
 def _text_lines(results: dict, prefix: str = "") -> list[str]:
@@ -547,10 +548,14 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # check offers csv, but only its bound kinds have a verdict row
+    if args.format == "csv" and getattr(args, "kind", None) in ("weyl", "equality"):
+        print("error: no CSV form for this subcommand", file=sys.stderr)
+        return 2
 
     started = time.perf_counter()
     try:
-        results, failed, extras = _HANDLERS[args.command](args)
+        results, failed = _HANDLERS[args.command](args)
     except (NormsumError, ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -571,15 +576,9 @@ def main(argv=None) -> int:
         }
         out = render_json(report)
     elif args.format == "csv":
-        out = extras.get("csv")
-        if not out:
-            print("error: no CSV form for this subcommand", file=sys.stderr)
-            return 2
+        out = _csv(args.command, results)
     elif args.format == "graph6":
-        out = extras.get("graph6")
-        if not out:
-            print("error: graph6 output only applies to graph constructions", file=sys.stderr)
-            return 2
+        out = results["graph6"]
     else:
         out = "\n".join(_text_lines(results))
 

@@ -418,12 +418,11 @@ class _ScreenWork:
             )
 
 
-def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenWork | None = None):
+def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenWork):
     """Screened change of ||A||_* + ||J - I - A||_* under each flip (is_[r],
     js[r]) of the 0/1 adjacency a, and a mask of the flips whose screened
     value is unreliable; None when the screen declines. The changes are
-    written into `work` (a new workspace when None), and the next screen
-    on it overwrites them.
+    written into `work`, and the next screen on it overwrites them.
 
     By the Coulson integral, for symmetric A and A' of one order,
     ||A'||_* - ||A||_* = (2/pi) int_0^inf log|det(A' - ixI) / det(A - ixI)| dx.
@@ -463,8 +462,6 @@ def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenW
     2.0e-10 for both. Both are far inside the 1e-8 the screened values are
     held to and the SCREEN_DELTA margin of the candidates.
     """
-    if work is None:
-        work = _ScreenWork(a.shape[0], is_.size)
     pair = work.pair
     pair[0], pair[1] = a, complement_matrix(a)
     try:
@@ -527,13 +524,13 @@ def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenW
 
 
 def _flip_candidates(
-    a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenWork | None = None
+    a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenWork
 ) -> np.ndarray:
     """Ascending indices of the flips to re-score exactly: every flip whose
     screened value is within SCREEN_DELTA of the largest reliable one, and
     every unreliable flip; every flip when the screen declines or gives a
     reliable value that is not finite. `work` is the restart's screen
-    workspace, or None for a new one."""
+    workspace."""
     screened = _screen_flips(a, is_, js, work)
     if screened is not None:
         delta, unreliable = screened

@@ -406,12 +406,74 @@ def test_each_subcommand_takes_only_the_run_flags_it_reads(capsys):
         "sweep": ["--tol", "--seed"],
     }
     for _, p in _leaf_parsers(cli.build_parser()):
-        for flag in ("--format", "--json", "--csv", "--out"):
+        for flag in ("--format", "--json", "--out"):
             assert flag in p._option_string_actions
+        # --csv is offered exactly where the csv format is
+        formats = p._option_string_actions["--format"].choices
+        assert ("--csv" in p._option_string_actions) == ("csv" in formats)
     code, _, err = run(capsys, ["construct", "paley", "5", "--threads", "2"])
     assert code == 2 and "--threads" in err
     _, payload = run_json(capsys, ["check", "main", "--paley", "9", "--tol", "1e-6"])
     assert payload["inputs"] == {"kind": "main", "paley": 9, "tol": 1e-6}
+
+
+_PLAIN, _CSV = ("json", "text"), ("json", "csv", "text")
+# each leaf parser: a valid argv, and the formats it renders
+_FORMATS = {
+    "construct paley": ("construct paley 5", ("json", "graph6", "text")),
+    "construct hadamard": ("construct hadamard 4", _CSV),
+    "construct kyfan-extremal": ("construct kyfan-extremal 3", _CSV),
+    "construct opnorm-extremal": ("construct opnorm-extremal 2 4 --orientation rows", _CSV),
+    "spectrum": ("spectrum --graph6 Dhc", _CSV),
+    "norms": ("norms --graph6 Dhc --k 2", _PLAIN),
+    "check": ("check main --paley 5", _CSV),
+    "search exhaustive": ("search exhaustive --n 4", _PLAIN),
+    "search local": ("search local --n 5 --steps 3", _PLAIN),
+    "sweep": ("sweep --trials 1 --n-max 5", _CSV),
+}
+
+
+def test_each_subcommand_offers_the_formats_it_renders():
+    offered = {
+        leaf: tuple(p._option_string_actions["--format"].choices)
+        for leaf, p in _leaf_parsers(cli.build_parser())
+    }
+    assert offered == {leaf: formats for leaf, (_, formats) in _FORMATS.items()}
+
+
+def _never_run(args):
+    raise AssertionError("the handler ran")
+
+
+@pytest.mark.parametrize("leaf", _FORMATS)
+def test_each_format_renders_or_exits_2_before_any_work(capsys, monkeypatch, leaf):
+    argv, formats = _FORMATS[leaf]
+    argv = argv.split()
+    strip = lambda s: re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', s)
+    for fmt in formats:
+        code, out, err = run(capsys, argv + ["--format", fmt])
+        assert code in (0, 1) and out.strip(), (fmt, err)
+        if fmt in ("json", "csv"):
+            assert strip(run(capsys, argv + [f"--{fmt}"])[1]) == strip(out)
+    monkeypatch.setitem(cli._HANDLERS, argv[0], _never_run)
+    unoffered = [["--format", f] for f in ("json", "csv", "graph6", "text") if f not in formats]
+    if "csv" not in formats:
+        unoffered.append(["--csv"])
+    for flags in unoffered:
+        code, out, err = run(capsys, argv + flags)
+        assert code == 2 and out == ""
+        assert len(_error_lines(err)) == 1
+        assert "invalid choice" in err or "unrecognized arguments: --csv" in err
+
+
+@pytest.mark.parametrize("kind", ["weyl", "equality"])
+def test_check_kinds_without_a_verdict_row_refuse_csv(capsys, monkeypatch, kind):
+    monkeypatch.setitem(cli._HANDLERS, "check", _never_run)
+    for flags in (["--csv"], ["--format", "csv"]):
+        code, out, err = run(capsys, ["check", kind, "--paley", "5"] + flags)
+        assert code == 2 and out == ""
+        assert err == "error: no CSV form for this subcommand\n"
+
 
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
@@ -754,6 +816,76 @@ def test_json_output_bytes_are_frozen(capsys, argv, digest):
     assert code == 0
     stripped = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
     assert hashlib.sha256(stripped.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "construct paley 13 --format graph6",
+            "9ef54215ac86fcb70ebc6fefc900af318bdd3d159bd9600cd88a000e8115a5b0",
+        ),
+        (
+            "construct hadamard 12 --csv",
+            "6aa658c6f4ff179dbfb3a98e8395e9ce5e1d06596585c73e9e8b1c503353b3b9",
+        ),
+        (
+            "construct kyfan-extremal 3 --p 2 --q 1 --csv",
+            "ab7772a35ddab21ac86dc9b7c275b8c622e151bdb033887a39607a322d131559",
+        ),
+        (
+            "construct opnorm-extremal 4 6 --orientation columns --csv",
+            "2d59fb130f51f238a1923ba620f930fc40993fa7343f7dc8907d3a6984d3c5bc",
+        ),
+        (
+            "spectrum --graph6 Dhc --csv",
+            "9d05c2f07af975b7e13b6cb3b38cae0c2c2dadeeb9f037bc81ed4f0dce35be5f",
+        ),
+        (
+            # not symmetric, so the eigenvalue column is empty
+            "spectrum --matrix {rect} --csv",
+            "10419607eafa638a3866d57f8a3cf9b40aace2e546b85e94c5090bccd5c8281a",
+        ),
+        (
+            "check main --paley 9 --csv",
+            "2c5aff9a9ee6f1b24ecd4c4831a9f067b2f291a682e54cdaf1f2df3b9cafc025",
+        ),
+        (
+            "check kyfan --order 3 --csv",
+            "dd690c904976f05b7ddfeb7207a74937a5a26482315edbcb9caa9f6710f0eaa4",
+        ),
+        (
+            "sweep --trials 3 --seed 7 --csv",
+            "1ee65d41313c6af29a4d57ecc22e041f340d46cbba7f32747ef2181c98b499e0",
+        ),
+        (
+            "construct paley 13",
+            "c060940d9a8138364a20579b4f95349aa03ecd48aa95261c26524232b7f4b7a6",
+        ),
+        (
+            "norms --paley 13 --k 2",
+            "3b31fe5a8989b85e19752ebb26c79385a0a317d99ee922ad966b782a65b44385",
+        ),
+        (
+            "check weyl --paley 13",
+            "c1a52e8822bd649d12a8963858106f00b97c6f4a2059dbce4b55e9d8e2262452",
+        ),
+        (
+            "search exhaustive --n 5",
+            "01728c5746d955f658f456203c4e30d57660ffa98280b4d83e24b275cc0b9bfa",
+        ),
+        (
+            "sweep --trials 3 --seed 7",
+            "fc55fb4eedf25b366020899e8b77df7f19f18f91c9813a2baf816c9ac152648a",
+        ),
+    ],
+)
+def test_csv_graph6_and_text_output_bytes_are_frozen(tmp_path, capsys, argv, digest):
+    rect = tmp_path / "rect.csv"
+    rect.write_text("1,2,3\n4,5,6\n", encoding="utf-8")
+    code, out, _ = run(capsys, argv.format(rect=rect).split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_render_json_shapes():

@@ -876,10 +876,11 @@ def screen_against_exact(a):
     whether the screen ran."""
     js, is_ = np.nonzero(pair_mask(a.shape[0]))
     exact = search._pair_objective(flip_stack(a), "trace_sum", None)
-    cand = search._flip_candidates(a, is_, js)
+    work = search._ScreenWork(a.shape[0], js.size)
+    cand = search._flip_candidates(a, is_, js, work)
     assert np.all(np.diff(cand) > 0)
     assert set(np.flatnonzero(exact == exact.max())) <= set(cand.tolist())
-    screened = search._screen_flips(a, is_, js)
+    screened = search._screen_flips(a, is_, js, work)
     if screened is None:
         assert np.array_equal(cand, np.arange(js.size))
         return cand, False
@@ -961,7 +962,7 @@ def assert_singular_flips_are_unreliable(a):
     that makes A' or J - I - A' singular. Returns how many there were, or
     None when the screen declined."""
     js, is_ = np.nonzero(pair_mask(a.shape[0]))
-    screened = search._screen_flips(a, is_, js)
+    screened = search._screen_flips(a, is_, js, search._ScreenWork(a.shape[0], js.size))
     if screened is None:
         return None
     singular = smallest_abs_eigenvalue(flip_stack(a)) < 1e-9
@@ -1012,13 +1013,15 @@ def assert_screen_matches_full_rule(monkeypatch, a):
     """Check that each flip the screen of the adjacency a holds reliable under
     both rules has a screened value within screen_tail_bound of the full
     rule's. Returns whether the screen ran."""
-    js, is_ = np.nonzero(pair_mask(a.shape[0]))
-    trimmed = search._screen_flips(a, is_, js)
+    n = a.shape[0]
+    js, is_ = np.nonzero(pair_mask(n))
+    trimmed = search._screen_flips(a, is_, js, search._ScreenWork(n, js.size))
     with monkeypatch.context() as m:
         x, w = full_screen_rule()
         m.setattr(search, "_SCREEN_X", x)
         m.setattr(search, "_SCREEN_W", w)
-        full = search._screen_flips(a, is_, js)
+        # a workspace takes the nodes and weights when it is built
+        full = search._screen_flips(a, is_, js, search._ScreenWork(n, js.size))
     if trimmed is None:
         assert full is None
         return False
@@ -1051,6 +1054,8 @@ def assert_screen_matches_two_logs(a, work=None):
     against oracles.two_log_screen: the same decline, the same unreliable
     mask, and each reliable value within 1e-10. Returns whether it ran."""
     js, is_ = np.nonzero(pair_mask(a.shape[0]))
+    if work is None:
+        work = search._ScreenWork(a.shape[0], js.size)
     screened = search._screen_flips(a, is_, js, work)
     oracle = oracles.two_log_screen(a, is_, js, search._SCREEN_X, search._SCREEN_W)
     if screened is None or oracle is None:
@@ -1099,7 +1104,8 @@ def test_screen_declines_when_one_certificate_fails(monkeypatch):
     # certificate, and either failing declines the screen
     a = random_adjacency(np.random.default_rng(16), 16, 0.5)
     js, is_ = np.nonzero(pair_mask(16))
-    assert search._screen_flips(a, is_, js) is not None
+    work = search._ScreenWork(16, js.size)
+    assert search._screen_flips(a, is_, js, work) is not None
     real_eigh = np.linalg.eigh
     for member in (0, 1):
 
@@ -1109,26 +1115,30 @@ def test_screen_declines_when_one_certificate_fails(monkeypatch):
             return w, q
 
         monkeypatch.setattr(np.linalg, "eigh", forged)
-        assert search._screen_flips(a, is_, js) is None
-        assert np.array_equal(search._flip_candidates(a, is_, js), np.arange(js.size))
+        assert search._screen_flips(a, is_, js, work) is None
+        assert np.array_equal(search._flip_candidates(a, is_, js, work), np.arange(js.size))
 
 
 @pytest.mark.parametrize("n, cap", [(16, 64_000), (64, 256_000)])
-def test_screen_on_a_workspace_allocates_no_chunk_temporaries(n, cap):
+def test_screen_on_a_workspace_allocates_no_chunk_temporaries(monkeypatch, n, cap):
     # a deterministic cost guard: one (2, 64, 71) float64 chunk temporary
     # is 73 KB, and a screen that allocates them peaks at about 0.9 MB at
-    # n = 16; what is left is the factorization and a few (2, m) arrays
+    # n = 16; what is left is the factorization and a few (2, m) arrays.
+    # With all m flips in one chunk, even a (m, 71) float64 temporary per
+    # chunk (68 KB at n = 16, 1.1 MB at n = 64) crosses the cap
     a = random_adjacency(np.random.default_rng(n), n, 0.5)
     js, is_ = np.nonzero(pair_mask(n))
-    work = search._ScreenWork(n, js.size)
-    assert search._screen_flips(a, is_, js, work) is not None
-    tracemalloc.start()
-    try:
-        search._screen_flips(a, is_, js, work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < cap
+    for chunk in (search._SCREEN_CHUNK, js.size):
+        monkeypatch.setattr(search, "_SCREEN_CHUNK", chunk)
+        work = search._ScreenWork(n, js.size)
+        assert search._screen_flips(a, is_, js, work) is not None
+        tracemalloc.start()
+        try:
+            search._screen_flips(a, is_, js, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap, chunk
 
 
 @pytest.mark.parametrize("n", [5, 9, 16, 32, 64])
