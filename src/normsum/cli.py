@@ -44,6 +44,8 @@ from .graphs import (
 from .linalg import DIMENSION_CAP, DenseMatrix, SingularSpectrum, SpectrumPair
 from .linalg import ky_fan_norm, operator_norm, trace_norm
 from .search import (
+    EXHAUSTIVE_MAX_N,
+    LOCAL_MAX_N,
     OBJECTIVES,
     SWEEP_KINDS,
     SearchConfig,
@@ -456,8 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search", help="maximize a norm sum over graphs")
     ssub = p.add_subparsers(dest="mode", required=True)
-    se = ssub.add_parser("exhaustive", help="every graph up to isomorphism, n <= 8")
-    sl = ssub.add_parser("local", help="seeded annealing over edge flips, n <= 64")
+    se = ssub.add_parser(
+        "exhaustive", help=f"every graph up to isomorphism, n <= {EXHAUSTIVE_MAX_N}"
+    )
+    sl = ssub.add_parser("local", help=f"seeded annealing over edge flips, n <= {LOCAL_MAX_N}")
     for sp in (se, sl):
         sp.add_argument("--n", type=_int, required=True)
         sp.add_argument("--objective", choices=OBJECTIVES, default="trace_sum")
@@ -525,6 +529,10 @@ def _text_lines(results: dict, prefix: str = "") -> list[str]:
         if isinstance(val, dict):
             lines.append(f"{prefix}{key}:")
             lines.extend(_text_lines(val, prefix + "  "))
+        elif isinstance(val, (list, tuple)) and val and isinstance(val[0], dict):
+            for i, item in enumerate(val):
+                lines.append(f"{prefix}{key}[{i}]:")
+                lines.extend(_text_lines(item, prefix + "  "))
         elif isinstance(val, (list, tuple)) and val and isinstance(val[0], (int, float)):
             body = " ".join(
                 format_float(float(v)) if isinstance(v, float) else str(v) for v in val

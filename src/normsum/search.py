@@ -113,46 +113,47 @@ class SearchResult:
         return fields_ | {"witnesses": _graph6_batch(self.n, [g.bits for g in self.witnesses])}
 
 
-def _check_order(n: int, threads: int, cap: int, what: str) -> int:
-    """n as a positive int at most cap, once threads, which no search uses,
-    is checked to be a positive int; `what` names the search."""
+def _check_search(
+    n: int, objective: str, k: int | None, threads: int, cap: int, what: str
+) -> tuple[int, int | None]:
+    """(n, k) of a search, checked in this order: n as a positive int at most
+    cap, threads, which no search uses, as a positive int, then the
+    objective and k. k comes back as the Ky Fan index, or None for
+    trace_sum, the one objective value the search reads; `what` names the
+    search."""
     n = as_positive_int(n, "n")
     if n > cap:
         raise OrderTooLargeError(f"{what} is capped at n = {cap}, got n = {n}")
     as_positive_int(threads, "threads")
-    return n
-
-
-def _check_objective(n: int, objective: str, k: int | None) -> int | None:
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
     if objective == "trace_sum":
         if k is not None:
             raise ValueError(f"k applies only to objective 'kyfan_sum', got k={k!r}")
-        return None
+        return n, None
     if k is None:
         raise KOutOfRangeError("objective 'kyfan_sum' needs k")
     k = as_int(k, "k", KOutOfRangeError)
     if not 1 <= k <= n:
         raise KOutOfRangeError(f"k={k!r} outside [1, {n}]")
-    return k
+    return n, k
 
 
-def _spectral_norms(w: np.ndarray, objective: str, k: int | None) -> np.ndarray:
-    """Norm of each row of a (B, n) eigenvalue stack: the trace norm, or the
-    Ky Fan k-norm."""
+def _spectral_norms(w: np.ndarray, k: int | None) -> np.ndarray:
+    """Norm of each row of a (B, n) eigenvalue stack: the trace norm for k
+    None, else the Ky Fan k-norm."""
     aw = np.abs(w)
-    if objective == "trace_sum":
+    if k is None:
         return aw.sum(axis=1)
     aw.sort(axis=1)
     return aw[:, aw.shape[1] - k :].sum(axis=1)
 
 
-def _pair_objective(a: np.ndarray, objective: str, k: int | None) -> np.ndarray:
+def _pair_objective(a: np.ndarray, k: int | None) -> np.ndarray:
     """Objective values for a (B, n, n) adjacency stack: norm of each graph
-    plus norm of its complement."""
-    return _spectral_norms(_eigvalsh_stack(a), objective, k) + _spectral_norms(
-        _eigvalsh_stack(complement_matrix(a)), objective, k
+    plus norm of its complement, the norm of :func:`_spectral_norms` (k)."""
+    return _spectral_norms(_eigvalsh_stack(a), k) + _spectral_norms(
+        _eigvalsh_stack(complement_matrix(a)), k
     )
 
 
@@ -194,13 +195,14 @@ def _walk_keys(flags: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
-def _norms_by_spectrum(scored: np.ndarray, n: int, objective: str, k: int | None) -> np.ndarray:
-    """Norm of each graph on n vertices of the ascending int64 bitsets
-    `scored`, from one batched eigvalsh of one graph per spectrum. The
-    graphs are grouped by their closed-walk counts (:func:`_walk_keys`),
-    equal exactly when their spectra are, by one stable lexsort and a
-    compare of neighbouring rows (not np.unique, see :func:`_distinct`). The
-    least bitset of each group is solved and its norm given to the group."""
+def _norms_by_spectrum(scored: np.ndarray, n: int, k: int | None) -> np.ndarray:
+    """Norm (:func:`_spectral_norms` (k)) of each graph on n vertices of the
+    ascending int64 bitsets `scored`, from one batched eigvalsh of one graph
+    per spectrum. The graphs are grouped by their closed-walk counts
+    (:func:`_walk_keys`), equal exactly when their spectra are, by one
+    stable lexsort and a compare of neighbouring rows (not np.unique, see
+    :func:`_distinct`). The least bitset of each group is solved and its
+    norm given to the group."""
     flags = _pair_flags(scored, n * (n - 1) // 2)
     keys = _walk_keys(flags, n)
     order = np.lexsort(keys.T)
@@ -209,21 +211,34 @@ def _norms_by_spectrum(scored: np.ndarray, n: int, objective: str, k: int | None
     group = np.empty(order.size, dtype=np.int64)
     group[order] = np.cumsum(first) - 1
     w = _eigvalsh_stack(_adjacency(flags[order[first]], n).astype(np.float64))
-    return _spectral_norms(w, objective, k)[group]
+    return _spectral_norms(w, k)[group]
 
 
-def _witnesses(n: int, values, rows):
-    """(best, witnesses, truncated) of candidate graphs: row i of `rows`
-    holds one bitset or several (an orbit), each of value values[i]. The
-    best value, the distinct graphs within WITNESS_TOL of it in ascending
-    bitset order by one sort, cut at WITNESS_CAP, and whether the cut
-    dropped any. The bitsets are int64, or Python ints in an object array
-    when they may not fit 63 bits."""
+def _result(
+    n: int, k: int | None, values, rows, evaluations: int, seed: int | None, method: str
+) -> SearchResult:
+    """The SearchResult of a search on n vertices for the Ky Fan index k (None
+    for trace_sum) over candidate graphs: row i of `rows` holds one bitset
+    or several (an orbit), each of value values[i]. best_value is the
+    largest value, and the witnesses are the distinct graphs within
+    WITNESS_TOL of it in ascending bitset order by one sort, cut at
+    WITNESS_CAP, truncated telling whether the cut dropped any. The bitsets
+    are int64, or Python ints in an object array when they may not fit 63
+    bits."""
     values = np.asarray(values)
     best = float(values.max())
     bits = _distinct(np.asarray(rows)[values >= best - WITNESS_TOL])
-    witnesses = tuple(Graph(n=n, bits=b) for b in bits[:WITNESS_CAP].tolist())
-    return best, witnesses, bits.size > WITNESS_CAP
+    return SearchResult(
+        objective="trace_sum" if k is None else "kyfan_sum",
+        k=k,
+        n=n,
+        best_value=best,
+        witnesses=tuple(Graph(n=n, bits=b) for b in bits[:WITNESS_CAP].tolist()),
+        truncated=bits.size > WITNESS_CAP,
+        evaluations=evaluations,
+        seed=seed,
+        method=method,
+    )
 
 
 def _permutations(v: int) -> np.ndarray:
@@ -345,33 +360,21 @@ def exhaustive_max(
     it may differ from what :func:`_pair_objective` gives the graph itself
     in the last bits. The witnesses are the labeled graphs in the orbits of
     the scored graphs within WITNESS_TOL of the best, merged by one sort of
-    the orbit rows (:func:`_witnesses`). `evaluations` counts the labeled graphs covered,
-    2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes 0.010-0.011 s and n = 8
-    0.14-0.15 s warm, on the calling thread: `threads` is checked like
-    local_search_max's but not used.
+    the orbit rows (:func:`_result`). `evaluations` counts the labeled
+    graphs covered, 2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes
+    0.010-0.011 s and n = 8 0.14-0.15 s warm, on the calling thread:
+    `threads` is checked like local_search_max's but not used.
     """
-    n = _check_order(n, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
-    k = _check_objective(n, objective, k)
+    n, k = _check_search(n, objective, k, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
     m = n * (n - 1) // 2
     graphs = _bordered(n)
     complements = ((1 << m) - 1) - graphs
     scored = _distinct(np.concatenate([graphs, complements]))
-    norms = _norms_by_spectrum(scored, n, objective, k)
+    norms = _norms_by_spectrum(scored, n, k)
     vals = norms[np.searchsorted(scored, graphs)] + norms[np.searchsorted(scored, complements)]
     near = np.flatnonzero(vals >= vals.max() - WITNESS_TOL)
     orbits = _orbits(graphs[near], _relabelings(_permutations(n)))
-    best, witnesses, truncated = _witnesses(n, vals[near], orbits)
-    return SearchResult(
-        objective=objective,
-        k=k,
-        n=n,
-        best_value=best,
-        witnesses=witnesses,
-        truncated=truncated,
-        evaluations=1 << m,
-        seed=None,
-        method="exhaustive",
-    )
+    return _result(n, k, vals[near], orbits, 1 << m, None, "exhaustive")
 
 
 class _ScreenWork:
@@ -541,7 +544,7 @@ def _flip_candidates(
     return np.arange(is_.size)
 
 
-def _flip_values(a: np.ndarray, is_: np.ndarray, js: np.ndarray, objective: str, k: int | None):
+def _flip_values(a: np.ndarray, is_: np.ndarray, js: np.ndarray, k: int | None):
     """Objective of each flip (is_[r], js[r]) of the adjacency a, by
     :func:`_pair_objective` on the stack of flipped copies."""
     rows = np.arange(is_.size)
@@ -549,10 +552,10 @@ def _flip_values(a: np.ndarray, is_: np.ndarray, js: np.ndarray, objective: str,
     flipped = 1.0 - a[is_, js]
     neighbors[rows, is_, js] = flipped
     neighbors[rows, js, is_] = flipped
-    return _pair_objective(neighbors, objective, k)
+    return _pair_objective(neighbors, k)
 
 
-def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, restart: int):
+def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
     """One annealing run. Each step scores every single-edge flip; the best
     uphill flip is taken (ties to the smallest flip index), otherwise a random
     flip is accepted with probability exp(delta / T). Returns (best_value,
@@ -561,14 +564,15 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     Every value the step uses (the best flip, the random flip's value, the
     freeze test and the current value) is exact: `_pair_objective` on the
     flipped adjacency, which gives each matrix of a stack the same bits as
-    alone. For trace_sum, `_flip_candidates` first screens all m flips with
-    the Coulson integral (`_screen_flips`, error under about 1e-8), and only
-    the flips within SCREEN_DELTA of the screened maximum, plus those it
-    marks unreliable, are re-scored; each flip of maximal exact value is
-    among them, so the step and its tie-break are those of scoring all m.
-    When A or J - I - A has an eigenvalue within SCREEN_TAU of 0, the
-    screen's factorization fails, or it gives a non-finite value, every flip
-    is re-scored; so is every flip for kyfan_sum.
+    alone. For trace_sum (k None), `_flip_candidates` first screens all m
+    flips with the Coulson integral (`_screen_flips`, error under about
+    1e-8), and only the flips within SCREEN_DELTA of the screened maximum,
+    plus those it marks unreliable, are re-scored; each flip of maximal
+    exact value is among them, so the step and its tie-break are those of
+    scoring all m. When A or J - I - A has an eigenvalue within SCREEN_TAU
+    of 0, the screen's factorization fails, or it gives a non-finite value,
+    every flip is re-scored; so is every flip for kyfan_sum, whose restart
+    builds no screen workspace.
 
     Each graph is scored once: a step that takes no flip leaves A as it was,
     so the next step reuses its candidates and their exact values, and only
@@ -590,7 +594,7 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     m = n * (n - 1) // 2
     rng = SplitMix64((cfg.seed + restart) & MASK64)
     a = adjacency_matrix(Graph(n=n, bits=rng.next_bits(m))).array.copy()
-    cur_val = float(_pair_objective(a[None], objective, k)[0])
+    cur_val = float(_pair_objective(a[None], k)[0])
     evaluations = 1
     best_val, best_a = cur_val, a.copy()
     if m == 0:
@@ -599,12 +603,12 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
     temp = cfg.temperature_initial
     js, is_ = np.nonzero(pair_mask(n))  # flip r toggles pair bit r
     every = np.arange(m)
-    work = _ScreenWork(n, m) if objective == "trace_sum" else None
+    work = _ScreenWork(n, m) if k is None else None
     vals = None  # the scores of a, kept until a flip changes it
     for _ in range(cfg.max_steps):
         if vals is None:
-            cand = _flip_candidates(a, is_, js, work) if objective == "trace_sum" else every
-            vals = _flip_values(a, is_[cand], js[cand], objective, k)
+            cand = _flip_candidates(a, is_, js, work) if k is None else every
+            vals = _flip_values(a, is_[cand], js[cand], k)
         evaluations += m
         top = int(np.argmax(vals))  # cand ascends, so ties go to the smallest flip
         flip, value = int(cand[top]), vals[top]
@@ -620,7 +624,7 @@ def _anneal_once(n: int, objective: str, k: int | None, cfg: SearchConfig, resta
                 # exp of its delta / T underflows to 0.0: it cannot be accepted
                 value = -math.inf
             else:
-                value = _flip_values(a, is_[flip : flip + 1], js[flip : flip + 1], objective, k)[0]
+                value = _flip_values(a, is_[flip : flip + 1], js[flip : flip + 1], k)[0]
             delta = value - cur_val
             accept = (
                 delta == 0.0 if temp <= 0.0 else math.exp(delta / temp) > rng.next_double()
@@ -676,26 +680,12 @@ def local_search_max(
     whose dispatch holds the GIL, and two threads were slower than one at
     n = 16, 32 and 64.
     """
-    n = _check_order(n, threads, LOCAL_MAX_N, "local search")
-    k = _check_objective(n, objective, k)
+    n, k = _check_search(n, objective, k, threads, LOCAL_MAX_N, "local search")
     if cfg is None:
         cfg = SearchConfig()
 
-    outcomes = [_anneal_once(n, objective, k, cfg, r) for r in range(cfg.restarts)]
-    best, witnesses, truncated = _witnesses(
-        n, [o[0] for o in outcomes], np.array([o[1] for o in outcomes], dtype=object)
-    )
-    return SearchResult(
-        objective=objective,
-        k=k,
-        n=n,
-        best_value=best,
-        witnesses=witnesses,
-        truncated=truncated,
-        evaluations=sum(o[2] for o in outcomes),
-        seed=cfg.seed,
-        method="local",
-    )
+    values, bits, evaluations = zip(*(_anneal_once(n, k, cfg, r) for r in range(cfg.restarts)))
+    return _result(n, k, values, np.array(bits, dtype=object), sum(evaluations), cfg.seed, "local")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Static guard: every public name, every module-level definition and every
 method and property of a package class has a caller outside the tests, every
-definition of the test oracles has a caller in the tests, every bound kind is
-a `check` choice, and every name the benchmark imports exists."""
+parameter of a package function is read in its body, every definition of the
+test oracles has a caller in the tests, every bound kind is a `check` choice,
+and every name the benchmark imports exists."""
 
 import ast
 from collections import Counter
@@ -201,6 +202,41 @@ UNTYPED_CALLERS = {
 }
 
 
+def unread_parameters(path):
+    """(function, parameter) of each parameter of a function or lambda of the
+    module that its body, nested definitions included, never reads. The
+    receiver of a method that is not a staticmethod (self, cls) is exempt:
+    no caller passes it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {
+        id(node)
+        for owner in ast.walk(tree)
+        if isinstance(owner, ast.ClassDef)
+        for node in owner.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [p.arg for p in args.posonlyargs + args.args]
+        if id(node) in methods:
+            params = params[1:]
+        params += [p.arg for p in (*args.kwonlyargs, args.vararg, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            leaf.id
+            for stmt in body
+            for leaf in ast.walk(stmt)
+            if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        found += [(name, p) for p in params if p not in read]
+    return found
+
+
 def kinds_without_a_check_choice():
     """The entries of bounds.BOUND_KINDS that `check` does not offer."""
     parser = cli.build_parser()
@@ -316,6 +352,40 @@ def test_the_scan_finds_a_stray_oracle(tmp_path):
     # attribute, is not a caller
     assert strays(names, [tmp_path / "test_a.py"], {"oracles"}) == ["stray", "Fixture"]
     assert strays(names, [tmp_path / "test_a.py"]) == ["dotted", "stray", "Fixture"]
+
+
+def test_every_parameter_is_read():
+    paths = sorted(SRC.glob("*.py"))
+    assert {"search.py", "__init__.py"} <= {p.name for p in paths}
+    assert [(p.name, *f) for p in paths for f in unread_parameters(p)] == []
+
+
+def test_the_scan_finds_an_unread_parameter(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def score(a, objective, k=None, *rest, scale, **extra):\n"
+        "    def inner(b):\n"
+        "        return b + k + scale\n"
+        "    return inner(a), rest\n"
+        "class Box:\n"
+        "    def size(self, n):\n"
+        "        return 1\n"
+        "    @classmethod\n"
+        "    def make(cls, n):\n"
+        "        return n\n"
+        "    @staticmethod\n"
+        "    def build(first, n):\n"
+        "        return n\n"
+        "def keep(x, y):\n"
+        "    y = x\n"
+        "    return (lambda z, w: z)(x, 0)\n"
+    )
+    # a read inside a nested definition counts; a method's receiver is
+    # exempt unless it is a staticmethod; an assignment is not a read
+    assert sorted(unread_parameters(module)) == [
+        ("<lambda>", "w"), ("build", "first"), ("keep", "y"), ("score", "extra"),
+        ("score", "objective"), ("size", "n"),
+    ]  # fmt: skip
 
 
 def test_every_bound_kind_is_a_check_choice():

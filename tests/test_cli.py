@@ -110,6 +110,22 @@ def test_tol_help_names_both_defaults():
     assert [float(t) for t in shown] == [HOLD_TOL, EQUALITY_TOL]
 
 
+def test_search_help_names_both_caps(monkeypatch):
+    def shown():
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command").choices["search"]
+        modes = next(a for a in sub._actions if a.dest == "mode")
+        return {c.dest: re.findall(r"n <= (\d+)", c.help) for c in modes._choices_actions}
+
+    assert shown() == {
+        "exhaustive": [str(search.EXHAUSTIVE_MAX_N)],
+        "local": [str(search.LOCAL_MAX_N)],
+    }
+    # the help reads the caps, so raising one changes it
+    monkeypatch.setattr(cli, "EXHAUSTIVE_MAX_N", 9)
+    assert shown()["exhaustive"] == ["9"]
+
+
 def test_check_outputs_are_reproducible(capsys):
     argv = ["check", "main", "--paley", "13", "--json"]
     code1, out1, _ = run(capsys, argv)
@@ -876,7 +892,7 @@ def test_json_output_bytes_are_frozen(capsys, argv, digest):
         ),
         (
             "sweep --trials 3 --seed 7",
-            "fc55fb4eedf25b366020899e8b77df7f19f18f91c9813a2baf816c9ac152648a",
+            "0c1cd7ee8ec6f9dbfc1a165b169c1a9abe9c1cd2fd20d5ed5a399018e7153213",
         ),
     ],
 )
@@ -886,6 +902,29 @@ def test_csv_graph6_and_text_output_bytes_are_frozen(tmp_path, capsys, argv, dig
     code, out, _ = run(capsys, argv.format(rect=rect).split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_text_renders_each_kind_as_a_block(capsys):
+    argv = ["sweep", "--trials", "3", "--seed", "7"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    # no dict or string repr: graph6 text holds characters 63-126, `{`
+    # among them, and no other line holds a brace or a quote
+    assert "'" not in out
+    assert [line for line in lines if "{" in line and not line.startswith("    graph6: ")] == []
+    kinds = search.SWEEP_KINDS
+    assert [line for line in lines if line.startswith("results")] == [
+        f"results[{i}]:" for i in range(len(kinds))
+    ]
+    assert [line for line in lines if line.lstrip().startswith("kind:")] == [
+        f"  kind: {kind}" for kind in kinds
+    ]
+    # every float goes through format_float
+    slacks = [r["worst_slack"] for r in run_json(capsys, argv)[1]["results"]["results"]]
+    assert [line for line in lines if line.startswith("  worst_slack: ")] == [
+        f"  worst_slack: {format_float(v)}" for v in slacks
+    ]
 
 
 def test_render_json_shapes():

@@ -211,16 +211,30 @@ def test_exhaustive_max_does_not_depend_on_the_order_graphs_are_scored_in(monkey
     assert abs(res.best_value - ref.best_value) <= 1e-12
 
 
+def witnesses_of(n, values, rows):
+    """(best_value, witnesses, truncated) of the result that search._result
+    builds from candidate graphs."""
+    res = search._result(n, None, values, rows, len(values), None, "exhaustive")
+    return res.best_value, res.witnesses, res.truncated
+
+
+@pytest.mark.parametrize("objective,k", [("trace_sum", None), ("kyfan_sum", 2)])
+def test_both_searches_report_the_objective_and_k_they_were_given(objective, k):
+    cfg = SearchConfig(restarts=1, max_steps=5)
+    for res in (exhaustive_max(4, objective, k), local_search_max(4, objective, k, cfg)):
+        assert (res.objective, res.k) == (objective, k)
+
+
 def test_witnesses_merge_duplicate_bitsets():
     # two restarts that end on one graph give one witness
-    best, witnesses, truncated = search._witnesses(4, [6.0, 5.0, 6.0], [9, 3, 9])
+    best, witnesses, truncated = witnesses_of(4, [6.0, 5.0, 6.0], [9, 3, 9])
     assert best == 6.0
     assert witnesses == (Graph(n=4, bits=9),)
     assert truncated is False
     # annealing bitsets at n = 64 have up to 2016 bits: Python ints in an
     # object array, merged by the same sort
     big = np.array([(1 << 2000) + 5, 3, 1 << 2000, (1 << 2000) + 5], dtype=object)
-    best, witnesses, truncated = search._witnesses(64, [2.0, 1.0, 2.0, 2.0], big)
+    best, witnesses, truncated = witnesses_of(64, [2.0, 1.0, 2.0, 2.0], big)
     assert (best, truncated) == (2.0, False)
     assert [g.bits for g in witnesses] == [1 << 2000, (1 << 2000) + 5]
 
@@ -228,7 +242,7 @@ def test_witnesses_merge_duplicate_bitsets():
 def test_witnesses_keep_unequal_values_within_the_tolerance():
     top = 21.2
     candidates = [(top - 0.5 * WITNESS_TOL, 4), (top, 40), (top - 2 * WITNESS_TOL, 1)]
-    best, witnesses, truncated = search._witnesses(5, *zip(*candidates))
+    best, witnesses, truncated = witnesses_of(5, *zip(*candidates))
     assert best == top
     assert [g.bits for g in witnesses] == [4, 40]
     assert truncated is False
@@ -237,16 +251,16 @@ def test_witnesses_keep_unequal_values_within_the_tolerance():
 def test_witnesses_sort_candidates_that_arrive_out_of_order():
     # job 0's mirror half (high bitsets) ahead of job 1's first half
     candidates = [(1.0, 1000), (1.0, 990), (1.0, 12), (1.0, 11)]
-    _, witnesses, _ = search._witnesses(5, *zip(*candidates))
+    _, witnesses, _ = witnesses_of(5, *zip(*candidates))
     assert [g.bits for g in witnesses] == [11, 12, 990, 1000]
 
 
 def test_witnesses_are_truncated_only_past_the_cap():
     exact = [(3.0, b) for b in range(WITNESS_CAP)]
-    _, witnesses, truncated = search._witnesses(5, *zip(*exact[::-1]))
+    _, witnesses, truncated = witnesses_of(5, *zip(*exact[::-1]))
     assert [g.bits for g in witnesses] == list(range(WITNESS_CAP))
     assert truncated is False
-    _, witnesses, truncated = search._witnesses(5, *zip(*(exact + [(3.0, WITNESS_CAP)])))
+    _, witnesses, truncated = witnesses_of(5, *zip(*(exact + [(3.0, WITNESS_CAP)])))
     assert [g.bits for g in witnesses] == list(range(WITNESS_CAP))
     assert truncated is True
 
@@ -274,8 +288,8 @@ def test_cospectral_pair_shares_a_solve_but_not_its_complements(monkeypatch):
         solved.extend(Graph.from_flags(5, m[is_, js]).bits for m in a)
         return eigvalsh_stack(a)
 
-    def recording_norms(scored, n, objective, k):
-        out = norms_by_spectrum(scored, n, objective, k)
+    def recording_norms(scored, n, k):
+        out = norms_by_spectrum(scored, n, k)
         norm.update(zip(scored.tolist(), out.tolist()))
         return out
 
@@ -712,14 +726,14 @@ def random_flip_draws(monkeypatch, n, cfg):
                 events.append((step["a"].copy(), flip, step["cur_val"], step["temp"]))
             return flip
 
-    def scored(a, is_, js, objective, k):
+    def scored(a, is_, js, k):
         events.append(is_.size)
-        return values(a, is_, js, objective, k)
+        return values(a, is_, js, k)
 
     monkeypatch.setattr(search, "SplitMix64", Recording)
     monkeypatch.setattr(search, "_flip_values", scored)
     for r in range(cfg.restarts):
-        search._anneal_once(n, "trace_sum", None, cfg, r)
+        search._anneal_once(n, None, cfg, r)
         events.append(None)
     js, is_ = np.nonzero(pair_mask(n))
     draws = []
@@ -728,7 +742,7 @@ def random_flip_draws(monkeypatch, n, cfg):
     for event, after in zip(events, events[1:]):
         if isinstance(event, tuple):
             a, flip, cur_val, temp = event
-            delta = values(a, is_[flip : flip + 1], js[flip : flip + 1], "trace_sum", None)[0]
+            delta = values(a, is_[flip : flip + 1], js[flip : flip + 1], None)[0]
             draws.append((delta - cur_val, temp, after == 1))
     return draws
 
@@ -761,9 +775,9 @@ def test_a_default_restart_scores_few_random_flips(monkeypatch):
     values = search._flip_values
     sizes = []
 
-    def counted(a, is_, js, objective, k):
+    def counted(a, is_, js, k):
         sizes.append(is_.size)
-        return values(a, is_, js, objective, k)
+        return values(a, is_, js, k)
 
     monkeypatch.setattr(search, "_flip_values", counted)
     local_search_max(16, cfg=SearchConfig(restarts=1, seed=3))
@@ -831,12 +845,12 @@ def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
         screens.append(a.tobytes())
         return screen(a, is_, js, work)
 
-    def scored(a, is_, js, objective, k):
+    def scored(a, is_, js, k):
         held[:] = [a]  # the array the run flips in place
         # the call on the screen's candidates, not the one on the random flip
         if len(scorings) < len(screens):
             scorings.append(a.tobytes())
-        return values(a, is_, js, objective, k)
+        return values(a, is_, js, k)
 
     monkeypatch.setattr(search, "_flip_candidates", screened)
     monkeypatch.setattr(search, "_flip_values", scored)
@@ -844,7 +858,7 @@ def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
     for r in range(cfg.restarts):
         screens.clear()
         scorings.clear()
-        search._anneal_once(n, "trace_sum", None, cfg, r)
+        search._anneal_once(n, None, cfg, r)
         # one exact scoring per screen, of the same graph
         assert screens == scorings
         # one flip (two entries) between consecutive scorings and at most one
@@ -853,6 +867,28 @@ def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
         graphs = [np.frombuffer(b) for b in scorings] + [held[0].ravel()]
         changed = [int(np.count_nonzero(x != y)) for x, y in zip(graphs, graphs[1:])]
         assert changed[:-1] == [2] * (len(scorings) - 1) and changed[-1] in (0, 2)
+
+
+@pytest.mark.parametrize("k,built", [(None, 1), (2, 0)])
+def test_a_restart_screens_only_for_trace_sum(monkeypatch, k, built):
+    # k None is trace_sum: one screen workspace per restart, and screens;
+    # kyfan_sum builds no workspace and never screens
+    screen_work, screen = search._ScreenWork, search._flip_candidates
+    made, screens = [], []
+
+    def counting_work(n, m):
+        made.append((n, m))
+        return screen_work(n, m)
+
+    def counting_screen(a, is_, js, work):
+        screens.append(work)
+        return screen(a, is_, js, work)
+
+    monkeypatch.setattr(search, "_ScreenWork", counting_work)
+    monkeypatch.setattr(search, "_flip_candidates", counting_screen)
+    search._anneal_once(9, k, SearchConfig(restarts=1, max_steps=50, seed=3), 0)
+    assert made == [(9, 36)] * built
+    assert bool(screens) == bool(built)
 
 
 def flip_stack(a):
@@ -875,7 +911,7 @@ def screen_against_exact(a):
     of maximal exact value is a candidate. Returns the candidates and
     whether the screen ran."""
     js, is_ = np.nonzero(pair_mask(a.shape[0]))
-    exact = search._pair_objective(flip_stack(a), "trace_sum", None)
+    exact = search._pair_objective(flip_stack(a), None)
     work = search._ScreenWork(a.shape[0], js.size)
     cand = search._flip_candidates(a, is_, js, work)
     assert np.all(np.diff(cand) > 0)
@@ -885,7 +921,7 @@ def screen_against_exact(a):
         assert np.array_equal(cand, np.arange(js.size))
         return cand, False
     delta, unreliable = screened
-    cur = search._pair_objective(a[None], "trace_sum", None)[0]
+    cur = search._pair_objective(a[None], None)[0]
     err = np.abs(cur + delta - exact)[~unreliable]
     assert err.size == 0 or err.max() <= 1e-8
     return cand, True
@@ -1148,12 +1184,12 @@ def test_pair_objective_of_any_substack_is_the_full_stack_bit_for_bit(n):
     rng = np.random.default_rng(100 + n)
     stack = flip_stack(random_adjacency(rng, n, 0.5))
     m = stack.shape[0]
-    full = search._pair_objective(stack, "trace_sum", None)
+    full = search._pair_objective(stack, None)
     subsets = [[r] for r in rng.choice(m, size=min(m, 30), replace=False)]
     subsets += [np.sort(rng.choice(m, size=min(m, 6), replace=False)) for _ in range(2)]
     subsets += [np.arange(m)[::-1]]
     for rows in subsets:
-        assert np.array_equal(search._pair_objective(stack[rows], "trace_sum", None), full[rows])
+        assert np.array_equal(search._pair_objective(stack[rows], None), full[rows])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 16, 24])
@@ -1188,7 +1224,7 @@ def test_screened_annealing_breaks_ties_like_scoring_every_flip(monkeypatch):
     c10 = adjacency_matrix(cycle(10))
     monkeypatch.setattr(search, "adjacency_matrix", lambda g: c10)
     flips = flip_stack(c10.array)
-    vals = search._pair_objective(flips, "trace_sum", None)
+    vals = search._pair_objective(flips, None)
     first = np.flatnonzero(vals == vals.max())[0]
     cfgs = [SearchConfig(restarts=1, max_steps=1), SearchConfig(restarts=2, max_steps=30, seed=1)]
     screened = [local_search_max(10, cfg=cfg) for cfg in cfgs]
