@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainViolationError, KOutOfRangeError, MissingParamError
 from .errors import as_int, as_positive_int
 from .graphs import Graph, adjacency_matrix
-from .linalg import SpectrumPair, as_matrix, require_symmetric
+from .linalg import SpectrumPair, as_matrix, invariant_row, require_symmetric
 from .linalg import ky_fan_norm, operator_norm, trace_norm
 
 BOUND_KINDS = ("koolen_moulton", "main", "gutman_zhou", "shifted", "kyfan", "opnorm")
@@ -221,7 +221,11 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
     equality conditions of the shifted bound, flag by flag."""
     tol = check_tol(tol)
     pair = _pair(obj, "equality")
-    a, n = pair.x.array, pair.x.rows
+    n = pair.x.rows
+    # every row and column of an invariant matrix permutes its row 0, so that
+    # row has the entries, the row sums and the column sums of the whole
+    row = invariant_row(pair.x)
+    a = pair.x.array if row is None else row[None, :]
 
     rounded = np.round(a)
     integral = bool(np.abs(a - rounded).max() <= INTEGRALITY_TOL)
@@ -230,8 +234,10 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
     # sums of (n - 1)/2, doubled: doubling is exact, and for even n no
     # doubled integral sum can equal the odd n - 1
     r = rounded if integral else a
-    row_sums_ok = bool((2 * r.sum(axis=1) == n - 1).all())
-    col_sums_ok = bool((2 * r.sum(axis=0) == n - 1).all())
+    row_sums = r.sum(axis=1)
+    col_sums = r.sum(axis=0) if row is None else row_sums
+    row_sums_ok = bool((2 * row_sums == n - 1).all())
+    col_sums_ok = bool((2 * col_sums == n - 1).all())
 
     target = math.sqrt(n) / 2.0
     flat_tail_ok = all(abs(s - target) <= tol for s in pair.sing(0, 0.5).values[1:])

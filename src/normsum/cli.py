@@ -39,6 +39,7 @@ from .graphs import (
     adjacency_matrix,
     graph6_decode,
     graph6_encode,
+    paley_adjacency,
     paley_graph,
 )
 from .linalg import DIMENSION_CAP, DenseMatrix, SingularSpectrum, SpectrumPair
@@ -202,8 +203,9 @@ _SOURCES = ("paley", "graph6", "edges", "matrix")
 _WITNESS_FLAGS = {"kyfan": ("order", "p", "q"), "opnorm": ("rows", "cols", "orientation")}
 
 
-def _resolve_input(args) -> Graph | DenseMatrix:
-    """Build the one input the flags name: a source, or the check witness."""
+def _resolve_input(args) -> SpectrumPair | DenseMatrix:
+    """Build the one input the flags name: a source, or the check witness. A
+    graph comes as the SpectrumPair of its adjacency X and J - I - X."""
     witness = _WITNESS_FLAGS.get(getattr(args, "kind", None), ())
     flags = _SOURCES + sum(_WITNESS_FLAGS.values(), ())
     given = [f for f in flags if getattr(args, f, None) is not None]
@@ -221,14 +223,16 @@ def _resolve_input(args) -> Graph | DenseMatrix:
             + (f", or --{witness[0]} and its witness flags" if witness else "")
         )
     src = given[0]
+    if src == "matrix":
+        return _load_matrix_file(args.matrix)
     if src == "paley":
-        return paley_graph(args.paley)
+        return SpectrumPair(paley_adjacency(args.paley), graph=True)
     if src == "graph6":
-        return graph6_decode(args.graph6)
-    if src == "edges":
+        g = graph6_decode(args.graph6)
+    else:
         with open(args.edges, "r", encoding="utf-8") as fh:
-            return Graph.from_json(json.load(fh))
-    return _load_matrix_file(args.matrix)
+            g = Graph.from_json(json.load(fh))
+    return SpectrumPair(adjacency_matrix(g), graph=True)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +278,9 @@ def cmd_construct(args):
 
 def _input_spectra(args) -> tuple[SpectrumPair, SingularSpectrum, dict]:
     """The input's spectrum pair, its singular values and its shape fields."""
-    obj = _resolve_input(args)
-    graph = isinstance(obj, Graph)
-    pair = SpectrumPair(adjacency_matrix(obj) if graph else obj, graph)
+    pair = _resolve_input(args)
+    if not isinstance(pair, SpectrumPair):
+        pair = SpectrumPair(pair, graph=False)
     return pair, pair.sing(0), {"rows": pair.x.rows, "cols": pair.x.cols}
 
 

@@ -9,7 +9,9 @@ It is also the bit order of the graph6 format, so serialization is a straight
 repack. One reader turns bitsets into pair flags after the cap check
 (:func:`_flags`); one builder turns pair flags into a symmetric adjacency, for
 a single graph (:func:`adjacency_matrix`) and the exhaustive search's batches
-alike; the complement of a matrix is ``linalg.complement_matrix``.
+alike; the complement of a matrix is ``linalg.complement_matrix``. A Paley
+graph's adjacency skips the bitset: :func:`paley_adjacency` reads it off the
+character table, the mask that :func:`paley_graph` takes its flags from.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ def _adjacency(flags: np.ndarray, n: int) -> np.ndarray:
 def adjacency_matrix(g: Graph) -> DenseMatrix:
     """Symmetric (0,1)-matrix with zero diagonal; entry (i, j) = 1 iff edge.
     The order meets the dimension cap (in :func:`_flags`) before any array
-    is allocated."""
-    return DenseMatrix(_adjacency(g.edge_flags(), g.n))
+    is allocated. Built as a | a^T, it carries asymmetry 0.0 unmeasured."""
+    return DenseMatrix.with_facts(_adjacency(g.edge_flags(), g.n), asymmetry=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +288,16 @@ def quadratic_character(q: int) -> np.ndarray:
     return _difference_view(_character_by_code(q), p, e).copy().reshape(q, q)
 
 
+def _paley_mask(q: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The boolean q x q adjacency of the Paley graph, chi(u - v) == 1, and
+    its (p,) * e grid, once q passes the checks of :func:`paley_graph`: the
+    cap and the prime-power test come before anything is allocated."""
+    p, e = _field_order(q)
+    if q % 4 != 1:
+        raise NotOneModFourError(f"q = {q} is not 1 (mod 4)")
+    return quadratic_character(q) == 1, (p,) * e
+
+
 def paley_graph(q: int) -> Graph:
     """Paley graph on the q elements of GF(q): u ~ v iff u - v is a nonzero square.
 
@@ -293,7 +305,14 @@ def paley_graph(q: int) -> Graph:
     is symmetric, and q at most ``DIMENSION_CAP``. Vertices are field
     elements in lexicographic coefficient order, constants first.
     """
-    _field_order(q)
-    if q % 4 != 1:
-        raise NotOneModFourError(f"q = {q} is not 1 (mod 4)")
-    return Graph.from_flags(q, (quadratic_character(q) == 1)[pair_mask(q)])
+    adjacent, _ = _paley_mask(q)
+    return Graph.from_flags(q, adjacent[pair_mask(q)])
+
+
+def paley_adjacency(q: int) -> DenseMatrix:
+    """``adjacency_matrix(paley_graph(q))``, built from the character table
+    with no bitset in between. It carries what the construction fixes:
+    asymmetry 0.0, as -1 is a square, and the (p,) * e grid of its
+    translation invariance, as adjacency is a function of u - v."""
+    adjacent, grid = _paley_mask(q)
+    return DenseMatrix.with_facts(adjacent, asymmetry=0.0, grid=grid)

@@ -5,15 +5,17 @@ LAPACK via numpy is used throughout and every factorization is certified by
 an explicit residual.
 
 A DenseMatrix measures its asymmetry max |A - A^T| once, on first use, and
-every operation reads that value. Exactly symmetric input (A == A^T) is
-factored by ``eigh`` and its singular values are the eigenvalue magnitudes;
-any other input goes through the LAPACK SVD. The residual is ||AQ - QΛ||_F
-for ``eigh`` and ||A - U diag(s) V^T||_F for the SVD; unless it is at most
-CERT_FACTOR * (1 + ||A||_F) (so a NaN fails), NoConvergenceError is raised.
-Every bound reads the spectra of an input X and of its complement partner
-(J - I - X or J - X): a SpectrumPair factors each once and keeps both. The
-partner of a matrix, of its first rows or of a stack is built by the one
-:func:`complement_matrix`.
+every operation reads that value. A builder that guarantees it supplies it
+instead, through :meth:`DenseMatrix.with_facts`: a graph adjacency, built
+as a | a^T, carries 0.0 and is never scanned. Exactly symmetric input
+(A == A^T) is factored by ``eigh`` and its singular values are the
+eigenvalue magnitudes; any other input goes through the LAPACK SVD. The
+residual is ||AQ - QΛ||_F for ``eigh`` and ||A - U diag(s) V^T||_F for the
+SVD; unless it is at most CERT_FACTOR * (1 + ||A||_F) (so a NaN fails),
+NoConvergenceError is raised. Every bound reads the spectra of an input X
+and of its complement partner (J - I - X or J - X): a SpectrumPair factors
+each once and keeps both. The partner of a matrix, of its first rows or of
+a stack is built by the one :func:`complement_matrix`.
 
 Structured input skips ``eigh``. An exactly symmetric A of order n = p^e >=
 STRUCTURED_MIN_N that is invariant under the translations of (Z_p)^e, vertex
@@ -23,7 +25,10 @@ its eigenvalues are the e-dimensional DFT of its first row (Babai 1979).
 Invariance is one exact comparison of A with the difference table of row 0,
 A[u, v] = A[0, u - v], which reads all n^2 entries; like the asymmetry, a
 DenseMatrix makes it once, on first use, and every operation reads the
-verdict. Q is the unitary character basis, and the reconstruction residual
+verdict. Here too the builder may supply the verdict: the Paley adjacency
+(``graphs.paley_adjacency``) is built from the difference table, so it
+carries its grid, subject to the same STRUCTURED_MIN_N rule, and is never
+compared. Q is the unitary character basis, and the reconstruction residual
 ||A - QΛQ*||_F = sqrt(n) ||row0 - ifftn(λ)||_2 is certified as above, with
 ||A||_F taken as sqrt(n) ||row0||_2 (each row permutes row 0), an O(n) sum.
 The partner of an invariant X is invariant, with row 0 J[0] - X[0]: its
@@ -100,6 +105,23 @@ class DenseMatrix:
         self._data = arr
         self._asym = self._grid = None
         self._min, self._max = lo, hi
+
+    @classmethod
+    def with_facts(
+        cls, data, *, asymmetry: float | None = None, grid: tuple[int, ...] | None = None
+    ) -> "DenseMatrix":
+        """A DenseMatrix of `data` that starts out knowing what its builder
+        guarantees, so neither fact is measured: its asymmetry max |A - A^T|
+        (0.0 for a | a^T or a character table), and its grid, (p,) * e when
+        the builder made it (Z_p)^e-translation invariant and exactly
+        symmetric, () when it is known not to be. None leaves a fact to be
+        measured on first use. A grid below STRUCTURED_MIN_N is (), as the
+        measured path would find."""
+        mat = cls(data)
+        mat._asym = asymmetry
+        if grid is not None:
+            mat._grid = grid if mat.rows >= STRUCTURED_MIN_N else ()
+        return mat
 
     @classmethod
     def from_flat(cls, rows: int, cols: int, entries: Sequence[float]) -> "DenseMatrix":
@@ -210,6 +232,13 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+def invariant_row(mat: DenseMatrix) -> np.ndarray | None:
+    """Row 0 of a translation-invariant matrix (see the module docstring),
+    of which every row and every column is a permutation; None when the
+    matrix is not invariant."""
+    return mat.array[0] if mat._invariance() else None
 
 
 def as_matrix(m) -> DenseMatrix:
@@ -423,9 +452,12 @@ class SpectrumPair:
 
     def _member(self, i: int) -> DenseMatrix:
         if i and self._y is None:
-            self._y = DenseMatrix(complement_matrix(self.x.array, self.graph))
-            self._y._asym = 0.0 if self.x._asymmetry() == 0.0 else None  # J, I are symmetric
-            self._y._grid = ()  # Y is built only when X is not invariant
+            # J and I are symmetric, and Y is built only when X is not invariant
+            self._y = DenseMatrix.with_facts(
+                complement_matrix(self.x.array, self.graph),
+                asymmetry=0.0 if self.x._asymmetry() == 0.0 else None,
+                grid=(),
+            )
         return self._y if i else self.x
 
     def eig(self, i: int) -> EigenSpectrum:

@@ -16,13 +16,14 @@ from normsum import (
     check_bound,
     conference_eigenvalues,
     equality_analysis,
+    graph6_encode,
     graph_from_edges,
     kyfan_extremal_matrix,
     opnorm_extremal_matrix,
     paley_graph,
     weyl_complement_check,
 )
-from normsum import cli, linalg
+from normsum import bounds, cli, linalg
 from normsum.graphs import quadratic_character
 from oracles import complete, cycle
 
@@ -195,17 +196,24 @@ def test_each_matrix_is_built_and_has_its_asymmetry_measured_once(monkeypatch, c
     monkeypatch.setattr(DenseMatrix, "__init__", init)
     monkeypatch.setattr(DenseMatrix, "_asymmetry", first_read)
     g = paley_graph(13)
-    for run, matrices in (
-        (lambda: check_bound("main", g), 2),  # A, J - I - A
-        (lambda: equality_analysis(g), 1),  # A
-        (lambda: weyl_complement_check(g), 2),  # A, J - I - A
-        (lambda: cli.main(["spectrum", "--paley", "13", "--json"]), 1),  # A
+    a = adjacency_matrix(g).array.copy()
+    for run, matrices, times in (
+        (lambda: check_bound("main", g), 2, 0),  # A, J - I - A
+        (lambda: equality_analysis(g), 1, 0),  # A
+        (lambda: weyl_complement_check(g), 2, 0),  # A, J - I - A
+        (lambda: cli.main(["spectrum", "--paley", "13", "--json"]), 1, 0),  # A
+        (lambda: cli.main(["check", "main", "--graph6", graph6_encode(g)]), 2, 0),
+        # the same entries as an array: nothing vouches for their symmetry
+        (lambda: check_bound("main", a), 2, 1),
+        (lambda: weyl_complement_check(a), 2, 1),
     ):
         built.clear()
         measured.clear()
         run()
-        # J - I - A inherits the exact symmetry of A, so only A is measured
-        assert built == [(13, 13)] * matrices and measured == [(13, 13)]
+        # a graph's adjacency is built symmetric and never measured, and
+        # J - I - A inherits the exact symmetry of A, so only an array is
+        # measured, once
+        assert built == [(13, 13)] * matrices and measured == [(13, 13)] * times
 
 
 def test_check_shifted_allows_asymmetry():
@@ -365,6 +373,41 @@ def test_equality_analysis_factors_symmetric_input_once(monkeypatch):
     sigma = np.linalg.svd(a + np.eye(n) / 2, compute_uv=False)
     assert r.flat_tail_ok == bool(np.all(np.abs(sigma[1:] - math.sqrt(n) / 2) <= 1e-6))
     assert not r.conference_spectrum_ok
+
+
+def _circulant(row):
+    n = len(row)
+    return np.asarray(row)[(np.arange(n)[:, None] - np.arange(n)) % n]
+
+
+def _invariant_equality_cases():
+    p137 = paley_graph(137)
+    frac = adjacency_matrix(p137).array[0].copy()
+    # one fractional value, at +-1 (squares) and +-3 (nonsquares): the matrix
+    # stays symmetric and its rows still sum to 68
+    frac[[1, 136, 3, 134]] = 0.5
+    complement = Graph(n=137, bits=p137.bits ^ ((1 << p137.pair_count) - 1))
+    # C131 has degree 2, where 65 is needed
+    return [(cycle(131), False), (_circulant(frac), False), (complement, True)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_equality_analysis_reads_an_invariant_input_from_row_0(monkeypatch, case):
+    obj, overall = _invariant_equality_cases()[case]
+    rows = []
+    real = bounds.invariant_row
+
+    def spy(mat):
+        rows.append(real(mat))
+        return rows[-1]
+
+    monkeypatch.setattr(bounds, "invariant_row", spy)
+    fast = equality_analysis(obj)
+    assert len(rows) == 1 and rows[0] is not None  # the row-0 path ran
+    monkeypatch.setattr(bounds, "invariant_row", lambda mat: None)
+    assert fast == equality_analysis(obj)  # the report of the full array
+    assert fast.overall == overall
+    assert fast.is_zero_one == (case != 1) and fast.row_sums_ok == fast.col_sums_ok == (case != 0)
 
 
 def test_equality_implies_shifted_equality():

@@ -25,7 +25,7 @@ from normsum import (
     paley_graph,
     search,
 )
-from normsum.bounds import EQUALITY_TOL, HOLD_TOL
+from normsum.bounds import BOUND_KINDS, EQUALITY_TOL, HOLD_TOL
 from normsum.cli import format_float, main, render_json
 
 
@@ -103,6 +103,57 @@ def test_check_main_paley_past_the_cap_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "dimension cap 4096" in err
+
+
+# every subcommand that reads --paley; kyfan needs an index
+PALEY_COMMANDS = [["check", kind] for kind in BOUND_KINDS if kind != "kyfan"] + [
+    ["check", "kyfan", "--k", "2"],
+    ["check", "equality"],
+    ["check", "weyl"],
+    ["norms", "--k", "2"],
+    ["spectrum"],
+]
+
+
+@pytest.mark.parametrize("q", [13, 125, 137, 169, 729])
+def test_paley_input_gives_the_results_of_the_same_graph_in_graph6(capsys, q):
+    # the orders straddle STRUCTURED_MIN_N, with primes and prime powers
+    code, g6, _ = run(capsys, ["construct", "paley", str(q), "--format", "graph6"])
+    assert code == 0
+    for command in PALEY_COMMANDS:
+        fast = run_json(capsys, command + ["--paley", str(q)])
+        measured = run_json(capsys, command + ["--graph6", g6.strip()])
+        assert fast[0] == measured[0] == 0 and fast[1]["results"] == measured[1]["results"], command
+
+
+def test_paley_input_is_never_scanned_for_symmetry_or_invariance(monkeypatch, capsys):
+    real = linalg.DenseMatrix._asymmetry
+
+    def asymmetry(mat):
+        if mat._asym is None:
+            pytest.fail(f"asymmetry of a {mat.shape} matrix measured")
+        return real(mat)
+
+    def difference_view(*args):
+        pytest.fail("invariance measured")
+
+    monkeypatch.setattr(linalg.DenseMatrix, "_asymmetry", asymmetry)
+    monkeypatch.setattr(linalg, "_difference_view", difference_view)
+    for command in PALEY_COMMANDS:
+        assert run_json(capsys, command + ["--paley", "137"])[0] == 0, command
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        ("4", "q = 4 is not 1 (mod 4)"),
+        ("6", "q = 6 is not a prime power"),
+        ("4097", "q = 4097 exceeds the dimension cap 4096"),
+    ],
+)
+def test_paley_orders_out_of_the_domain_exit_2_in_every_command(capsys, q, message):
+    for command in PALEY_COMMANDS:
+        assert run(capsys, command + ["--paley", q, "--json"]) == (2, "", f"error: {message}\n")
 
 
 def test_tol_help_names_both_defaults():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,8 +22,9 @@ from normsum import (
     sym_eigen,
 )
 from normsum import graphs
-from normsum.graphs import _character_by_code, _gf_mul, pair_index, quadratic_character
-from normsum.linalg import _prime_power_split
+from normsum.graphs import _character_by_code, _gf_mul, pair_index, paley_adjacency
+from normsum.graphs import quadratic_character
+from normsum.linalg import STRUCTURED_MIN_N, DenseMatrix, _prime_power_split
 from oracles import (
     SRGParams,
     character_table_by_digits,
@@ -342,6 +344,39 @@ CHARACTER_DIGESTS = {
 def test_character_table_is_frozen(q):
     chi = _character_by_code(q)
     assert hashlib.sha256(chi.tobytes()).hexdigest() == CHARACTER_DIGESTS[q]
+
+
+def test_paley_adjacency_is_the_graph_with_the_facts_a_scan_would_measure():
+    orders = [q for q in range(5, 1025, 4) if _prime_power_split(q)]
+    assert len(orders) == 97 and {81, 125, 169, 625, 729} <= set(orders)
+    for q in orders:
+        mat = paley_adjacency(q)
+        assert mat == adjacency_matrix(paley_graph(q)), q
+        # carried from the construction, not measured
+        p, e = _prime_power_split(q)
+        assert mat._asym == 0.0 and mat._grid == ((p,) * e if q >= STRUCTURED_MIN_N else ()), q
+        fresh = DenseMatrix(mat.array)
+        assert fresh._asymmetry() == mat._asym and fresh._invariance() == mat._grid, q
+
+
+@pytest.mark.parametrize(
+    "q, error, message",
+    [
+        (4, NotOneModFourError, "q = 4 is not 1 (mod 4)"),
+        (6, NotPrimePowerError, "q = 6 is not a prime power"),
+        (DIMENSION_CAP + 1, SizeOverflowError, "q = 4097 exceeds the dimension cap 4096"),
+    ],
+)
+def test_paley_adjacency_refuses_an_order_before_it_builds_anything(q, error, message):
+    for build in (paley_adjacency, paley_graph):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                build(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 @pytest.mark.parametrize("q", [9, 25, 49, 81, 121, 125, 169, 289, 361])

@@ -1,5 +1,5 @@
-"""Static guard: numpy.linalg, numpy.fft and the symmetric-input and invariance
-decisions stay in linalg."""
+"""Static guard: numpy.linalg, numpy.fft, the symmetric-input and invariance
+decisions and the cached facts they rest on stay in linalg."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,7 @@ import normsum
 
 SRC = Path(normsum.__file__).parent
 KERNELS = ("np.linalg", "numpy.linalg", "np.fft", "numpy.fft")
-PRIVATE = {"_asymmetry", "_invariance", "_singular_from_eigen"}
+PRIVATE = {"_asym", "_asymmetry", "_grid", "_invariance", "_singular_from_eigen"}
 
 
 def _dotted(node):
@@ -27,9 +27,9 @@ def _is_kernel(name):
 
 def violations(path):
     """(line, what) for each numpy.linalg or numpy.fft reference or import,
-    and each linalg-private symmetry or invariance helper, in the module. A
-    reference is reported by its longest dotted name: np.linalg.eigh, not
-    np.linalg too."""
+    and each linalg-private symmetry or invariance helper or cached fact, in
+    the module. A reference is reported by its longest dotted name:
+    np.linalg.eigh, not np.linalg too."""
     tree = ast.parse(path.read_text(), filename=str(path))
     nodes = list(ast.walk(tree))
     inner = {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
@@ -59,7 +59,9 @@ def test_factorizations_and_symmetry_helpers_stay_in_linalg():
     assert offenders == {}
     # the scan does see the kernel's own call sites and symmetry reads
     assert {what for _, what in violations(SRC / "linalg.py")} == {
+        "_asym",
         "_asymmetry",
+        "_grid",
         "_invariance",
         "np.linalg.LinAlgError",
         "np.linalg.eigh",
@@ -80,6 +82,7 @@ def test_the_scan_finds_every_numpy_linalg_reference(tmp_path):
         "w = numpy.linalg.eigvalsh(a).T\n"
         "from normsum.linalg import _asymmetry\n"
         "grid = m._invariance()\n"
+        "m._asym = m._grid = None\n"
     )
     assert sorted(violations(stray)) == [
         (1, "numpy.linalg"),
@@ -89,4 +92,6 @@ def test_the_scan_finds_every_numpy_linalg_reference(tmp_path):
         (5, "numpy.linalg.eigvalsh"),
         (6, "_asymmetry"),
         (7, "_invariance"),
+        (8, "_asym"),
+        (8, "_grid"),
     ]
