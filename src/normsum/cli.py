@@ -539,16 +539,21 @@ def _text_lines(results: dict, prefix: str = "") -> list[str]:
                 lines.extend(_text_lines(item, prefix + "  "))
         elif isinstance(val, (list, tuple)) and val and isinstance(val[0], (int, float)):
             body = " ".join(
-                format_float(float(v)) if isinstance(v, float) else str(v) for v in val
+                format_float(float(v)) if isinstance(v, float) else _text_scalar(v) for v in val
             )
             lines.append(f"{prefix}{key}: {body}")
         elif isinstance(val, (list, tuple)):
-            lines.append(f"{prefix}{key}: {', '.join(str(v) for v in val)}")
+            lines.append(f"{prefix}{key}: {', '.join(_text_scalar(v) for v in val)}")
         elif isinstance(val, float):
             lines.append(f"{prefix}{key}: {format_float(val)}")
         else:
-            lines.append(f"{prefix}{key}: {val}")
+            lines.append(f"{prefix}{key}: {_text_scalar(val)}")
     return lines
+
+
+def _text_scalar(val) -> str:
+    """str(val), except that an absent value prints as JSON's null."""
+    return "null" if val is None else str(val)
 
 
 # built on first use and reused: parsing leaves the parser unchanged

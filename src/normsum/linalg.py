@@ -32,8 +32,27 @@ compared. Q is the unitary character basis, and the reconstruction residual
 ||A - QΛQ*||_F = sqrt(n) ||row0 - ifftn(λ)||_2 is certified as above, with
 ||A||_F taken as sqrt(n) ||row0||_2 (each row permutes row 0), an O(n) sum.
 The partner of an invariant X is invariant, with row 0 J[0] - X[0]: its
-spectrum is one more DFT of a row, and the pair never builds it. The
-partner of any other X is factored densely, with no comparison of its own.
+spectrum is one more DFT of a row, and the pair never builds it.
+
+The partner of any other X symmetric within SYMMETRY_TOL, of order n >=
+STRUCTURED_MIN_N, is derived from X's eigenbasis, not factored. Y = J - cI -
+X (c = 1 for a graph, else 0) is a rank-one update of -(X + cI): with S the
+array X's ``eigh`` factored (X, or (X + X^T)/2), S Q = QΛ + R, z = Q^T 1
+and δ = 1 - Qz, Y Q = Q(D + zz^T) + δz^T - R for D = -cI - Λ. The pair keeps
+Q from X's ``eigh`` until Y is asked for, then drops it. Tiny z_i and
+near-equal d_i are deflated (Bunch, Nielsen & Sorensen 1978), and the other
+eigenvalues of D + zz^T are the roots of the secular equation 1 + Σ z_i^2 /
+(d_i - μ) = 0 (Golub 1973), all solved at once, each inside its bracket.
+The roots are the exact eigenvalues of D + ẑẑ^T for the Löwner vector ẑ (Gu
+& Eisenstat 1994), so Y's residual is at most ||R||_F + ||δ|| ||z|| + ||ẑẑ^T
+- zz^T||_F plus the deflation's dropped parts and the rounding of D and of
+the roots, certified against CERT_FACTOR * (1 + ||Y||_F), with ||Y||_F
+taken from the sums of S. Every pass over the K^2 pole-root differences of
+the K roots runs in blocks of _SECULAR_BLOCK entries, Y is never built, and
+the cost is O(n^2) against the O(n^3) of a second ``eigh``. When the
+certificate fails (on K_n, Y = 0 and its threshold is CERT_FACTOR itself),
+Y is built and factored densely, with no comparison of its own, as any
+partner below the floor is.
 """
 
 from __future__ import annotations
@@ -71,6 +90,16 @@ STRUCTURED_MIN_N = 128
 # Side of the square tiles the asymmetry is measured in: a tile and its
 # mirror take 1 MB.
 _ASYM_TILE = 256
+
+# Entries in one block of a pass over the K x K table of secular pole-root
+# differences: a block takes 512 KB, and no pass allocates K^2 floats.
+_SECULAR_BLOCK = 1 << 16
+
+# Solver passes after which an unconverged secular root is left as it is;
+# its certificate then fails and the partner is factored densely.
+_SECULAR_PASSES = 50
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def check_dimensions(what: str, *dims: int) -> None:
@@ -374,23 +403,29 @@ def _eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)
 
 
-def sym_eigen(m) -> EigenSpectrum:
+def sym_eigen(m, *, basis: bool = False):
     """Eigenvalues of a symmetric matrix, sorted descending.
 
     The input must be square and symmetric within SYMMETRY_TOL entrywise.
     The returned residual is checked against the convergence certificate
-    threshold; a breach raises NoConvergenceError.
+    threshold; a breach raises NoConvergenceError. With `basis`, the result
+    is (spectrum, (S, w, Q)): the array a dense eigh factored, (A + A^T)/2,
+    with its ascending eigenvalues and eigenvectors, or (spectrum, None)
+    when the spectrum came from the character transform.
     """
     mat = as_matrix(m)
     if mat.rows != mat.cols:
         raise NonSquareError(f"sym_eigen needs a square matrix, got {mat.rows}x{mat.cols}")
     require_symmetric(mat, NonSymmetricError)
     if grid := mat._invariance():
-        return _descending(*_character_eigh(mat.array[0].reshape(grid)))
+        spectrum = _descending(*_character_eigh(mat.array[0].reshape(grid)))
+        return (spectrum, None) if basis else spectrum
     a = mat.array
     # a == a.T is factored as it is: a + a.T would give it back, or overflow
-    w, _, residual = eigh_basis(a if mat._asymmetry() == 0.0 else (a + a.T) / 2.0)
-    return _descending(w, residual)
+    sym = a if mat._asymmetry() == 0.0 else (a + a.T) / 2.0
+    w, q, residual = eigh_basis(sym)
+    spectrum = _descending(w, residual)
+    return (spectrum, (sym, w, q)) if basis else spectrum
 
 
 def _descending(w: np.ndarray, residual: float) -> EigenSpectrum:
@@ -435,19 +470,215 @@ def complement_matrix(a: np.ndarray, graph: bool = True) -> np.ndarray:
     return j - a
 
 
+def _blocks(count: int, width: int) -> list[slice]:
+    """Consecutive slices of range(count), each with at most _SECULAR_BLOCK /
+    width items, so that a (slice, width) block stays within the budget."""
+    step = max(1, _SECULAR_BLOCK // width)
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
+
+def _deflate(d: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Deflation of D + z z^T, d ascending (Bunch, Nielsen & Sorensen 1978;
+    LAPACK dlaed2). With tol = 8 eps max(max |d|, ||z||^2), a z_i with
+    |z_i| ||z|| <= tol is set to 0, and neighbours d_i <= d_j left in the
+    secular problem are rotated by the Givens rotation that zeroes z_i when
+    the off-diagonal entry it drops, (d_j - d_i) c s, is at most tol. Each
+    zeroed i keeps d_i as an eigenvalue. Returns the new (d, z), the mask of
+    zeroed entries and the Frobenius norm of the dropped parts summed:
+    sqrt(2) ||z|| ||z_zeroed|| plus sqrt(2) |(d_j - d_i) c s| per rotation."""
+    d, z = d.copy(), z.copy()
+    norm = _frobenius(z)
+    tol = 8.0 * _EPS * max(float(np.abs(d).max()), norm * norm)
+    deflated = np.abs(z) * norm <= tol
+    perturbation = math.sqrt(2.0) * norm * _frobenius(z[deflated])
+    z[deflated] = 0.0
+    kept = np.flatnonzero(~deflated)
+    # a rotation needs |d_j - d_i| <= 2 tol, as |c s| <= 1/2, and moves d_j
+    # toward d_i, so only gaps that start that close are visited, in order
+    for t in np.flatnonzero(np.diff(d[kept]) <= 2.0 * tol).tolist():
+        i, j = kept[t], kept[t + 1]
+        r = math.hypot(z[i], z[j])
+        c, s = z[j] / r, -z[i] / r
+        dropped = (d[j] - d[i]) * c * s
+        if abs(dropped) <= tol:
+            d[i], d[j] = d[i] * c * c + d[j] * s * s, d[i] * s * s + d[j] * c * c
+            z[i], z[j] = 0.0, r
+            deflated[i] = True
+            perturbation += math.sqrt(2.0) * abs(dropped)
+    return d, z, deflated, perturbation
+
+
+def _secular_rest(d, w2, origin, other, tau, roots) -> tuple[np.ndarray, np.ndarray]:
+    """For each root r in `roots`, at mu_r = d[origin_r] + tau_r, the sum of
+    w2_i / (d_i - mu_r) over the poles i other than origin_r and other_r, and
+    its derivative in mu_r: the smooth part of the secular function, two
+    GEMVs per block of roots."""
+    rest, slope = np.empty(roots.size), np.empty(roots.size)
+    buf = np.empty((min(roots.size, max(1, _SECULAR_BLOCK // d.size)), d.size))
+    for part in _blocks(roots.size, d.size):
+        r = roots[part]
+        o, b, rows = origin[r], buf[: r.size], np.arange(r.size)
+        np.subtract.outer(d[o], d, out=b)  # (d_o - d_i) + tau = mu - d_i, digits kept
+        b += tau[r, None]
+        np.divide(1.0, b, out=b)
+        b[rows, o] = b[rows, other[r]] = 0.0
+        rest[part] = -(b @ w2)
+        np.multiply(b, b, out=b)
+        slope[part] = b @ w2
+    return rest, slope
+
+
+def _secular_step(a, b, c, lo, hi) -> np.ndarray:
+    """The root of a t^2 - b t + c = 0 that lies in (lo, hi), taken without
+    cancellation (as in LAPACK dlaed4), or the midpoint of (lo, hi) when
+    neither root does. Called under the solver's errstate."""
+    big = b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b)
+    near, far = 2.0 * c / big, big / (2.0 * a)
+    near_in, far_in = (near > lo) & (near < hi), (far > lo) & (far < hi)
+    return np.where(near_in, near, np.where(far_in, far, 0.5 * (lo + hi)))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _secular_roots(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The K roots of 1 + sum_i w_i^2 / (d_i - mu) for d strictly ascending
+    and every w_i nonzero, root j in (d_j, d_{j+1}) and the last in (d_{K-1},
+    d_{K-1} + ||w||^2) (Golub 1973), as (origin, tau): mu_j = d[origin_j] +
+    tau_j, the origin being the pole nearer the root, so that mu_j - d_i =
+    (d[origin_j] - d_i) + tau_j keeps its digits.
+
+    All roots are solved at once, each inside its own bracket. One pass at
+    the bracket midpoints picks each origin and starts each root from the
+    two poles around it, the rest of the sum held constant (LAPACK dlaed4).
+    Each later pass fits the rest by a pole at the other end of the bracket,
+    matching its value and slope (the fixed weight method; Li 1994), takes
+    the root of that model, or bisects when it leaves the bracket, and
+    drops the roots whose secular value is within rounding of 0:
+    |f| <= 8 eps (1 + sqrt(||w||^2 f') + |tau| f'), where sqrt(||w||^2 f')
+    bounds the sum of the terms' magnitudes (Cauchy-Schwarz).
+    """
+    k, w2 = d.size, w * w
+    rho = float(w2.sum())
+    if k == 1:
+        return np.zeros(1, dtype=np.intp), np.array([rho])
+    j = np.arange(k)
+    width = np.append(np.diff(d), rho)
+    # the two poles around root j: j and j + 1, and j - 1 and j for the last
+    origin, other = j.copy(), np.append(j[1:], k - 2)
+    tau = width / 2.0
+    rest, _ = _secular_rest(d, w2, origin, other, tau, j)
+    gap = d[other] - d[origin]
+    f = 1.0 + rest - w2 / tau + w2[other] / (gap - tau)
+    below = f < 0.0  # the root lies above the midpoint
+    lo, hi = np.where(below, tau, 0.0), np.where(below, width, tau)
+    right = below & (j < k - 1)  # nearer d_{j+1}: shift the origin there
+    origin[right], other[right] = j[right] + 1, j[right]
+    lo[right] -= width[right]
+    hi[right] -= width[right]
+    gap = d[other] - d[origin]
+    a = 1.0 + rest
+    tau = _secular_step(a, a * gap + w2[origin] + w2[other], w2[origin] * gap, lo, hi)
+    roots = j
+    for _ in range(_SECULAR_PASSES):
+        rest, slope = _secular_rest(d, w2, origin, other, tau, roots)
+        o, m, t = origin[roots], other[roots], tau[roots]
+        gap = d[m] - d[o]
+        far = gap - t
+        f = 1.0 + rest - w2[o] / t + w2[m] / far
+        df = slope + w2[o] / (t * t) + w2[m] / (far * far)
+        lo[roots] = np.where(f < 0.0, np.maximum(lo[roots], t), lo[roots])
+        hi[roots] = np.where(f > 0.0, np.minimum(hi[roots], t), hi[roots])
+        open_ = np.abs(f) > 8.0 * _EPS * (1.0 + np.sqrt(rho * df) + np.abs(t) * df)
+        if not open_.any():
+            break
+        weight = w2[m] + slope * far * far
+        a = 1.0 + rest - slope * far
+        step = _secular_step(a, a * gap + w2[o] + weight, w2[o] * gap, lo[roots], hi[roots])
+        roots = roots[open_]
+        tau[roots] = step[open_]
+    return origin, tau
+
+
+def _lowner(d: np.ndarray, origin: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The squares of the Löwner vector of roots mu = d[origin] + tau that
+    interlace d: the zh for which D + zh zh^T has exactly those eigenvalues,
+    zh_i^2 = prod_j (mu_j - d_i) / prod_{j != i} (d_j - d_i) (Gu & Eisenstat
+    1994). Taken as one product of ratios per i, in blocks of i."""
+    k = d.size
+    out, do, shift = np.empty(k), d[origin], tau[:, None]
+    for part in _blocks(k, k):
+        num = np.subtract.outer(do, d[part])
+        num += shift  # mu_j - d_i
+        den = np.subtract.outer(d, d[part])  # d_j - d_i, and 1 at j = i
+        cols = np.arange(part.stop - part.start)
+        den[part.start + cols, cols] = 1.0
+        num /= den
+        out[part] = np.prod(num, axis=0)
+    return out
+
+
+def _derived_partner(
+    sym: np.ndarray, w: np.ndarray, q: np.ndarray, residual: float, c: float
+) -> EigenSpectrum | None:
+    """The spectrum of Y = J - cI - S from the eigenbasis S Q = Q diag(w) + R
+    of a symmetric S, certified; None when the certificate fails.
+
+    With z = Q^T 1 and delta = 1 - Q z, Y Q = Q (D + z z^T) + delta z^T - R
+    for D = -cI - diag(w): Y's eigenvalues are those of the rank-one update
+    D + z z^T, deflated (:func:`_deflate`) and solved by the secular equation
+    (:func:`_secular_roots`). The roots are the exact eigenvalues of D + zh
+    zh^T for the Löwner vector zh (:func:`_lowner`), so ||R||_F + ||delta||
+    ||z|| + ||zh zh^T - z z^T||_F + the deflation's dropped parts + the
+    rounding of D and of the roots bounds ||Y V - V diag(mu)||_F for an
+    orthonormal V. ||zh zh^T - z z^T||_F <= ||zh - z|| ||zh + z||. The bound
+    is certified against CERT_FACTOR * (1 + ||Y||_F), with ||Y||_F^2 = n^2 -
+    2 sum(S) + ||S||_F^2 - 2c (n - tr S) + c^2 n from S's sums: Y is never
+    built, and every pass over K^2 entries runs in blocks.
+    """
+    n = sym.shape[0]
+    z = q.sum(axis=0)
+    delta = 1.0 - q @ z
+    d, zd, deflated, perturbation = _deflate((-c - w)[::-1], z[::-1])
+    dk, wk = d[~deflated], zd[~deflated]
+    origin, tau = _secular_roots(dk, wk)
+    with np.errstate(invalid="ignore"):  # roots out of their brackets: NaN fails
+        zh = np.copysign(np.sqrt(_lowner(dk, origin, tau)), wk)
+    values = np.sort(np.concatenate([d[deflated], dk[origin] + tau]))
+    bound = (
+        residual
+        + _frobenius(delta) * _frobenius(z)
+        + _frobenius(zh - wk) * _frobenius(zh + wk)
+        + perturbation
+        + _EPS * (_frobenius(d) + _frobenius(values))
+    )
+    flat = sym.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_sq = n * n - 2.0 * float(flat.sum()) + float(flat @ flat)
+        y_sq += c * (c * n - 2.0 * (n - float(np.trace(sym))))
+    try:
+        _certify(bound, np.array([math.sqrt(max(y_sq, 0.0))]), "derived eigen")
+    except NoConvergenceError:
+        return None
+    return _descending(values, bound)
+
+
 class SpectrumPair:
     """An input X and its complement partner Y, J - I - X when `graph` and
     J - X otherwise, each factored at most once, on first use; member i is X
     (i = 0) or Y (i = 1). Y is exactly symmetric when X is, and then the
     singular values of a member plus shift*I are |lambda + shift| of its
-    eigenvalues; otherwise they take one SVD."""
+    eigenvalues; otherwise they take one SVD. The eigenvalues of a partner
+    of order >= STRUCTURED_MIN_N that is not invariant are derived from X's
+    eigenbasis, kept from X's ``eigh`` until then (see the module
+    docstring)."""
 
-    __slots__ = ("x", "graph", "symmetric", "_y", "_eig", "_sing")
+    __slots__ = ("x", "graph", "symmetric", "_y", "_eig", "_sing", "_basis")
 
     def __init__(self, x: DenseMatrix, graph: bool) -> None:
         self.x, self.graph, self._y = x, graph, None
         self.symmetric = x._asymmetry() <= SYMMETRY_TOL  # X has eigenvalues
         self._eig: list[EigenSpectrum | None] = [None, None]
+        # (the array factored, w, Q) of X, from X's eigh until Y is derived
+        self._basis: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._sing: dict[tuple[int, float], SingularSpectrum] = {}  # by (member, shift)
 
     def _member(self, i: int) -> DenseMatrix:
@@ -466,9 +697,23 @@ class SpectrumPair:
             if grid := self.x._invariance():  # so Y is invariant too
                 row0 = complement_matrix(self.x.array[:1], self.graph) if i else self.x.array[0]
                 self._eig[i] = _descending(*_character_eigh(row0.reshape(grid)))
+            elif self.symmetric and self.x.rows >= STRUCTURED_MIN_N:
+                self._derive(i)
             else:
                 self._eig[i] = sym_eigen(self._member(i))
         return self._eig[i]
+
+    def _derive(self, i: int) -> None:
+        """Factor X by one eigh, keeping its basis, then derive Y's spectrum
+        from it when i = 1 and drop the basis; Y is factored densely, as it
+        would be without the basis, when the derived certificate fails."""
+        if self._eig[0] is None:
+            self._eig[0], self._basis = sym_eigen(self.x, basis=True)
+        if i:
+            (sym, w, q), self._basis = self._basis, None
+            c = 1.0 if self.graph else 0.0
+            derived = _derived_partner(sym, w, q, self._eig[0].offdiag_residual, c)
+            self._eig[1] = derived or sym_eigen(self._member(1))
 
     def sing(self, i: int, shift: float = 0.0) -> SingularSpectrum:
         """Singular values of member i + shift*I, descending."""

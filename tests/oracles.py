@@ -2,13 +2,16 @@
 strong-regularity test A^2 = k I + lam A + mu (J - I - A), the
 conference-graph family it singles out, the GF(q) character table by digit
 codes, the (Z_p)^e translation-invariance test by rolls, the complement
-graph by bit flips, the edge list read off the pair mask, cycles and
-complete graphs, the annealing flip screen with one log per matrix, and
-the property sweep run kind by kind, each kind drawing its own samples.
+graph by bit flips, the edge list read off the pair mask, cycles, complete
+graphs, the Petersen graph, the triangular graphs and the nets of AG(2, q)
+(conference graphs beyond Paley's, with their parallel classes compared up
+to GL(2, q)), the annealing flip screen with one log per matrix, and the
+property sweep run kind by kind, each kind drawing its own samples.
 Test code only; the package does not call them."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -146,6 +149,77 @@ def cycle(n):
 
 def complete(n):
     return Graph(n=n, bits=(1 << (n * (n - 1) // 2)) - 1)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph_from_edges(10, outer + spokes + inner)
+
+
+def graph_of(adj: np.ndarray) -> Graph:
+    """The graph of a symmetric boolean adjacency array with zero diagonal."""
+    return Graph.from_flags(adj.shape[0], adj[pair_mask(adj.shape[0])])
+
+
+def relabeled(adj: np.ndarray, seed: int) -> np.ndarray:
+    """adj under a seeded vertex permutation."""
+    perm = np.random.default_rng(seed).permutation(adj.shape[0])
+    return adj[np.ix_(perm, perm)]
+
+
+def net_directions(q: int) -> np.ndarray:
+    """The direction of the line through points u and v of AG(2, q), q an odd
+    prime, at (u, v): point (x, y) of Z_q^2 is vertex x q + y, and the
+    direction is the slope (y_v - y_u) / (x_v - x_u) in [0, q), or q for a
+    vertical line; -1 on the diagonal. Row 0 is the direction of each
+    vector."""
+    x, y = np.divmod(np.arange(q * q), q)
+    dx, dy = (x[None, :] - x[:, None]) % q, (y[None, :] - y[:, None]) % q
+    inverse = np.array([0] + [pow(i, q - 2, q) for i in range(1, q)])
+    slope = np.where(dx == 0, q, dy * inverse[dx] % q)
+    np.fill_diagonal(slope, -1)
+    return slope
+
+
+def affine_net(q: int, classes) -> np.ndarray:
+    """Boolean adjacency of the net graph of AG(2, q) on the given parallel
+    classes (directions as in :func:`net_directions`): two points are joined
+    when the line through them lies in one of the m classes. It is strongly
+    regular, SRG(q^2, m(q - 1), q - 2 + (m - 1)(m - 2), m(m - 1)), and for
+    m = (q + 1)/2 a conference graph (Bose 1963). The natural layout is
+    (Z_q)^2-translation invariant."""
+    return np.isin(net_directions(q), list(classes))
+
+
+def paley_net_classes(q: int) -> frozenset[int]:
+    """The parallel classes of the Paley graph P(q^2), q an odd prime, in its
+    digit layout: the directions of the squares of GF(q^2), a union of
+    punctured lines through 0, as GF(q)* is made of squares."""
+    squares = _character_by_code(q * q) == 1
+    return frozenset(net_directions(q)[0][squares].tolist())
+
+
+def pgl_equivalent(q: int, s, t) -> bool:
+    """Whether some g in GL(2, q), q prime, maps the direction set s onto t,
+    direction m being the point (1, m) of the projective line and q the
+    point (0, 1)."""
+    a, b, c, d = (g.ravel() for g in np.meshgrid(*[np.arange(q)] * 4, indexing="ij"))
+    keep = (a * d - b * c) % q != 0
+    a, b, c, d = a[keep, None], b[keep, None], c[keep, None], d[keep, None]
+    m = np.array(sorted(s))
+    u, v = np.where(m == q, 0, 1), np.where(m == q, 1, m)
+    direction = net_directions(q)[0]  # of the vector (x, y) at x q + y
+    image = np.sort(direction[(a * u + b * v) % q * q + (c * u + d * v) % q], axis=1)
+    return bool((image == np.array(sorted(t))).all(axis=1).any())
+
+
+def triangular(k: int) -> np.ndarray:
+    """Boolean adjacency of the triangular graph T(k): the 2-subsets of k
+    points, joined when they meet; SRG(k(k - 1)/2, 2(k - 2), k - 2, 4)."""
+    pairs = [set(p) for p in itertools.combinations(range(k), 2)]
+    return np.array([[len(p & r) == 1 for r in pairs] for p in pairs])
 
 
 def two_log_screen(a, is_, js, x, weights):

@@ -25,7 +25,19 @@ from normsum import (
 )
 from normsum import bounds, cli, linalg
 from normsum.graphs import quadratic_character
-from oracles import complete, cycle
+from oracles import (
+    affine_net,
+    complete,
+    cycle,
+    graph_of,
+    is_conference,
+    net_directions,
+    paley_net_classes,
+    petersen,
+    pgl_equivalent,
+    relabeled,
+    triangular,
+)
 
 
 def random_unit_symmetric(rng, n):
@@ -521,3 +533,63 @@ def test_check_bound_takes_k_only_for_kyfan():
         with pytest.raises(ValueError, match=message):
             check_bound(kind, g, k=3)
     assert check_bound("kyfan", kyfan_extremal_matrix(3, 1, 1), k=3).equality
+
+
+# ---------------------------------------------------------------------------
+# Conference graphs beyond Paley: nets of AG(2, q)
+
+# slopes 0..6 of AG(2, 13): seven of the fourteen parallel classes, so a
+# conference graph, and not a GL(2, 13) image of the Paley graph's classes
+NET_CLASSES = tuple(range(7))
+
+
+def test_the_net_classes_are_not_paleys():
+    directions = net_directions(13)
+    # each point sees the other 12 points of its line in each of 14 directions
+    assert np.array_equal(directions, directions.T)
+    assert all(((directions == m).sum(axis=1) == 12).all() for m in range(14))
+    paley = paley_net_classes(13)
+    assert len(paley) == len(NET_CLASSES) == 7
+    assert np.array_equal(affine_net(13, paley), adjacency_matrix(paley_graph(169)).array == 1)
+    assert pgl_equivalent(13, paley, paley) and not pgl_equivalent(13, NET_CLASSES, paley)
+
+
+def _net_cases():
+    net = affine_net(13, NET_CLASSES)
+    flipped_pair = relabeled(net, 3)
+    flipped_pair[0, 1] = flipped_pair[1, 0] = not flipped_pair[0, 1]
+    cases = [
+        ("net", net, True),  # invariant: the character path
+        ("relabeled net", relabeled(net, 3), True),
+        ("relabeled Paley net", relabeled(affine_net(13, paley_net_classes(13)), 4), True),
+        ("relabeled net q=7", relabeled(affine_net(7, (0, 1, 2, 5)), 5), True),
+        ("eight classes", relabeled(affine_net(13, range(8)), 6), False),
+        ("flipped pair", flipped_pair, False),
+        ("T(7)", triangular(7), False),  # degree (n - 1)/2, spectrum not
+        ("Petersen", adjacency_matrix(petersen()).array == 1, False),
+    ]
+    return [pytest.param(adj, conference, id=name) for name, adj, conference in cases]
+
+
+@pytest.mark.parametrize("adj, conference", _net_cases())
+def test_equality_verdicts_on_nets_agree_with_the_conference_test(adj, conference):
+    g = graph_of(adj)
+    assert is_conference(g) == conference
+    pair = linalg.SpectrumPair(adjacency_matrix(g), graph=True)
+    verdict, report = check_bound("main", pair), equality_analysis(pair)
+    assert verdict.holds and verdict.equality == conference
+    assert report.overall == report.conference_spectrum_ok == conference
+    # Weyl's inequality holds on every graph, so its `ok` cannot single out
+    # the conference graphs; it does hold on each case
+    assert weyl_complement_check(pair).ok
+
+
+def test_a_relabeled_net_derives_its_partner_from_a_single_root(monkeypatch):
+    sizes = []
+    real = linalg._secular_roots
+    monkeypatch.setattr(linalg, "_secular_roots", lambda d, w: sizes.append(d.size) or real(d, w))
+    net = relabeled(affine_net(13, NET_CLASSES), 3)
+    pair = linalg.SpectrumPair(adjacency_matrix(graph_of(net)), graph=True)
+    assert check_bound("main", pair).equality
+    # z = Q^T 1 lies on the eigenvector 1 of the regular graph: one root
+    assert sizes == [1] and pair.eig(1).values[0] == pytest.approx(84.0, abs=1e-12)

@@ -939,7 +939,7 @@ def test_json_output_bytes_are_frozen(capsys, argv, digest):
         ),
         (
             "search exhaustive --n 5",
-            "01728c5746d955f658f456203c4e30d57660ffa98280b4d83e24b275cc0b9bfa",
+            "d7233eff8a7420a49f24c294100eb9fe3d55124bacd97b471602b60850475373",
         ),
         (
             "sweep --trials 3 --seed 7",
@@ -953,6 +953,15 @@ def test_csv_graph6_and_text_output_bytes_are_frozen(tmp_path, capsys, argv, dig
     code, out, _ = run(capsys, argv.format(rect=rect).split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_text_prints_an_absent_value_as_json_does(capsys):
+    code, out, _ = run(capsys, ["search", "exhaustive", "--n", "5"])
+    assert code == 0 and "None" not in out
+    lines = out.splitlines()
+    assert "k: null" in lines and "seed: null" in lines
+    results = run_json(capsys, ["search", "exhaustive", "--n", "5"])[1]["results"]
+    assert results["k"] is None and results["seed"] is None
 
 
 def test_sweep_text_renders_each_kind_as_a_block(capsys):

@@ -33,15 +33,9 @@ from oracles import (
     flipped,
     is_conference,
     mask_edges,
+    petersen,
     srg_params,
 )
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return graph_from_edges(10, outer + spokes + inner)
 
 
 def test_pair_indexing_is_column_major():

@@ -648,13 +648,17 @@ def test_paley_checks_read_the_partner_from_row_0(monkeypatch, q):
     assert rows and set(rows) == {1}  # each partner spectrum read row 0 of J - I - A
 
 
-def test_flipped_edge_factors_both_members_densely(monkeypatch):
+def test_flipped_edge_factors_the_input_and_derives_its_partner(monkeypatch):
     a = _flip(adjacency_matrix(paley_graph(401)).array, 200, 300)
     calls = _eigh_spy(monkeypatch)
     pair = SpectrumPair(DenseMatrix(a), graph=True)
     assert weyl_complement_check(pair).ok and check_bound("main", pair).holds
-    assert calls == [(401, 401)] * 2
-    assert pair.eig(1) == sym_eigen(complement_matrix(a))
+    assert calls == [(401, 401)]
+    # within 1e-12 ||X||_F of the dense partner, and certified
+    y = complement_matrix(a)
+    dense, derived = sym_eigen(y), pair.eig(1)
+    assert np.abs(np.subtract(derived.values, dense.values)).max() <= 1e-12 * np.linalg.norm(a)
+    assert derived.offdiag_residual <= linalg.CERT_FACTOR * (1 + np.linalg.norm(y))
 
 
 def test_structured_certificate_sums_no_more_than_n_squares(monkeypatch):
@@ -709,7 +713,7 @@ def test_flipped_edge_is_rejected_and_factored_densely(monkeypatch):
     assert DenseMatrix(a)._invariance() == ()
     calls = _eigh_spy(monkeypatch)
     verdict = check_bound("main", a)
-    assert calls == [(401, 401)] * 2
+    assert calls == [(401, 401)]  # the partner's spectrum is derived
     assert verdict.holds and not verdict.equality
 
 
@@ -746,13 +750,13 @@ def test_random_graph_is_rejected_and_factored_densely(monkeypatch):
     compared = _comparison_spy(monkeypatch)
     calls = _eigh_spy(monkeypatch)
     check_bound("main", g)
-    assert calls == [(401, 401)] * 2
+    assert calls == [(401, 401)]  # the partner's spectrum is derived
     # one comparison per input matrix, none for its partner (three before)
     assert compared == [401]
     weyl_complement_check(g)
-    assert calls == [(401, 401)] * 4 and compared == [401] * 2
+    assert calls == [(401, 401)] * 2 and compared == [401] * 2
     check_bound("main", paley)
-    assert calls == [(401, 401)] * 4 and compared == [401] * 3
+    assert calls == [(401, 401)] * 2 and compared == [401] * 3
 
 
 def _random_graph(n):
