@@ -96,7 +96,7 @@ class WeylReport:
     tol: float
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "margins": list(self.margins), "tol": self.tol}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def bound_value(kind: str, n: int, m: int | None = None, k: int | None = None) -> float:

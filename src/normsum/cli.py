@@ -31,7 +31,8 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import __version__
-from .bounds import BOUND_KINDS, check_bound, equality_analysis, weyl_complement_check
+from .bounds import BOUND_KINDS, EQUALITY_TOL, HOLD_TOL, check_bound, equality_analysis
+from .bounds import weyl_complement_check
 from .constructions import hadamard, kyfan_extremal_matrix, opnorm_extremal_matrix
 from .errors import NormsumError
 from .graphs import (
@@ -87,19 +88,18 @@ def _render_floats(items, pad: str) -> str | None:
     return pad + "  " + _format_floats(items, ",\n" + pad + "  ")
 
 
-def render_json(obj, indent: int = 0) -> str:
+def render_json(obj) -> str:
     """The JSON text of obj, as a RunReport is printed.
 
     A non-empty dict, list or tuple puts one item per line, indented two
-    spaces per level from `indent`; keys keep their order and go through
-    str. Strings are escaped to ASCII exactly as json.dumps escapes them.
-    Floats and numpy floats print as format_float does: 17 significant
-    digits, -0.0 as 0, NaN and the infinities as null. A list or tuple met
-    again at the same indent is rendered once and its text repeated. Any
-    other type raises TypeError.
+    spaces per level; keys keep their order and go through str. Strings are
+    escaped to ASCII exactly as json.dumps escapes them. Floats and numpy
+    floats print as format_float does: 17 significant digits, -0.0 as 0, NaN
+    and the infinities as null. A list or tuple met again at the same indent
+    is rendered once and its text repeated. Any other type raises TypeError.
     """
     out: list[str] = []
-    _emit(obj, "  " * indent, out, {})
+    _emit(obj, "", out, {})
     return "".join(out)
 
 
@@ -361,7 +361,7 @@ _RUN_FLAGS = {
     "tol": dict(
         type=_float,
         default=None,
-        help="verdict tolerance (default 1e-7, or 1e-6 for check equality)",
+        help=f"verdict tolerance (default {HOLD_TOL}, or {EQUALITY_TOL} for check equality)",
     ),
     "seed": dict(type=_int, default=None, help="64-bit seed for randomized runs"),
     "threads": dict(

@@ -9,8 +9,8 @@ labeled orbits; seeded edge-flip annealing for n <= 64; and randomized
 property sweeps that hammer the bound checkers with seeded graphs and
 matrices, each sample drawn once and checked by every requested kind of its
 stream. Everything is deterministic given its inputs and runs on the calling
-thread; both searches merge their witnesses by one sort of their bitsets, and
-a result's JSON encodes its witnesses to graph6 in one batch.
+thread; both searches merge their witnesses by one sort of their bitsets and
+encode them to graph6 in one batch.
 """
 
 from __future__ import annotations
@@ -93,24 +93,23 @@ class SearchConfig:
 class SearchResult:
     """Outcome of a maximization run.
 
-    witnesses lists every graph found within WITNESS_TOL of best_value, in
-    ascending bitset order, capped at WITNESS_CAP (truncated set if the cap
-    cut anything off). seed is None for exhaustive runs.
+    witnesses holds the graph6 of each graph found within WITNESS_TOL of
+    best_value, in ascending bitset order, capped at WITNESS_CAP (truncated
+    set if the cap cut anything off). seed is None for exhaustive runs.
     """
 
     objective: str
     k: int | None
     n: int
     best_value: float
-    witnesses: tuple[Graph, ...]
+    witnesses: tuple[str, ...]
     truncated: bool
     evaluations: int
     seed: int | None
     method: str
 
     def to_json(self) -> dict:
-        fields_ = {f.name: getattr(self, f.name) for f in fields(self)}
-        return fields_ | {"witnesses": _graph6_batch(self.n, [g.bits for g in self.witnesses])}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_search(
@@ -220,11 +219,11 @@ def _result(
     """The SearchResult of a search on n vertices for the Ky Fan index k (None
     for trace_sum) over candidate graphs: row i of `rows` holds one bitset
     or several (an orbit), each of value values[i]. best_value is the
-    largest value, and the witnesses are the distinct graphs within
-    WITNESS_TOL of it in ascending bitset order by one sort, cut at
-    WITNESS_CAP, truncated telling whether the cut dropped any. The bitsets
-    are int64, or Python ints in an object array when they may not fit 63
-    bits."""
+    largest value, and the witnesses are the graph6 strings, from one
+    :func:`_graph6_batch`, of the distinct graphs within WITNESS_TOL of it in
+    ascending bitset order by one sort, cut at WITNESS_CAP, truncated telling
+    whether the cut dropped any. The bitsets are int64, or Python ints in an
+    object array when they may not fit 63 bits."""
     values = np.asarray(values)
     best = float(values.max())
     bits = _distinct(np.asarray(rows)[values >= best - WITNESS_TOL])
@@ -233,7 +232,7 @@ def _result(
         k=k,
         n=n,
         best_value=best,
-        witnesses=tuple(Graph(n=n, bits=b) for b in bits[:WITNESS_CAP].tolist()),
+        witnesses=tuple(_graph6_batch(n, bits[:WITNESS_CAP].tolist())),
         truncated=bits.size > WITNESS_CAP,
         evaluations=evaluations,
         seed=seed,

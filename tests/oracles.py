@@ -1,9 +1,10 @@
 """Exact oracles and small graph fixtures for the tests: the integer
 strong-regularity test A^2 = k I + lam A + mu (J - I - A), the
 conference-graph family it singles out, the GF(q) character table by digit
-codes, the (Z_p)^e translation-invariance test by rolls, the complement
-graph by bit flips, the edge list read off the pair mask, cycles, complete
-graphs, the Petersen graph, the triangular graphs and the nets of AG(2, q)
+codes, the (Z_p)^e translation-invariance test by rolls, a search result's
+witnesses decoded from graph6, the complement graph by bit flips, the edge
+list read off the pair mask, cycles, complete graphs, the Petersen graph,
+the triangular graphs and the nets of AG(2, q)
 (conference graphs beyond Paley's, with their parallel classes compared up
 to GL(2, q)), the annealing flip screen with one log per matrix, and the
 property sweep run kind by kind, each kind drawing its own samples.
@@ -20,7 +21,7 @@ import numpy as np
 from normsum import Graph, adjacency_matrix, graph_from_edges
 from normsum.bounds import HOLD_TOL, check_bound, check_tol, weyl_complement_check
 from normsum.errors import as_int, as_positive_int
-from normsum.graphs import _character_by_code, graph6_encode, pair_mask
+from normsum.graphs import _character_by_code, graph6_decode, graph6_encode, pair_mask
 from normsum.linalg import _prime_power_split, check_dimensions
 from normsum.rng import SplitMix64, as_seed, derive_seed
 from normsum.search import (
@@ -128,6 +129,11 @@ def invariant_by_rolls(sym: np.ndarray) -> bool:
             return False
     cube = sym.reshape(shape * 2)
     return all(np.array_equal(np.roll(cube, 1, axis=(t, e + t)), cube) for t in range(e))
+
+
+def witness_graphs(res) -> tuple[Graph, ...]:
+    """The witnesses of a search result, each decoded from its graph6."""
+    return tuple(graph6_decode(w) for w in res.witnesses)
 
 
 def flipped(g):

@@ -33,7 +33,7 @@ from normsum import (
     trace_norm,
 )
 from normsum.cli import main
-from oracles import SRGParams, cycle, is_conference, srg_params
+from oracles import SRGParams, cycle, is_conference, srg_params, witness_graphs
 
 # exhaustive_max(7, "trace_sum"), first verified full 2^21 enumeration
 N7_MAXIMUM = 21.20375412983717
@@ -86,7 +86,7 @@ def test_criterion_03_exhaustive_maximum_n5(capsys):
         abs(res.best_value - target) <= 1e-9
         and abs(res.best_value - bound_value("main", 5)) <= 1e-9
         and len(res.witnesses) == 12
-        and all(srg_params(g) == SRGParams(5, 2, 0, 1) for g in res.witnesses)
+        and all(srg_params(g) == SRGParams(5, 2, 0, 1) for g in witness_graphs(res))
         and elapsed < 1.0
     )
     with capsys.disabled():
@@ -225,7 +225,7 @@ def test_criterion_10_seeded_local_search(capsys):
     cfg = SearchConfig(restarts=50, max_steps=300, seed=42)
     res = local_search_max(9, "trace_sum", cfg=cfg, threads=THREADS)
     elapsed = time.perf_counter() - start
-    best_witness = res.witnesses[0]
+    best_witness = witness_graphs(res)[0]
     ok = (
         res.best_value >= 32 - 1e-6
         and is_conference(best_witness)

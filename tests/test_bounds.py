@@ -146,6 +146,11 @@ def test_check_main_domain_validation():
         check_bound("main", np.ones((2, 3)))  # not square
 
 
+def test_check_bound_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown bound kind 'bogus'; expected one of "):
+        check_bound("bogus", adjacency_matrix(paley_graph(5)))
+
+
 # the checks whose hypotheses include each condition besides entries in [0, 1]
 SQUARE_CHECKS = {"koolen_moulton", "main", "gutman_zhou", "shifted", "equality", "weyl"}
 SYMMETRIC_CHECKS = {"koolen_moulton", "main", "gutman_zhou", "weyl"}

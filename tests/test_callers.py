@@ -1,6 +1,7 @@
 """Static guard: every public name, every module-level definition and every
 method and property of a package class has a caller outside the tests, every
-parameter of a package function is read in its body, every definition of the
+parameter of a package function is read in its body, every defaulted
+parameter is passed by a caller outside the tests, every definition of the
 test oracles has a caller in the tests, every bound kind is a `check` choice,
 and every name the benchmark imports exists."""
 
@@ -208,14 +209,7 @@ def unread_parameters(path):
     receiver of a method that is not a staticmethod (self, cls) is exempt:
     no caller passes it."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    methods = {
-        id(node)
-        for owner in ast.walk(tree)
-        if isinstance(owner, ast.ClassDef)
-        for node in owner.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
-    }
+    methods = _methods(tree)
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -235,6 +229,83 @@ def unread_parameters(path):
         name = getattr(node, "name", "<lambda>")
         found += [(name, p) for p in params if p not in read]
     return found
+
+
+def _methods(tree):
+    """ids of the functions defined in a class body that are not
+    staticmethods: their first parameter is the receiver (self, cls)."""
+    return {
+        id(node)
+        for owner in ast.walk(tree)
+        if isinstance(owner, ast.ClassDef)
+        for node in owner.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    }
+
+
+def defaulted_parameters(path):
+    """(function, parameter, index) of each parameter with a default of a
+    function of the module, nested ones included, dunder methods exempt.
+    index is the position at which a call passes the parameter positionally,
+    the receiver of a method skipped, or None for a keyword-only one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = _methods(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if id(node) in methods else 0
+        first = len(positional) - len(args.defaults)
+        found += [(node.name, p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+        found += [
+            (node.name, p.arg, None)
+            for p, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+    return found
+
+
+def passed_arguments(paths):
+    """For each name called in the modules of paths, bare or as an attribute,
+    the positional indexes and the keywords of its call sites; a call site
+    that unpacks *args or **kwargs passes everything, recorded as None."""
+    passed = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            seen = passed.setdefault(name, set())
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                kw.arg is None for kw in node.keywords
+            ):
+                seen.add(None)
+            seen.update(range(len(node.args)))
+            seen.update(kw.arg for kw in node.keywords if kw.arg is not None)
+    return passed
+
+
+def unpassed_defaults(defined, calling):
+    """(module, function, parameter) of each defaulted parameter of the
+    modules of `defined` that no call site in the modules of `calling`
+    passes, by position, by keyword or through an unpacking."""
+    passed = passed_arguments(calling)
+    return [
+        (path.name, fn, param)
+        for path in defined
+        for fn, param, index in defaulted_parameters(path)
+        if not passed.get(fn, set()) & {None, param, index}
+    ]
 
 
 def kinds_without_a_check_choice():
@@ -385,6 +456,63 @@ def test_the_scan_finds_an_unread_parameter(tmp_path):
     assert sorted(unread_parameters(module)) == [
         ("<lambda>", "w"), ("build", "first"), ("keep", "y"), ("score", "extra"),
         ("score", "objective"), ("size", "n"),
+    ]  # fmt: skip
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    found = {(fn, param) for p in package_modules() for fn, param, _ in defaulted_parameters(p)}
+    # tol reaches three of them through **, shift reaches sing by position
+    tols = {(fn, "tol") for fn in ("equality_analysis", "weyl_complement_check", "property_sweep")}
+    assert tols | {("sing", "shift")} <= found
+    assert unpassed_defaults(package_modules(), callers()) == []
+
+
+def test_the_scan_finds_an_unpassed_default(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def score(a, k=None, *, scale=1.0, tol=0.0):\n"
+        "    def inner(b, step=1):\n"
+        "        return b + step\n"
+        "    return inner(a)\n"
+        "class Box:\n"
+        "    def __init__(self, x=0):\n"
+        "        self.x = x\n"
+        "    def size(self, n=1, m=2):\n"
+        "        return n + m\n"
+        "    @classmethod\n"
+        "    def make(cls, n=0):\n"
+        "        return n\n"
+        "    @staticmethod\n"
+        "    def build(first=0, rest=()):\n"
+        "        return first\n"
+        "def relay(**options):\n"
+        "    return score(1, **options)\n"
+    )
+    # in ast.walk order: a nested function ahead of the next class's methods
+    assert defaulted_parameters(module) == [
+        ("score", "k", 1), ("score", "scale", None), ("score", "tol", None), ("inner", "step", 1),
+        ("size", "n", 0), ("size", "m", 1), ("make", "n", 0), ("build", "first", 0),
+        ("build", "rest", 1),
+    ]  # fmt: skip
+    caller = tmp_path / "caller.py"
+    caller.write_text(
+        "from module import Box, build\n"
+        "Box(x=1).size(5)\n"
+        "Box.make(n=1)\n"
+        "build(*[0])\n"
+    )
+    # a method counts positions after its receiver; ** and * pass everything;
+    # a dunder is exempt
+    assert unpassed_defaults([module], [module, caller]) == [
+        ("module.py", "inner", "step"), ("module.py", "size", "m"),
+    ]  # fmt: skip
+    # without relay's **, score(1, 2) passes k alone of score's defaults
+    (tmp_path / "plain.py").write_text("from module import score\nscore(1, 2)\n")
+    assert unpassed_defaults([module], [tmp_path / "plain.py"]) == [
+        ("module.py", "score", "scale"), ("module.py", "score", "tol"),
+        ("module.py", "inner", "step"), ("module.py", "size", "n"), ("module.py", "size", "m"),
+        ("module.py", "make", "n"), ("module.py", "build", "first"),
+        ("module.py", "build", "rest"),
     ]  # fmt: skip
 
 

@@ -297,6 +297,21 @@ def test_domain_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_matrix_file_of_blank_lines_exits_two(capsys, tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n   \n\n")
+    code, out, err = run(capsys, ["norms", "--matrix", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: no matrix rows found in {path}\n"
+
+
+@pytest.mark.parametrize("shape", [[], ["--cols", "2"]])
+def test_opnorm_rows_without_its_shape_exits_two(capsys, shape):
+    code, out, err = run(capsys, ["check", "opnorm", "--rows", "2", *shape])
+    assert code == 2 and out == ""
+    assert err == "error: --rows needs --cols and --orientation\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -742,8 +757,9 @@ def _reference_render(obj, indent: int = 0) -> str:
     ],
 )
 def test_render_json_float_lists_match_the_generic_path(items):
-    for indent in (0, 2):
-        assert render_json(items, indent) == _reference_render(items, indent)
+    # at depth 0, and nested one and two levels deep
+    for obj in (items, [items], {"a": [items]}):
+        assert render_json(obj) == _reference_render(obj)
     assert json.loads(render_json({"a": {"b": items}}))["a"]["b"] == [
         None if isinstance(v, float) and not math.isfinite(v) else v for v in items
     ]
@@ -762,7 +778,7 @@ def test_render_json_float_lists_match_the_generic_path_on_random_lists():
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.one_of(st.lists(st.floats(), min_size=1), st.lists(item, min_size=1)))
     def check(items):
-        assert render_json(items, 1) == _reference_render(items, 1)
+        assert render_json([items]) == _reference_render([items])
 
     check()
 
@@ -1022,9 +1038,10 @@ def _loaded(obj):
 
 
 def _check_render(obj):
-    for indent in (0, 1, 3):
-        text = render_json(obj, indent)
-        assert text == render_json(_unshared(obj), indent) == _reference_render(obj, indent)
+    # at depth 0, and nested one and two levels deep
+    for nested in (obj, [obj], {"a": [obj]}):
+        text = render_json(nested)
+        assert text == render_json(_unshared(nested)) == _reference_render(nested)
     assert json.loads(render_json(obj)) == _loaded(obj)
 
 

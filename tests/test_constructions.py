@@ -72,6 +72,8 @@ def test_hadamard_type_rejects_fakes():
         HadamardMatrix(order=2, entries=DenseMatrix([[1, 1], [1, 1]]))
     with pytest.raises(ValueError):
         HadamardMatrix(order=2, entries=DenseMatrix([[0.5, 1], [1, -1]]))
+    with pytest.raises(ValueError, match=r"^entries shape \(2, 2\) does not match order 4$"):
+        HadamardMatrix(order=4, entries=DenseMatrix([[1, 1], [1, -1]]))
 
 
 def test_hadamard_check_sees_one_flipped_entry():

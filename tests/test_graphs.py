@@ -45,6 +45,9 @@ def test_pair_indexing_is_column_major():
     assert pair_index(1, 2) == 2
     assert pair_index(0, 3) == 3
     assert mask_edges(complete(4)) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    for i, j in ((1, 0), (2, 2), (-1, 2)):
+        with pytest.raises(ValueError, match=rf"^need 0 <= i < j, got \({i}, {j}\)$"):
+            pair_index(i, j)
 
 
 def test_graph_construction_and_queries():
@@ -144,6 +147,24 @@ def test_graph6_rejects_malformed():
     # nonzero padding bits past the last pair
     with pytest.raises(ValueError):
         graph6_decode("B" + chr(63 + 1))
+    # a 4-character size prefix is ~ and three characters, an 8-character
+    # one ~~ and six
+    for text in ("~A", "~~??"):
+        with pytest.raises(ValueError, match="^truncated graph6 size prefix$"):
+            graph6_decode(text)
+
+
+def test_graph6_eight_character_prefix_past_the_cap_is_rejected_unread():
+    # n = 63 * 64^3 + 3 * 64^2 = 16,527,360 has a 136-trillion-pair body,
+    # refused before any of it is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeOverflowError, match="^graph order 16527360 exceeds"):
+            graph6_decode("~~??~B??")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_adjacency_matrix():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from normsum import linalg, search
+from normsum import cli, linalg, search
 from normsum import (
     DIMENSION_CAP,
     DenseMatrix,
@@ -71,6 +71,30 @@ def test_dense_matrix_rejects_bad_input():
         DenseMatrix.from_flat(2, 2, [1, 2, 3])
     with pytest.raises(SizeOverflowError):
         DenseMatrix(np.zeros((1, DIMENSION_CAP + 1)))
+    with pytest.raises(ValueError, match=r"^matrix dimensions must be positive, got \(0, 3\)$"):
+        DenseMatrix(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="^matrix JSON missing field 'entries'$"):
+        DenseMatrix.from_json({"rows": 1, "cols": 1})
+
+
+def test_lapack_failure_raises_no_convergence(monkeypatch, capsys, tmp_path):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    message = "^symmetric eigendecomposition failed: did not converge$"
+    with pytest.raises(NoConvergenceError, match=message):
+        sym_eigen([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NoConvergenceError, match="^SVD failed: did not converge$"):
+        svd([[0.0, 1.0], [0.0, 0.0]])
+    # a symmetric input fails in eigh, any other in svd; both exit 2
+    for rows in ("0,1\n1,0\n", "0,1\n0,0\n"):
+        path = tmp_path / "m.csv"
+        path.write_text(rows)
+        assert cli.main(["spectrum", "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "failed: did not converge" in captured.err
 
 
 def test_dense_matrix_keeps_its_entry_range():

@@ -65,6 +65,8 @@ def test_next_bits():
         assert 0 <= v < (1 << width)
     # wide draws should actually use the high bits
     assert any(rng.next_bits(130) >> 100 for _ in range(20))
+    with pytest.raises(ValueError, match="^nbits must be nonnegative, got -1$"):
+        rng.next_bits(-1)
 
 
 # seeds whose state wraps past 2^64 at the first or second draw; the middle

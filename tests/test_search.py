@@ -31,7 +31,7 @@ from normsum import bounds, cli, paley_graph, search
 from normsum.graphs import _adjacency, pair_mask
 from normsum.search import WITNESS_CAP, WITNESS_TOL
 import oracles
-from oracles import cycle, flipped, property_sweep_per_kind, srg_params
+from oracles import cycle, flipped, property_sweep_per_kind, srg_params, witness_graphs
 
 
 def pair_value(g, objective="trace_sum", k=None):
@@ -64,14 +64,16 @@ def test_exhaustive_n5_finds_conference():
     res = exhaustive_max(5)
     assert abs(res.best_value - bound_value("main", 5)) < 1e-9
     assert len(res.witnesses) == 12
-    for g in res.witnesses:
-        assert srg_params(g) == srg_params(res.witnesses[0])
+    graphs = witness_graphs(res)
+    for g in graphs:
+        assert srg_params(g) == srg_params(graphs[0])
 
 
 def test_exhaustive_witnesses_reach_reported_value():
     res = exhaustive_max(4)
-    assert res.witnesses == tuple(sorted(res.witnesses, key=lambda g: g.bits))
-    for g in res.witnesses:
+    graphs = witness_graphs(res)
+    assert graphs == tuple(sorted(graphs, key=lambda g: g.bits))
+    for g in graphs:
         assert abs(pair_value(g) - res.best_value) < 1e-9
 
 
@@ -138,7 +140,7 @@ def assert_matches_oracle(n, objective, k):
     res = exhaustive_max(n, objective, k=k)
     sel = np.flatnonzero(ref >= ref.max() - WITNESS_TOL)
     assert abs(res.best_value - ref.max()) <= 1e-12
-    assert tuple(g.bits for g in res.witnesses) == tuple(int(i) for i in sel[:WITNESS_CAP])
+    assert tuple(g.bits for g in witness_graphs(res)) == tuple(int(i) for i in sel[:WITNESS_CAP])
     assert res.truncated == (sel.size > WITNESS_CAP)
     assert res.evaluations == ref.size
     return res
@@ -158,7 +160,7 @@ def test_exhaustive_witnesses_are_their_own_complement_mirror_on_any_threads(obj
     one = assert_matches_oracle(6, objective, k)
     three = exhaustive_max(6, objective, k=k, threads=3)
     assert one == three and not one.truncated
-    bits = {g.bits for g in one.witnesses}
+    bits = {g.bits for g in witness_graphs(one)}
     assert {(1 << 15) - 1 - b for b in bits} == bits
 
 
@@ -212,10 +214,10 @@ def test_exhaustive_max_does_not_depend_on_the_order_graphs_are_scored_in(monkey
 
 
 def witnesses_of(n, values, rows):
-    """(best_value, witnesses, truncated) of the result that search._result
-    builds from candidate graphs."""
+    """(best_value, witnesses decoded to graphs, truncated) of the result
+    that search._result builds from candidate graphs."""
     res = search._result(n, None, values, rows, len(values), None, "exhaustive")
-    return res.best_value, res.witnesses, res.truncated
+    return res.best_value, witness_graphs(res), res.truncated
 
 
 @pytest.mark.parametrize("objective,k", [("trace_sum", None), ("kyfan_sum", 2)])
@@ -567,7 +569,7 @@ LABELED_GRID_DIGEST = "0acf8c2a4270330bf108465a14dc4fe5dc0ac2f63ac1e67440fa1046d
 
 
 def witness_digest(res):
-    return hashlib.sha256(repr([g.bits for g in res.witnesses]).encode()).hexdigest()
+    return hashlib.sha256(repr([g.bits for g in witness_graphs(res)]).encode()).hexdigest()
 
 
 def test_exhaustive_n8_matches_the_labeled_enumeration():
@@ -589,7 +591,8 @@ def test_exhaustive_grid_matches_the_labeled_enumeration():
     for n in range(1, 8):
         for objective, k in [("trace_sum", None)] + [("kyfan_sum", k) for k in range(1, n + 1)]:
             res = exhaustive_max(n, objective, k)
-            h.update(repr(([g.bits for g in res.witnesses], res.truncated, res.evaluations)).encode())
+            bits = [g.bits for g in witness_graphs(res)]
+            h.update(repr((bits, res.truncated, res.evaluations)).encode())
     assert h.hexdigest() == LABELED_GRID_DIGEST
 
 
@@ -665,7 +668,11 @@ def test_local_order_cap():
 def test_local_trivial_order():
     res = local_search_max(1, cfg=SearchConfig(restarts=1, max_steps=1))
     assert res.best_value == 0.0
-    assert res.witnesses == (Graph(n=1, bits=0),)
+    assert witness_graphs(res) == (Graph(n=1, bits=0),)
+    # m = 0: each default restart scores its one graph and stops
+    res = local_search_max(1)
+    assert (res.best_value, res.evaluations) == (0.0, SearchConfig().restarts)
+    assert witness_graphs(res) == (Graph(n=1, bits=0),)
 
 
 def test_local_recovers_small_optimum():
@@ -681,7 +688,7 @@ def test_local_witnesses_reach_reported_value():
     res = local_search_max(7, cfg=cfg)
     assert res.witnesses
     assert res.method == "local" and res.seed == 11
-    for g in res.witnesses:
+    for g in witness_graphs(res):
         assert abs(pair_value(g) - res.best_value) < 1e-9
 
 
@@ -799,7 +806,7 @@ def test_a_default_restart_scores_few_random_flips(monkeypatch):
 def test_local_search_frozen_output(n, objective, k, cfg, best, witness, evaluations):
     res = local_search_max(n, objective, k, cfg)
     assert res.best_value == best
-    assert [graph6_encode(g) for g in res.witnesses] == [witness]
+    assert [graph6_encode(g) for g in witness_graphs(res)] == [witness]
     assert res.evaluations == evaluations
 
 
@@ -828,7 +835,7 @@ def test_local_search_grid_digest(n):
             for seed in (3, 11):
                 cfg = SearchConfig(restarts=2, max_steps=steps, temperature_initial=t0, seed=seed)
                 res = local_search_max(n, objective, k, cfg)
-                key = (res.best_value.hex(), [g.bits for g in res.witnesses])
+                key = (res.best_value.hex(), [g.bits for g in witness_graphs(res)])
                 h.update(repr(key + (res.evaluations, res.truncated)).encode())
     assert h.hexdigest() == digest
 
@@ -1229,7 +1236,7 @@ def test_screened_annealing_breaks_ties_like_scoring_every_flip(monkeypatch):
     cfgs = [SearchConfig(restarts=1, max_steps=1), SearchConfig(restarts=2, max_steps=30, seed=1)]
     screened = [local_search_max(10, cfg=cfg) for cfg in cfgs]
     # after one step the witness is the flipped graph, so the chosen flip shows
-    assert screened[0].witnesses == (Graph.from_flags(10, flips[first][pair_mask(10)]),)
+    assert witness_graphs(screened[0]) == (Graph.from_flags(10, flips[first][pair_mask(10)]),)
     monkeypatch.setattr(search, "_flip_candidates", lambda a, is_, js, work: np.arange(is_.size))
     assert screened == [local_search_max(10, cfg=cfg) for cfg in cfgs]
 
@@ -1260,10 +1267,11 @@ def test_search_result_json():
     assert d["objective"] == "trace_sum"
     assert d["method"] == "exhaustive"
     assert d["n"] == 3 and d["truncated"] is False
-    assert isinstance(d["witnesses"], list)
+    assert isinstance(d["witnesses"], tuple)
     assert all(isinstance(w, str) for w in d["witnesses"])
     # one batch encodes the witnesses, each as graph6_encode does alone
-    assert d["witnesses"] == [graph6_encode(g) for g in res.witnesses]
+    assert d["witnesses"] == tuple(graph6_encode(g) for g in witness_graphs(res))
+    assert json.loads(cli.render_json(d))["witnesses"] == list(res.witnesses)
     assert isinstance(res, SearchResult)
 
 
