@@ -392,6 +392,7 @@ class _ScreenWork:
         self.x, self.w = _SCREEN_X, _SCREEN_W
         self.x2 = self.x * self.x
         k = self.x.size
+        self.off = complement_matrix(np.zeros((n, n)))  # J - I
         self.pair = np.empty((2, n, n))  # A and J - I - A, then Q * Q
         self.coef = np.empty((2, n, 2 * k))  # 1/(λ - ix), so R = Q diag(coef) Q^T
         self.diag = np.empty((2, n, 2 * k))  # R_ii
@@ -465,7 +466,8 @@ def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenW
     held to and the SCREEN_DELTA margin of the candidates.
     """
     pair = work.pair
-    pair[0], pair[1] = a, complement_matrix(a)
+    pair[0] = a
+    np.subtract(work.off, a, out=pair[1])
     try:
         w, q, _ = eigh_basis(pair)
     except NoConvergenceError:
@@ -527,20 +529,25 @@ def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenW
 
 def _flip_candidates(
     a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenWork
-) -> np.ndarray:
-    """Ascending indices of the flips to re-score exactly: every flip whose
-    screened value is within SCREEN_DELTA of the largest reliable one, and
-    every unreliable flip; every flip when the screen declines or gives a
-    reliable value that is not finite. `work` is the restart's screen
-    workspace."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(cand, bound): the ascending indices of the flips to re-score exactly,
+    and an upper bound on each flip's exact change of the objective, or None.
+    The candidates are every flip whose screened value is within
+    SCREEN_DELTA of the largest reliable one, and every unreliable flip. A
+    reliable flip's bound is its screened change plus SCREEN_DELTA, which
+    holds as the screen's error is under 1e-8; an unreliable flip's is +inf.
+    When the screen declines or gives a reliable value that is not finite,
+    every flip is a candidate and there are no bounds. `work` is the
+    restart's screen workspace."""
     screened = _screen_flips(a, is_, js, work)
     if screened is not None:
         delta, unreliable = screened
         reliable = delta[~unreliable]
         if reliable.size and np.isfinite(reliable).all():
             # an unreliable delta may be NaN, which compares false
-            return np.flatnonzero(unreliable | (delta >= reliable.max() - SCREEN_DELTA))
-    return np.arange(is_.size)
+            cand = np.flatnonzero(unreliable | (delta >= reliable.max() - SCREEN_DELTA))
+            return cand, np.where(unreliable, math.inf, delta + SCREEN_DELTA)
+    return np.arange(is_.size), None
 
 
 def _flip_values(a: np.ndarray, is_: np.ndarray, js: np.ndarray, k: int | None):
@@ -555,40 +562,48 @@ def _flip_values(a: np.ndarray, is_: np.ndarray, js: np.ndarray, k: int | None):
 
 
 def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
-    """One annealing run. Each step scores every single-edge flip; the best
+    """One annealing run. Each step considers every single-edge flip; the best
     uphill flip is taken (ties to the smallest flip index), otherwise a random
     flip is accepted with probability exp(delta / T). Returns (best_value,
     best_bits, evaluations).
 
-    Every value the step uses (the best flip, the random flip's value, the
-    freeze test and the current value) is exact: `_pair_objective` on the
-    flipped adjacency, which gives each matrix of a stack the same bits as
-    alone. For trace_sum (k None), `_flip_candidates` first screens all m
+    Every value a decision reads (the best flip, the random flip's value,
+    the freeze test and the current value) is exact: `_pair_objective` on
+    the flipped adjacency, which gives each matrix of a stack the same bits
+    as alone. For trace_sum (k None), `_flip_candidates` first screens all m
     flips with the Coulson integral (`_screen_flips`, error under about
-    1e-8), and only the flips within SCREEN_DELTA of the screened maximum,
-    plus those it marks unreliable, are re-scored; each flip of maximal
-    exact value is among them, so the step and its tie-break are those of
-    scoring all m. When A or J - I - A has an eigenvalue within SCREEN_TAU
-    of 0, the screen's factorization fails, or it gives a non-finite value,
-    every flip is re-scored; so is every flip for kyfan_sum, whose restart
-    builds no screen workspace.
+    1e-8): the candidates are the flips within SCREEN_DELTA of the screened
+    maximum, plus those it marks unreliable, and each flip of maximal exact
+    value is among them, so the step and its tie-break are those of scoring
+    all m. The screen also bounds each flip's exact change from above: its
+    screened change plus SCREEN_DELTA, +inf for an unreliable flip. When A
+    or J - I - A has an eigenvalue within SCREEN_TAU of 0, the screen's
+    factorization fails, or it gives a non-finite value, every flip is a
+    candidate and there are no bounds; so it is for kyfan_sum, whose
+    restart builds no screen workspace.
 
-    Each graph is scored once: a step that takes no flip leaves A as it was,
-    so the next step reuses its candidates and their exact values, and only
-    its random-flip draw is new. They are dropped when a flip is applied,
-    uphill or random. `evaluations` counts graphs considered, 1 for the start
-    and m per step, whether their flips were scored, screened out or reused.
+    A value is scored only when a decision needs it, and the bounds settle
+    most decisions unscored. The candidates are scored when some bound is
+    above 0, as an uphill flip may then exist; with every bound at most 0
+    there is none, and the step goes straight to its random flip. The
+    random flip's acceptance draw u is taken right after the flip itself,
+    in the order the stream always had, and none at T <= 0. A flip whose
+    bound b gives exp(b / T) <= u, or b < 0 at T = 0, is rejected
+    unscored, as its exact change would fail the same test; otherwise it
+    is scored, alone, or with the candidates when it is one of them. A step
+    that rejects its random flip at T < 1e-12 scores the candidates for the
+    freeze test. The skips need only |screened - exact| <= SCREEN_DELTA,
+    and the candidate set already relies on SCREEN_DELTA / 2, so the run is
+    bit for bit the one that scores every value.
 
-    A random flip that is not a candidate is scored only if it could be
-    accepted. It scores below vals.max(), as every flip of maximal exact
-    value is a candidate, so its delta is at most the step's best delta.
-    When that best delta gives delta / T < -746, exp of the flip's own
-    delta / T underflows to 0.0, which never exceeds the draw in [0, 1);
-    at T = 0 a best delta below 0 rules out the delta == 0 that acceptance
-    needs. Such a flip is rejected unscored, after the same draws, so the
-    run is bit for bit the one that scores it. A default restart (seed 3)
-    makes 1985 single-flip scorings at n = 16 instead of 5564, and 2656
-    instead of 5551 at n = 64.
+    Each graph is screened once and its candidates scored at most once: a
+    step that takes no flip leaves A as it was, so the next step reuses its
+    candidates, bounds and any exact values, and only its random-flip draw
+    is new. They are dropped when a flip is applied, uphill or random.
+    `evaluations` counts graphs considered, 1 for the start and m per step,
+    whether their flips were scored, screened out or reused. A default
+    restart (seed 3) makes 226 `_flip_values` calls at n = 16, 218 of them
+    on a single flip, against 1993 when every screen scored its candidates.
     """
     m = n * (n - 1) // 2
     rng = SplitMix64((cfg.seed + restart) & MASK64)
@@ -603,40 +618,46 @@ def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
     js, is_ = np.nonzero(pair_mask(n))  # flip r toggles pair bit r
     every = np.arange(m)
     work = _ScreenWork(n, m) if k is None else None
-    vals = None  # the scores of a, kept until a flip changes it
+    cand = vals = None  # a's candidates and their exact scores, kept until a flip changes a
     for _ in range(cfg.max_steps):
-        if vals is None:
-            cand = _flip_candidates(a, is_, js, work) if k is None else every
-            vals = _flip_values(a, is_[cand], js[cand], k)
+        if cand is None:
+            cand, bound = _flip_candidates(a, is_, js, work) if k is None else (every, None)
+            uphill = bound is None or bound.max() > 0.0  # an uphill flip may exist
         evaluations += m
-        top = int(np.argmax(vals))  # cand ascends, so ties go to the smallest flip
-        flip, value = int(cand[top]), vals[top]
-        delta = value - cur_val
-        if delta <= 0.0:
+        if vals is None and uphill:
+            vals = _flip_values(a, is_[cand], js[cand], k)
+        flip = -1
+        if vals is not None:
+            top = int(np.argmax(vals))  # cand ascends, so ties go to the smallest flip
+            if vals[top] > cur_val:
+                flip, value = int(cand[top]), vals[top]
+        if flip < 0:
             # no uphill move; try one random flip at the current temperature
-            flip = rng.next_below(m)
-            at = int(np.searchsorted(cand, flip))
-            if at < cand.size and cand[at] == flip:
-                value = vals[at]
-            elif (delta < 0.0 if temp <= 0.0 else delta / temp < -746.0):
-                # the flip is no candidate, so it scores below vals.max() and
-                # exp of its delta / T underflows to 0.0: it cannot be accepted
-                value = -math.inf
-            else:
-                value = _flip_values(a, is_[flip : flip + 1], js[flip : flip + 1], k)[0]
-            delta = value - cur_val
-            accept = (
-                delta == 0.0 if temp <= 0.0 else math.exp(delta / temp) > rng.next_double()
-            )
-            if not accept:
-                flip = -1
+            r = rng.next_below(m)
+            u = rng.next_double() if temp > 0.0 else 0.0
+            b = math.inf if bound is None else float(bound[r])
+            if (b >= 0.0) if temp <= 0.0 else (b > 0.0 or math.exp(b / temp) > u):
+                # the bound cannot reject the flip, so its exact value decides
+                at = int(np.searchsorted(cand, r))
+                if at < cand.size and cand[at] == r:
+                    if vals is None:
+                        vals = _flip_values(a, is_[cand], js[cand], k)
+                    value = vals[at]
+                else:
+                    value = _flip_values(a, is_[r : r + 1], js[r : r + 1], k)[0]
+                delta = value - cur_val
+                if (delta == 0.0) if temp <= 0.0 else math.exp(delta / temp) > u:
+                    flip = r
         if flip >= 0:
             a[is_[flip], js[flip]] = a[js[flip], is_[flip]] = 1.0 - a[is_[flip], js[flip]]
-            cur_val, vals = float(value), None
+            cur_val, cand, vals = float(value), None, None
             if cur_val > best_val:
                 best_val, best_a = cur_val, a.copy()
-        elif temp < 1e-12 and vals.max() < cur_val - 1e-12:
-            break  # frozen at a strict local maximum; nothing can change
+        elif temp < 1e-12:
+            if vals is None:
+                vals = _flip_values(a, is_[cand], js[cand], k)
+            if vals.max() < cur_val - 1e-12:
+                break  # frozen at a strict local maximum; nothing can change
         temp *= cfg.cooling
 
     return best_val, Graph.from_flags(n, best_a[is_, js]).bits, evaluations
@@ -653,25 +674,29 @@ def local_search_max(
     maximum (best_value always comes from a concrete evaluated graph).
 
     For trace_sum a step screens all m = n(n-1)/2 flips with the Coulson
-    integral and scores exactly only those within SCREEN_DELTA = 1e-6 of the
-    screened maximum, plus those the screen marks unreliable (see
-    `_anneal_once`). It scores every flip when A or J - I - A has an
-    eigenvalue within SCREEN_TAU = 1e-6 of 0. The result is the one that
+    integral, which bounds each flip's exact change by its screened change
+    plus SCREEN_DELTA = 1e-6. The candidates, the flips within SCREEN_DELTA
+    of the screened maximum plus those the screen marks unreliable, are
+    scored exactly only when some bound is above 0, when the random flip is
+    one of them and its bound cannot reject it, or for the freeze test; a
+    random flip whose bound fails the acceptance test is rejected unscored
+    (see `_anneal_once`). Every flip is a candidate when A or J - I - A has
+    an eigenvalue within SCREEN_TAU = 1e-6 of 0. The result is the one that
     scoring every flip gives, bit for bit. A step that takes no flip leaves
-    the graph unchanged, and the next step reuses its scores.
+    the graph unchanged, and the next step reuses its screen and scores.
 
-    On a 2-vCPU Xeon a step that scores its graph takes about 0.27 ms at
-    n = 16, 0.87 ms at n = 32 and 3.5 ms at n = 64, of which the screen
-    takes 0.23, 0.78 and 3.2 ms (2.4, 35 and 530-580 ms when every flip is
-    scored), and a step that reuses the scores 0.016, 0.039 and 0.11 ms.
-    The freeze test ends a default restart after about 5500 steps, of which
-    a few hundred score their graph; with seed 3 one restart took 0.145,
-    0.48 and 2.1 s at n = 16, 32 and 64, and the default config at n = 64
-    took 22 s. Each restart builds one screen workspace
+    On a 2-vCPU Xeon a screen takes about 0.30, 1.05 and 4.4 ms at n = 16,
+    32 and 64 (2.4, 35 and 530-580 ms when every flip is scored), an exact
+    score of one flip 0.06, 0.14 and 0.40 ms, and a step that the bounds
+    decide alone a few microseconds. The freeze test ends a default restart
+    after about 5500 steps, of which a few hundred screen their graph; with
+    seed 3 one restart made 226, 322 and 442 `_flip_values` calls (1993,
+    2563 and 2657 when every screen scored its candidates) and took 0.09,
+    0.39 and 2.1 s at n = 16, 32 and 64, and the default config at n = 64
+    took 23 s. Each restart builds one screen workspace
     (:class:`_ScreenWork`, about 1.2 MB at n = 64) and frees it when it
-    ends. `evaluations`
-    counts graphs considered, 1 per restart plus m per step, not
-    factorizations. Speed does not find the equality case: at n = 17 the
+    ends. `evaluations` counts graphs considered, 1 per restart plus m per
+    step, not factorizations. Speed does not find the equality case: at n = 17 the
     default config misses the bound met by P17.
 
     The restarts run in order on the calling thread. `threads` is checked

@@ -713,13 +713,16 @@ def test_local_search_starts_no_thread(monkeypatch):
     assert local_search_max(16, cfg=cfg, threads=4) == ref
 
 
-def random_flip_draws(monkeypatch, n, cfg):
-    """(delta, temperature, scored) of every random flip that annealing
-    drew outside its candidates, over the restarts of cfg: the flip's exact
-    change of the objective, the step's temperature, and whether the step
-    scored the flip."""
-    values = search._flip_values
-    events = []
+def annealing_draws(monkeypatch, n, cfg):
+    """Every random flip that trace_sum annealing drew over the restarts of
+    cfg, in order, as a dict: the adjacency `state` and value `cur_val` it
+    was drawn on, the step's temperature `temp` and acceptance draw `u`
+    (None at T <= 0), the `flip`, whether the candidates were `unscored`
+    when it was drawn, whether the step `scored` a set holding the flip
+    after the draw, and whether the step `accepted` it."""
+    screen, values = search._flip_candidates, search._flip_values
+    js_all, is_all = np.nonzero(pair_mask(n))
+    draws, events = [], []
 
     class Recording(SplitMix64):
         __slots__ = ()
@@ -727,58 +730,103 @@ def random_flip_draws(monkeypatch, n, cfg):
         def next_below(self, bound):
             flip = super().next_below(bound)
             step = sys._getframe(1).f_locals  # the annealing step that drew it
-            if flip in step["cand"]:
-                events.append(None)
-            else:
-                events.append((step["a"].copy(), flip, step["cur_val"], step["temp"]))
+            draw = {
+                "live": step["a"],  # the array the run flips in place
+                "state": step["a"].copy(),
+                "cur_val": step["cur_val"],
+                "temp": step["temp"],
+                "u": None,
+                "flip": flip,
+                "unscored": step["vals"] is None,
+                "scored": False,
+                "step": step["evaluations"],
+            }
+            draws.append(draw)
+            events.append(draw)
             return flip
 
+        def next_double(self):
+            draws[-1]["u"] = u = super().next_double()  # drawn right after the flip
+            return u
+
+    def screened(a, is_, js, work):
+        events.append("screen")
+        return screen(a, is_, js, work)
+
     def scored(a, is_, js, k):
-        events.append(is_.size)
+        if draws and draws[-1]["step"] == sys._getframe(1).f_locals["evaluations"]:
+            flip = draws[-1]["flip"]
+            draws[-1]["scored"] |= bool(((is_ == is_all[flip]) & (js == js_all[flip])).any())
         return values(a, is_, js, k)
 
     monkeypatch.setattr(search, "SplitMix64", Recording)
+    monkeypatch.setattr(search, "_flip_candidates", screened)
     monkeypatch.setattr(search, "_flip_values", scored)
     for r in range(cfg.restarts):
+        events.clear()
         search._anneal_once(n, None, cfg, r)
-        events.append(None)
-    js, is_ = np.nonzero(pair_mask(n))
-    draws = []
-    # the step scores a drawn flip right after the draw; one it skips is
-    # rejected, so the next event is another draw or the end of the restart
-    for event, after in zip(events, events[1:]):
-        if isinstance(event, tuple):
-            a, flip, cur_val, temp = event
-            delta = values(a, is_[flip : flip + 1], js[flip : flip + 1], None)[0]
-            draws.append((delta - cur_val, temp, after == 1))
+        # a step that applies a flip makes the next step screen; one that
+        # rejects it leaves the graph, and the next step draws again
+        for event, after in zip(events, events[1:] + ["end"]):
+            if isinstance(event, dict):
+                live = event.pop("live")
+                changed = not np.array_equal(live, event["state"])
+                event["accepted"] = after == "screen" or (after == "end" and changed)
     return draws
 
 
-@pytest.mark.parametrize(
-    "n,cfg",
-    [
-        (
-            16,
-            SearchConfig(restarts=2, max_steps=300, temperature_initial=0.05, cooling=0.5, seed=3),
-        ),
-        (12, SearchConfig(restarts=6, max_steps=300, temperature_initial=0.0, seed=4)),
-        (16, SearchConfig(restarts=1, max_steps=3000, seed=3)),  # scores some, skips some
-    ],
-)
+def exact_change(draw):
+    """The exact change of the objective under the draw's flip."""
+    a = draw["state"].copy()
+    js, is_ = np.nonzero(pair_mask(a.shape[0]))
+    i, j = is_[draw["flip"]], js[draw["flip"]]
+    a[i, j] = a[j, i] = 1.0 - a[i, j]
+    return search._pair_objective(a[None], None)[0] - draw["cur_val"]
+
+
+RANDOM_FLIP_CONFIGS = [
+    (16, SearchConfig(restarts=2, max_steps=300, temperature_initial=0.05, cooling=0.5, seed=3)),
+    (12, SearchConfig(restarts=6, max_steps=300, temperature_initial=0.0, seed=4)),
+    (16, SearchConfig(restarts=1, max_steps=3000, seed=3)),  # scores some, skips some
+]
+
+
+@pytest.mark.parametrize("n,cfg", RANDOM_FLIP_CONFIGS)
 def test_random_flips_are_skipped_only_when_they_cannot_be_accepted(monkeypatch, n, cfg):
-    draws = random_flip_draws(monkeypatch, n, cfg)
-    skipped = [(delta, temp) for delta, temp, scored in draws if not scored]
+    skipped = [d for d in annealing_draws(monkeypatch, n, cfg) if not d["scored"]]
     assert skipped
-    for delta, temp in skipped:
+    for draw in skipped:
+        delta, temp = exact_change(draw), draw["temp"]
         if temp > 0.0:
-            assert math.exp(delta / temp) == 0.0
+            assert math.exp(delta / temp) <= draw["u"]
         else:
             assert delta < 0.0
 
 
+@pytest.mark.parametrize("n,cfg", RANDOM_FLIP_CONFIGS)
+def test_annealing_decisions_replay_exactly(monkeypatch, n, cfg):
+    # every decision the bounds settled unscored comes out the same when its
+    # values are scored exactly: a skipped candidate set holds no uphill
+    # flip, and each random flip, skipped or scored, is accepted exactly
+    # when its exact change passes the test against its own draw
+    draws = annealing_draws(monkeypatch, n, cfg)
+    unscored = [d for d in draws if d["unscored"]]
+    assert unscored and not all(d["scored"] for d in draws)
+    # consecutive draws on one graph share its candidates
+    for state, cur_val in {(d["state"].tobytes(), d["cur_val"]) for d in unscored}:
+        a = np.frombuffer(state).reshape(n, n)
+        assert search._pair_objective(flip_stack(a), None).max() <= cur_val
+    for draw in draws:
+        delta, temp = exact_change(draw), draw["temp"]
+        exact = delta == 0.0 if temp <= 0.0 else math.exp(delta / temp) > draw["u"]
+        assert draw["accepted"] == exact
+
+
 def test_a_default_restart_scores_few_random_flips(monkeypatch):
-    # a deterministic cost guard: scoring every random flip outside the
-    # candidates made 5564 single-flip calls in this restart
+    # a deterministic cost guard: this restart made 5564 single-flip calls
+    # when every random flip outside the candidates was scored, 1985 (of
+    # 1993 calls in all) when only those that could be accepted after the
+    # step's exact best were, and every screen scored its candidates
     values = search._flip_values
     sizes = []
 
@@ -788,7 +836,7 @@ def test_a_default_restart_scores_few_random_flips(monkeypatch):
 
     monkeypatch.setattr(search, "_flip_values", counted)
     local_search_max(16, cfg=SearchConfig(restarts=1, seed=3))
-    assert sizes.count(1) == 1985
+    assert (sizes.count(1), len(sizes)) == (218, 226)
 
 
 # best value, witness and evaluation count of two seeded runs, frozen so that
@@ -844,36 +892,55 @@ def test_local_search_grid_digest(n):
 @pytest.mark.parametrize("seed", range(5))
 def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
     # a deterministic cost guard: a step that takes no flip leaves the graph
-    # as it was, and the next step reuses its screen and its exact scores
+    # as it was, and the next step reuses its screen and any exact scores.
+    # A screen's candidates are scored at most once, and not before the
+    # first random draw on the graph when no bound is above 0
     screen, values = search._flip_candidates, search._flip_values
-    screens, scorings, held = [], [], []
+    screens, held = [], []
+
+    class Recording(SplitMix64):
+        __slots__ = ()
+
+        def next_below(self, bound):
+            screens[-1]["drawn"] = True
+            return super().next_below(bound)
 
     def screened(a, is_, js, work):
-        screens.append(a.tobytes())
-        return screen(a, is_, js, work)
+        cand, bound = screen(a, is_, js, work)
+        screens.append(
+            {
+                "graph": a.tobytes(),
+                "pairs": (is_[cand], js[cand]),
+                "uphill": bound is None or bound.max() > 0.0,
+                "drawn": False,
+                "scorings": 0,
+            }
+        )
+        return cand, bound
 
     def scored(a, is_, js, k):
         held[:] = [a]  # the array the run flips in place
-        # the call on the screen's candidates, not the one on the random flip
-        if len(scorings) < len(screens):
-            scorings.append(a.tobytes())
+        last = screens[-1]
+        # the call on the screen's candidates, not one on a random flip
+        if np.array_equal(is_, last["pairs"][0]) and np.array_equal(js, last["pairs"][1]):
+            assert a.tobytes() == last["graph"] and (last["uphill"] or last["drawn"])
+            last["scorings"] += 1
         return values(a, is_, js, k)
 
+    monkeypatch.setattr(search, "SplitMix64", Recording)
     monkeypatch.setattr(search, "_flip_candidates", screened)
     monkeypatch.setattr(search, "_flip_values", scored)
     cfg = SearchConfig(restarts=2, max_steps=300, seed=seed)
     for r in range(cfg.restarts):
         screens.clear()
-        scorings.clear()
         search._anneal_once(n, None, cfg, r)
-        # one exact scoring per screen, of the same graph
-        assert screens == scorings
-        # one flip (two entries) between consecutive scorings and at most one
-        # after the last, so the scorings number 1 + the flips applied before
-        # the last step, and no graph is scored twice in a row
-        graphs = [np.frombuffer(b) for b in scorings] + [held[0].ravel()]
+        assert max(s["scorings"] for s in screens) <= 1
+        # one flip (two entries) between consecutive screens and at most one
+        # after the last, so the screens number 1 + the flips applied before
+        # the last step, and no graph is screened twice in a row
+        graphs = [np.frombuffer(s["graph"]) for s in screens] + [held[0].ravel()]
         changed = [int(np.count_nonzero(x != y)) for x, y in zip(graphs, graphs[1:])]
-        assert changed[:-1] == [2] * (len(scorings) - 1) and changed[-1] in (0, 2)
+        assert changed[:-1] == [2] * (len(screens) - 1) and changed[-1] in (0, 2)
 
 
 @pytest.mark.parametrize("k,built", [(None, 1), (2, 0)])
@@ -920,17 +987,24 @@ def screen_against_exact(a):
     js, is_ = np.nonzero(pair_mask(a.shape[0]))
     exact = search._pair_objective(flip_stack(a), None)
     work = search._ScreenWork(a.shape[0], js.size)
-    cand = search._flip_candidates(a, is_, js, work)
+    cand, bound = search._flip_candidates(a, is_, js, work)
     assert np.all(np.diff(cand) > 0)
     assert set(np.flatnonzero(exact == exact.max())) <= set(cand.tolist())
     screened = search._screen_flips(a, is_, js, work)
     if screened is None:
-        assert np.array_equal(cand, np.arange(js.size))
+        assert np.array_equal(cand, np.arange(js.size)) and bound is None
         return cand, False
     delta, unreliable = screened
     cur = search._pair_objective(a[None], None)[0]
     err = np.abs(cur + delta - exact)[~unreliable]
     assert err.size == 0 or err.max() <= 1e-8
+    if bound is None:
+        assert np.array_equal(cand, np.arange(js.size))
+    else:
+        # the bound annealing rejects flips by: each reliable flip's exact
+        # change is at most its screened change plus SCREEN_DELTA
+        assert np.all(bound[unreliable] == math.inf)
+        assert np.all((exact - cur)[~unreliable] <= bound[~unreliable])
     return cand, True
 
 
@@ -1159,7 +1233,8 @@ def test_screen_declines_when_one_certificate_fails(monkeypatch):
 
         monkeypatch.setattr(np.linalg, "eigh", forged)
         assert search._screen_flips(a, is_, js, work) is None
-        assert np.array_equal(search._flip_candidates(a, is_, js, work), np.arange(js.size))
+        cand, bound = search._flip_candidates(a, is_, js, work)
+        assert np.array_equal(cand, np.arange(js.size)) and bound is None
 
 
 @pytest.mark.parametrize("n, cap", [(16, 64_000), (64, 256_000)])
@@ -1199,6 +1274,11 @@ def test_pair_objective_of_any_substack_is_the_full_stack_bit_for_bit(n):
         assert np.array_equal(search._pair_objective(stack[rows], None), full[rows])
 
 
+def score_every_flip(a, is_, js, work):
+    """A stand-in for _flip_candidates: every flip a candidate, no bounds."""
+    return np.arange(is_.size), None
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 16, 24])
 def test_screened_annealing_takes_the_steps_of_scoring_every_flip(monkeypatch, n):
     cfgs = [
@@ -1210,13 +1290,13 @@ def test_screened_annealing_takes_the_steps_of_scoring_every_flip(monkeypatch, n
     screen = search._flip_candidates
 
     def recorded(a, is_, js, work):
-        cand = screen(a, is_, js, work)
+        cand, bound = screen(a, is_, js, work)
         sizes.append(cand.size)
-        return cand
+        return cand, bound
 
     monkeypatch.setattr(search, "_flip_candidates", recorded)
     screened = [local_search_max(n, cfg=cfg) for cfg in cfgs]
-    monkeypatch.setattr(search, "_flip_candidates", lambda a, is_, js, work: np.arange(is_.size))
+    monkeypatch.setattr(search, "_flip_candidates", score_every_flip)
     every = [local_search_max(n, cfg=cfg) for cfg in cfgs]
     assert screened == every
     assert sizes  # the screen ran at every order; at n = 2 it declines the one flip
@@ -1237,7 +1317,7 @@ def test_screened_annealing_breaks_ties_like_scoring_every_flip(monkeypatch):
     screened = [local_search_max(10, cfg=cfg) for cfg in cfgs]
     # after one step the witness is the flipped graph, so the chosen flip shows
     assert witness_graphs(screened[0]) == (Graph.from_flags(10, flips[first][pair_mask(10)]),)
-    monkeypatch.setattr(search, "_flip_candidates", lambda a, is_, js, work: np.arange(is_.size))
+    monkeypatch.setattr(search, "_flip_candidates", score_every_flip)
     assert screened == [local_search_max(10, cfg=cfg) for cfg in cfgs]
 
 
