@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotOneModFourError, NotPrimePowerError, as_int, as_positive_int
-from .linalg import DenseMatrix, _prime_power_split, check_dimensions
+from .linalg import DenseMatrix, _difference_table, _prime_power_split, check_dimensions
 
 
 def pair_index(i: int, j: int) -> int:
@@ -96,49 +96,21 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def _checked_edge(i, j, n: int) -> tuple[int, int]:
-    """The pair (min, max) of one edge's ends, checked in this order: each
-    end an integer (a bool or a float is refused), no self-loop, both ends
-    in range for order n."""
-    i, j = as_int(i, "edge end"), as_int(j, "edge end")
-    if i == j:
-        raise ValueError(f"self-loop ({i}, {j}) not allowed")
-    if i > j:
-        i, j = j, i
-    if not 0 <= i < j < n:
-        raise ValueError(f"edge ({i}, {j}) out of range for order {n}")
-    return i, j
-
-
 def graph_from_edges(n: int, edges) -> Graph:
     """Build a graph from 0-based vertex pairs; order within a pair is ignored.
-    The order and every end must be integers (a bool or a float is refused).
-    The first offending edge in input order raises :func:`_checked_edge`'s error.
-
-    Pairs of plain ints (the JSON wire form) are checked as arrays, and
-    only the first offending edge is checked again alone, for its error.
-    Any other input (numpy integers, an end past int64, a float) goes
-    through :func:`_checked_edge` one edge at a time, in input order."""
+    The order and every end must be integers (a bool or a float is refused)."""
     n = as_positive_int(n, "graph n")
     check_dimensions(f"graph order {n}", n)
-    edges = list(edges)
-    ends = None
-    flat = itertools.chain.from_iterable
-    try:
-        if set(map(len, edges)) <= {2} and set(map(type, flat(edges))) <= {int}:
-            ends = np.fromiter(flat(edges), dtype=np.int64, count=2 * len(edges)).reshape(-1, 2)
-    except (TypeError, OverflowError):
-        pass
-    if ends is None:
-        index = [pair_index(*_checked_edge(i, j, n)) for i, j in edges]
-    else:
-        lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
-        bad = (lo == hi) | (lo < 0) | (hi >= n)
-        if bad.any():
-            _checked_edge(*edges[int(np.argmax(bad))], n)
-        index = hi * (hi - 1) // 2 + lo  # pair_index of each edge
     flags = np.zeros(n * (n - 1) // 2, dtype=bool)
-    flags[index] = True
+    for i, j in edges:
+        i, j = as_int(i, "edge end"), as_int(j, "edge end")
+        if i == j:
+            raise ValueError(f"self-loop ({i}, {j}) not allowed")
+        if i > j:
+            i, j = j, i
+        if not 0 <= i < j < n:
+            raise ValueError(f"edge ({i}, {j}) out of range for order {n}")
+        flags[pair_index(i, j)] = True
     return Graph.from_flags(n, flags)
 
 
@@ -309,30 +281,11 @@ def _field_order(q: int) -> tuple[int, int]:
 def quadratic_character(q: int) -> np.ndarray:
     """The GF(q) character table: entry (u, v) is chi(u - v) for field
     elements u, v in [0, q), in the vertex order of :func:`paley_graph`.
-    q must be an odd prime power at most ``DIMENSION_CAP``.
-
-    The table is built one base-p digit at a time, least significant first.
-    Before step t it holds the tables of order m = p^t, one per value of
-    the higher digits of u - v; step t makes those of order p m, whose
-    block (a, b) is the table at digit (a - b) mod p, by copying the
-    windows of a (2p - 1)-block extension as :func:`linalg._difference_view`
-    does for single entries. Each copy runs over rows of m entries, where
-    a copy of the (p,) * 2e view of all digits at once runs over rows of p:
-    at q = 729 = 3^6 that took 1.2-1.4 ms, against 0.2-0.7 ms here (the
-    range is the allocator's: warm pages or fresh ones)."""
+    q must be an odd prime power at most ``DIMENSION_CAP``."""
     p, e = _field_order(q)
     if q % 2 == 0:
         raise ValueError(f"q = {q} is even; the quadratic character needs odd q")
-    back = np.arange(p - 1, -p, -1) % p
-    table = _character_by_code(q).reshape(q, 1, 1)
-    for _ in range(e):
-        rest, m = table.shape[0] // p, table.shape[1]
-        # window a at offset b holds the table at digit p - 1 - a' - b, with
-        # a' = p - 1 - a once the window axis is reversed: (a - b) mod p
-        ext = table.reshape(rest, p, m, m)[:, back]
-        windows = np.lib.stride_tricks.sliding_window_view(ext, p, axis=1)[:, ::-1]
-        table = windows.transpose(0, 1, 2, 4, 3).copy().reshape(rest, p * m, p * m)
-    return table[0]
+    return _difference_table(_character_by_code(q), p, e)
 
 
 def _paley_mask(q: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -372,6 +372,24 @@ def _difference_view(row: np.ndarray, p: int, e: int) -> np.ndarray:
     return windows[(slice(None, None, -1),) * e]
 
 
+def _difference_table(row: np.ndarray, p: int, e: int) -> np.ndarray:
+    """The (q, q) array of `_difference_view(row, p, e)`, q = p^e, built one
+    digit at a time, least significant first: the tables of order m = p^t,
+    one per value of the higher digits, become those of order p m, whose
+    block (u, a) is the table at digit u - a, by copying the reversed
+    windows of a (2p - 1)-block extension. Each copy runs over rows of m
+    entries, where a copy of the whole view runs over rows of p: at
+    q = 729 = 3^6 that took 1.2-1.4 ms, against 0.2-0.7 ms here."""
+    back = np.arange(p - 1, -p, -1) % p
+    table = row.reshape(-1, 1, 1)
+    for _ in range(e):
+        rest, m = table.shape[0] // p, table.shape[1]
+        ext = table.reshape(rest, p, m, m)[:, back]
+        windows = np.lib.stride_tricks.sliding_window_view(ext, p, axis=1)[:, ::-1]
+        table = windows.transpose(0, 1, 2, 4, 3).copy().reshape(rest, p * m, p * m)
+    return table[0]
+
+
 def _character_eigh(row0: np.ndarray) -> tuple[np.ndarray, float]:
     """Ascending eigenvalues and certified residual of the invariant symmetric
     matrix with row 0 `row0`, given on its (Z_p)^e grid: the row's DFT."""
@@ -386,24 +404,15 @@ def eigh_basis(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, float | list[fl
     """Ascending eigenvalues, orthonormal eigenvectors (columns) and certified
     residual ||AQ - QΛ||_F of a symmetric array, by a dense LAPACK ``eigh``;
     NoConvergenceError when the certificate fails. A (B, n, n) stack is
-    factored in one call, its products S Q formed by one batched matmul,
-    and it gets a list of B residuals, each certified against its own
-    matrix with the bits the matrix alone would give; the first matrix to
-    fail raises."""
+    factored in one call and gets a list of B residuals, each certified
+    against its own matrix."""
     try:
         w, q = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"symmetric eigendecomposition failed: {exc}") from exc
-    shape = (-1,) + sym.shape[-2:]
-    residuals = []
-    for r, s, v, e in zip(
-        (sym @ q).reshape(shape), sym.reshape(shape), q.reshape(shape), w.reshape(shape[:2])
-    ):
-        # per matrix and in place: the broadcast product of a whole stack
-        # takes an iterator buffer of the stack's size
-        r -= v * e
-        residuals.append(_certify(_frobenius(r), s, "eigen"))
-    return w, q, residuals if sym.ndim == 3 else residuals[0]
+    if sym.ndim == 2:
+        return w, q, _certify(_frobenius(sym @ q - q * w), sym, "eigen")
+    return w, q, [_certify(_frobenius(s @ v - v * e), s, "eigen") for s, v, e in zip(sym, q, w)]
 
 
 def _eigvalsh_stack(stack: np.ndarray) -> np.ndarray:

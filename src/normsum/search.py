@@ -392,7 +392,6 @@ class _ScreenWork:
         self.x, self.w = _SCREEN_X, _SCREEN_W
         self.x2 = self.x * self.x
         k = self.x.size
-        self.off = complement_matrix(np.zeros((n, n)))  # J - I
         self.pair = np.empty((2, n, n))  # A and J - I - A, then Q * Q
         self.coef = np.empty((2, n, 2 * k))  # 1/(λ - ix), so R = Q diag(coef) Q^T
         self.diag = np.empty((2, n, 2 * k))  # R_ii
@@ -466,8 +465,7 @@ def _screen_flips(a: np.ndarray, is_: np.ndarray, js: np.ndarray, work: _ScreenW
     held to and the SCREEN_DELTA margin of the candidates.
     """
     pair = work.pair
-    pair[0] = a
-    np.subtract(work.off, a, out=pair[1])
+    pair[0], pair[1] = a, complement_matrix(a)
     try:
         w, q, _ = eigh_basis(pair)
     except NoConvergenceError:
@@ -589,8 +587,10 @@ def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
     random flip's acceptance draw u is taken right after the flip itself,
     in the order the stream always had, and none at T <= 0. A flip whose
     bound b gives exp(b / T) <= u, or b < 0 at T = 0, is rejected
-    unscored, as its exact change would fail the same test; otherwise it
-    is scored, alone, or with the candidates when it is one of them. A step
+    unscored, as its exact change would fail the same test; otherwise its
+    exact value is read from the candidates' scores when they hold it, and
+    scored alone when they do not (a flip scored alone and in a stack gets
+    the same bits). A step
     that rejects its random flip at T < 1e-12 scores the candidates for the
     freeze test. The skips need only |screened - exact| <= SCREEN_DELTA,
     and the candidate set already relies on SCREEN_DELTA / 2, so the run is
@@ -639,9 +639,7 @@ def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
             if (b >= 0.0) if temp <= 0.0 else (b > 0.0 or math.exp(b / temp) > u):
                 # the bound cannot reject the flip, so its exact value decides
                 at = int(np.searchsorted(cand, r))
-                if at < cand.size and cand[at] == r:
-                    if vals is None:
-                        vals = _flip_values(a, is_[cand], js[cand], k)
+                if vals is not None and at < cand.size and cand[at] == r:
                     value = vals[at]
                 else:
                     value = _flip_values(a, is_[r : r + 1], js[r : r + 1], k)[0]

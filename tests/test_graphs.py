@@ -22,7 +22,7 @@ from normsum import (
     sym_eigen,
 )
 from normsum import graphs
-from normsum.graphs import _character_by_code, _gf_mul, pair_index, pair_mask, paley_adjacency
+from normsum.graphs import _character_by_code, _gf_mul, pair_index, paley_adjacency
 from normsum.graphs import quadratic_character
 from normsum.linalg import STRUCTURED_MIN_N, DenseMatrix, _prime_power_split
 from oracles import (
@@ -67,49 +67,6 @@ def test_graph_construction_and_queries():
         Graph(n=3, bits=1 << 3)  # only 3 pair bits exist
     with pytest.raises(ValueError):
         Graph(n=0, bits=0)
-
-
-# each list holds edges that fail in several ways; the first offending edge
-# in input order decides the error, and within one edge a non-integer end
-# comes before a self-loop, which comes before a range check
-FIRST_OFFENDING_EDGE = [
-    ([[0, 1], [1, 2.0], [3, 3], [0, 9]], "edge end must be an integer, got 2.0"),
-    ([[0, 1], [True, 2], [3, 3], [0, 9]], "edge end must be an integer, got True"),
-    ([[0, 1], [1.5, 1.5], [0, 9]], "edge end must be an integer, got 1.5"),
-    ([[0, 1], [3, 3], [1, 2.0], [0, 9]], r"self-loop \(3, 3\) not allowed"),
-    ([[0, 1], [7, 7], [0, 9]], r"self-loop \(7, 7\) not allowed"),
-    ([[0, 1], [9, 0], [3, 3], [1, 2.0]], r"edge \(0, 9\) out of range for order 5"),
-    ([[0, 1], [-1, 2], [3, 3]], r"edge \(-1, 2\) out of range for order 5"),
-    ([[0, 1], [2**64, 0], [3, 3]], r"edge \(0, 18446744073709551616\) out of range for order 5"),
-]
-
-
-@pytest.mark.parametrize("edges,message", FIRST_OFFENDING_EDGE)
-def test_graph_from_edges_raises_for_the_first_offending_edge(edges, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        graph_from_edges(5, edges)
-    # the same edge decides it deep in a long list of good ones
-    good = [[i, j] for j in range(5) for i in range(j)] * 100
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        graph_from_edges(5, good + edges)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Graph.from_json({"n": 5, "edges": good + edges})
-
-
-def test_graph_from_edges_matches_the_pair_flags():
-    # plain ints are checked as arrays, numpy integers one edge at a time
-    rng = np.random.default_rng(5)
-    n = 64
-    flags = rng.random(n * (n - 1) // 2) < 0.5
-    js, is_ = np.nonzero(pair_mask(n))
-    pairs = enumerate(zip(is_[flags].tolist(), js[flags].tolist()))
-    edges = [[j, i] if r % 2 else [i, j] for r, (i, j) in pairs]
-    expected = Graph.from_flags(n, flags)
-    assert graph_from_edges(n, edges) == expected
-    assert graph_from_edges(n, edges + edges[:10]) == expected  # a repeated edge sets its bit once
-    assert graph_from_edges(n, [tuple(np.int64(v) for v in e) for e in edges]) == expected
-    assert graph_from_edges(n, iter(map(tuple, edges))) == expected
-    assert graph_from_edges(n, []) == Graph(n=n, bits=0)
 
 
 def test_graph_bitset_range_needs_no_m_bit_integer():

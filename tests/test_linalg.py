@@ -840,6 +840,7 @@ def test_difference_view_is_the_transposed_cayley_matrix(p, e):
     # column 0 is row[-v]: the row is not even (over (Z_2)^e every row is)
     assert p == 2 or not np.array_equal(row, cayley[:, 0])
     assert np.array_equal(linalg._difference_view(row, p, e).reshape(q, q), cayley.T)
+    assert np.array_equal(linalg._difference_table(row, p, e), cayley.T)
 
 
 def test_orders_below_the_floor_stay_dense(monkeypatch):

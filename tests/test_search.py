@@ -826,7 +826,9 @@ def test_a_default_restart_scores_few_random_flips(monkeypatch):
     # a deterministic cost guard: this restart made 5564 single-flip calls
     # when every random flip outside the candidates was scored, 1985 (of
     # 1993 calls in all) when only those that could be accepted after the
-    # step's exact best were, and every screen scored its candidates
+    # step's exact best were, and every screen scored its candidates; it
+    # makes 218 (of 226) when a value is scored only if the bounds leave
+    # a decision open
     values = search._flip_values
     sizes = []
 
