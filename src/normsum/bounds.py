@@ -16,12 +16,12 @@ the condition, raise DomainViolationError. Nothing is clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainViolationError, KOutOfRangeError, MissingParamError
-from .errors import as_int, as_positive_int
+from .errors import as_int, as_positive_int, as_real
 from .graphs import Graph, adjacency_matrix
 from .linalg import SpectrumPair, as_matrix, invariant_row, require_symmetric
 from .linalg import ky_fan_norm, operator_norm, trace_norm
@@ -53,9 +53,6 @@ class BoundVerdict:
     tol: float
     eq_tol: float
 
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class EqualityReport:
@@ -79,9 +76,6 @@ class EqualityReport:
     conference_spectrum_ok: bool
     overall: bool
 
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class WeylReport:
@@ -94,9 +88,6 @@ class WeylReport:
     ok: bool
     margins: tuple[float, ...]
     tol: float
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def bound_value(kind: str, n: int, m: int | None = None, k: int | None = None) -> float:
@@ -164,7 +155,7 @@ def check_tol(tol: float) -> float:
     """tol as a float, once it is finite and nonnegative; a NaN, infinite or
     negative tolerance would turn every verdict into a false alarm or a
     blanket pass, so it raises ValueError."""
-    tol = float(tol)
+    tol = as_real(tol, "tol")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     return tol

@@ -21,6 +21,7 @@ significant digits so doubles round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -236,7 +237,7 @@ def _resolve_input(args) -> SpectrumPair | DenseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (results dict, failed verdict flag)
+# Subcommand handlers: each returns (results dict or record, failed verdict flag)
 
 
 def cmd_construct(args):
@@ -316,12 +317,12 @@ def cmd_check(args):
     # without --tol, the library's default for the kind applies
     tol = {} if args.tol is None else {"tol": args.tol}
     if kind == "equality":
-        return equality_analysis(obj, **tol).to_json(), False
+        return equality_analysis(obj, **tol), False
     if kind == "weyl":
         wreport = weyl_complement_check(obj, **tol)
-        return wreport.to_json(), not wreport.ok
+        return wreport, not wreport.ok
     verdict = check_bound(kind, obj, k=k, **tol)
-    return verdict.to_json(), not verdict.holds
+    return verdict, not verdict.holds
 
 
 def cmd_search(args):
@@ -338,7 +339,7 @@ def cmd_search(args):
             seed=args.seed if args.seed is not None else 0,
         )
         result = local_search_max(args.n, args.objective, k=args.k, cfg=cfg, threads=threads)
-    return result.to_json(), False
+    return result, False
 
 
 def cmd_sweep(args):
@@ -350,7 +351,7 @@ def cmd_sweep(args):
         kinds=kinds,
         **({} if args.tol is None else {"tol": args.tol}),
     )
-    return report.to_json(), report.total_violations > 0
+    return report, report.total_violations > 0
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +503,16 @@ _HANDLERS = {
 }
 
 
+def _plain(obj):
+    """A record as the dict of its fields, a tuple of records as the list of
+    their dicts, any other value as the same object (so a shared witness renders once)."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple) and obj and dataclasses.is_dataclass(obj[0]):
+        return [_plain(item) for item in obj]
+    return obj
+
+
 def _csv(command: str, results: dict) -> str:
     """The CSV form of the results of a subcommand that offers csv: a
     construct's matrix rows; a spectrum's index, eigenvalue and singular
@@ -577,6 +588,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = int(round((time.perf_counter() - started) * 1000))
+    results = _plain(results)
 
     if args.format == "json":
         inputs = {

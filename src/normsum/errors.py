@@ -1,5 +1,6 @@
-"""Exception types, and the integer checks, shared across the package."""
+"""Exception types, and the integer and real number checks, shared across the package."""
 
+import numbers
 import operator
 
 
@@ -73,6 +74,13 @@ def as_int(value, name: str, error: type[ValueError] = ValueError) -> int:
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def as_real(value, name: str, error: type[ValueError] = ValueError) -> float:
+    """value as a Python float; bools, strings and bytes raise `error`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise error(f"{name} must be a real number, got {value!r}")
 
 
 def as_positive_int(value, name: str, error: type[ValueError] = ValueError) -> int:

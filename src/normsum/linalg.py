@@ -748,11 +748,12 @@ def ky_fan_norm(m, k: int) -> float:
     """Sum of the k largest singular values of a matrix, or of its
     SingularSpectrum: k = 1 is the operator norm, k = min(rows, cols) the
     trace norm. Exactly rounded, once 1 <= k <= the count of values."""
-    values = (m if isinstance(m, SingularSpectrum) else svd(m)).values
     k = as_int(k, "k", KOutOfRangeError)
-    if k < 1 or k > len(values):
-        raise KOutOfRangeError(f"k={k} outside [1, {len(values)}], the count of singular values")
-    return math.fsum(values[:k])
+    m = m if isinstance(m, SingularSpectrum) else as_matrix(m)
+    count = len(m.values) if isinstance(m, SingularSpectrum) else min(m.shape)
+    if k < 1 or k > count:
+        raise KOutOfRangeError(f"k={k} outside [1, {count}], the count of singular values")
+    return math.fsum((m if isinstance(m, SingularSpectrum) else svd(m)).values[:k])
 
 
 def trace_norm(m) -> float:

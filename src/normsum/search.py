@@ -16,7 +16,7 @@ encode them to graph6 in one batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
     OrderTooLargeError,
     as_int,
     as_positive_int,
+    as_real,
 )
 from .graphs import Graph, _adjacency, _graph6_batch, adjacency_matrix, graph6_encode, pair_mask
 from .linalg import DenseMatrix, SpectrumPair, _eigvalsh_stack, check_dimensions
@@ -80,11 +81,11 @@ class SearchConfig:
         for key in ("restarts", "max_steps"):
             object.__setattr__(self, key, as_positive_int(getattr(self, key), key, BadConfigError))
         object.__setattr__(self, "seed", as_seed(self.seed, BadConfigError))
-        if not 0.0 <= self.temperature_initial < math.inf:
-            raise BadConfigError(
-                "temperature_initial must be finite and nonnegative, "
-                f"got {self.temperature_initial!r}"
-            )
+        for key in ("temperature_initial", "cooling"):
+            object.__setattr__(self, key, as_real(getattr(self, key), key, BadConfigError))
+        t0 = self.temperature_initial
+        if not 0.0 <= t0 < math.inf:
+            raise BadConfigError(f"temperature_initial must be finite and nonnegative, got {t0!r}")
         if not 0.0 < self.cooling < 1.0:
             raise BadConfigError(f"cooling must be in (0, 1), got {self.cooling!r}")
 
@@ -107,9 +108,6 @@ class SearchResult:
     evaluations: int
     seed: int | None
     method: str
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_search(
@@ -728,27 +726,16 @@ class KindSweep:
     worst_slack: float
     worst_witness: dict | None
 
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class SweepReport:
     seed: int
     n_range: tuple[int, int]
+    total_violations: int = field(init=False)
     results: tuple[KindSweep, ...] = field(default_factory=tuple)
 
-    @property
-    def total_violations(self) -> int:
-        return sum(r.violations for r in self.results)
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_range": list(self.n_range),
-            "total_violations": self.total_violations,
-            "results": [r.to_json() for r in self.results],
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "total_violations", sum(r.violations for r in self.results))
 
 
 SWEEP_KINDS = ("main", "main_matrix", "shifted", "kyfan", "opnorm", "weyl")

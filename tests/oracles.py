@@ -4,10 +4,11 @@ conference-graph family it singles out, the GF(q) character table by digit
 codes, the (Z_p)^e translation-invariance test by rolls, a search result's
 witnesses decoded from graph6, the complement graph by bit flips, the edge
 list read off the pair mask, cycles, complete graphs, the Petersen graph,
-the triangular graphs and the nets of AG(2, q)
+the triangular graphs, the nets of AG(2, q)
 (conference graphs beyond Paley's, with their parallel classes compared up
-to GL(2, q)), the annealing flip screen with one log per matrix, and the
-property sweep run kind by kind, each kind drawing its own samples.
+to GL(2, q)) and the Latin square graphs, the annealing flip screen with
+one log per matrix, and the property sweep run kind by kind, each kind
+drawing its own samples.
 Test code only; the package does not call them."""
 
 from __future__ import annotations
@@ -219,6 +220,32 @@ def pgl_equivalent(q: int, s, t) -> bool:
     direction = net_directions(q)[0]  # of the vector (x, y) at x q + y
     image = np.sort(direction[(a * u + b * v) % q * q + (c * u + d * v) % q], axis=1)
     return bool((image == np.array(sorted(t))).all(axis=1).any())
+
+
+def latin_square_graph(square) -> np.ndarray:
+    """Boolean adjacency of the Latin square graph of an order-k Latin
+    square: its k^2 cells, cell (r, c) being vertex r k + c, joined when they
+    share a row, a column or a symbol. It is SRG(k^2, 3(k - 1), k, 6), a
+    conference graph for k = 5."""
+    s = np.asarray(square)
+    r, c = np.divmod(np.arange(s.size), s.shape[0])
+    v = s.ravel()
+    adj = (r[:, None] == r) | (c[:, None] == c) | (v[:, None] == v)
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def intercalates(square) -> int:
+    """The count of 2 x 2 Latin subsquares: pairs of rows and of columns
+    whose four cells hold only two symbols. It is the same on every square
+    of a main class."""
+    s = np.asarray(square)
+    pairs = list(itertools.combinations(range(s.shape[0]), 2))
+    return sum(
+        s[r1, c1] == s[r2, c2] and s[r1, c2] == s[r2, c1]
+        for r1, r2 in pairs
+        for c1, c2 in pairs
+    )
 
 
 def triangular(k: int) -> np.ndarray:

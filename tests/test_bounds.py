@@ -30,7 +30,9 @@ from oracles import (
     complete,
     cycle,
     graph_of,
+    intercalates,
     is_conference,
+    latin_square_graph,
     net_directions,
     paley_net_classes,
     petersen,
@@ -284,8 +286,7 @@ def test_verdict_fields_consistent():
     assert v.slack == v.rhs - v.lhs
     assert v.holds == (v.slack >= -v.tol)
     assert v.equality == (v.holds and abs(v.slack) <= v.eq_tol)
-    d = v.to_json()
-    assert d["kind"] == "main" and d["holds"] is True
+    assert v.kind == "main" and v.holds is True
 
 
 def test_equality_analysis_conference():
@@ -559,6 +560,19 @@ def test_the_net_classes_are_not_paleys():
     assert pgl_equivalent(13, paley, paley) and not pgl_equivalent(13, NET_CLASSES, paley)
 
 
+# an order-5 Latin square outside the main class of Z_5's table; its graph is
+# SRG(25, 12, 5, 6), a conference graph that is not Paley's
+LATIN5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 3, 4, 0, 1), (3, 4, 1, 2, 0), (4, 2, 0, 1, 3))
+
+
+def test_the_latin_square_is_not_the_cyclic_class():
+    square, cyclic = np.array(LATIN5), np.add.outer(range(5), range(5)) % 5
+    for s in (square, cyclic):
+        assert all(sorted(line) == list(range(5)) for line in (*s, *s.T))
+    # x + y = x' + y' and x + y' = x' + y force y = y' mod 5: no intercalate
+    assert intercalates(cyclic) == 0 and intercalates(square) == 4
+
+
 def _net_cases():
     net = affine_net(13, NET_CLASSES)
     flipped_pair = relabeled(net, 3)
@@ -568,6 +582,7 @@ def _net_cases():
         ("relabeled net", relabeled(net, 3), True),
         ("relabeled Paley net", relabeled(affine_net(13, paley_net_classes(13)), 4), True),
         ("relabeled net q=7", relabeled(affine_net(7, (0, 1, 2, 5)), 5), True),
+        ("Latin square", latin_square_graph(LATIN5), True),
         ("eight classes", relabeled(affine_net(13, range(8)), 6), False),
         ("flipped pair", flipped_pair, False),
         ("T(7)", triangular(7), False),  # degree (n - 1)/2, spectrum not

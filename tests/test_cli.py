@@ -226,7 +226,7 @@ def test_check_comparison_kinds(capsys, tmp_path, kind):
     for source, obj in ((["--paley", "9"], paley_graph(9)), (["--graph6", graph6_encode(g)], g)):
         code, rep = run_json(capsys, ["check", kind] + source)
         assert code == 0
-        assert rep["results"] == check_bound(kind, obj).to_json()
+        assert rep["results"] == cli._plain(check_bound(kind, obj))
     # a nonsymmetric matrix is outside both bounds' domain
     path = tmp_path / "m.csv"
     path.write_text("0,1\n0,0\n", encoding="utf-8")
@@ -662,6 +662,18 @@ def test_sweep_cli(capsys):
     assert code == 0
     assert rep["results"]["total_violations"] == 0
     assert [r["kind"] for r in rep["results"]["results"]] == ["main", "shifted"]
+
+
+def test_plain_gives_fields_in_order_and_keeps_shared_witnesses():
+    # with one trial each stream's kinds keep its one sample and share its witness
+    report = search.property_sweep(1, 7, (2, 12), list(search.SWEEP_KINDS))
+    plain = cli._plain(report)
+    assert list(plain) == ["seed", "n_range", "total_violations", "results"]
+    assert plain["n_range"] is report.n_range
+    assert plain["results"] == [cli._plain(r) for r in report.results]
+    witness = {r["kind"]: r["worst_witness"] for r in plain["results"]}
+    assert witness["main_matrix"] is witness["shifted"] is report.results[1].worst_witness
+    assert cli._plain(plain) is plain
 
 
 def test_sweep_csv(capsys):

@@ -1,8 +1,10 @@
-"""The two integer gates: errors.as_positive_int for every positive integer
-argument and rng.as_seed for every seed, with a static guard that their
-messages are written nowhere else."""
+"""The gates: errors.as_positive_int for every positive integer argument,
+rng.as_seed for every seed and errors.as_real for every real number
+argument, with a static guard that their messages are written nowhere
+else."""
 
 import ast
+import fractions
 import re
 import warnings
 from pathlib import Path
@@ -19,6 +21,7 @@ from normsum import (
     SplitMix64,
     UnsupportedOrderError,
     bound_value,
+    check_bound,
     exhaustive_max,
     graph_from_edges,
     hadamard,
@@ -27,6 +30,7 @@ from normsum import (
     opnorm_extremal_matrix,
     property_sweep,
 )
+from normsum.bounds import check_tol
 
 SRC = Path(normsum.__file__).parent
 
@@ -108,7 +112,7 @@ def test_numpy_seeds_give_the_stream_of_the_python_int():
     assert np.array_equal(a.next_doubles(5), b.next_doubles(5))
     assert SearchConfig(seed=np.uint64(7)) == SearchConfig(seed=7)
     sweep = property_sweep(2, np.uint64(7), (4, 6), ["main", "kyfan"])
-    assert sweep.to_json() == property_sweep(2, 7, (4, 6), ["main", "kyfan"]).to_json()
+    assert sweep == property_sweep(2, 7, (4, 6), ["main", "kyfan"])
 
 
 def test_exhaustive_gates_threads_before_generating_classes(monkeypatch):
@@ -123,8 +127,47 @@ def test_exhaustive_gates_threads_before_generating_classes(monkeypatch):
             exhaustive_max(8, threads=0)
 
 
+# entry point -> (call with the real number under test, its name, its error
+# class, the value it kept); 0.5 is a valid value for each
+REAL = {
+    "check_tol": (check_tol, "tol", ValueError, lambda tol: tol),
+    "check_bound tol": (
+        lambda v: check_bound("main", Graph(n=3, bits=0), tol=v),
+        "tol",
+        ValueError,
+        lambda verdict: verdict.tol,
+    ),
+    "SearchConfig temperature_initial": (
+        lambda v: SearchConfig(temperature_initial=v),
+        "temperature_initial",
+        BadConfigError,
+        lambda cfg: cfg.temperature_initial,
+    ),
+    "SearchConfig cooling": (
+        lambda v: SearchConfig(cooling=v),
+        "cooling",
+        BadConfigError,
+        lambda cfg: cfg.cooling,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REAL))
+def test_every_real_number_argument_goes_through_one_gate(entry):
+    call, name, error, kept = REAL[entry]
+    for bad in (True, np.bool_(False), "0.5", b"1", None, 0.5j):
+        message = f"{name} must be a real number, got {bad!r}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+            call(bad)
+        assert exc.type is error
+    for good in (0.5, np.float32(0.5), np.float64(0.5), fractions.Fraction(1, 2)):
+        value = kept(call(good))
+        assert type(value) is float and value == 0.5
+
+
 TEMPLATES = {
     "must be a positive integer": ("errors.py", "as_positive_int"),
+    "must be a real number": ("errors.py", "as_real"),
     "must be a 64-bit unsigned integer": ("rng.py", "as_seed"),
 }
 

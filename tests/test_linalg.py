@@ -541,6 +541,19 @@ def test_dense_matrix_json_integer_check():
     assert m.shape == (1, 2)
 
 
+def test_ky_fan_checks_k_before_it_factors(monkeypatch):
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("a matrix was factored for a bad k")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_factoring)
+    # the rectangular input goes to svd, the symmetric one to eigh
+    for a in (np.ones((3, 4)), random_symmetric(SplitMix64(5), 4)):
+        for bad in (0, -1, min(a.shape) + 1, 2.0, True, "2"):
+            with pytest.raises(KOutOfRangeError):
+                ky_fan_norm(a, bad)
+
+
 def test_ky_fan_integer_check():
     a = np.ones((3, 4))
     for bad in (2.0, True, "2"):
