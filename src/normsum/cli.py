@@ -178,7 +178,8 @@ _int, _float = _strict(int), _strict(float)
 
 
 def _load_matrix_file(path: str) -> DenseMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig skips the byte-order mark that "CSV UTF-8" files start with
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         return DenseMatrix.from_json(json.loads(text))
@@ -231,7 +232,7 @@ def _resolve_input(args) -> SpectrumPair | DenseMatrix:
     if src == "graph6":
         g = graph6_decode(args.graph6)
     else:
-        with open(args.edges, "r", encoding="utf-8") as fh:
+        with open(args.edges, "r", encoding="utf-8-sig") as fh:
             g = Graph.from_json(json.load(fh))
     return SpectrumPair(adjacency_matrix(g), graph=True)
 

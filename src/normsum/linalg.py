@@ -87,10 +87,6 @@ CERT_FACTOR = 1e-12
 # the input is translation invariant; below it a dense eigh costs under 2 ms.
 STRUCTURED_MIN_N = 128
 
-# Side of the square tiles the asymmetry is measured in: a tile and its
-# mirror take 1 MB.
-_ASYM_TILE = 256
-
 # Entries in one block of a pass over the K x K table of secular pole-root
 # differences: a block takes 512 KB, and no pass allocates K^2 floats.
 _SECULAR_BLOCK = 1 << 16
@@ -213,40 +209,26 @@ class DenseMatrix:
         return self._max
 
     def _asymmetry(self) -> float:
-        """Largest entrywise |A - A^T|: 0.0 iff A == A^T, inf if not square.
-
-        Tile (I, J), J >= I, holds |a_ij - a_ji| for its cells and for their
-        mirrors, so the upper tiles cover every pair once and the max is the
-        one over the whole array, bit for bit. A tile and its mirror fit in
-        cache, where a transposed view of the whole array strides through it.
-        """
+        """Largest entrywise |A - A^T|: 0.0 iff A == A^T, inf if not square."""
         if self._asym is None:
-            a, n, t = self._data, self.rows, _ASYM_TILE
-            self._asym = (
-                max(
-                    float(np.abs(a[i : i + t, j : j + t] - a[j : j + t, i : i + t].T).max())
-                    for i in range(0, n, t)
-                    for j in range(i, n, t)
-                )
-                if n == self.cols
-                else math.inf
-            )
+            a = self._data
+            self._asym = float(np.abs(a - a.T).max()) if self.rows == self.cols else math.inf
         return self._asym
 
     def _invariance(self) -> tuple[int, ...]:
-        """(p,) * e, the grid of row 0, when A is exactly symmetric, of order
-        p^e >= STRUCTURED_MIN_N and (Z_p)^e-translation invariant under the
-        base-p digit labelling, else (). Tested once, exactly, by comparing A
-        with the difference table of row 0: A[u, v] = A[0, u - v]."""
+        """(p,) * e when A is exactly symmetric, of order p^e >=
+        STRUCTURED_MIN_N and (Z_p)^e-translation invariant under the base-p
+        digit labelling, else (). Tested once, exactly, by comparing A with
+        `_difference_table` of row 0, A[u, v] = A[0, u - v], the table that
+        builds the GF(q) character table."""
         if self._grid is None:
             self._grid = ()
             n = self.rows
             split = _prime_power_split(n) if n >= STRUCTURED_MIN_N else None
             if split and self._asymmetry() == 0.0:
                 p, e = split
-                row0 = self._data[0].reshape((p,) * e)
-                if np.array_equal(self._data.reshape(row0.shape * 2), _difference_view(row0, p, e)):
-                    self._grid = row0.shape
+                if np.array_equal(self._data, _difference_table(self._data[0], p, e)):
+                    self._grid = (p,) * e
         return self._grid
 
     def __array__(self, dtype=None, copy=None):
@@ -358,28 +340,13 @@ def _prime_power_split(q: int) -> tuple[int, int] | None:
     return (p, e) if q == 1 else None
 
 
-def _difference_view(row: np.ndarray, p: int, e: int) -> np.ndarray:
-    """The (p,) * 2e view D with D[u, v] = row[u - v] over (Z_p)^e, each
-    element labelled by its base-p digits, most significant first. On that
-    grid ext[c] is row at the digits (p - 1 - c_t) % p, c_t in [0, 2p - 1),
-    so window a at offset b holds row[p - 1 - a - b], and reversed offset
-    axes (b = p - 1 - u) give row[u - a]. Only ext, of (2p - 1)^e entries,
-    is allocated.
-    """
-    back = np.arange(p - 1, -p, -1) % p
-    ext = row.reshape((p,) * e)[np.ix_(*[back] * e)]
-    windows = np.lib.stride_tricks.sliding_window_view(ext, (p,) * e)
-    return windows[(slice(None, None, -1),) * e]
-
-
 def _difference_table(row: np.ndarray, p: int, e: int) -> np.ndarray:
-    """The (q, q) array of `_difference_view(row, p, e)`, q = p^e, built one
-    digit at a time, least significant first: the tables of order m = p^t,
-    one per value of the higher digits, become those of order p m, whose
-    block (u, a) is the table at digit u - a, by copying the reversed
-    windows of a (2p - 1)-block extension. Each copy runs over rows of m
-    entries, where a copy of the whole view runs over rows of p: at
-    q = 729 = 3^6 that took 1.2-1.4 ms, against 0.2-0.7 ms here."""
+    """The (q, q) array D with D[u, v] = row[u - v] over (Z_p)^e, q = p^e,
+    each element labelled by its base-p digits, most significant first.
+    Built one digit at a time, least significant first: the tables of order
+    m = p^t, one per value of the higher digits, become those of order p m,
+    whose block (u, a) is the table at digit u - a, by copying the reversed
+    windows of a (2p - 1)-block extension."""
     back = np.arange(p - 1, -p, -1) % p
     table = row.reshape(-1, 1, 1)
     for _ in range(e):

@@ -585,14 +585,13 @@ def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
     random flip's acceptance draw u is taken right after the flip itself,
     in the order the stream always had, and none at T <= 0. A flip whose
     bound b gives exp(b / T) <= u, or b < 0 at T = 0, is rejected
-    unscored, as its exact change would fail the same test; otherwise its
-    exact value is read from the candidates' scores when they hold it, and
-    scored alone when they do not (a flip scored alone and in a stack gets
-    the same bits). A step
-    that rejects its random flip at T < 1e-12 scores the candidates for the
-    freeze test. The skips need only |screened - exact| <= SCREEN_DELTA,
-    and the candidate set already relies on SCREEN_DELTA / 2, so the run is
-    bit for bit the one that scores every value.
+    unscored, as its exact change would fail the same test; otherwise it
+    is scored alone, even when the candidates' scores hold it (a flip
+    scored alone and in a stack gets the same bits). A step that rejects
+    its random flip at T < 1e-12 scores the candidates for the freeze
+    test. The skips need only |screened - exact| <= SCREEN_DELTA, and the
+    candidate set already relies on SCREEN_DELTA / 2, so the run is bit
+    for bit the one that scores every value.
 
     Each graph is screened once and its candidates scored at most once: a
     step that takes no flip leaves A as it was, so the next step reuses its
@@ -636,11 +635,7 @@ def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
             b = math.inf if bound is None else float(bound[r])
             if (b >= 0.0) if temp <= 0.0 else (b > 0.0 or math.exp(b / temp) > u):
                 # the bound cannot reject the flip, so its exact value decides
-                at = int(np.searchsorted(cand, r))
-                if vals is not None and at < cand.size and cand[at] == r:
-                    value = vals[at]
-                else:
-                    value = _flip_values(a, is_[r : r + 1], js[r : r + 1], k)[0]
+                value = _flip_values(a, is_[r : r + 1], js[r : r + 1], k)[0]
                 delta = value - cur_val
                 if (delta == 0.0) if temp <= 0.0 else math.exp(delta / temp) > u:
                     flip = r
@@ -673,10 +668,10 @@ def local_search_max(
     integral, which bounds each flip's exact change by its screened change
     plus SCREEN_DELTA = 1e-6. The candidates, the flips within SCREEN_DELTA
     of the screened maximum plus those the screen marks unreliable, are
-    scored exactly only when some bound is above 0, when the random flip is
-    one of them and its bound cannot reject it, or for the freeze test; a
-    random flip whose bound fails the acceptance test is rejected unscored
-    (see `_anneal_once`). Every flip is a candidate when A or J - I - A has
+    scored exactly only when some bound is above 0 or for the freeze test.
+    A random flip whose bound fails the acceptance test is rejected
+    unscored, and one that its bound cannot reject is scored alone (see
+    `_anneal_once`). Every flip is a candidate when A or J - I - A has
     an eigenvalue within SCREEN_TAU = 1e-6 of 0. The result is the one that
     scoring every flip gives, bit for bit. A step that takes no flip leaves
     the graph unchanged, and the next step reuses its screen and scores.

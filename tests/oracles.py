@@ -6,7 +6,8 @@ witnesses decoded from graph6, the complement graph by bit flips, the edge
 list read off the pair mask, cycles, complete graphs, the Petersen graph,
 the triangular graphs, the nets of AG(2, q)
 (conference graphs beyond Paley's, with their parallel classes compared up
-to GL(2, q)) and the Latin square graphs, the annealing flip screen with
+to GL(2, q)) and the Latin square graphs, the exact maximum of a matrix
+bound's left-hand side by brute force, the annealing flip screen with
 one log per matrix, and the property sweep run kind by kind, each kind
 drawing its own samples.
 Test code only; the package does not call them."""
@@ -253,6 +254,25 @@ def triangular(k: int) -> np.ndarray:
     points, joined when they meet; SRG(k(k - 1)/2, 2(k - 2), k - 2, 4)."""
     pairs = [set(p) for p in itertools.combinations(range(k), 2)]
     return np.array([[len(p & r) == 1 for r in pairs] for p in pairs])
+
+
+def exact_max(kind: str, m: int, n: int) -> tuple[float, np.ndarray]:
+    """The maximum of a matrix bound's left-hand side over every m x n 0/1
+    matrix A, and the first A that attains it, by numpy's SVD alone:
+    'opnorm' is ||A||_2 + ||J - A||_2, and 'shifted' (m = n, A zero on the
+    diagonal) is ||A + I/2||_* + ||J - A - I/2||_*. Each side is convex in
+    the entries, so no matrix of the box [0, 1]^(m x n) does better."""
+    shifted = kind == "shifted"
+    free = ~np.eye(m, n, dtype=bool) if shifted else np.ones((m, n), dtype=bool)
+    bits = int(free.sum())
+    codes = np.arange(1 << bits)
+    stack = np.zeros((codes.size, m, n))
+    stack[:, free] = (codes[:, None] >> np.arange(bits)) & 1
+    shift = np.eye(m, n) / 2.0 if shifted else 0.0
+    sides = [np.linalg.svd(x, compute_uv=False) for x in (stack + shift, 1.0 - stack - shift)]
+    lhs = sum(s.sum(axis=1) if shifted else s[:, 0] for s in sides)
+    best = int(np.argmax(lhs))
+    return float(lhs[best]), stack[best]
 
 
 def two_log_screen(a, is_, js, x, weights):

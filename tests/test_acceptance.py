@@ -13,6 +13,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from normsum import (
     SearchConfig,
@@ -33,12 +34,18 @@ from normsum import (
     trace_norm,
 )
 from normsum.cli import main
-from oracles import SRGParams, cycle, is_conference, srg_params, witness_graphs
+from oracles import SRGParams, cycle, exact_max, is_conference, srg_params, witness_graphs
 
 # exhaustive_max(7, "trace_sum"), first verified full 2^21 enumeration
 N7_MAXIMUM = 21.20375412983717
 
 THREADS = os.cpu_count() or 1
+
+# Exact maxima of a matrix bound's left-hand side over every 0/1 matrix of a
+# shape where the bound has no equality instance (oracles.exact_max), with
+# the bound they stay under: opnorm on 3 x 3 (sqrt(18) = 4.2426), shifted on
+# 4 x 4 with zero diagonal (10).
+EXACT_MAXIMA = [("opnorm", 3, 3, 4.1815405503520555), ("shifted", 4, 4, 9.549506111608018)]
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -271,3 +278,12 @@ def test_trace_norm_agrees_with_energy_oracle():
     # spot check tying the norm path to a hand-computable case
     g = cycle(4)
     assert abs(trace_norm(adjacency_matrix(g)) - 4.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind, m, n, frozen", EXACT_MAXIMA)
+def test_bound_holds_without_equality_at_the_exact_maximum(kind, m, n, frozen):
+    value, a = exact_max(kind, m, n)
+    assert math.isclose(value, frozen, rel_tol=1e-12)
+    verdict = check_bound(kind, a)
+    assert math.isclose(verdict.lhs, value, rel_tol=1e-12)
+    assert verdict.holds and not verdict.equality

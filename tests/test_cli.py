@@ -127,18 +127,20 @@ def test_paley_input_gives_the_results_of_the_same_graph_in_graph6(capsys, q):
 
 
 def test_paley_input_is_never_scanned_for_symmetry_or_invariance(monkeypatch, capsys):
-    real = linalg.DenseMatrix._asymmetry
+    real_asymmetry, real_invariance = linalg.DenseMatrix._asymmetry, linalg.DenseMatrix._invariance
 
     def asymmetry(mat):
         if mat._asym is None:
             pytest.fail(f"asymmetry of a {mat.shape} matrix measured")
-        return real(mat)
+        return real_asymmetry(mat)
 
-    def difference_view(*args):
-        pytest.fail("invariance measured")
+    def invariance(mat):
+        if mat._grid is None:
+            pytest.fail(f"invariance of a {mat.shape} matrix measured")
+        return real_invariance(mat)
 
     monkeypatch.setattr(linalg.DenseMatrix, "_asymmetry", asymmetry)
-    monkeypatch.setattr(linalg, "_difference_view", difference_view)
+    monkeypatch.setattr(linalg.DenseMatrix, "_invariance", invariance)
     for command in PALEY_COMMANDS:
         assert run_json(capsys, command + ["--paley", "137"])[0] == 0, command
 
@@ -602,6 +604,28 @@ def test_norms_ragged_matrix_file_csv_names_the_row(tmp_path, capsys):
     code, out, err = run(capsys, ["norms", "--matrix", str(path)])
     assert (code, out) == (2, "")
     assert err == f"error: ragged matrix in {path}: row 2 has 1 entries, the first row has 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, command",
+    [
+        ("0,0.5\n0.5,0\n", ["norms", "--matrix"]),
+        (json.dumps({"rows": 2, "cols": 2, "entries": [0, 1, 1, 0]}), ["norms", "--matrix"]),
+        (json.dumps({"n": 5, "edges": [[i, (i + 1) % 5] for i in range(5)]}), ["spectrum", "--edges"]),
+    ],
+    ids=["csv-matrix", "json-matrix", "edges"],
+)
+def test_file_input_after_a_utf8_byte_order_mark_reads_as_without(tmp_path, capsys, text, command):
+    # spreadsheet programs save "CSV UTF-8" with a leading BOM
+    strip = lambda s: re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', s)
+    path = tmp_path / "input"
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path.write_text(text, encoding=encoding)
+        code, out, err = run(capsys, command + [str(path), "--json"])
+        outputs.append((code, strip(out), err))
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
 
 
 def test_spectrum_graph_and_edges_file(tmp_path, capsys):
