@@ -64,6 +64,21 @@ class EqualityReport:
     overall is exactly these four flags, so Paley tournaments (n = 3 mod 4)
     pass as well as conference graphs.
 
+    Given the domain checks (entries in [0, 1], zero diagonal), overall
+    needs only row_sums_ok and flat_tail_ok: dropping is_zero_one or
+    col_sums_ok from it, or testing the flat tail from sigma_3 on, changes
+    no verdict apart from the flat-tail tolerance. Let A have row sums
+    (n - 1)/2 and sigma_2..sigma_n of M = A + I/2 all sqrt(n)/2. As
+    M1 = (n/2)1, sigma_1 >= n/2, so ||M||_F^2 >= n^2/4 + (n - 1)n/4; and
+    ||M||_F^2 = sum A_ij^2 + n/4 <= sum A_ij + n/4, the same number. So
+    both are tight: every entry is 0 or 1 (else A_ij^2 < A_ij), and
+    sigma_1 = n/2, so 1/sqrt(n) is a top singular vector on both sides and
+    M^T 1 = (n/2)1 gives the column sums. The same argument on M^T turns
+    col_sums_ok and flat_tail_ok into the row sums, so dropping row_sums_ok
+    changes no verdict either. With 0/1 entries and the row sums, the same
+    count gives sigma_2^2 <= n/4, so a flat sigma_3..sigma_n forces
+    sigma_2 = sqrt(n)/2 (n >= 3; at n = 2 no row sum is 1/2).
+
     conference_spectrum_ok is informational and not part of overall: the
     eigenvalues of a symmetric input match ((n-1)/2, ((sqrt n - 1)/2)^r,
     (-(sqrt n + 1)/2)^r) with r = (n-1)/2, which needs n = 1 (mod 4).
@@ -167,7 +182,13 @@ def check_bound(kind: str, obj, k: int | None = None, tol: float = HOLD_TOL) -> 
     Graphs enter through their adjacency matrix, and checks of one input
     can share its SpectrumPair (:func:`_pair`). The partner is J - I - A for
     the square kinds ('shifted' reads A + I/2 and J - A - I/2) and J - A for
-    the rectangular kinds. Equality means |slack| <= EQUALITY_TOL.
+    the rectangular kinds. Equality means |slack| <= EQUALITY_TOL and every
+    entry within INTEGRALITY_TOL of 0 or 1 (:func:`_integral_entries`), for
+    every kind: the proofs of main, shifted, kyfan, opnorm and
+    koolen_moulton bound ||X||_F^2 by the sum of the entries, tight only on
+    0/1 entries, and gutman_zhou's bound exceeds main's, so no input meets
+    it. The slack alone cannot tell a near-0/1 matrix from an equality
+    case: it grows only linearly with an entry's distance from 0 or 1.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
@@ -185,7 +206,7 @@ def check_bound(kind: str, obj, k: int | None = None, tol: float = HOLD_TOL) -> 
 
     slack = rhs - lhs
     holds = slack >= -tol
-    equality = holds and abs(slack) <= EQUALITY_TOL
+    equality = holds and abs(slack) <= EQUALITY_TOL and _integral_entries(pair.x)[1]
     return BoundVerdict(
         kind=kind,
         lhs=float(lhs),
@@ -196,6 +217,17 @@ def check_bound(kind: str, obj, k: int | None = None, tol: float = HOLD_TOL) -> 
         tol=tol,
         eq_tol=EQUALITY_TOL,
     )
+
+
+def _integral_entries(mat) -> tuple[np.ndarray, bool]:
+    """(a, integral): the entries of the matrix that decide its verdicts,
+    and whether each is within INTEGRALITY_TOL of an integer. a is row 0
+    alone, as a (1, n) array, when the matrix is translation invariant, as
+    every row and column of it permutes that row (:func:`invariant_row`);
+    else the whole array."""
+    row = invariant_row(mat)
+    a = mat.array if row is None else row[None, :]
+    return a, bool(np.abs(a - np.round(a)).max() <= INTEGRALITY_TOL)
 
 
 def conference_eigenvalues(n: int) -> list[float]:
@@ -213,20 +245,15 @@ def equality_analysis(obj, tol: float = EQUALITY_TOL) -> EqualityReport:
     tol = check_tol(tol)
     pair = _pair(obj, "equality")
     n = pair.x.rows
-    # every row and column of an invariant matrix permutes its row 0, so that
-    # row has the entries, the row sums and the column sums of the whole
-    row = invariant_row(pair.x)
-    a = pair.x.array if row is None else row[None, :]
-
-    rounded = np.round(a)
-    integral = bool(np.abs(a - rounded).max() <= INTEGRALITY_TOL)
-    is_zero_one = integral  # entries already confined to [0, 1]
+    # row 0 of an invariant matrix also has the row and column sums of the
+    # whole; entries are already confined to [0, 1], so integral is 0/1
+    a, is_zero_one = _integral_entries(pair.x)
 
     # sums of (n - 1)/2, doubled: doubling is exact, and for even n no
     # doubled integral sum can equal the odd n - 1
-    r = rounded if integral else a
+    r = np.round(a) if is_zero_one else a
     row_sums = r.sum(axis=1)
-    col_sums = r.sum(axis=0) if row is None else row_sums
+    col_sums = r.sum(axis=0) if a.shape[0] == n else row_sums
     row_sums_ok = bool((2 * row_sums == n - 1).all())
     col_sums_ok = bool((2 * col_sums == n - 1).all())
 

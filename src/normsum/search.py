@@ -358,9 +358,9 @@ def exhaustive_max(
     in the last bits. The witnesses are the labeled graphs in the orbits of
     the scored graphs within WITNESS_TOL of the best, merged by one sort of
     the orbit rows (:func:`_result`). `evaluations` counts the labeled
-    graphs covered, 2^(n(n-1)/2). On a 2-vCPU Xeon n = 7 takes
-    0.010-0.011 s and n = 8 0.14-0.15 s warm, on the calling thread:
-    `threads` is checked like local_search_max's but not used.
+    graphs covered, 2^(n(n-1)/2). At 7bbab83 on a 2-vCPU Xeon, warm, n = 7
+    took 13-19 ms and n = 8 0.24-0.29 s, on the calling thread: `threads`
+    is checked like local_search_max's but not used.
     """
     n, k = _check_search(n, objective, k, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
     m = n * (n - 1) // 2
@@ -593,14 +593,22 @@ def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
     candidate set already relies on SCREEN_DELTA / 2, so the run is bit
     for bit the one that scores every value.
 
-    Each graph is screened once and its candidates scored at most once: a
-    step that takes no flip leaves A as it was, so the next step reuses its
-    candidates, bounds and any exact values, and only its random-flip draw
-    is new. They are dropped when a flip is applied, uphill or random.
+    A graph is screened when the walk reaches it, and its candidates are
+    scored at most once while the walk stays on it: a step that takes no
+    flip leaves A as it was, so the next step reuses its candidates, bounds
+    and any exact values, and only its random-flip draw is new. A flip
+    that undoes the flip just applied takes the walk back to the graph it
+    left, whose step state (`left`) is restored, and the current one is
+    kept in its place; any other flip drops it. So A -> A' -> A, a downhill
+    random flip and the uphill flip that undoes it, screens A once. The
+    kept state is what screening and scoring the graph again would give,
+    bit for bit: the candidates, bounds and scores are fresh arrays, never
+    views of the workspace, and functions of the graph alone.
     `evaluations` counts graphs considered, 1 for the start and m per step,
     whether their flips were scored, screened out or reused. A default
-    restart (seed 3) makes 226 `_flip_values` calls at n = 16, 218 of them
-    on a single flip, against 1993 when every screen scored its candidates.
+    restart (seed 3) screens 128 graphs at n = 16 in its 5514 steps and
+    makes 225 `_flip_values` calls, 217 of them on a single flip, against
+    1993 when every screen scored its candidates.
     """
     m = n * (n - 1) // 2
     rng = SplitMix64((cfg.seed + restart) & MASK64)
@@ -616,6 +624,7 @@ def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
     every = np.arange(m)
     work = _ScreenWork(n, m) if k is None else None
     cand = vals = None  # a's candidates and their exact scores, kept until a flip changes a
+    undo, left = -1, None  # the flip back to the graph the walk left, and that graph's state
     for _ in range(cfg.max_steps):
         if cand is None:
             cand, bound = _flip_candidates(a, is_, js, work) if k is None else (every, None)
@@ -641,7 +650,12 @@ def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
                     flip = r
         if flip >= 0:
             a[is_[flip], js[flip]] = a[js[flip], is_[flip]] = 1.0 - a[is_[flip], js[flip]]
-            cur_val, cand, vals = float(value), None, None
+            state = cand, bound, uphill, vals
+            if flip == undo:  # back on the graph the walk just left
+                cand, bound, uphill, vals = left
+            else:
+                cand = vals = None
+            undo, left, cur_val = flip, state, float(value)
             if cur_val > best_val:
                 best_val, best_a = cur_val, a.copy()
         elif temp < 1e-12:
@@ -674,21 +688,22 @@ def local_search_max(
     `_anneal_once`). Every flip is a candidate when A or J - I - A has
     an eigenvalue within SCREEN_TAU = 1e-6 of 0. The result is the one that
     scoring every flip gives, bit for bit. A step that takes no flip leaves
-    the graph unchanged, and the next step reuses its screen and scores.
+    the graph unchanged, and the next step reuses its screen and scores; a
+    flip that undoes the one just applied restores those of the graph it
+    returns to.
 
-    On a 2-vCPU Xeon a screen takes about 0.30, 1.05 and 4.4 ms at n = 16,
-    32 and 64 (2.4, 35 and 530-580 ms when every flip is scored), an exact
-    score of one flip 0.06, 0.14 and 0.40 ms, and a step that the bounds
-    decide alone a few microseconds. The freeze test ends a default restart
-    after about 5500 steps, of which a few hundred screen their graph; with
-    seed 3 one restart made 226, 322 and 442 `_flip_values` calls (1993,
-    2563 and 2657 when every screen scored its candidates) and took 0.09,
-    0.39 and 2.1 s at n = 16, 32 and 64, and the default config at n = 64
-    took 23 s. Each restart builds one screen workspace
+    At 7bbab83 on a 2-vCPU Xeon a screen took 0.44-0.54, 1.4-1.7 and
+    4.6-5.9 ms at n = 16, 32 and 64 (3.0-4.3, 46 and 720-780 ms when every
+    flip is scored), and an exact score of one flip 0.07, 0.11-0.15 and
+    0.35-0.43 ms. The freeze test ends a default restart after about 5500
+    steps, of which a few hundred screen their graph: with seed 3 one
+    restart screens 128, 217 and 404 graphs at n = 16, 32 and 64 and makes
+    225, 321 and 442 `_flip_values` calls (1993, 2563 and 2657 when every
+    screen scored its candidates). Each restart builds one screen workspace
     (:class:`_ScreenWork`, about 1.2 MB at n = 64) and frees it when it
     ends. `evaluations` counts graphs considered, 1 per restart plus m per
-    step, not factorizations. Speed does not find the equality case: at n = 17 the
-    default config misses the bound met by P17.
+    step, not factorizations. Speed does not find the equality case: at
+    n = 17 the default config misses the bound met by P17.
 
     The restarts run in order on the calling thread. `threads` is checked
     like exhaustive_max's but not used: a step is many small numpy calls

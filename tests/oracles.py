@@ -4,11 +4,11 @@ conference-graph family it singles out, the GF(q) character table by digit
 codes, the (Z_p)^e translation-invariance test by rolls, a search result's
 witnesses decoded from graph6, the complement graph by bit flips, the edge
 list read off the pair mask, cycles, complete graphs, the Petersen graph,
-the triangular graphs, the nets of AG(2, q)
-(conference graphs beyond Paley's, with their parallel classes compared up
-to GL(2, q)) and the Latin square graphs, the exact maximum of a matrix
-bound's left-hand side by brute force, the annealing flip screen with
-one log per matrix, and the property sweep run kind by kind, each kind
+the triangular graphs, the complement of the Clebsch graph, the nets of
+AG(2, q) (conference graphs beyond Paley's, with their parallel classes
+compared up to GL(2, q)) and the Latin square graphs, the exact maximum of
+a matrix bound's left-hand side by brute force, the annealing flip screen
+with one log per matrix, and the property sweep run kind by kind, each kind
 drawing its own samples.
 Test code only; the package does not call them."""
 
@@ -254,6 +254,17 @@ def triangular(k: int) -> np.ndarray:
     points, joined when they meet; SRG(k(k - 1)/2, 2(k - 2), k - 2, 4)."""
     pairs = [set(p) for p in itertools.combinations(range(k), 2)]
     return np.array([[len(p & r) == 1 for r in pairs] for p in pairs])
+
+
+def clebsch_complement() -> np.ndarray:
+    """Boolean adjacency of SRG(16, 10, 6, 6), the complement of the Clebsch
+    graph: the vectors of F_2^4, vertex u the bits of u, joined when u xor v
+    is none of 0, e_1, e_2, e_3, e_4 and 1111 (the Clebsch graph joins
+    them when it is one of the last five). Its eigenvalues 10, 2^5 and
+    (-2)^10 sum in absolute value to 40 = n(1 + sqrt(n))/2, the
+    Koolen-Moulton bound at n = 16 (Koolen & Moulton 2001)."""
+    u = np.arange(16)
+    return ~np.isin(u[:, None] ^ u, [0, 1, 2, 4, 8, 15])
 
 
 def exact_max(kind: str, m: int, n: int) -> tuple[float, np.ndarray]:

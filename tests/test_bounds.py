@@ -26,7 +26,9 @@ from normsum import (
 from normsum import bounds, cli, linalg
 from normsum.graphs import quadratic_character
 from oracles import (
+    SRGParams,
     affine_net,
+    clebsch_complement,
     complete,
     cycle,
     graph_of,
@@ -38,6 +40,7 @@ from oracles import (
     petersen,
     pgl_equivalent,
     relabeled,
+    srg_params,
     triangular,
 )
 
@@ -120,6 +123,49 @@ def test_check_koolen_moulton_and_gutman_zhou_on_paley9():
             check_bound(kind, np.array([[0, 1.0], [0.5, 0]]))  # asymmetric
         with pytest.raises(DomainViolationError):
             check_bound(kind, np.array([[0.5, 0], [0, 0]]))  # nonzero diagonal
+
+
+def test_koolen_moulton_meets_its_bound_on_the_clebsch_complement():
+    # SRG(16, 10, 6, 6) is an equality case of n(1 + sqrt(n))/2, as is
+    # every SRG(n, (n + sqrt n)/2, (n + 2 sqrt n)/4, (n + 2 sqrt n)/4)
+    g = graph_of(clebsch_complement())
+    assert srg_params(g) == SRGParams(16, 10, 6, 6)
+    v = check_bound("koolen_moulton", g)
+    assert v.rhs == 40 and v.lhs == pytest.approx(40, abs=1e-12)
+    assert v.holds and v.equality
+
+
+def _fractional_paley(q, eps):
+    """The adjacency of P_q with the entries of its first edge, in row order,
+    at 1 - eps; for q >= STRUCTURED_MIN_N, as a circulant with every entry at
+    that difference at 1 - eps, so that it stays translation invariant."""
+    a = adjacency_matrix(paley_graph(q)).array.copy()
+    i, j = np.argwhere(a == 1.0)[0]
+    if q < linalg.STRUCTURED_MIN_N:
+        a[i, j] = a[j, i] = 1.0 - eps
+        return a
+    d = (np.arange(q)[:, None] - np.arange(q)) % q
+    a[(d == j - i) | (d == i - j + q)] = 1.0 - eps
+    return a
+
+
+@pytest.mark.parametrize("q, eps", [(13, 1e-8), (137, 1e-10)])
+def test_a_near_conference_matrix_is_no_equality_case(monkeypatch, q, eps):
+    # P13 with one symmetric pair at 1 - 1e-8, and P137 with its 137 pairs
+    # at one difference at 1 - 1e-10, miss both sums by about 1e-8, inside
+    # EQUALITY_TOL: the slack alone cannot tell them from P_q, and the
+    # equality case is 0/1. P137's verdicts read row 0 alone
+    a = _fractional_paley(q, eps)
+    rows = []
+    real = bounds.invariant_row
+    monkeypatch.setattr(bounds, "invariant_row", lambda mat: rows.append(real(mat)) or rows[-1])
+    assert not equality_analysis(a).overall
+    for kind in ("main", "shifted"):
+        v = check_bound(kind, a)
+        assert v.holds and 0.0 < v.slack <= bounds.EQUALITY_TOL and not v.equality
+    assert len(rows) == 3 and all((row is None) == (q < linalg.STRUCTURED_MIN_N) for row in rows)
+    monkeypatch.undo()
+    assert all(check_bound(kind, paley_graph(q)).equality for kind in ("main", "shifted"))
 
 
 def test_check_main_on_complete_graph():

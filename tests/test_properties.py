@@ -1,7 +1,7 @@
 """Property tests: the graph layout on random orders up to 40 and random
 bitsets, the objective's complement symmetry, the main bound on random
-[0, 1] symmetric matrices, and the Ky Fan and operator-norm extremals under
-block multiplicities."""
+[0, 1] symmetric matrices, the Ky Fan and operator-norm extremals under
+block multiplicities, and equality cases of every kind made fractional."""
 
 import math
 
@@ -21,10 +21,12 @@ from normsum import (  # noqa: E402
     graph6_encode,
     kyfan_extremal_matrix,
     opnorm_extremal_matrix,
+    paley_graph,
     svd,
 )
-from normsum.graphs import pair_index  # noqa: E402
-from oracles import flipped, mask_edges  # noqa: E402
+from normsum.bounds import EQUALITY_TOL  # noqa: E402
+from normsum.graphs import pair_index, quadratic_character  # noqa: E402
+from oracles import clebsch_complement, flipped, mask_edges  # noqa: E402
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -118,3 +120,45 @@ def test_opnorm_extremal_meets_the_bound(shape):
     a = opnorm_extremal_matrix(m, n, orientation)
     assert a.shape == (m, n) and a.array.sum() == m * n / 2
     assert check_bound("opnorm", a).equality
+
+
+# (kind, k, a 0/1 equality case, whether the kind needs it symmetric)
+EQUALITY_CASES = [
+    ("main", None, adjacency_matrix(paley_graph(5)).array, True),
+    ("main", None, adjacency_matrix(paley_graph(13)).array, True),
+    ("shifted", None, adjacency_matrix(paley_graph(13)).array, False),
+    ("shifted", None, (quadratic_character(7) == 1).astype(float), False),  # Paley tournament
+    ("kyfan", 3, kyfan_extremal_matrix(3, 1, 1).array, False),
+    ("kyfan", 5, kyfan_extremal_matrix(5, 1, 2).array, False),
+    ("opnorm", None, opnorm_extremal_matrix(4, 6, "columns").array, False),
+    ("koolen_moulton", None, clebsch_complement().astype(float), True),
+]
+
+
+@st.composite
+def fractional_near_equality(draw):
+    """(kind, k, matrix, eps): an equality case of EQUALITY_CASES with one to
+    three entries moved by eps off 0 or 1, off the diagonal for the square
+    kinds and in symmetric pairs for the kinds that need symmetry."""
+    kind, k, a, symmetric = draw(st.sampled_from(EQUALITY_CASES))
+    a = a.copy()
+    eps = 10.0 ** draw(st.floats(min_value=-11.0, max_value=-3.0))
+    rows, cols = a.shape
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        if kind not in ("kyfan", "opnorm") and i == j:
+            j = (i + 1) % cols
+        a[i, j] = 1.0 - eps if a[i, j] > 0.5 else eps
+        if symmetric:
+            a[j, i] = a[i, j]
+    return kind, k, a, eps
+
+
+@hypothesis.settings(max_examples=100, **SETTINGS)
+@hypothesis.given(fractional_near_equality())
+def test_no_fractional_matrix_gets_equality(case):
+    kind, k, a, eps = case
+    v = check_bound(kind, a, k=k)
+    assert v.holds and not v.equality
+    if eps <= 1e-8:  # each moved entry moves the left-hand side by at most 4 eps
+        assert abs(v.slack) <= EQUALITY_TOL

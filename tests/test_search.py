@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -723,6 +724,52 @@ def test_local_search_starts_no_thread(monkeypatch):
     assert local_search_max(16, cfg=cfg, threads=4) == ref
 
 
+@contextlib.contextmanager
+def traced_walks():
+    """Line-trace every _anneal_once run started in the block. Yields a
+    list that gets one walk per run, filled as the run goes: (graph, state)
+    moves, the first its start adjacency with state None, then one per
+    applied flip, the adjacency after it and the step state (cand, bound,
+    uphill, vals) the run goes on with. A move is read at the first line
+    after the flip's state swap, when `left` takes the state of the graph
+    left behind; arrays are copied."""
+    code, walks = search._anneal_once.__code__, []
+
+    def call(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        walk, left = [], []
+        walks.append(walk)
+
+        def line(frame, event, arg):
+            loc = frame.f_locals
+            if "left" in loc and (not left or loc["left"] is not left[0]):
+                state = None
+                if left:
+                    state = tuple(
+                        loc[name].copy() if isinstance(loc[name], np.ndarray) else loc[name]
+                        for name in ("cand", "bound", "uphill", "vals")
+                    )
+                left[:] = [loc["left"]]
+                walk.append((loc["a"].copy(), state))
+            return line
+
+        return line
+
+    outer = sys.gettrace()
+    sys.settrace(call)
+    try:
+        yield walks
+    finally:
+        sys.settrace(outer)
+
+
+def returns_of(walk):
+    """Indices of the moves of a walk that undo the move before them, so
+    that the walk is back on the graph it just left."""
+    return [t for t in range(2, len(walk)) if np.array_equal(walk[t][0], walk[t - 2][0])]
+
+
 def annealing_draws(monkeypatch, n, cfg):
     """Every random flip that trace_sum annealing drew over the restarts of
     cfg, in order, as a dict: the adjacency `state` and value `cur_val` it
@@ -730,9 +777,10 @@ def annealing_draws(monkeypatch, n, cfg):
     (None at T <= 0), the `flip`, whether the candidates were `unscored`
     when it was drawn, whether the step `scored` a set holding the flip
     after the draw, and whether the step `accepted` it."""
-    screen, values = search._flip_candidates, search._flip_values
+    values = search._flip_values
+    m = n * (n - 1) // 2
     js_all, is_all = np.nonzero(pair_mask(n))
-    draws, events = [], []
+    draws = []
 
     class Recording(SplitMix64):
         __slots__ = ()
@@ -752,16 +800,11 @@ def annealing_draws(monkeypatch, n, cfg):
                 "step": step["evaluations"],
             }
             draws.append(draw)
-            events.append(draw)
             return flip
 
         def next_double(self):
             draws[-1]["u"] = u = super().next_double()  # drawn right after the flip
             return u
-
-    def screened(a, is_, js, work):
-        events.append("screen")
-        return screen(a, is_, js, work)
 
     def scored(a, is_, js, k):
         if draws and draws[-1]["step"] == sys._getframe(1).f_locals["evaluations"]:
@@ -770,18 +813,24 @@ def annealing_draws(monkeypatch, n, cfg):
         return values(a, is_, js, k)
 
     monkeypatch.setattr(search, "SplitMix64", Recording)
-    monkeypatch.setattr(search, "_flip_candidates", screened)
     monkeypatch.setattr(search, "_flip_values", scored)
     for r in range(cfg.restarts):
-        events.clear()
-        search._anneal_once(n, None, cfg, r)
-        # a step that applies a flip makes the next step screen; one that
-        # rejects it leaves the graph, and the next step draws again
-        for event, after in zip(events, events[1:] + ["end"]):
-            if isinstance(event, dict):
-                live = event.pop("live")
-                changed = not np.array_equal(live, event["state"])
-                event["accepted"] = after == "screen" or (after == "end" and changed)
+        first = len(draws)
+        end = search._anneal_once(n, None, cfg, r)[2]  # `evaluations` after the last step
+        # a step that rejects its flip leaves the graph, and the next step
+        # draws again on it; one that applies it moves the graph, so the
+        # next step is on another graph, drawing or not (a flip that undoes
+        # it takes no screen, and may take no draw). A run may end on the
+        # step of a draw, or be frozen by it
+        run = draws[first:]
+        for draw, after in zip(run, run[1:] + [None]):
+            live = draw.pop("live")
+            if after is not None and after["step"] == draw["step"] + m:
+                draw["accepted"] = not np.array_equal(after["state"], draw["state"])
+            elif draw["step"] == end:
+                draw["accepted"] = not np.array_equal(live, draw["state"])
+            else:
+                draw["accepted"] = True
     return draws
 
 
@@ -836,9 +885,10 @@ def test_a_default_restart_scores_few_random_flips(monkeypatch):
     # a deterministic cost guard: this restart made 5564 single-flip calls
     # when every random flip outside the candidates was scored, 1985 (of
     # 1993 calls in all) when only those that could be accepted after the
-    # step's exact best were, and every screen scored its candidates; it
-    # makes 218 (of 226) when a value is scored only if the bounds leave
-    # a decision open
+    # step's exact best were, and every screen scored its candidates; 218
+    # (of 226) when a value was scored only if the bounds left a decision
+    # open; and it makes 217 (of 225) when a flip that undoes the last one
+    # restores the scores of the graph it returns to
     values = search._flip_values
     sizes = []
 
@@ -848,7 +898,7 @@ def test_a_default_restart_scores_few_random_flips(monkeypatch):
 
     monkeypatch.setattr(search, "_flip_values", counted)
     local_search_max(16, cfg=SearchConfig(restarts=1, seed=3))
-    assert (sizes.count(1), len(sizes)) == (218, 226)
+    assert (sizes.count(1), len(sizes)) == (217, 225)
 
 
 # best value, witness and evaluation count of two seeded runs, frozen so that
@@ -904,35 +954,42 @@ def test_local_search_grid_digest(n):
 @pytest.mark.parametrize("seed", range(5))
 def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
     # a deterministic cost guard: a step that takes no flip leaves the graph
-    # as it was, and the next step reuses its screen and any exact scores.
-    # A screen's candidates are scored at most once, and not before the
-    # first random draw on the graph when no bound is above 0
+    # as it was, and the next step reuses its screen and any exact scores;
+    # a flip that undoes the flip just applied returns the walk to the graph
+    # it left, whose screen and scores are restored. A screen's candidates
+    # are scored at most once, and not before the first random draw on the
+    # graph when no bound is above 0
     screen, values = search._flip_candidates, search._flip_values
-    screens, held = [], []
+    screens = {}  # walk index -> the screen of the graph the walk reached there
+
+    def in_effect(walk):
+        """The screen whose state the step on the walk's current graph holds."""
+        t = len(walk) - 1
+        while t not in screens:  # a return restores the state of two moves back
+            assert t >= 2 and np.array_equal(walk[t][0], walk[t - 2][0])
+            t -= 2
+        return screens[t]
 
     class Recording(SplitMix64):
         __slots__ = ()
 
         def next_below(self, bound):
-            screens[-1]["drawn"] = True
+            in_effect(walks[-1])["drawn"] = True
             return super().next_below(bound)
 
     def screened(a, is_, js, work):
         cand, bound = screen(a, is_, js, work)
-        screens.append(
-            {
-                "graph": a.tobytes(),
-                "pairs": (is_[cand], js[cand]),
-                "uphill": bound is None or bound.max() > 0.0,
-                "drawn": False,
-                "scorings": 0,
-            }
-        )
+        screens[len(walks[-1]) - 1] = {
+            "graph": a.tobytes(),
+            "pairs": (is_[cand], js[cand]),
+            "uphill": bound is None or bound.max() > 0.0,
+            "drawn": False,
+            "scorings": 0,
+        }
         return cand, bound
 
     def scored(a, is_, js, k):
-        held[:] = [a]  # the array the run flips in place
-        last = screens[-1]
+        last = in_effect(walks[-1])
         # the call on the screen's candidates, not one on a random flip
         if np.array_equal(is_, last["pairs"][0]) and np.array_equal(js, last["pairs"][1]):
             assert a.tobytes() == last["graph"] and (last["uphill"] or last["drawn"])
@@ -943,16 +1000,65 @@ def test_annealing_scores_each_graph_once(monkeypatch, n, seed):
     monkeypatch.setattr(search, "_flip_candidates", screened)
     monkeypatch.setattr(search, "_flip_values", scored)
     cfg = SearchConfig(restarts=2, max_steps=300, seed=seed)
+    returns = 0
     for r in range(cfg.restarts):
         screens.clear()
-        search._anneal_once(n, None, cfg, r)
-        assert max(s["scorings"] for s in screens) <= 1
-        # one flip (two entries) between consecutive screens and at most one
-        # after the last, so the screens number 1 + the flips applied before
-        # the last step, and no graph is screened twice in a row
-        graphs = [np.frombuffer(s["graph"]) for s in screens] + [held[0].ravel()]
-        changed = [int(np.count_nonzero(x != y)) for x, y in zip(graphs, graphs[1:])]
-        assert changed[:-1] == [2] * (len(screens) - 1) and changed[-1] in (0, 2)
+        with traced_walks() as walks:
+            search._anneal_once(n, None, cfg, r)
+        walk = walks[0]
+        assert max(s["scorings"] for s in screens.values()) <= 1
+        assert all(screens[t]["graph"] == walk[t][0].tobytes() for t in screens)
+        # no graph is screened again after an undo: the start and each graph
+        # reached by any other flip are screened once, when their step comes,
+        # which the last graph may not have had
+        back = returns_of(walk)
+        fresh = [t for t in range(len(walk)) if t not in back]
+        done = sorted(screens)
+        assert done == fresh or (done == fresh[:-1] and fresh[-1] == len(walk) - 1)
+        returns += len(back)
+    assert returns  # the walks undid some of their flips
+
+
+# n, k, config, and the kinds of restored state its walks must show:
+# declined (no bounds), with an inf bound, with finite bounds only, scored
+RESTORE_CONFIGS = [
+    (7, None, SearchConfig(restarts=4, max_steps=300, seed=2), {"declined", "inf", "scored"}),
+    (16, None, SearchConfig(restarts=2, max_steps=300, seed=3), {"finite"}),
+    (9, 2, SearchConfig(restarts=2, max_steps=200, seed=3), {"declined", "scored"}),
+]
+
+
+@pytest.mark.parametrize("n,k,cfg,shown", RESTORE_CONFIGS)
+def test_a_restored_state_is_a_fresh_screen_and_score_of_its_graph(n, k, cfg, shown):
+    # a flip that undoes the one just applied takes the walk back to the
+    # graph it left, and the step goes on with that graph's kept state:
+    # candidates, bounds, the uphill flag and any exact scores must be what
+    # screening and scoring the graph afresh gives, bit for bit
+    with traced_walks() as walks:
+        for r in range(cfg.restarts):
+            search._anneal_once(n, k, cfg, r)
+    js, is_ = np.nonzero(pair_mask(n))
+    work = search._ScreenWork(n, js.size)
+    kinds = set()
+    for walk in walks:
+        for t in returns_of(walk):
+            a, (cand, bound, uphill, vals) = walk[t]
+            if k is None:
+                fresh, fresh_bound = search._flip_candidates(a, is_, js, work)
+            else:  # kyfan_sum scores every flip, unscreened
+                fresh, fresh_bound = np.arange(js.size), None
+            assert cand.dtype == fresh.dtype and cand.tobytes() == fresh.tobytes()
+            if fresh_bound is None:
+                assert bound is None and uphill
+                kinds.add("declined")
+            else:
+                assert bound.tobytes() == fresh_bound.tobytes()
+                assert uphill == (fresh_bound.max() > 0.0)
+                kinds.add("inf" if np.isinf(bound).any() else "finite")
+            if vals is not None:
+                assert vals.tobytes() == search._flip_values(a, is_[cand], js[cand], k).tobytes()
+                kinds.add("scored")
+    assert kinds >= shown
 
 
 @pytest.mark.parametrize("k,built", [(None, 1), (2, 0)])
