@@ -49,7 +49,6 @@ from .linalg import ky_fan_norm, operator_norm, trace_norm
 from .search import (
     EXHAUSTIVE_MAX_N,
     LOCAL_MAX_N,
-    OBJECTIVES,
     SWEEP_KINDS,
     SearchConfig,
     exhaustive_max,
@@ -330,7 +329,7 @@ def cmd_search(args):
     # no search reads more than one thread, so 'auto' means 1; the search checks an integer
     threads = 1 if args.threads in (None, "auto") else _int(args.threads)
     if args.mode == "exhaustive":
-        result = exhaustive_max(args.n, args.objective, k=args.k, threads=threads)
+        result = exhaustive_max(args.n, k=args.k, threads=threads)
     else:
         cfg = SearchConfig(
             restarts=args.restarts,
@@ -339,7 +338,7 @@ def cmd_search(args):
             cooling=args.cooling,
             seed=args.seed if args.seed is not None else 0,
         )
-        result = local_search_max(args.n, args.objective, k=args.k, cfg=cfg, threads=threads)
+        result = local_search_max(args.n, k=args.k, cfg=cfg, threads=threads)
     return result, False
 
 
@@ -470,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sl = ssub.add_parser("local", help=f"seeded annealing over edge flips, n <= {LOCAL_MAX_N}")
     for sp in (se, sl):
         sp.add_argument("--n", type=_int, required=True)
-        sp.add_argument("--objective", choices=OBJECTIVES, default="trace_sum")
-        sp.add_argument("--k", type=_int, default=None, help="Ky Fan index for kyfan_sum")
+        sp.add_argument("--k", type=_int, default=None, help="maximize kyfan_sum, not trace_sum")
     _add_common(se, (), "threads")
     cfg = SearchConfig()
     sl.add_argument("--restarts", type=_int, default=cfg.restarts)

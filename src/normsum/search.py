@@ -41,11 +41,9 @@ WITNESS_CAP = 1000
 # a graph counts as a witness when its value is within this of the maximum
 WITNESS_TOL = 1e-9
 
-OBJECTIVES = ("trace_sum", "kyfan_sum")
-
 # graphs per chunk of _walk_keys: three (1024, n, n) float64 stacks, 0.5 MB
-# each at n = 8, are alive at once; the 79,264 keys at n = 8 took 32 ms on one
-# thread of a 2-vCPU Xeon, against 36-37 ms in chunks of 256 or 4096
+# each at n = 8, are alive at once; at 95f389c on a 2-vCPU Xeon the 79,264
+# keys at n = 8 took 46-48 ms, against 53-55 ms in chunks of 256 or 4096
 _WALK_CHUNK = 1024
 
 # Annealing flip screen, see _screen_flips and _anneal_once
@@ -60,9 +58,10 @@ _SCREEN_T = 0.1 * np.arange(-35, 36)
 _SCREEN_X = np.exp(np.pi / 2 * np.sinh(_SCREEN_T))
 _SCREEN_W = 0.05 * _SCREEN_X * np.cosh(_SCREEN_T)
 # flips per batch of _ScreenWork's chunk buffers, (2, 64, 71) complex128 at
-# most; on a 2-vCPU Xeon a screen took 0.21, 0.73 and 3.2 ms at n = 16, 32
-# and 64 with 64, against 0.23, 0.83 and 3.6 ms with 32 and 0.20, 0.69 and
-# 3.5 ms with 128
+# most; at 95f389c on a 2-vCPU Xeon (medians of two runs) a screen took
+# 0.34-0.52, 1.2-1.7 and 5.2-6.4 ms at n = 16, 32 and 64 with 64, against
+# 0.37-0.54, 1.3-1.9 and 6.8-7.6 ms with 32 and 0.31-0.49, 1.1-1.6 and
+# 5.5-6.6 ms with 128
 _SCREEN_CHUNK = 64
 
 
@@ -111,25 +110,18 @@ class SearchResult:
 
 
 def _check_search(
-    n: int, objective: str, k: int | None, threads: int, cap: int, what: str
+    n: int, k: int | None, threads: int, cap: int, what: str
 ) -> tuple[int, int | None]:
     """(n, k) of a search, checked in this order: n as a positive int at most
-    cap, threads, which no search uses, as a positive int, then the
-    objective and k. k comes back as the Ky Fan index, or None for
-    trace_sum, the one objective value the search reads; `what` names the
-    search."""
+    cap, threads, which no search uses, as a positive int, then k, the Ky
+    Fan index in [1, n] of kyfan_sum, or None for trace_sum; `what` names
+    the search."""
     n = as_positive_int(n, "n")
     if n > cap:
         raise OrderTooLargeError(f"{what} is capped at n = {cap}, got n = {n}")
     as_positive_int(threads, "threads")
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    if objective == "trace_sum":
-        if k is not None:
-            raise ValueError(f"k applies only to objective 'kyfan_sum', got k={k!r}")
-        return n, None
     if k is None:
-        raise KOutOfRangeError("objective 'kyfan_sum' needs k")
+        return n, None
     k = as_int(k, "k", KOutOfRangeError)
     if not 1 <= k <= n:
         raise KOutOfRangeError(f"k={k!r} outside [1, {n}]")
@@ -335,10 +327,9 @@ def _class_reps(v: int) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.array(reps, dtype=np.int64), groups
 
 
-def exhaustive_max(
-    n: int, objective: str = "trace_sum", k: int | None = None, threads: int = 1
-) -> SearchResult:
-    """Exact maximum of the objective over all 2^(n(n-1)/2) labeled graphs.
+def exhaustive_max(n: int, k: int | None = None, threads: int = 1) -> SearchResult:
+    """Exact maximum over all 2^(n(n-1)/2) labeled graphs of the objective:
+    trace_sum for k None, else kyfan_sum, the Ky Fan k-norm sum.
 
     Hard-capped at n = 8. Isomorphic graphs have one spectrum, and so do
     their complements, so the objective is scored on :func:`_bordered` (n)
@@ -362,7 +353,7 @@ def exhaustive_max(
     took 13-19 ms and n = 8 0.24-0.29 s, on the calling thread: `threads`
     is checked like local_search_max's but not used.
     """
-    n, k = _check_search(n, objective, k, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
+    n, k = _check_search(n, k, threads, EXHAUSTIVE_MAX_N, "exhaustive enumeration")
     m = n * (n - 1) // 2
     graphs = _bordered(n)
     complements = ((1 << m) - 1) - graphs
@@ -669,14 +660,11 @@ def _anneal_once(n: int, k: int | None, cfg: SearchConfig, restart: int):
 
 
 def local_search_max(
-    n: int,
-    objective: str = "trace_sum",
-    k: int | None = None,
-    cfg: SearchConfig | None = None,
-    threads: int = 1,
+    n: int, k: int | None = None, cfg: SearchConfig | None = None, threads: int = 1
 ) -> SearchResult:
     """Seeded annealing over edge flips; a certified lower bound on the
-    maximum (best_value always comes from a concrete evaluated graph).
+    maximum of trace_sum for k None, else of kyfan_sum, the Ky Fan k-norm
+    sum (best_value always comes from a concrete evaluated graph).
 
     For trace_sum a step screens all m = n(n-1)/2 flips with the Coulson
     integral, which bounds each flip's exact change by its screened change
@@ -710,7 +698,7 @@ def local_search_max(
     whose dispatch holds the GIL, and two threads were slower than one at
     n = 16, 32 and 64.
     """
-    n, k = _check_search(n, objective, k, threads, LOCAL_MAX_N, "local search")
+    n, k = _check_search(n, k, threads, LOCAL_MAX_N, "local search")
     if cfg is None:
         cfg = SearchConfig()
 

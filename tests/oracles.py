@@ -6,14 +6,15 @@ witnesses decoded from graph6, the complement graph by bit flips, the edge
 list read off the pair mask, cycles, complete graphs, the Petersen graph,
 the triangular graphs, the complement of the Clebsch graph, the nets of
 AG(2, q) (conference graphs beyond Paley's, with their parallel classes
-compared up to GL(2, q)) and the Latin square graphs, the exact maximum of
-a matrix bound's left-hand side by brute force, the annealing flip screen
+compared up to GL(2, q)) and the Latin square graphs, the exact maxima of
+the matrix bounds' left-hand sides by brute force, the annealing flip screen
 with one log per matrix, and the property sweep run kind by kind, each kind
 drawing its own samples.
 Test code only; the package does not call them."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -267,23 +268,42 @@ def clebsch_complement() -> np.ndarray:
     return ~np.isin(u[:, None] ^ u, [0, 1, 2, 4, 8, 15])
 
 
-def exact_max(kind: str, m: int, n: int) -> tuple[float, np.ndarray]:
-    """The maximum of a matrix bound's left-hand side over every m x n 0/1
-    matrix A, and the first A that attains it, by numpy's SVD alone:
-    'opnorm' is ||A||_2 + ||J - A||_2, and 'shifted' (m = n, A zero on the
-    diagonal) is ||A + I/2||_* + ||J - A - I/2||_*. Each side is convex in
-    the entries, so no matrix of the box [0, 1]^(m x n) does better."""
-    shifted = kind == "shifted"
-    free = ~np.eye(m, n, dtype=bool) if shifted else np.ones((m, n), dtype=bool)
-    bits = int(free.sum())
-    codes = np.arange(1 << bits)
-    stack = np.zeros((codes.size, m, n))
-    stack[:, free] = (codes[:, None] >> np.arange(bits)) & 1
-    shift = np.eye(m, n) / 2.0 if shifted else 0.0
+@functools.lru_cache(maxsize=None)
+def exact_maxima(m: int, n: int, domain: str) -> dict:
+    """The maximum of each matrix bound's left-hand side over every m x n 0/1
+    matrix A of a domain, with the first A that attains it, keyed by (kind,
+    k), from one enumeration and numpy's SVD of its two sides. Domain 'all'
+    gives ('opnorm', None), ||A||_2 + ||J - A||_2, and ('kyfan', k), the Ky
+    Fan k-norm of A plus that of J - A, for k = 2..min(m, n). Domains
+    'zero_diagonal' (m = n, A zero on the diagonal) and 'tournament' (A +
+    A^T = J - I) give ('shifted', None), ||A + I/2||_* + ||J - A - I/2||_*.
+    Each side is convex in the entries, so no matrix of the box [0, 1]^(m x
+    n) does better than 'all' or 'zero_diagonal'; the tournaments are not a
+    box, so theirs is the maximum over tournaments alone."""
+    if domain == "tournament":
+        rows, cols = np.triu_indices(n, 1)
+        codes = np.arange(1 << rows.size)
+        bits = (codes[:, None] >> np.arange(rows.size)) & 1
+        stack = np.zeros((codes.size, n, n))
+        stack[:, rows, cols], stack[:, cols, rows] = bits, 1 - bits
+    else:
+        free = ~np.eye(m, n, dtype=bool) if domain == "zero_diagonal" else np.ones((m, n), dtype=bool)
+        size = int(free.sum())
+        codes = np.arange(1 << size)
+        stack = np.zeros((codes.size, m, n))
+        stack[:, free] = (codes[:, None] >> np.arange(size)) & 1
+    shift = 0.0 if domain == "all" else np.eye(m, n) / 2.0
     sides = [np.linalg.svd(x, compute_uv=False) for x in (stack + shift, 1.0 - stack - shift)]
-    lhs = sum(s.sum(axis=1) if shifted else s[:, 0] for s in sides)
-    best = int(np.argmax(lhs))
-    return float(lhs[best]), stack[best]
+    if domain == "all":
+        widths = {("opnorm", None): 1} | {("kyfan", k): k for k in range(2, min(m, n) + 1)}
+    else:
+        widths = {("shifted", None): n}
+    out = {}
+    for key, width in widths.items():
+        lhs = sum(s[:, :width].sum(axis=1) for s in sides)
+        best = int(np.argmax(lhs))
+        out[key] = (float(lhs[best]), stack[best])
+    return out
 
 
 def two_log_screen(a, is_, js, x, weights):

@@ -34,18 +34,29 @@ from normsum import (
     trace_norm,
 )
 from normsum.cli import main
-from oracles import SRGParams, cycle, exact_max, is_conference, srg_params, witness_graphs
+from oracles import SRGParams, cycle, exact_maxima, is_conference, srg_params, witness_graphs
 
-# exhaustive_max(7, "trace_sum"), first verified full 2^21 enumeration
+# exhaustive_max(7) (trace_sum), first verified full 2^21 enumeration
 N7_MAXIMUM = 21.20375412983717
 
 THREADS = os.cpu_count() or 1
 
 # Exact maxima of a matrix bound's left-hand side over every 0/1 matrix of a
-# shape where the bound has no equality instance (oracles.exact_max), with
+# shape where the bound has no equality instance (oracles.exact_maxima), with
 # the bound they stay under: opnorm on 3 x 3 (sqrt(18) = 4.2426), shifted on
 # 4 x 4 with zero diagonal (10).
 EXACT_MAXIMA = [("opnorm", 3, 3, 4.1815405503520555), ("shifted", 4, 4, 9.549506111608018)]
+
+# More exact maxima (oracles.exact_maxima), one enumeration per shape, with
+# whether the bound is met there: (kind, k, m, n, domain, maximum, equality).
+EXACT_VERDICTS = [
+    ("opnorm", None, 3, 4, "all", math.sqrt(24), True),
+    ("kyfan", 2, 3, 4, "all", 4 + 2 * math.sqrt(2), False),
+    ("kyfan", 3, 3, 4, "all", 8.092333923934103, False),
+    ("shifted", None, 3, 3, "tournament", 3 + 2 * math.sqrt(3), True),
+    ("shifted", None, 4, 4, "tournament", 8.755604237266937, False),
+    ("shifted", None, 5, 5, "tournament", 13.331892995494993, False),
+]
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -86,7 +97,7 @@ def test_criterion_02_conference_equality_n13(capsys):
 
 def test_criterion_03_exhaustive_maximum_n5(capsys):
     start = time.perf_counter()
-    res = exhaustive_max(5, "trace_sum")
+    res = exhaustive_max(5)
     elapsed = time.perf_counter() - start
     target = 4 * (1 + math.sqrt(5))
     ok = (
@@ -102,7 +113,7 @@ def test_criterion_03_exhaustive_maximum_n5(capsys):
 
 def test_criterion_04_strict_gap_n7(capsys):
     start = time.perf_counter()
-    res = exhaustive_max(7, "trace_sum", threads=THREADS)
+    res = exhaustive_max(7, threads=THREADS)
     elapsed = time.perf_counter() - start
     gap = bound_value("main", 7) - res.best_value
     ok = (
@@ -230,7 +241,7 @@ def test_criterion_09_bound_comparison(capsys):
 def test_criterion_10_seeded_local_search(capsys):
     start = time.perf_counter()
     cfg = SearchConfig(restarts=50, max_steps=300, seed=42)
-    res = local_search_max(9, "trace_sum", cfg=cfg, threads=THREADS)
+    res = local_search_max(9, cfg=cfg, threads=THREADS)
     elapsed = time.perf_counter() - start
     best_witness = witness_graphs(res)[0]
     ok = (
@@ -282,8 +293,17 @@ def test_trace_norm_agrees_with_energy_oracle():
 
 @pytest.mark.parametrize("kind, m, n, frozen", EXACT_MAXIMA)
 def test_bound_holds_without_equality_at_the_exact_maximum(kind, m, n, frozen):
-    value, a = exact_max(kind, m, n)
+    value, a = exact_maxima(m, n, "zero_diagonal" if kind == "shifted" else "all")[kind, None]
     assert math.isclose(value, frozen, rel_tol=1e-12)
     verdict = check_bound(kind, a)
     assert math.isclose(verdict.lhs, value, rel_tol=1e-12)
     assert verdict.holds and not verdict.equality
+
+
+@pytest.mark.parametrize("kind, k, m, n, domain, frozen, equality", EXACT_VERDICTS)
+def test_bound_verdict_at_the_exact_maximum(kind, k, m, n, domain, frozen, equality):
+    value, a = exact_maxima(m, n, domain)[kind, k]
+    assert math.isclose(value, frozen, rel_tol=1e-12)
+    verdict = check_bound(kind, a, k=k)
+    assert math.isclose(verdict.lhs, value, rel_tol=1e-12)
+    assert verdict.holds and verdict.equality == equality

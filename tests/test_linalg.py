@@ -54,6 +54,14 @@ def test_dense_matrix_basics():
     assert DenseMatrix.from_json(m.to_json()) == m
 
 
+def test_dense_matrix_compares_only_with_dense_matrices():
+    m = DenseMatrix([[1, 2, 3], [4, 5, 6]])
+    # another type is left to its own __eq__, so a list of the same entries differs
+    assert m.__eq__([[1, 2, 3], [4, 5, 6]]) is NotImplemented
+    assert m != [[1, 2, 3], [4, 5, 6]]
+    assert repr(m) == "DenseMatrix(2x3)"
+
+
 def test_dense_matrix_is_immutable():
     m = DenseMatrix([[1.0]])
     with pytest.raises((ValueError, RuntimeError)):

@@ -35,10 +35,10 @@ import oracles
 from oracles import cycle, flipped, property_sweep_per_kind, srg_params, witness_graphs
 
 
-def pair_value(g, objective="trace_sum", k=None):
+def pair_value(g, k=None):
     a = adjacency_matrix(g)
     b = adjacency_matrix(flipped(g))
-    if objective == "trace_sum":
+    if k is None:
         return trace_norm(a) + trace_norm(b)
     sa = np.sort(np.abs(np.linalg.eigvalsh(a.array)))[::-1]
     sb = np.sort(np.abs(np.linalg.eigvalsh(b.array)))[::-1]
@@ -79,8 +79,8 @@ def test_exhaustive_witnesses_reach_reported_value():
 
 
 def test_exhaustive_kyfan_matches_brute_force():
-    res = exhaustive_max(4, "kyfan_sum", k=2)
-    best = max(pair_value(Graph(n=4, bits=b), "kyfan_sum", 2) for b in range(64))
+    res = exhaustive_max(4, k=2)
+    best = max(pair_value(Graph(n=4, bits=b), 2) for b in range(64))
     assert abs(res.best_value - best) < 1e-9
 
 
@@ -98,18 +98,20 @@ def test_exhaustive_n8_checks_k_before_generating_classes(monkeypatch):
 
     monkeypatch.setattr(search, "_class_reps", no_reps)
     with pytest.raises(KOutOfRangeError):
-        exhaustive_max(8, "kyfan_sum")
+        exhaustive_max(8, k=9)
 
 
 def test_exhaustive_objective_validation():
-    with pytest.raises(ValueError):
-        exhaustive_max(4, "det_sum")
+    # k alone picks the objective, and a k that is not an integer fails
+    # loudly, so a positional objective name cannot pass unnoticed
+    for search_fn in (exhaustive_max, local_search_max):
+        for old in ("trace_sum", "kyfan_sum"):
+            with pytest.raises(KOutOfRangeError, match=f"^k must be an integer, got '{old}'$"):
+                search_fn(4, old)
     with pytest.raises(KOutOfRangeError):
-        exhaustive_max(4, "kyfan_sum")
+        exhaustive_max(4, k=9)
     with pytest.raises(KOutOfRangeError):
-        exhaustive_max(4, "kyfan_sum", k=9)
-    with pytest.raises(KOutOfRangeError):
-        exhaustive_max(4, "kyfan_sum", k=0)
+        exhaustive_max(4, k=0)
 
 
 def test_exhaustive_thread_determinism(monkeypatch):
@@ -122,23 +124,24 @@ def test_exhaustive_thread_determinism(monkeypatch):
     assert a.evaluations == b.evaluations == 1 << 15
 
 
-def oracle_norms(x, objective, k):
-    """Norm of each matrix of a symmetric (B, n, n) stack by plain eigvalsh."""
+def oracle_norms(x, k):
+    """Norm of each matrix of a symmetric (B, n, n) stack by plain eigvalsh:
+    the trace norm for k None, else the Ky Fan k-norm."""
     s = np.sort(np.abs(np.linalg.eigvalsh(x)), axis=1)
-    return s.sum(axis=1) if objective == "trace_sum" else s[:, x.shape[1] - k :].sum(axis=1)
+    return s.sum(axis=1) if k is None else s[:, x.shape[1] - k :].sum(axis=1)
 
 
-def oracle_values(n, objective, k):
+def oracle_values(n, k):
     """Objective of every labeled n-vertex graph by plain per-graph eigvalsh
     of A and of J - I - A, indexed by edge bitset."""
     total = 1 << (n * (n - 1) // 2)
     a = np.stack([adjacency_matrix(Graph(n=n, bits=b)).array for b in range(total)])
-    return oracle_norms(a, objective, k) + oracle_norms(np.ones((n, n)) - np.eye(n) - a, objective, k)
+    return oracle_norms(a, k) + oracle_norms(np.ones((n, n)) - np.eye(n) - a, k)
 
 
-def assert_matches_oracle(n, objective, k):
-    ref = oracle_values(n, objective, k)
-    res = exhaustive_max(n, objective, k=k)
+def assert_matches_oracle(n, k):
+    ref = oracle_values(n, k)
+    res = exhaustive_max(n, k=k)
     sel = np.flatnonzero(ref >= ref.max() - WITNESS_TOL)
     assert abs(res.best_value - ref.max()) <= 1e-12
     assert tuple(g.bits for g in witness_graphs(res)) == tuple(int(i) for i in sel[:WITNESS_CAP])
@@ -151,16 +154,16 @@ def assert_matches_oracle(n, objective, k):
 @pytest.mark.parametrize("objective", ["trace_sum", "kyfan_sum"])
 def test_exhaustive_kernel_matches_per_graph_oracle(n, objective):
     k = None if objective == "trace_sum" else min(2, n)
-    assert_matches_oracle(n, objective, k)
+    assert assert_matches_oracle(n, k).objective == objective
 
 
 @pytest.mark.parametrize("objective,k", [("trace_sum", None), ("kyfan_sum", 3)])
 def test_exhaustive_witnesses_are_their_own_complement_mirror_on_any_threads(objective, k):
     # the pair value is complement-symmetric, so at n = 6 (720 witnesses, not
     # truncated) the witness set is its own complement mirror, on any threads
-    one = assert_matches_oracle(6, objective, k)
-    three = exhaustive_max(6, objective, k=k, threads=3)
-    assert one == three and not one.truncated
+    one = assert_matches_oracle(6, k)
+    three = exhaustive_max(6, k=k, threads=3)
+    assert one == three and not one.truncated and one.objective == objective
     bits = {g.bits for g in witness_graphs(one)}
     assert {(1 << 15) - 1 - b for b in bits} == bits
 
@@ -169,15 +172,42 @@ def test_every_exhaustive_witness_rescores_to_the_best_value():
     # k = 6 at n = 8 has the narrowest gap measured between the best value and
     # the best outside the witness set (5e-4), so a witness tolerance loose
     # enough to let the runner-up in shows here
-    res = exhaustive_max(8, "kyfan_sum", k=6)
+    res = exhaustive_max(8, k=6)
     a = np.stack([adjacency_matrix(g).array for g in witness_graphs(res)])
-    values = oracle_norms(a, "kyfan_sum", 6) + oracle_norms(1 - np.eye(8) - a, "kyfan_sum", 6)
+    values = oracle_norms(a, 6) + oracle_norms(1 - np.eye(8) - a, 6)
     assert np.abs(values - res.best_value).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n, best, count", [(5, 5, 30), (8, 9, 168)])
+def test_cross_spectrum_ties_are_exact(n, best, count):
+    # k = 1 at n = 5 and 8 are the grid cases whose witnesses span two
+    # spectrum pairs; the tie between them is proved in exact arithmetic
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    res = exhaustive_max(n, k=1)
+    assert (len(res.witnesses), res.truncated) == (count, False)
+    groups = {}
+    for g in witness_graphs(res):
+        a = adjacency_matrix(g).array.astype(np.int64)
+        key = tuple(np.trace(np.linalg.matrix_power(a, p)) for p in range(2, n + 1))
+        groups.setdefault(key, a)
+    pairs = set()
+    for a in groups.values():
+        comp = 1 - np.eye(n, dtype=np.int64) - a
+        polys = tuple(sympy.Matrix(m).charpoly(x).as_expr() for m in (a, comp))
+        # a graph's Ky Fan 1-norm is its largest eigenvalue (Perron-Frobenius)
+        top = [sympy.Poly(p, x).real_roots()[-1] for p in polys]
+        assert sympy.simplify(top[0] + top[1] - best) == 0
+        pairs.add(frozenset(polys))
+    # the witnesses are closed under complement and span two spectrum pairs
+    # {G, complement}: no graph of one is cospectral with a graph of the other
+    assert len(pairs) == 2 and len(set().union(*pairs)) == 4
+    assert abs(res.best_value - best) <= WITNESS_TOL
 
 
 def test_exhaustive_max_does_not_depend_on_the_order_graphs_are_scored_in(monkeypatch):
     # the bordered graphs scored in reverse order give the same result
-    ref = exhaustive_max(6, "kyfan_sum", k=1)
+    ref = exhaustive_max(6, k=1)
     bordered, reversed_orders = search._bordered, []
 
     def reversed_bordered(v):
@@ -196,7 +226,7 @@ def test_exhaustive_max_does_not_depend_on_the_order_graphs_are_scored_in(monkey
         return eigvalsh_stack(a)
 
     monkeypatch.setattr(search, "_eigvalsh_stack", recording_solve)
-    assert exhaustive_max(6, "kyfan_sum", k=1) == ref
+    assert exhaustive_max(6, k=1) == ref
     # the reversed set is the one scored, with its labeled complements: the
     # least bitset of each walk-count key of that union is solved
     assert reversed_orders == [6]
@@ -218,7 +248,7 @@ def test_exhaustive_max_does_not_depend_on_the_order_graphs_are_scored_in(monkey
         return reps[v], groups[::-1]
 
     monkeypatch.setattr(search, "_class_reps", reversed_reps)
-    res = exhaustive_max(6, "kyfan_sum", k=1)
+    res = exhaustive_max(6, k=1)
     assert reps[5].size == 34 and not np.array_equal(np.sort(reps[5]), np.sort(plain))
     assert (res.witnesses, res.truncated, res.evaluations) == (ref.witnesses, ref.truncated, ref.evaluations)
     assert abs(res.best_value - ref.best_value) <= 1e-12
@@ -234,7 +264,7 @@ def witnesses_of(n, values, rows):
 @pytest.mark.parametrize("objective,k", [("trace_sum", None), ("kyfan_sum", 2)])
 def test_both_searches_report_the_objective_and_k_they_were_given(objective, k):
     cfg = SearchConfig(restarts=1, max_steps=5)
-    for res in (exhaustive_max(4, objective, k), local_search_max(4, objective, k, cfg)):
+    for res in (exhaustive_max(4, k), local_search_max(4, k, cfg)):
         assert (res.objective, res.k) == (objective, k)
 
 
@@ -447,7 +477,7 @@ def test_exhaustive_n7_matches_the_atlas():
     atlas = [h for h in networkx.graph_atlas_g() if len(h) == 7]
     assert len(atlas) == CLASS_COUNTS[7]
     a = np.stack([networkx.to_numpy_array(h, nodelist=range(7)) for h in atlas])
-    best = (oracle_norms(a, "trace_sum", None) + oracle_norms(1.0 - np.eye(7) - a, "trace_sum", None)).max()
+    best = (oracle_norms(a, None) + oracle_norms(1.0 - np.eye(7) - a, None)).max()
     assert abs(exhaustive_max(7).best_value - best) <= 1e-12
 
 
@@ -600,8 +630,8 @@ def test_exhaustive_n7_witnesses_match_the_labeled_enumeration():
 def test_exhaustive_grid_matches_the_labeled_enumeration():
     h = hashlib.sha256()
     for n in range(1, 8):
-        for objective, k in [("trace_sum", None)] + [("kyfan_sum", k) for k in range(1, n + 1)]:
-            res = exhaustive_max(n, objective, k)
+        for k in (None, *range(1, n + 1)):
+            res = exhaustive_max(n, k)
             bits = [g.bits for g in witness_graphs(res)]
             h.update(repr((bits, res.truncated, res.evaluations)).encode())
     assert h.hexdigest() == LABELED_GRID_DIGEST
@@ -667,7 +697,7 @@ def test_entry_points_share_the_graph_integer_check():
         with pytest.raises(ValueError):
             search_fn(4.0)
         with pytest.raises(KOutOfRangeError):
-            search_fn(4, "kyfan_sum", k=2.0)
+            search_fn(4, k=2.0)
     with pytest.raises(ValueError):
         Graph(n=True, bits=0)
 
@@ -914,8 +944,8 @@ def test_a_default_restart_scores_few_random_flips(monkeypatch):
     ],
 )
 def test_local_search_frozen_output(n, objective, k, cfg, best, witness, evaluations):
-    res = local_search_max(n, objective, k, cfg)
-    assert res.best_value == best
+    res = local_search_max(n, k, cfg)
+    assert (res.objective, res.best_value) == (objective, best)
     assert [graph6_encode(g) for g in witness_graphs(res)] == [witness]
     assert res.evaluations == evaluations
 
@@ -940,11 +970,11 @@ LOCAL_SEARCH_DIGESTS = {
 def test_local_search_grid_digest(n):
     trace_steps, kyfan_steps, digest = LOCAL_SEARCH_DIGESTS[n]
     h = hashlib.sha256()
-    for objective, k, steps in (("trace_sum", None, trace_steps), ("kyfan_sum", 2, kyfan_steps)):
+    for k, steps in ((None, trace_steps), (2, kyfan_steps)):
         for t0 in (1.0, 0.0):
             for seed in (3, 11):
                 cfg = SearchConfig(restarts=2, max_steps=steps, temperature_initial=t0, seed=seed)
-                res = local_search_max(n, objective, k, cfg)
+                res = local_search_max(n, k, cfg)
                 key = (res.best_value.hex(), [g.bits for g in witness_graphs(res)])
                 h.update(repr(key + (res.evaluations, res.truncated)).encode())
     assert h.hexdigest() == digest
@@ -1667,7 +1697,10 @@ def test_property_sweep_validation():
         property_sweep(5, -1, (3, 6), ["main"])
 
 
-def test_trace_sum_takes_no_k():
-    for search_max in (exhaustive_max, local_search_max):
-        with pytest.raises(ValueError, match="^k applies only to objective 'kyfan_sum', got k=3$"):
-            search_max(4, k=3)
+def test_k_alone_selects_kyfan_sum(capsys):
+    # on the CLI, --k is the only flag that picks the objective
+    for mode, extra in (("exhaustive", []), ("local", ["--steps", "5", "--restarts", "1"])):
+        assert cli.main(["search", mode, "--n", "5", "--k", "1", "--json", *extra]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"]["k"] == 1 and "objective" not in report["inputs"]
+        assert (report["results"]["objective"], report["results"]["k"]) == ("kyfan_sum", 1)
