@@ -58,7 +58,6 @@ from .linalg import (
     EigenSpectrum,
     SingularSpectrum,
     ky_fan_norm,
-    kronecker,
     operator_norm,
     svd,
     sym_eigen,
@@ -120,7 +119,6 @@ __all__ = [
     "graph_from_edges",
     "hadamard",
     "ky_fan_norm",
-    "kronecker",
     "kyfan_extremal_matrix",
     "local_search_max",
     "opnorm_extremal_matrix",

@@ -13,21 +13,18 @@ import numpy as np
 from .errors import BadOrientationError, OddProductError, UnsupportedOrderError
 from .errors import as_int, as_positive_int
 from .graphs import quadratic_character
-from .linalg import DenseMatrix, _prime_power_split, check_dimensions, kronecker
+from .linalg import DenseMatrix, _prime_power_split, check_dimensions
 
 
 @dataclass(frozen=True)
 class HadamardMatrix:
-    """A +-1 matrix H with H H^T = order * I, checked exactly at construction."""
+    """A +-1 matrix H with H H^T = order * I, order its row count, checked
+    exactly at construction. The check also makes H square, as the diagonal
+    of H H^T holds the column count."""
 
-    order: int
     entries: DenseMatrix
 
     def __post_init__(self):
-        if self.entries.shape != (self.order, self.order):
-            raise ValueError(
-                f"entries shape {self.entries.shape} does not match order {self.order}"
-            )
         h = self.entries.array
         if not np.all(np.abs(h) == 1.0):
             raise ValueError("Hadamard entries must be exactly +-1")
@@ -35,6 +32,10 @@ class HadamardMatrix:
         # is +-1 and every sum an integer of size at most order < 2^53
         if not np.array_equal(h @ h.T, self.order * np.eye(self.order)):
             raise ValueError(f"H H^T != {self.order} I, construction rejected")
+
+    @property
+    def order(self) -> int:
+        return self.entries.rows
 
 
 def _sylvester(order: int) -> np.ndarray:
@@ -73,7 +74,7 @@ def hadamard(order: int) -> HadamardMatrix:
                 f"no supported construction for order {order}: not a power of 2 "
                 f"and {order - 1} is not a prime power = 3 (mod 4)"
             )
-    return HadamardMatrix(order=order, entries=DenseMatrix(h.astype(np.float64)))
+    return HadamardMatrix(DenseMatrix(h))
 
 
 def kyfan_extremal_matrix(k: int, p: int, q: int) -> DenseMatrix:
@@ -90,10 +91,9 @@ def kyfan_extremal_matrix(k: int, p: int, q: int) -> DenseMatrix:
     m = 2 * p * (k - 1)
     n = 2 * q * (k - 1)
     check_dimensions(f"result {m}x{n}", m, n)
-    h = hadamard(k - 1).entries
-    hprime = kronecker(DenseMatrix([[1.0, -1.0], [-1.0, 1.0]]), h)
-    block = kronecker(hprime, DenseMatrix(np.ones((p, q))))
-    return DenseMatrix((block.array + np.ones((m, n))) / 2.0)
+    h = hadamard(k - 1).entries.array
+    block = np.kron(np.kron([[1, -1], [-1, 1]], h), np.ones((p, q)))
+    return DenseMatrix((block + 1) / 2)
 
 
 def opnorm_extremal_matrix(m: int, n: int, orientation: str) -> DenseMatrix:

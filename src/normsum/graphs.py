@@ -131,7 +131,8 @@ def _adjacency(flags: np.ndarray, n: int) -> np.ndarray:
     sets cell (j, i) of :func:`pair_mask` and its mirror. The mask is given
     the full shape, as ``a[..., mask]`` takes numpy's general indexing path,
     about 20x slower at n = 4001. The caller converts to float: there the
-    mirror pass takes 83 ms on bytes and 145 ms on float64 (2-vCPU Xeon)."""
+    mirror pass takes 105 ms on bytes and 165-172 ms on float64 (2-vCPU Xeon,
+    numpy 2.4.6, at 09d9f51)."""
     a = np.zeros(flags.shape[:-1] + (n, n), dtype=bool)
     a[np.broadcast_to(pair_mask(n), a.shape)] = flags.ravel()
     return a | np.swapaxes(a, -1, -2)

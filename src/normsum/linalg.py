@@ -1,5 +1,5 @@
 """Dense real linear algebra for small matrices: certified spectra, and the
-norms, Kronecker products and complement spectrum pairs built on them.
+norms and complement spectrum pairs built on them.
 Matrices are dense float64 and small by design (dimension cap 4096), so
 LAPACK via numpy is used throughout and every factorization is certified by
 an explicit residual.
@@ -736,12 +736,3 @@ def trace_norm(m) -> float:
 def operator_norm(m) -> float:
     """Largest singular value of a matrix, or of its SingularSpectrum."""
     return float((m if isinstance(m, SingularSpectrum) else svd(m)).values[0])
-
-
-def kronecker(a, b) -> DenseMatrix:
-    """Kronecker product A (x) B with the usual block layout [a_ij * B]."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    rows = ma.rows * mb.rows
-    cols = ma.cols * mb.cols
-    check_dimensions(f"Kronecker result {rows}x{cols}", rows, cols)
-    return DenseMatrix(np.kron(ma.array, mb.array))

@@ -153,8 +153,9 @@ def _pair_flags(bits: np.ndarray, m: int) -> np.ndarray:
 
 def _distinct(bits: np.ndarray) -> np.ndarray:
     """The distinct entries of an array, ascending, by one sort: what
-    np.unique gives, without the numpy.ma import of its first call (about
-    14 ms and 1.5 MB of RSS in a fresh process)."""
+    np.unique gives, without the numpy.ma import of its first call (9-11 ms
+    and 1.2 MB of max RSS in a fresh process; 2-vCPU Xeon, numpy 2.4.6, at
+    09d9f51)."""
     bits = np.sort(bits, axis=None)
     return bits[np.append(True, bits[1:] != bits[:-1])]
 

@@ -56,6 +56,15 @@ EXACT_VERDICTS = [
     ("shifted", None, 3, 3, "tournament", 3 + 2 * math.sqrt(3), True),
     ("shifted", None, 4, 4, "tournament", 8.755604237266937, False),
     ("shifted", None, 5, 5, "tournament", 13.331892995494993, False),
+    ("shifted", None, 2, 2, "zero_diagonal", 3.0, False),  # bound 2 + sqrt(2)
+    ("shifted", None, 3, 3, "zero_diagonal", 3 + 2 * math.sqrt(3), True),
+    ("opnorm", None, 2, 3, "all", math.sqrt(12), True),
+    ("opnorm", None, 2, 5, "all", math.sqrt(20), True),
+    ("kyfan", 2, 2, 3, "all", 2 + 2 * math.sqrt(2), False),
+    ("kyfan", 2, 2, 5, "all", 6.292528739883945, False),
+    ("opnorm", None, 3, 5, "all", 3 + math.sqrt(6), False),  # bound sqrt(30)
+    ("kyfan", 2, 3, 5, "all", 7.595754112725151, False),
+    ("kyfan", 3, 3, 5, "all", 9.129787372517761, False),
 ]
 
 

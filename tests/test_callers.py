@@ -3,9 +3,11 @@ method and property of a package class has a caller outside the tests, every
 parameter of a package function is read in its body, every defaulted
 parameter is passed by a caller outside the tests, every definition of the
 test oracles has a caller in the tests, every bound kind is a `check` choice,
-and every name the benchmark imports exists."""
+every name the benchmark imports exists, and every argv the benchmark runs
+parses."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -602,3 +604,31 @@ def test_every_name_the_benchmark_imports_exists():
     assert ("normsum", "exhaustive_max") in imports  # read as normsum.exhaustive_max
     modules = {"normsum": normsum, "normsum.bounds": bounds}
     assert sorted(i for i in imports if not hasattr(modules[i[0]], i[1])) == []
+
+
+def benchmark_argvs(workloads):
+    """Every op and warm-up argv of the benchmark's four workloads at seeds 7
+    and 301, a previous op's output filled in with the graph6 of P13."""
+    g6 = normsum.graph6_encode(normsum.paley_graph(13))
+    for name in workloads.WORKLOADS:
+        for seed in (7, 301):
+            wl = workloads.build(name, seed, 1)
+            yield from (op.argv_after(g6) for op in wl.ops)
+            yield from wl.warmup
+
+
+def test_every_argv_the_benchmark_runs_parses(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    parser = cli.build_parser()
+
+    def refused(argv):
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            return True
+        return False
+
+    argvs = list(benchmark_argvs(workloads))
+    assert len(argvs) > 800 and refused(["check", "opnorm", "--rows", "2", "--objective", "x"])
+    assert [argv for argv in argvs if refused(argv)] == []

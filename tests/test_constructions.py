@@ -69,11 +69,12 @@ def test_hadamard_integer_check():
 
 def test_hadamard_type_rejects_fakes():
     with pytest.raises(ValueError):
-        HadamardMatrix(order=2, entries=DenseMatrix([[1, 1], [1, 1]]))
+        HadamardMatrix(DenseMatrix([[1, 1], [1, 1]]))
     with pytest.raises(ValueError):
-        HadamardMatrix(order=2, entries=DenseMatrix([[0.5, 1], [1, -1]]))
-    with pytest.raises(ValueError, match=r"^entries shape \(2, 2\) does not match order 4$"):
-        HadamardMatrix(order=4, entries=DenseMatrix([[1, 1], [1, -1]]))
+        HadamardMatrix(DenseMatrix([[0.5, 1], [1, -1]]))
+    # two rows of an order-4 matrix: H H^T = 4 I, not the 2 I of their row count
+    with pytest.raises(ValueError, match=r"^H H\^T != 2 I, construction rejected$"):
+        HadamardMatrix(DenseMatrix(hadamard(4).entries.array[:2]))
 
 
 def test_hadamard_check_sees_one_flipped_entry():
@@ -81,7 +82,7 @@ def test_hadamard_check_sees_one_flipped_entry():
     h = hadamard(64).entries.array.copy()
     h[17, 40] = -h[17, 40]
     with pytest.raises(ValueError, match="H H"):
-        HadamardMatrix(order=64, entries=DenseMatrix(h))
+        HadamardMatrix(DenseMatrix(h))
 
 
 def test_kyfan_extremal_smallest_case_is_identity():

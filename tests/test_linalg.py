@@ -22,7 +22,6 @@ from normsum import (
     check_bound,
     equality_analysis,
     ky_fan_norm,
-    kronecker,
     operator_norm,
     paley_graph,
     svd,
@@ -242,27 +241,13 @@ def test_operator_norm_power_iteration_oracle():
         assert abs(operator_norm(a) - est) <= 1e-7 * (1 + est)
 
 
-def test_kronecker_structure():
-    a = np.array([[1.0, 2.0], [0.0, 1.0]])
-    b = np.array([[3.0, 1.0, 0.0]])
-    k = kronecker(a, b)
-    assert k.shape == (2, 6)
-    # block (i, j) of the result is a[i, j] * b
-    assert np.array_equal(k.array[0, :3], b[0])
-    assert np.array_equal(k.array[0, 3:], 2 * b[0])
-    assert np.array_equal(k.array[1, :3], np.zeros(3))
-    # singular values multiply pairwise
+def test_singular_values_of_a_kron_product_multiply_pairwise():
     rng = SplitMix64(31)
     a = np.array([[rng.next_double() for _ in range(3)] for _ in range(3)])
     b = np.array([[rng.next_double() for _ in range(2)] for _ in range(4)])
-    sk = np.array(svd(kronecker(a, b)).values)
+    sk = np.array(svd(np.kron(a, b)).values)
     prods = np.sort(np.outer(svd(a).values, svd(b).values).ravel())[::-1][: len(sk)]
     assert np.max(np.abs(sk - prods)) <= 1e-8
-
-
-def test_kronecker_size_cap():
-    with pytest.raises(SizeOverflowError):
-        kronecker(np.ones((100, 1)), np.ones((100, 1)))
 
 
 def test_residual_certificates_reported():
