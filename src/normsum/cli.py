@@ -180,7 +180,7 @@ def _load_matrix_file(path: str) -> DenseMatrix:
     # utf-8-sig skips the byte-order mark that "CSV UTF-8" files start with
     with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):  # JSON; an array is refused by from_json
         return DenseMatrix.from_json(json.loads(text))
     rows = []
     for line in text.splitlines():

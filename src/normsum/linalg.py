@@ -7,15 +7,16 @@ an explicit residual.
 A DenseMatrix measures its asymmetry max |A - A^T| once, on first use, and
 every operation reads that value. A builder that guarantees it supplies it
 instead, through :meth:`DenseMatrix.with_facts`: a graph adjacency, built
-as a | a^T, carries 0.0 and is never scanned. Exactly symmetric input
-(A == A^T) is factored by ``eigh`` and its singular values are the
-eigenvalue magnitudes; any other input goes through the LAPACK SVD. The
-residual is ||AQ - QΛ||_F for ``eigh`` and ||A - U diag(s) V^T||_F for the
-SVD; unless it is at most CERT_FACTOR * (1 + ||A||_F) (so a NaN fails),
-NoConvergenceError is raised. Every bound reads the spectra of an input X
-and of its complement partner (J - I - X or J - X): a SpectrumPair factors
-each once and keeps both. The partner of a matrix, of its first rows or of
-a stack is built by the one :func:`complement_matrix`.
+as a | a^T, carries 0.0 and is never scanned. The dense kernels are
+:func:`sym_eigen`, one ``eigh``, and :func:`svd`, one LAPACK SVD, with
+residuals ||AQ - QΛ||_F and ||A - U diag(s) V^T||_F; unless it is at most
+CERT_FACTOR * (1 + ||A||_F) (so a NaN fails), NoConvergenceError is raised.
+Every bound reads the spectra of an input X and of its complement partner
+(J - I - X or J - X): a SpectrumPair factors each once, keeps both, and
+alone picks each route, with the kernels as its dense leaves. The singular
+values of an exactly symmetric (A == A^T) member are its |eigenvalues|.
+The norm helpers read a matrix through a pair, and the partner of a matrix,
+of its first rows or of a stack is built by the one :func:`complement_matrix`.
 
 Structured input skips ``eigh``. An exactly symmetric A of order n = p^e >=
 STRUCTURED_MIN_N that is invariant under the translations of (Z_p)^e, vertex
@@ -389,22 +390,20 @@ def _eigvalsh_stack(stack: np.ndarray) -> np.ndarray:
 
 
 def sym_eigen(m, *, basis: bool = False):
-    """Eigenvalues of a symmetric matrix, sorted descending.
+    """Eigenvalues of a symmetric matrix, sorted descending: one certified
+    dense ``eigh``, the kernel a SpectrumPair calls (see the module docstring).
 
-    The input must be square and symmetric within SYMMETRY_TOL entrywise.
-    The returned residual is checked against the convergence certificate
-    threshold; a breach raises NoConvergenceError. With `basis`, the result
-    is (spectrum, (S, w, Q)): the array a dense eigh factored, (A + A^T)/2,
-    with its ascending eigenvalues and eigenvectors, or (spectrum, None)
-    when the spectrum came from the character transform.
+    The input must be square and symmetric within SYMMETRY_TOL entrywise; one
+    not exactly symmetric is factored as (A + A^T)/2. A residual above the
+    certificate threshold raises NoConvergenceError. With `basis`, the result
+    is (spectrum, (S, w, Q)): the array factored, with its ascending
+    eigenvalues and eigenvectors, which the pair's derived partner reads;
+    so that factorization too is a sym_eigen call, as perfbench counts it.
     """
     mat = as_matrix(m)
     if mat.rows != mat.cols:
         raise NonSquareError(f"sym_eigen needs a square matrix, got {mat.rows}x{mat.cols}")
     require_symmetric(mat, NonSymmetricError)
-    if grid := mat._invariance():
-        spectrum = _descending(*_character_eigh(mat.array[0].reshape(grid)))
-        return (spectrum, None) if basis else spectrum
     a = mat.array
     # a == a.T is factored as it is: a + a.T would give it back, or overflow
     sym = a if mat._asymmetry() == 0.0 else (a + a.T) / 2.0
@@ -419,23 +418,17 @@ def _descending(w: np.ndarray, residual: float) -> EigenSpectrum:
 
 
 def _singular_from_eigen(eig: EigenSpectrum, shift: float = 0.0) -> SingularSpectrum:
-    """Singular values of S + shift*I from eig = sym_eigen(S), for an exactly
-    symmetric S: the magnitudes |lambda + shift|, descending.
-
-    The eigenbasis Q of S also diagonalizes S + shift*I, with the same
-    residual ||SQ - QΛ||_F, so eig's certificate carries over and no second
-    factorization runs.
-    """
+    """Singular values of S + shift*I from the spectrum eig of an exactly
+    symmetric S: |lambda + shift|, descending. S's eigenbasis diagonalizes
+    S + shift*I with the same residual, so eig's certificate carries over."""
     s = np.sort(np.abs(np.asarray(eig.values) + shift))[::-1]
     return SingularSpectrum(values=tuple(s.tolist()), residual=eig.offdiag_residual)
 
 
 def svd(m) -> SingularSpectrum:
-    """Singular values of any finite real matrix, sorted descending."""
-    mat = as_matrix(m)
-    if mat._asymmetry() == 0.0:
-        return _singular_from_eigen(sym_eigen(mat))
-    a = mat.array
+    """Singular values of any finite real matrix, sorted descending: one
+    certified LAPACK SVD, the kernel a SpectrumPair calls."""
+    a = as_matrix(m).array
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -649,12 +642,11 @@ def _derived_partner(
 class SpectrumPair:
     """An input X and its complement partner Y, J - I - X when `graph` and
     J - X otherwise, each factored at most once, on first use; member i is X
-    (i = 0) or Y (i = 1). Y is exactly symmetric when X is, and then the
-    singular values of a member plus shift*I are |lambda + shift| of its
-    eigenvalues; otherwise they take one SVD. The eigenvalues of a partner
-    of order >= STRUCTURED_MIN_N that is not invariant are derived from X's
-    eigenbasis, kept from X's ``eigh`` until then (see the module
-    docstring)."""
+    (i = 0) or Y (i = 1). The one selector of a spectral route (see the
+    module docstring): the character transform for an invariant X, the
+    derived partner for a symmetric X of order >= STRUCTURED_MIN_N, |lambda +
+    shift| for a member plus shift*I when X is exactly symmetric, and
+    otherwise the dense kernels :func:`sym_eigen` and :func:`svd`."""
 
     __slots__ = ("x", "graph", "symmetric", "_y", "_eig", "_sing", "_basis")
 
@@ -711,28 +703,35 @@ class SpectrumPair:
         return self._sing[i, shift]
 
 
+def _singular(m) -> SingularSpectrum:
+    """m if a SingularSpectrum, else the singular values of the matrix m by
+    the route its SpectrumPair picks, as every norm helper reads them."""
+    return m if isinstance(m, SingularSpectrum) else SpectrumPair(as_matrix(m), graph=False).sing(0)
+
+
 def ky_fan_norm(m, k: int) -> float:
-    """Sum of the k largest singular values of a matrix, or of its
-    SingularSpectrum: k = 1 is the operator norm, k = min(rows, cols) the
-    trace norm. Exactly rounded, once 1 <= k <= the count of values."""
+    """Sum of the k largest singular values of a matrix or of its spectrum
+    (:func:`_singular`): k = 1 is the operator norm, k = min(rows, cols) the
+    trace norm. k must be in [1, count of values], checked before anything
+    is factored; the sum is exactly rounded."""
     k = as_int(k, "k", KOutOfRangeError)
     m = m if isinstance(m, SingularSpectrum) else as_matrix(m)
     count = len(m.values) if isinstance(m, SingularSpectrum) else min(m.shape)
     if k < 1 or k > count:
         raise KOutOfRangeError(f"k={k} outside [1, {count}], the count of singular values")
-    return math.fsum((m if isinstance(m, SingularSpectrum) else svd(m)).values[:k])
+    return math.fsum(_singular(m).values[:k])
 
 
 def trace_norm(m) -> float:
     """Sum of all singular values of a matrix, or of its SingularSpectrum
-    (graph energy when m is an adjacency matrix).
+    (:func:`_singular`); graph energy when m is an adjacency matrix.
 
     Summed with math.fsum, exactly rounded: a naive sum of the n values loses
     about n ulps, which at n = 4001 is larger than the eigenvalue error.
     """
-    return math.fsum((m if isinstance(m, SingularSpectrum) else svd(m)).values)
+    return math.fsum(_singular(m).values)
 
 
 def operator_norm(m) -> float:
     """Largest singular value of a matrix, or of its SingularSpectrum."""
-    return float((m if isinstance(m, SingularSpectrum) else svd(m)).values[0])
+    return float(_singular(m).values[0])

@@ -737,18 +737,17 @@ class SweepReport:
         object.__setattr__(self, "total_violations", sum(r.violations for r in self.results))
 
 
-SWEEP_KINDS = ("main", "main_matrix", "shifted", "kyfan", "opnorm", "weyl")
-
 # the sample stream each sweep kind reads; the kinds of one stream check
-# the same samples, each drawn once
+# the same samples, each drawn once, in the order of the requested kinds
 _KIND_TAGS = {
     "main": "graph",
-    "weyl": "graph",
     "main_matrix": "sym_matrix",
     "shifted": "sym_matrix",
     "kyfan": "rect_matrix",
     "opnorm": "rect_matrix",
+    "weyl": "graph",
 }
+SWEEP_KINDS = tuple(_KIND_TAGS)
 
 
 def _random_symmetric(rng: SplitMix64, n: int) -> DenseMatrix:

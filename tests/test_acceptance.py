@@ -316,3 +316,23 @@ def test_bound_verdict_at_the_exact_maximum(kind, k, m, n, domain, frozen, equal
     verdict = check_bound(kind, a, k=k)
     assert math.isclose(verdict.lhs, value, rel_tol=1e-12)
     assert verdict.holds and verdict.equality == equality
+
+
+def test_exact_maxima_agree_with_mpmath_at_50_digits():
+    # each frozen maximum is the left-hand side on its maximizer, recomputed
+    # from mpmath singular values at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    rows = [
+        (kind, None, m, n, "zero_diagonal" if kind == "shifted" else "all", frozen)
+        for kind, m, n, frozen in EXACT_MAXIMA
+    ] + [row[:6] for row in EXACT_VERDICTS]
+    for kind, k, m, n, domain, frozen in rows:
+        _, a = exact_maxima(m, n, domain)[kind, k]
+        shift = np.eye(m, n) / 2.0 if kind == "shifted" else 0.0
+        width = {"opnorm": 1, "kyfan": k, "shifted": n}[kind]
+        with mpmath.workdps(50):
+            lhs = mpmath.mpf(0)
+            for x in (a + shift, 1.0 - a - shift):
+                s = mpmath.svd_r(mpmath.matrix(x.tolist()), compute_uv=False)
+                lhs += mpmath.fsum(sorted(s, reverse=True)[:width])
+        assert math.isclose(float(lhs), frozen, rel_tol=1e-14), (kind, k, m, n, domain)

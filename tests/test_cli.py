@@ -379,6 +379,9 @@ PAIRS = "graph JSON field 'edges' must be a list of [i, j] pairs"
         ("--matrix", {"rows": 2, "cols": 2, "entries": "0110"}, "matrix entries must be a list, got str"),
         ("--matrix", {"rows": 2, "cols": 2, "entries": ["1", True, 0, 0]}, "matrix entries must be numbers, got str"),
         ("--matrix", {"rows": 2, "cols": 2, "entries": [0, True, 1, 0]}, "matrix entries must be numbers, got bool"),
+        # a top-level array is JSON, not a CSV row of "[1" and "2]"
+        ("--matrix", [1, 2], "matrix JSON must be an object, got list"),
+        ("--matrix", [[0, 1], [1, 0]], "matrix JSON must be an object, got list"),
     ],
 )  # fmt: skip
 def test_malformed_input_json_exits_two(capsys, tmp_path, flag, obj, message):
@@ -1178,7 +1181,7 @@ def test_spectrum_factors_symmetric_input_once(capsys, monkeypatch):
     assert factored == [(13, 13)]
     r = rep["results"]
     a = adjacency_matrix(paley_graph(13))
-    eig, sing = linalg.sym_eigen(a), linalg.svd(a)
+    eig, sing = linalg.sym_eigen(a), linalg.SpectrumPair(a, graph=False).sing(0)
     assert r["eigenvalues"] == list(eig.values)
     assert r["eigen_residual"] == eig.offdiag_residual
     assert r["singular_values"] == list(sing.values)

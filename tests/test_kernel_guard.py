@@ -1,5 +1,6 @@
 """Static guard: numpy.linalg, numpy.fft, the symmetric-input and invariance
-decisions and the cached facts they rest on stay in linalg."""
+decisions and the cached facts they rest on stay in linalg, and inside it
+SpectrumPair alone selects a spectral route."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,8 @@ import normsum
 SRC = Path(normsum.__file__).parent
 KERNELS = ("np.linalg", "numpy.linalg", "np.fft", "numpy.fft")
 PRIVATE = {"_asym", "_asymmetry", "_grid", "_invariance", "_singular_from_eigen"}
+# the routes other than the dense kernels sym_eigen and svd
+ROUTES = ("_character_eigh", "_derived_partner", "_singular_from_eigen")
 
 
 def _dotted(node):
@@ -95,3 +98,37 @@ def test_the_scan_finds_every_numpy_linalg_reference(tmp_path):
         (8, "_asym"),
         (8, "_grid"),
     ]
+
+
+def readers(path):
+    """{name: the top-level definitions of the module that read it, or
+    "<module>"} for every name and attribute loaded in the module."""
+    found = {}
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                found.setdefault(name, set()).add(owner)
+    return found
+
+
+def test_spectrum_pair_alone_selects_a_spectral_route():
+    found = readers(SRC / "linalg.py")
+    assert {name: found.get(name) for name in ROUTES} == {name: {"SpectrumPair"} for name in ROUTES}
+    assert found.get("_invariance") == {"SpectrumPair", "invariant_row"}
+
+
+def test_readers_names_the_definition_around_each_read(tmp_path):
+    src = tmp_path / "src.py"
+    src.write_text(
+        "x = f(1)\n"
+        "def f(m):\n"
+        "    return m._g() + h\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        self._g = f\n"
+    )
+    found = readers(src)
+    assert found["f"] == {"<module>", "C"} and found["_g"] == {"f"}
+    assert found["h"] == {"f"} and "x" not in found

@@ -29,7 +29,7 @@ from normsum import (
     trace_norm,
     weyl_complement_check,
 )
-from normsum.graphs import quadratic_character
+from normsum.graphs import paley_adjacency, quadratic_character
 from normsum.linalg import SYMMETRY_TOL, SpectrumPair, _singular_from_eigen, check_dimensions
 from normsum.linalg import complement_matrix
 from oracles import cycle, invariant_by_rolls
@@ -266,7 +266,8 @@ def _symmetric_inputs():
     return graphs + shifted + indefinite
 
 
-def test_svd_of_exactly_symmetric_input_skips_lapack_svd(monkeypatch):
+def test_singular_values_of_exactly_symmetric_input_skip_lapack_svd(monkeypatch):
+    # the pair's |eigenvalue| route, which the norm helpers read
     inputs = _symmetric_inputs()
     expected = [np.linalg.svd(a, compute_uv=False) for a in inputs]
 
@@ -275,7 +276,7 @@ def test_svd_of_exactly_symmetric_input_skips_lapack_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     for a, ref in zip(inputs, expected):
-        spec = svd(a)
+        spec = SpectrumPair(DenseMatrix(a), graph=False).sing(0)
         assert np.max(np.abs(np.array(spec.values) - ref)) <= 1e-12 * (1 + np.linalg.norm(a))
         assert 0 <= spec.residual <= 1e-12 * (1 + np.linalg.norm(a))
 
@@ -307,7 +308,7 @@ def test_forged_eigh_result_fails_the_svd_certificate(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", forged)
     with pytest.raises(NoConvergenceError):
-        svd(a)
+        SpectrumPair(DenseMatrix(a), graph=False).sing(0)
     with pytest.raises(NoConvergenceError):
         sym_eigen(a)
 
@@ -461,16 +462,22 @@ def test_sym_eigen_symmetrizes_only_inexactly_symmetric_input(monkeypatch):
     assert np.array_equal(factored.pop(), (near + near.T) / 2.0)
 
 
-def test_singular_values_of_a_shift_come_from_one_eigh():
+def test_singular_values_of_a_shift_come_from_one_eigh(monkeypatch):
+    factored = []
+    real = linalg.eigh_basis
+    monkeypatch.setattr(linalg, "eigh_basis", lambda a: factored.append(a.shape) or real(a))
     for a in _symmetric_inputs():
         n = a.shape[0]
         eig = sym_eigen(a)
-        assert _singular_from_eigen(eig) == svd(a)  # bit for bit, residual included
+        pair = SpectrumPair(DenseMatrix(a), graph=False)
+        assert _singular_from_eigen(eig) == pair.sing(0)  # bit for bit, residual included
         for shift in (0.5, -1.25):
             ref = np.linalg.svd(a + shift * np.eye(n), compute_uv=False)
-            got = _singular_from_eigen(eig, shift)
+            got = pair.sing(0, shift)
             assert np.max(np.abs(np.array(got.values) - ref)) <= 1e-12 * (1 + np.linalg.norm(a))
             assert got.residual == eig.offdiag_residual
+        assert factored == [(n, n)] * 2  # sym_eigen's and the pair's
+        factored.clear()
 
 
 def test_spectrum_pair_eigenvalues_only_for_symmetric_input(monkeypatch):
@@ -644,7 +651,10 @@ def test_paley_spectra_skip_eigh(monkeypatch):
 def test_paley_checks_read_the_partner_from_row_0(monkeypatch, q):
     g = paley_graph(q)
     a = adjacency_matrix(g).array
-    dense = [sym_eigen(a), sym_eigen(complement_matrix(a))]
+    structured = [
+        linalg.EigenSpectrum(tuple(w[::-1].tolist()), residual)
+        for w, residual in (_structured(a), _structured(complement_matrix(a)))
+    ]
     built = []
     real_init = DenseMatrix.__init__
 
@@ -668,7 +678,7 @@ def test_paley_checks_read_the_partner_from_row_0(monkeypatch, q):
     assert check_bound("main", g).equality
     assert weyl_complement_check(g).ok and equality_analysis(g).overall
     pair = SpectrumPair(adjacency_matrix(g), graph=True)
-    assert [pair.eig(0), pair.eig(1)] == dense  # bit for bit, residuals included
+    assert [pair.eig(0), pair.eig(1)] == structured  # bit for bit, residuals included
     assert calls == [] and built == [(q, q)] * 4  # A, once per check and once for the pair
     assert rows and set(rows) == {1}  # each partner spectrum read row 0 of J - I - A
 
@@ -696,7 +706,8 @@ def test_structured_certificate_sums_no_more_than_n_squares(monkeypatch):
         return real(arr)
 
     monkeypatch.setattr(linalg, "_sum_of_squares", spy)
-    sym_eigen(a)
+    pair = SpectrumPair(DenseMatrix(a), graph=True)
+    pair.eig(0), pair.eig(1)
     assert sizes and max(sizes) <= 401
 
 
@@ -725,7 +736,7 @@ def test_forged_fft_result_fails_the_certificate(monkeypatch):
     with pytest.raises(NoConvergenceError):
         _structured(a)
     with pytest.raises(NoConvergenceError):
-        sym_eigen(a)
+        trace_norm(a)
     pair = SpectrumPair(DenseMatrix(a), graph=True)
     for i in (0, 1):
         with pytest.raises(NoConvergenceError):
@@ -853,8 +864,56 @@ def test_orders_below_the_floor_stay_dense(monkeypatch):
     calls = _eigh_spy(monkeypatch)
     for a in small:
         sym_eigen(a)
-        svd(a)
+        trace_norm(a)
     assert taken == [] and len(calls) == 2 * len(small)
     assert linalg.STRUCTURED_MIN_N == 128
-    sym_eigen(_cayley_matrix(row, 2, 7))
+    trace_norm(_cayley_matrix(row, 2, 7))
     assert taken == [128] and len(calls) == 2 * len(small)
+
+
+# ---------------------------------------------------------------------------
+# One selector: sym_eigen and svd are dense kernels, SpectrumPair picks routes
+
+
+def _spy(monkeypatch, owner, name, calls):
+    """Record `name` in calls each time owner.name is called."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
+
+
+def _selector_inputs():
+    """An invariant P401 that carries its grid, an exactly symmetric G(200, 1/2)
+    and a copy of it symmetric within SYMMETRY_TOL but not exactly."""
+    graph = adjacency_matrix(_random_graph(200)).array
+    near = graph.copy()
+    near[0, 1] += SYMMETRY_TOL / 2
+    return paley_adjacency(401), DenseMatrix(graph), DenseMatrix(near)
+
+
+def test_sym_eigen_and_svd_make_one_lapack_call_each(monkeypatch):
+    inputs = _selector_inputs()
+    assert inputs[0]._invariance() and inputs[1]._asymmetry() == 0.0
+    assert 0.0 < inputs[2]._asymmetry() <= SYMMETRY_TOL
+    calls = []
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "svd"), (np.fft, "fftn")):
+        _spy(monkeypatch, owner, name, calls)
+    for mat in inputs:
+        sym_eigen(mat)
+        assert calls == ["eigh"]
+        svd(mat)
+        assert calls == ["eigh", "svd"]
+        calls.clear()
+
+
+def test_norm_helpers_take_the_routes_of_the_spectrum_pair(monkeypatch):
+    paley, graph, _ = _selector_inputs()
+    helpers = (trace_norm, lambda m: ky_fan_norm(m, 3), operator_norm)
+    calls = []
+    for owner, name in ((linalg, "eigh_basis"), (np.linalg, "svd")):
+        _spy(monkeypatch, owner, name, calls)
+    for mat, factored in ((paley, []), (graph, ["eigh_basis"])):
+        for helper in helpers:
+            spectrum = SpectrumPair(mat, graph=False).sing(0)
+            calls.clear()
+            assert helper(mat) == helper(spectrum)  # bit for bit
+            assert calls == factored
